@@ -3,10 +3,11 @@
 Concrete types: :class:`HPolytope` (bounded intersection of halfspaces),
 :class:`VPolytope` (convex hull of finitely many points), :class:`Ball`, and
 :class:`IntersectionBody` (lazy intersection of other bodies).  Projection
-onto an intersection runs Dykstra's alternating scheme with correction
-terms; projection onto a V-polytope runs a conditional-gradient solve with
-away steps over the weight simplex.  Both are implemented here so no
-external QP solver is needed.
+onto an H-polytope is exact: one least-distance program solved by a single
+nonnegative least-squares call (Lawson & Hanson, ch. 23).  Projection onto a
+V-polytope runs a finite active-set method over the weight simplex, and
+projection onto an intersection runs Dykstra's alternating scheme with
+correction terms over the members' projections.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .errors import (
     EmptyBodyError,
@@ -172,20 +173,13 @@ class ConvexBody(abc.ABC):
         return self.project((lo + hi) / 2.0)
 
 
-def _project_onto_halfspace(p, a, b):
-    """Projection onto {x : a . x <= b} with ``a`` a unit row."""
-    slack = float(np.dot(a, p) - b)
-    if slack <= 0.0:
-        return p
-    return p - slack * a
-
-
 class HPolytope(ConvexBody):
     """Bounded nonempty polytope {x : A x <= b}.
 
     Rows of ``A`` are normalized at construction.  Construction verifies
     nonemptiness and boundedness with an LP screen and rejects unbounded or
-    empty descriptions.
+    empty descriptions.  ``project`` is exact and finite: a point outside is
+    mapped to its nearest point by one least-distance solve.
 
     Parameters
     ----------
@@ -286,20 +280,20 @@ class HPolytope(ConvexBody):
     def project(self, p):
         p = as_point(p, self._dim)
         slacks = self._A @ p - self._b
-        if slacks.max() <= 0.0:
+        sigma = float(slacks.max())
+        if sigma <= 0.0:
             return p.copy()
-        projs = [
-            (lambda q, a=self._A[i], bi=self._b[i]: _project_onto_halfspace(q, a, bi))
-            for i in range(self._A.shape[0])
-        ]
-        # The movement stop must sit above rounding noise, which grows with
-        # the coordinate scale of the iterates.
-        move_tol = max(1e-12, 4e-15 * (1.0 + float(np.linalg.norm(p))))
-        res = dykstra(p, projs, move_tol=move_tol, max_rounds=DYKSTRA_MAX_ROUNDS)
-        if not res.converged:
-            raise ProjectionError("halfspace Dykstra did not converge",
-                                  last_iterate=res.point, residual=res.movement)
-        return res.point
+        # Least-distance program for y = x - p: min |y| s.t. -A y >= slacks
+        # (Lawson & Hanson, ch. 23).  Its dual is one NNLS on
+        # E = [-A^T; slacks^T / sigma], f = e_{d+1}; dividing by sigma makes
+        # the solve independent of how far p lies outside.  With r = E u - f,
+        # r[d] = -|r|^2 is nonzero because the polytope is nonempty.
+        E = np.vstack([-self._A.T, slacks / sigma])
+        f = np.zeros(self._dim + 1)
+        f[-1] = 1.0
+        u, _ = nnls(E, f)
+        r = E @ u - f
+        return p - (sigma / r[-1]) * r[:-1]
 
     def distance(self, p):
         p = as_point(p, self._dim)

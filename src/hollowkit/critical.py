@@ -10,8 +10,6 @@ module computes those vertices analytically from the body oracles.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,23 +30,6 @@ logger = logging.getLogger(__name__)
 BORDERLINE_FACTOR = 10.0
 
 UNIQUENESS_THRESHOLD = 1e-5
-
-
-def thread_cap():
-    """Parallelism cap from the HOLLOWKIT_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("HOLLOWKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_jobs(fn, args_list):
-    cap = thread_cap()
-    if cap <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -198,12 +179,9 @@ def check_critical(bodies, tol=DEFAULT_TOL):
     n = len(bodies) - 1
     witnesses = np.empty((n + 1, d))
 
-    def leave_out(j):
+    for j in range(n + 1):
         rest = [b for i, b in enumerate(bodies) if i != j]
         status, point, gap, _, _ = feasibility_scan(rest, tol=tol)
-        return j, status, point, gap
-
-    for j, status, point, gap in _map_jobs(leave_out, [(j,) for j in range(n + 1)]):
         if status == "ambiguous":
             raise ToleranceAmbiguityError(
                 f"leave-one-out intersection {j} is indeterminate at tol {tol:.0e}",
@@ -212,7 +190,6 @@ def check_critical(bodies, tol=DEFAULT_TOL):
             return CriticalityFailure(
                 "leave-one-out-empty", index=j,
                 detail=f"bodies other than {j} share no point (gap {gap:.3e})")
-        rest = [b for i, b in enumerate(bodies) if i != j]
         witnesses[j] = recentered_witness(rest, tol=tol, witness=point)
 
     full = intersect_witness(bodies, tol=tol)
@@ -242,16 +219,11 @@ def hollow_simplex(family, starts=None):
         raise NoHollowError(
             f"a {family.n}-critical family in R^{family.d} encloses no hollow")
     n = family.n
-
-    def solve(j):
-        X = family.leave_one_out(j)
-        start = family.witnesses[j] if starts is None else starts[j]
-        res = min_distance(X, family.bodies[j], start=start)
-        return j, res
-
     vertices = np.empty((n + 1, family.d))
     gaps = np.empty(n + 1)
-    for j, res in _map_jobs(solve, [(j,) for j in range(n + 1)]):
+    for j in range(n + 1):
+        start = family.witnesses[j] if starts is None else starts[j]
+        res = min_distance(family.leave_one_out(j), family.bodies[j], start=start)
         vertices[j] = res.point_a
         gaps[j] = res.distance
     if np.any(gaps <= BORDERLINE_FACTOR * family.tol):

@@ -27,14 +27,18 @@ class EmptyBodyError(HollowkitError):
 
 
 class ProjectionError(HollowkitError):
-    """Iterative projection did not converge.
+    """A projection or support oracle failed.
+
+    Raised when Dykstra's projection onto an intersection of bodies runs out
+    of rounds, or when an H-polytope's LP (construction screen or support)
+    ends with a solver failure.
 
     Attributes
     ----------
     last_iterate : ndarray
-        The final iterate when the round budget ran out.
+        The final iterate when the round budget ran out, if any.
     residual : float
-        Distance from the final iterate to the farthest member set.
+        Distance from the final iterate to the farthest member set, if any.
     """
 
     def __init__(self, message, last_iterate=None, residual=None):

@@ -22,8 +22,8 @@ from .sperner import KkmInstance
 
 SCHEMA = "hollowkit/1"
 
-OPTION_KEYS = ("tol", "resolution", "depth", "restarts", "seed", "samples")
-_INT_OPTIONS = {"depth", "restarts", "seed", "samples"}
+OPTION_KEYS = ("tol", "resolution", "restarts", "seed", "samples")
+_INT_OPTIONS = {"restarts", "seed", "samples"}
 
 
 @dataclass(eq=False)

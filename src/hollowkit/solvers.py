@@ -150,7 +150,11 @@ def separating_hyperplane(body_a, body_b, tol=DEFAULT_TOL, start=None):
     NotSeparableError
         If the measured gap is at most ``tol``.
     """
-    res = min_distance(body_a, body_b, start=start)
+    return _plane_through_gap(min_distance(body_a, body_b, start=start), tol)
+
+
+def _plane_through_gap(res, tol):
+    """Bisecting hyperplane of a realizing pair, oriented from a to b."""
     if res.distance <= tol:
         raise NotSeparableError(
             f"bodies are within tolerance of touching (gap {res.distance:.3e})")
@@ -174,11 +178,11 @@ def _empty_certificate(bodies, dists, tol):
             continue
         rest_body = rest[0] if len(rest) == 1 else IntersectionBody(rest, witness=point)
         try:
-            plane = separating_hyperplane(bodies[j], rest_body, tol=tol)
+            res = min_distance(bodies[j], rest_body)
+            plane = _plane_through_gap(res, tol)
         except (NotSeparableError, ConvergenceError):
             continue
-        gap_dist = min_distance(bodies[j], rest_body).distance
-        return SeparationCertificate(plane, j, gap_dist, gap_dist / 2.0)
+        return SeparationCertificate(plane, j, res.distance, res.distance / 2.0)
     # Leave-one-out intersections are empty or the gaps are too thin: find a
     # proper subfamily that is still empty and certify that one instead.
     for j in sorted(range(len(bodies)), key=lambda j: (dists[j], j)):

@@ -16,10 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from .bodies import DEFAULT_TOL, dykstra
-from .errors import KleeSolveError, SpernerLegalityError, SubdivisionSizeError
+from .errors import (
+    ConvergenceError,
+    KleeSolveError,
+    SpernerLegalityError,
+    SubdivisionSizeError,
+    ToleranceAmbiguityError,
+)
 from .geometry import Simplex, affine_hull, as_point, as_points
 from .solvers import intersect_witness
 
@@ -402,6 +407,10 @@ def _subset_samples(pts, samples):
             out.append(0.5 * (pts[i] + pts[j]))
     out.append(pts.mean(axis=0))
     if m >= 2:
+        # scipy.stats costs a noticeable share of the package import, and
+        # only this sampler needs it.
+        from scipy.stats import qmc
+
         count = 2 ** int(math.ceil(math.log2(max(samples, 2))))
         sob = qmc.Sobol(d=m, scramble=False)
         u = sob.random(count)
@@ -423,7 +432,10 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
     vertex-biased half); each sample must land in some image of a point of
     N.  On success a common point of all images is computed; failure to
     produce one despite the sampled check passing is flagged as a
-    contradiction (tolerance breakdown).
+    contradiction (tolerance breakdown).  Only an empty, undecided
+    (:class:`ConvergenceError`) or ambiguous
+    (:class:`ToleranceAmbiguityError`) intersection scan counts as that
+    failure; any other error from the image oracles propagates.
 
     The point budget is capped at 12 points (4095 subsets).
     """
@@ -443,7 +455,7 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
         checked += 1
     try:
         report = intersect_witness(list(instance.images), tol=tol)
-    except Exception:
+    except (ConvergenceError, ToleranceAmbiguityError):
         report = None
     if report is not None and report.feasible:
         return KkmReport(True, witness=report.witness, subsets_checked=checked,

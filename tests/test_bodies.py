@@ -1,6 +1,7 @@
 """Oracle contracts shared by every body: project, support, membership."""
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from hollowkit import (Ball, EmptyBodyError, HPolytope, IntersectionBody,
                        UnboundedBodyError, VPolytope, dykstra,
@@ -14,6 +15,16 @@ SUPPORT_TOL = 1e-7
 INTERSECTION_SUPPORT_TOL = 1e-3
 PROJECTION_SAMPLES = 1000
 SUPPORT_DIRECTIONS = 100
+# KKT residuals of an H-polytope projection, relative to the coordinate
+# magnitude of the query and its projection (the rounding floor).
+KKT_RTOL = 1e-10
+
+
+def thin_wedge(apex_angle=1e-3):
+    """Wedge with its apex at the origin, opening along +x, capped by x <= 1."""
+    h = 0.5 * apex_angle
+    return HPolytope([[-np.sin(h), np.cos(h)], [-np.sin(h), -np.cos(h)], [1.0, 0.0]],
+                     [0.0, 0.0, 1.0])
 
 
 def sample_bodies():
@@ -27,6 +38,7 @@ def sample_bodies():
         ("ball", Ball([0.5, 0.5], 0.75)),
         ("box-intersection", IntersectionBody([box_a, box_b])),
         ("box-ball", IntersectionBody([box_a, Ball([1.0, 0.5], 0.8)])),
+        ("thin-wedge", thin_wedge()),
     ]
 
 
@@ -102,6 +114,46 @@ def test_box_support_and_project_closed_form():
     assert np.allclose(box.project([3.0, 2.0]), [2.0, 1.0], atol=1e-10)
     assert np.allclose(box.project([-1.0, 0.5]), [0.0, 0.5], atol=1e-10)
     assert box.distance([3.0, 1.0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def random_hpolytope(rng, shift, scale):
+    """Bounded polytope from random rows around the origin, then scaled and
+    moved: x is a member iff (x - shift) / scale is a member of the original."""
+    d = int(rng.integers(1, 4))
+    while True:
+        m = int(rng.integers(d + 1, 10))
+        A = rng.normal(size=(m, d))
+        b = rng.uniform(0.1, 1.0, size=m)
+        try:
+            return HPolytope(A, scale * b + A @ (shift * rng.normal(size=d)))
+        except UnboundedBodyError:
+            continue
+
+
+def test_hpolytope_projection_satisfies_kkt():
+    """x = project(p) is feasible and p - x is a nonnegative combination of
+    the rows active at x, far from the origin and at every scale."""
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(200):
+        shift = 10.0 ** rng.uniform(0.0, 6.0)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        poly = random_hpolytope(rng, shift, scale)
+        center = poly.anchor
+        for _ in range(5):
+            p = center + 3.0 * scale * rng.normal(size=poly.dim)
+            x = poly.project(p)
+            ref = float(np.abs(p).max() + np.abs(x).max())
+            slacks = poly.A @ x - poly.b
+            assert slacks.max() <= KKT_RTOL * ref
+            if np.array_equal(x, p):
+                continue
+            active = slacks >= -KKT_RTOL * ref
+            assert active.any()
+            _, residual = nnls(poly.A[active].T, p - x)
+            assert residual <= KKT_RTOL * ref
+            checked += 1
+    assert checked >= 500
 
 
 def test_ball_closed_forms():

@@ -57,6 +57,14 @@ def test_parse_error_carries_location():
     assert info.value.column is not None
 
 
+def test_parse_rejects_unknown_option():
+    text = ('{"schema": "hollowkit/1", "dimension": 1,'
+            ' "bodies": [{"kind": "ball", "center": [0.0], "radius": 1.0}],'
+            ' "options": {"depth": 3}}')
+    with pytest.raises(SceneError, match="unknown option 'depth'"):
+        parse_scene(text)
+
+
 def test_parse_collects_body_errors():
     with pytest.raises(SceneError) as info:
         parse_scene(read(scene_path("mismatch.json")))

@@ -200,6 +200,22 @@ def test_kkm_holds_for_square_cover(squares_union):
         assert g.membership(report.witness, 1e-6)
 
 
+class _BrokenProjectionBox(HPolytope):
+    """Box whose membership works but whose projection oracle fails."""
+
+    def project(self, p):
+        raise RuntimeError("projection oracle failed")
+
+
+def test_kkm_verify_propagates_foreign_oracle_errors():
+    """Only hollowkit's own undecided outcomes count as a contradiction; an
+    error from a broken oracle must reach the caller."""
+    broken = _BrokenProjectionBox(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+    instance = KkmInstance([[0.0], [1.0]], (broken, HPolytope.box([0.0], [1.0])))
+    with pytest.raises(RuntimeError, match="projection oracle failed"):
+        kkm_verify(instance)
+
+
 def test_kkm_instance_validation():
     with pytest.raises(ValueError):
         KkmInstance([[0.0], [1.0]], (HPolytope.box([0.0], [1.0]),))
