@@ -36,6 +36,14 @@ DEFAULT_TOL = 1e-7
 DYKSTRA_MOVE_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 100000
 
+# Stall rule and budget of feasibility_scan, stop and pass cap of the hull
+# projection (see their docstrings).
+SCAN_STALL_ROUNDS = 1000
+SCAN_STALL_RTOL = 1e-12
+SCAN_MAX_ROUNDS = 200000
+HULL_GAP_RTOL = 1e-12
+HULL_MAX_ITER = 5000
+
 
 @dataclass
 class DykstraResult:
@@ -45,75 +53,78 @@ class DykstraResult:
     converged: bool
 
 
-def dykstra(start, projectors, move_tol=DYKSTRA_MOVE_TOL, max_rounds=DYKSTRA_MAX_ROUNDS):
+def _dykstra_round(x, projectors, incr):
+    """One cyclic pass of Dykstra's projections; updates ``incr`` in place."""
+    for i, proj in enumerate(projectors):
+        y = proj(x + incr[i])
+        incr[i] = x + incr[i] - y
+        x = y
+    return x
+
+
+def dykstra(start, projectors, max_rounds=DYKSTRA_MAX_ROUNDS):
     """Dykstra's cyclic projection with correction terms.
 
     Converges to the nearest point of the intersection of the projectors'
     sets whenever that intersection is nonempty.  ``projectors`` is a list
-    of callables mapping a point to its nearest point in one set.
+    of callables mapping a point to its nearest point in one set.  Stops
+    when a round moves less than ``DYKSTRA_MOVE_TOL`` or after ``max_rounds``.
     """
     x = np.array(start, dtype=float)
     incr = [np.zeros_like(x) for _ in projectors]
     movement = np.inf
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        x_prev = x
-        corr_delta = 0.0
-        for i, proj in enumerate(projectors):
-            y = proj(x + incr[i])
-            new_incr = x + incr[i] - y
-            corr_delta += float(np.linalg.norm(new_incr - incr[i]))
-            incr[i] = new_incr
-            x = y
+        x_prev, incr_prev = x, list(incr)
+        x = _dykstra_round(x, projectors, incr)
         # The iterate can sit still for whole stretches while the
         # corrections keep growing toward a corner, so convergence must be
         # judged on both.
+        corr_delta = 0.0
+        for new, old in zip(incr, incr_prev):
+            corr_delta += float(np.linalg.norm(new - old))
         movement = float(np.linalg.norm(x - x_prev)) + corr_delta
-        if movement < move_tol:
+        if movement < DYKSTRA_MOVE_TOL:
             return DykstraResult(x, rounds, movement, True)
     return DykstraResult(x, rounds, movement, False)
 
 
-def feasibility_scan(bodies, start=None, tol=DEFAULT_TOL, stall_rounds=1000,
-                     max_rounds=200000, stall_rtol=1e-12):
+def feasibility_scan(bodies, tol=DEFAULT_TOL):
     """Cyclic Dykstra feasibility decision over a list of bodies.
 
-    After every full round the gap ``max_i dist(x, C_i)`` is measured at the
-    current iterate.  The scan returns
+    Starting at :func:`support_centroid`, after every full round the gap
+    ``max_i dist(x, C_i)`` is measured at the current iterate.  It returns
 
     - ``("witness", x, gap, dists, rounds)`` once the gap drops below
       ``tol / 10``;
-    - ``("empty", x, gap, dists, rounds)`` when the gap stalls above ``tol``
-      for ``stall_rounds`` consecutive rounds;
+    - ``("empty", x, gap, dists, rounds)`` when the gap stalls (changes by
+      less than ``SCAN_STALL_RTOL * max(1, gap)``) above ``tol`` for
+      ``SCAN_STALL_ROUNDS`` consecutive rounds;
     - ``("ambiguous", ...)`` when it stalls inside ``[tol / 10, tol]``;
-    - ``("noconv", ...)`` if the round budget runs out first.
+    - ``("noconv", ...)`` if ``SCAN_MAX_ROUNDS`` rounds run out first.
     """
     if len(bodies) == 0:
         raise ValueError("need at least one body")
-    if start is None:
-        start = support_centroid(bodies)
-    x = np.array(start, dtype=float)
+    x = support_centroid(bodies)
+    projectors = [body.project for body in bodies]
     incr = [np.zeros_like(x) for _ in bodies]
     prev_gap = None
     stalled = 0
-    for rounds in range(1, max_rounds + 1):
-        for i, body in enumerate(bodies):
-            y = body.project(x + incr[i])
-            incr[i] = x + incr[i] - y
-            x = y
+    for rounds in range(1, SCAN_MAX_ROUNDS + 1):
+        x = _dykstra_round(x, projectors, incr)
         dists = np.array([body.distance(x) for body in bodies])
         gap = float(dists.max())
         if gap < tol / 10.0:
             return "witness", x, gap, dists, rounds
-        if prev_gap is not None and abs(gap - prev_gap) < stall_rtol * max(1.0, gap):
+        if prev_gap is not None and abs(gap - prev_gap) < SCAN_STALL_RTOL * max(1.0, gap):
             stalled += 1
         else:
             stalled = 0
         prev_gap = gap
-        if stalled >= stall_rounds:
+        if stalled >= SCAN_STALL_ROUNDS:
             status = "empty" if gap > tol else "ambiguous"
             return status, x, gap, dists, rounds
-    return "noconv", x, prev_gap if prev_gap is not None else np.inf, None, max_rounds
+    return "noconv", x, gap, None, rounds
 
 
 def support_centroid(bodies):
@@ -342,7 +353,7 @@ def _face_lstsq(Va, p):
     return u0 + t @ N
 
 
-def _hull_project(V, p, gap_tol=1e-12, max_iter=5000):
+def _hull_project(V, p):
     """Nearest point of conv(V) to p, by an active-set method.
 
     Each pass solves the affine least-squares problem on the current face
@@ -350,21 +361,22 @@ def _hull_project(V, p, gap_tol=1e-12, max_iter=5000):
     weights stay nonnegative (dropping the vertex that hits zero first),
     and a feasible one is tested against the simplex optimality condition,
     admitting the most promising outside vertex.  Finite in exact
-    arithmetic.  The duality gap is judged relative to the query scale so
-    far-away points terminate instead of chasing rounding noise.
+    arithmetic.  The duality gap is judged relative to the query scale
+    (``HULL_GAP_RTOL``) so far-away points terminate instead of chasing
+    rounding noise; ``p`` itself is returned within that stop of the hull.
     """
     V = np.asarray(V, dtype=float)
     k = V.shape[0]
     if k == 1:
         return V[0].copy()
     d2 = ((V - p) ** 2).sum(axis=1)
-    gap_stop = gap_tol * max(1.0, float(np.sqrt(d2.max())))
+    gap_stop = HULL_GAP_RTOL * max(1.0, float(np.sqrt(d2.max())))
     mask = np.zeros(k, dtype=bool)
     mask[int(np.argmin(d2))] = True
     lam = mask.astype(float)
     best = V[mask][0].copy()
     best_d2 = float(d2.min())
-    for _ in range(max_iter):
+    for _ in range(HULL_MAX_ITER):
         u = np.zeros(k)
         u[mask] = _face_lstsq(V[mask], p)
         if u[mask].min() >= -1e-12:
@@ -390,6 +402,8 @@ def _hull_project(V, p, gap_tol=1e-12, max_iter=5000):
             lam[lam < 1e-15] = 0.0
             lam /= lam.sum()
             mask = lam > 0.0
+    if best_d2 <= gap_stop * gap_stop:
+        return p.copy()
     return best
 
 
@@ -511,8 +525,7 @@ class IntersectionBody(ConvexBody):
                 witness = point
             elif status == "empty":
                 raise EmptyBodyError(
-                    f"intersection is empty (gap {gap:.3e} above tol {tol:.0e})"
-                )
+                    f"intersection is empty (gap {gap:.3e} above tol {tol:.0e})")
             else:
                 raise ToleranceAmbiguityError(
                     "feasibility of the intersection is indeterminate at this tolerance",
@@ -573,8 +586,7 @@ class IntersectionBody(ConvexBody):
             w = far - x
             dist = float(np.linalg.norm(w))
             z = far if dist <= rho else x + (rho / dist) * w
-            res = dykstra(z, projs, move_tol=DYKSTRA_MOVE_TOL,
-                          max_rounds=20000)
+            res = dykstra(z, projs, max_rounds=20000)
             step = float(np.linalg.norm(res.point - x))
             x = res.point
             if step < 1e-10 * (1.0 + rho):

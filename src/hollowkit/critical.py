@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, IntersectionBody, feasibility_scan, support_centroid
+from .bodies import DEFAULT_TOL, IntersectionBody, feasibility_scan
 from .errors import (
     BorderlineCriticalError,
     NoHollowError,
     ToleranceAmbiguityError,
 )
 from .geometry import Simplex, as_point, as_points, barycentric
-from .solvers import FeasibilityReport, SeparationCertificate, intersect_witness, min_distance
+from .solvers import SeparationCertificate, intersect_witness, min_distance
 
 logger = logging.getLogger(__name__)
 
@@ -135,18 +135,13 @@ def recentered_witness(bodies, tol=DEFAULT_TOL, witness=None):
     The point is computed by a Dykstra run seeded at the average of the
     intersection's axis-direction support points, so repeated calls give a
     stable, well-centered witness that passes membership in every body.
+    Without a ``witness`` the :class:`IntersectionBody` constructor scans
+    for one, raising its errors when the scan finds none.
     """
     bodies = list(bodies)
     if len(bodies) == 1:
         lo, hi = bodies[0].bounding_box()
         return bodies[0].project((lo + hi) / 2.0)
-    if witness is None:
-        status, point, gap, _, _ = feasibility_scan(bodies, tol=tol)
-        if status != "witness":
-            raise ToleranceAmbiguityError(
-                f"cannot certify the intersection (status {status}, gap {gap:.3e})",
-                gap=gap, tol=tol)
-        witness = point
     inter = IntersectionBody(bodies, witness=witness, tol=tol)
     eye = np.eye(inter.dim)
     sup = [inter.support(sgn * eye[i]) for i in range(inter.dim) for sgn in (1.0, -1.0)]

@@ -5,8 +5,7 @@ objects here are immutable value types and all functions are pure.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,9 @@ DEGENERACY_RTOL = 1e-8
 
 # Default absolute tolerance for exact-in-principle geometric identities.
 ATOL = 1e-9
+
+# Relative singular-value cutoff that decides the dimension of affine_hull.
+HULL_RANK_RTOL = 1e-9
 
 
 def as_point(x, dim=None):
@@ -127,16 +129,15 @@ class AffineSubspace:
         return self.base + self.basis.T @ t
 
 
-def affine_hull(points, rtol=1e-9):
+def affine_hull(points):
     """Affine hull of a point set.
 
     Parameters
     ----------
     points : array_like, shape (n, d)
-        At least one point.
-    rtol : float
-        Singular values below ``rtol * max(1, s_max)`` are treated as zero
-        when determining the dimension.
+        At least one point.  Singular values below
+        ``HULL_RANK_RTOL * max(1, s_max)`` are treated as zero when
+        determining the dimension.
 
     Returns
     -------
@@ -150,7 +151,7 @@ def affine_hull(points, rtol=1e-9):
         return AffineSubspace(base, np.zeros((0, pts.shape[1])))
     diffs = pts[1:] - base
     u, s, vt = np.linalg.svd(diffs, full_matrices=False)
-    cutoff = rtol * max(1.0, float(s[0]) if s.size else 1.0)
+    cutoff = HULL_RANK_RTOL * max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     basis = vt[:rank]
     # Canonical sign: make the largest-magnitude entry of each row positive so
@@ -159,8 +160,6 @@ def affine_hull(points, rtol=1e-9):
         j = int(np.argmax(np.abs(basis[i])))
         if basis[i, j] < 0:
             basis[i] = -basis[i]
-    # Re-orthonormalize after the sign flips (flips preserve orthonormality,
-    # this just guards against accumulated rounding).
     return AffineSubspace(base, basis)
 
 

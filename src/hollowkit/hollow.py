@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
-from .bodies import DEFAULT_TOL, ConvexBody, HPolytope, VPolytope
+from .bodies import ConvexBody, HPolytope, VPolytope
 from .errors import (GridResolutionError, HollowNotFoundError, NoHollowError)
 from .geometry import AffineSubspace, as_point, as_points
 from .solvers import min_distance

@@ -21,6 +21,8 @@ PALETTE = [
 ]
 HOLLOW_FILL = "#8c8c8c"
 SIMPLEX_STROKE = "#222222"
+SVG_SIZE = 640.0  # pixels along the picture's longer side
+SVG_PAD = 0.05  # margin, as a share of the scene's larger extent
 
 
 def _fmt(x):
@@ -160,8 +162,7 @@ def _hollow_rects(frame, certificate):
     return out
 
 
-def render_svg(bodies, witnesses=None, hollow=None, certificate=None,
-               size=640.0, pad=0.05):
+def render_svg(bodies, witnesses=None, hollow=None, certificate=None):
     """Render a two-dimensional family as an SVG string.
 
     Layers, back to front: body fills, certified hollow cells, the hollow
@@ -181,8 +182,8 @@ def render_svg(bodies, witnesses=None, hollow=None, certificate=None,
         his.append(W.max(axis=0))
     lo = np.min(los, axis=0)
     hi = np.max(his, axis=0)
-    margin = pad * max(float((hi - lo).max()), 1e-9)
-    frame = _Frame(lo - margin, hi + margin, size)
+    margin = SVG_PAD * max(float((hi - lo).max()), 1e-9)
+    frame = _Frame(lo - margin, hi + margin, SVG_SIZE)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{_fmt(frame.width)}" height="{_fmt(frame.height)}" '

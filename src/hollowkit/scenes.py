@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import Ball, ConvexBody, HPolytope, IntersectionBody, VPolytope
+from .bodies import Ball, HPolytope, IntersectionBody, VPolytope
 from .errors import SceneError
 from .geometry import AffineSubspace, as_point, as_points
 from .hollow import StabbingPair

@@ -9,18 +9,13 @@ the intersection of the others.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (
-    DEFAULT_TOL,
-    ConvexBody,
-    IntersectionBody,
-    feasibility_scan,
-    support_centroid,
-)
-from .errors import ConvergenceError, NotSeparableError, ToleranceAmbiguityError
+from .bodies import DEFAULT_TOL, IntersectionBody, feasibility_scan
+from .errors import (ConvergenceError, EmptyBodyError, NotSeparableError,
+                     ToleranceAmbiguityError)
 from .geometry import Hyperplane, as_point
 
 logger = logging.getLogger(__name__)
@@ -28,6 +23,7 @@ logger = logging.getLogger(__name__)
 # Alternating projections stop once the distance estimate changes by less
 # than this between consecutive iterations.
 DISTANCE_STOP = 1e-12
+DISTANCE_MAX_ITER = 100000
 POLISH_STEPS = 5
 
 
@@ -88,13 +84,12 @@ class FeasibilityReport:
         return self.status == "witness"
 
 
-def min_distance(body_a, body_b, start=None, stop=DISTANCE_STOP,
-                 max_iter=100000, polish=POLISH_STEPS):
+def min_distance(body_a, body_b, start=None):
     """Minimum Euclidean distance between two compact convex bodies.
 
     Alternating nearest-point projections from ``start`` (default: midpoint
     of the bodies' anchor points) until the distance estimate settles below
-    ``stop``, then ``polish`` rounds of midpoint re-projection.
+    ``DISTANCE_STOP``, then ``POLISH_STEPS`` rounds of midpoint re-projection.
 
     Returns
     -------
@@ -103,7 +98,7 @@ def min_distance(body_a, body_b, start=None, stop=DISTANCE_STOP,
     Raises
     ------
     ConvergenceError
-        If the iteration budget is exhausted; carries the best pair found.
+        If ``DISTANCE_MAX_ITER`` iterations run out; carries the best pair.
     """
     if body_a.dim != body_b.dim:
         raise ValueError("bodies live in different dimensions")
@@ -113,31 +108,29 @@ def min_distance(body_a, body_b, start=None, stop=DISTANCE_STOP,
     a = body_a.project(x)
     b = body_b.project(a)
     m_prev = float(np.linalg.norm(a - b))
-    residual = np.inf
-    iterations = 1
     converged = False
-    for iterations in range(2, max_iter + 1):
+    for iterations in range(2, DISTANCE_MAX_ITER + 1):
         a = body_a.project(b)
         b = body_b.project(a)
         m = float(np.linalg.norm(a - b))
         residual = abs(m - m_prev)
         m_prev = m
-        if residual < stop:
+        if residual < DISTANCE_STOP:
             converged = True
             break
-    for _ in range(polish):
+    for _ in range(POLISH_STEPS):
         mid = 0.5 * (a + b)
         a = body_a.project(mid)
         b = body_b.project(mid)
     result = DistanceResult(float(np.linalg.norm(a - b)), a, b, iterations, residual)
     if not converged:
         raise ConvergenceError(
-            f"alternating projections did not settle after {max_iter} iterations "
-            f"(last change {residual:.3e})", best=result)
+            f"alternating projections did not settle after {DISTANCE_MAX_ITER} "
+            f"iterations (last change {residual:.3e})", best=result)
     return result
 
 
-def separating_hyperplane(body_a, body_b, tol=DEFAULT_TOL, start=None):
+def separating_hyperplane(body_a, body_b, tol=DEFAULT_TOL):
     """Hyperplane strictly separating two disjoint bodies.
 
     The normal points from ``body_a`` toward ``body_b`` and the plane passes
@@ -150,7 +143,7 @@ def separating_hyperplane(body_a, body_b, tol=DEFAULT_TOL, start=None):
     NotSeparableError
         If the measured gap is at most ``tol``.
     """
-    return _plane_through_gap(min_distance(body_a, body_b, start=start), tol)
+    return _plane_through_gap(min_distance(body_a, body_b), tol)
 
 
 def _plane_through_gap(res, tol):
@@ -173,14 +166,12 @@ def _empty_certificate(bodies, dists, tol):
     order = sorted(range(len(bodies)), key=lambda j: (-dists[j], -j))
     for j in order:
         rest = [bodies[i] for i in range(len(bodies)) if i != j]
-        status, point, gap, _, _ = feasibility_scan(rest, tol=tol)
-        if status != "witness":
-            continue
-        rest_body = rest[0] if len(rest) == 1 else IntersectionBody(rest, witness=point)
         try:
+            rest_body = rest[0] if len(rest) == 1 else IntersectionBody(rest, tol=tol)
             res = min_distance(bodies[j], rest_body)
             plane = _plane_through_gap(res, tol)
-        except (NotSeparableError, ConvergenceError):
+        except (EmptyBodyError, ToleranceAmbiguityError, NotSeparableError,
+                ConvergenceError):
             continue
         return SeparationCertificate(plane, j, res.distance, res.distance / 2.0)
     # Leave-one-out intersections are empty or the gaps are too thin: find a
@@ -202,7 +193,7 @@ def _empty_certificate(bodies, dists, tol):
         tol=tol)
 
 
-def intersect_witness(bodies, tol=DEFAULT_TOL, start=None):
+def intersect_witness(bodies, tol=DEFAULT_TOL):
     """Decide whether a family of bodies has a common point.
 
     Runs cyclic Dykstra projections from the centroid of the bodies' support
@@ -222,7 +213,7 @@ def intersect_witness(bodies, tol=DEFAULT_TOL, start=None):
     bodies = list(bodies)
     if not bodies:
         raise ValueError("need at least one body")
-    status, point, gap, dists, rounds = feasibility_scan(bodies, start=start, tol=tol)
+    status, point, gap, dists, rounds = feasibility_scan(bodies, tol=tol)
     if status == "witness":
         return FeasibilityReport("witness", witness=point, gap=gap, rounds=rounds)
     if status == "ambiguous":

@@ -25,7 +25,7 @@ from .errors import (
     SubdivisionSizeError,
     ToleranceAmbiguityError,
 )
-from .geometry import Simplex, affine_hull, as_point, as_points
+from .geometry import Simplex, affine_hull, as_points
 from .solvers import intersect_witness
 
 logger = logging.getLogger(__name__)

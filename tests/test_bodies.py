@@ -156,6 +156,23 @@ def test_hpolytope_projection_satisfies_kkt():
     assert checked >= 500
 
 
+def test_vpolytope_interior_points_are_exact_members():
+    """Hull points come back unchanged, so membership holds at tol = 0."""
+    rng = np.random.default_rng(23)
+    for d in (2, 3):
+        for _ in range(10):
+            V = rng.normal(size=(d + 3, d))
+            poly = VPolytope(V)
+            k = V.shape[0]
+            # every generator carries weight >= 0.05: interior points
+            w = 0.05 + (1.0 - 0.05 * k) * rng.dirichlet(np.ones(k), size=50)
+            P = w @ V
+            for p in P:
+                assert np.array_equal(poly.project(p), p)
+                assert poly.membership(p, tol=0.0)
+            assert poly.contains_batch(P, tol=0.0).all()
+
+
 def test_ball_closed_forms():
     ball = Ball([1.0, 1.0], 2.0)
     assert ball.distance([4.0, 1.0]) == pytest.approx(1.0, abs=1e-12)

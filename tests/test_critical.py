@@ -79,6 +79,21 @@ def test_recentered_witness_is_deterministic(three_disks):
         assert b.membership(w1, 1e-7)
 
 
+@pytest.mark.parametrize("fixture", ["triangle_rects", "triangle_segments"])
+def test_loose_tolerance_certificate_rechecks_with_support(fixture, request):
+    """At tol above the default the leave-one-out bodies are built at that tol."""
+    bodies = request.getfixturevalue(fixture)
+    fam = check_critical(bodies, tol=1e-5)
+    assert isinstance(fam, CriticalFamily)
+    cert = fam.certificate
+    assert cert.subfamily is None
+    j = cert.separated_index
+    normal, offset = cert.hyperplane.normal, cert.hyperplane.offset
+    slack = 0.5 * cert.margin
+    assert normal @ bodies[j].support(normal) <= offset - slack
+    assert normal @ fam.leave_one_out(j).support(-normal) >= offset + slack
+
+
 def test_full_intersection_nonempty_failure(three_disks_overlapping):
     res = check_critical(three_disks_overlapping)
     assert isinstance(res, CriticalityFailure)
