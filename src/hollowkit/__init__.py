@@ -20,10 +20,10 @@ from .critical import (BORDERLINE_FACTOR, Cage, CriticalFamily,
                        witness_simplex)
 from .errors import (BorderlineCriticalError, ConvergenceError,
                      DegenerateConfigurationError, DegenerateSimplexError,
-                     EmptyBodyError, GridResolutionError, HollowNotFoundError,
-                     HollowkitError, KleeSolveError, NoHollowError,
-                     NotSeparableError, ProjectionError, SceneError,
-                     SpernerLegalityError, SubdivisionSizeError,
+                     EmptyBodyError, GridDimensionError, GridResolutionError,
+                     HollowNotFoundError, HollowkitError, KleeSolveError,
+                     NoHollowError, NotSeparableError, ProjectionError,
+                     SceneError, SpernerLegalityError, SubdivisionSizeError,
                      ToleranceAmbiguityError, UnboundedBodyError)
 from .geometry import (AffineSubspace, Hyperplane, RadonPartition, Simplex,
                        affine_hull, barycentric, radon_partition)
@@ -49,12 +49,12 @@ __all__ = [
     "BoundaryAttribution", "Cage", "ConvergenceError", "ConvexBody",
     "CriticalFamily", "CriticalityFailure", "DEFAULT_TOL",
     "DegenerateConfigurationError", "DegenerateSimplexError", "DistanceResult",
-    "EmptyBodyError", "FeasibilityReport", "Grid", "GridResolutionError",
-    "HPolytope", "HellyRejection", "HollowCertificate", "HollowNotFoundError",
-    "HollowSimplex", "HollowkitError", "Hyperplane", "IntersectionBody",
-    "KkmInstance", "KkmReport", "KleeSolveError", "NoHollowError",
-    "NotSeparableError", "ProjectionError", "RadonPartition", "SCHEMA",
-    "Scene", "SceneError", "SeparationCertificate", "Simplex",
+    "EmptyBodyError", "FeasibilityReport", "Grid", "GridDimensionError",
+    "GridResolutionError", "HPolytope", "HellyRejection", "HollowCertificate",
+    "HollowNotFoundError", "HollowSimplex", "HollowkitError", "Hyperplane",
+    "IntersectionBody", "KkmInstance", "KkmReport", "KleeSolveError",
+    "NoHollowError", "NotSeparableError", "ProjectionError", "RadonPartition",
+    "SCHEMA", "Scene", "SceneError", "SeparationCertificate", "Simplex",
     "SpernerColoring", "SpernerLegalityError", "StabbingPair",
     "StabbingReport", "SubdivisionComplex", "SubdivisionSizeError",
     "ToleranceAmbiguityError", "UnboundedBodyError", "UniquenessReport",

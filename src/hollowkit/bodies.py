@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 
 from .errors import (
+    ConvergenceError,
     EmptyBodyError,
     ProjectionError,
     ToleranceAmbiguityError,
@@ -125,6 +126,25 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
             status = "empty" if gap > tol else "ambiguous"
             return status, x, gap, dists, rounds
     return "noconv", x, gap, None, rounds
+
+
+def decided_scan(bodies, tol=DEFAULT_TOL):
+    """Run :func:`feasibility_scan` and return its 5-tuple once it decides.
+
+    A decided scan has status ``"witness"`` or ``"empty"``.  An
+    ``"ambiguous"`` one raises :class:`ToleranceAmbiguityError`, a
+    ``"noconv"`` one :class:`ConvergenceError`.
+    """
+    scan = feasibility_scan(bodies, tol=tol)
+    status, _, gap, _, rounds = scan
+    if status == "ambiguous":
+        raise ToleranceAmbiguityError(
+            f"feasibility gap {gap:.3e} falls in the indeterminate band "
+            f"[{tol / 10:.1e}, {tol:.1e}]; adjust the tolerance", gap=gap, tol=tol)
+    if status == "noconv":
+        raise ConvergenceError(
+            f"feasibility scan undecided after {rounds} rounds (gap {gap:.3e})")
+    return scan
 
 
 def support_centroid(bodies):
@@ -502,7 +522,8 @@ class IntersectionBody(ConvexBody):
 
     Nonemptiness is certified at construction: either a ``witness`` member
     point is supplied by the caller or a feasibility scan finds one.  An
-    empty intersection raises :class:`EmptyBodyError`.
+    empty intersection raises :class:`EmptyBodyError`, and a scan that
+    decides nothing raises as :func:`decided_scan` does.
     """
 
     # Far-point multiplier for support computations; the support point's
@@ -520,16 +541,11 @@ class IntersectionBody(ConvexBody):
         self._bodies = bodies
         self._dim = d
         if witness is None:
-            status, point, gap, _, _ = feasibility_scan(bodies, tol=tol)
-            if status == "witness":
-                witness = point
-            elif status == "empty":
+            status, witness, gap, _, _ = decided_scan(bodies, tol=tol)
+            if status == "empty":
                 raise EmptyBodyError(
-                    f"intersection is empty (gap {gap:.3e} above tol {tol:.0e})")
-            else:
-                raise ToleranceAmbiguityError(
-                    "feasibility of the intersection is indeterminate at this tolerance",
-                    gap=gap, tol=tol)
+                    f"intersection is empty (gap {gap:.3e} above tol {tol:.0e})",
+                    gap=gap)
         else:
             witness = as_point(witness, d)
             for i, b in enumerate(bodies):

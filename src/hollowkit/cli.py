@@ -19,8 +19,8 @@ from .bodies import DEFAULT_TOL
 from .critical import (CriticalFamily, check_critical, hollow_simplex,
                        recentered_witness, uniqueness_probe)
 from .errors import HollowkitError, SceneError
-from .hollow import (boundary_attribution, certify_hollow, hull_vs_simplex,
-                     verify_stabbing)
+from .hollow import (BOX_EXPAND, boundary_attribution, certify_hollow,
+                     hull_vs_simplex, verify_stabbing)
 from .render import render_svg
 from .scenes import SCHEMA, dumps, load_scene
 from .sperner import MAX_CELLS, klee_solve, kkm_verify
@@ -140,10 +140,15 @@ def cmd_hollow(args):
     return EXIT_OK
 
 
-def _auto_resolution(family):
+def _grid_resolution(args, scene, family):
+    """The ``resolution`` option, else 128 cells across the widest side of
+    the certificate's grid box."""
+    resolution = _opt(args, scene, "resolution", None)
+    if resolution is not None:
+        return float(resolution)
     W = family.witnesses
     span = float((W.max(axis=0) - W.min(axis=0)).max())
-    return 1.1 * span / 128.0
+    return BOX_EXPAND * span / 128.0
 
 
 def cmd_certify(args):
@@ -157,10 +162,7 @@ def cmd_certify(args):
         return EXIT_REJECTED
     hs = hollow_simplex(outcome)
     payload["hollow_simplex"] = {"vertices": hs.vertices, "gaps": hs.gaps}
-    resolution = _opt(args, scene, "resolution", None)
-    if resolution is None:
-        resolution = _auto_resolution(outcome)
-    cert = certify_hollow(outcome, float(resolution))
+    cert = certify_hollow(outcome, _grid_resolution(args, scene, outcome))
     attribution = boundary_attribution(cert)
     distance = hull_vs_simplex(cert, hs)
     payload["grid_certificate"] = {
@@ -277,10 +279,8 @@ def cmd_render(args):
         witnesses = outcome.witnesses
         if outcome.n == outcome.d:
             hollow = hollow_simplex(outcome)
-            resolution = _opt(args, scene, "resolution", None)
-            if resolution is None:
-                resolution = _auto_resolution(outcome)
-            cert = certify_hollow(outcome, float(resolution))
+            cert = certify_hollow(outcome,
+                                  _grid_resolution(args, scene, outcome))
     svg = render_svg(list(scene.bodies), witnesses=witnesses, hollow=hollow,
                      certificate=cert)
     os.makedirs(args.out, exist_ok=True)

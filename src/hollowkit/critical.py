@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, IntersectionBody, feasibility_scan
-from .errors import (
-    BorderlineCriticalError,
-    NoHollowError,
-    ToleranceAmbiguityError,
-)
+from .bodies import DEFAULT_TOL, IntersectionBody
+from .errors import BorderlineCriticalError, EmptyBodyError, NoHollowError
 from .geometry import Simplex, as_point, as_points, barycentric
 from .solvers import SeparationCertificate, intersect_witness, min_distance
 
@@ -86,13 +82,12 @@ class CriticalFamily:
     def d(self):
         return self.bodies[0].dim
 
-    def leave_one_out(self, j, witness=None):
-        """IntersectionBody of every body except j, anchored at its witness."""
+    def leave_one_out(self, j):
+        """Intersection of every body except j, anchored at ``witnesses[j]``."""
         rest = [b for i, b in enumerate(self.bodies) if i != j]
-        anchor = self.witnesses[j] if witness is None else witness
         if len(rest) == 1:
             return rest[0]
-        return IntersectionBody(rest, witness=anchor, tol=self.tol)
+        return IntersectionBody(rest, witness=self.witnesses[j], tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -129,20 +124,20 @@ def helly_guard(bodies):
     return None
 
 
-def recentered_witness(bodies, tol=DEFAULT_TOL, witness=None):
+def recentered_witness(bodies, tol=DEFAULT_TOL):
     """Witness of the intersection of ``bodies``, pulled toward its middle.
 
     The point is computed by a Dykstra run seeded at the average of the
     intersection's axis-direction support points, so repeated calls give a
     stable, well-centered witness that passes membership in every body.
-    Without a ``witness`` the :class:`IntersectionBody` constructor scans
-    for one, raising its errors when the scan finds none.
+    The :class:`IntersectionBody` constructor scans for a first member
+    point and raises its errors when the scan finds none.
     """
     bodies = list(bodies)
     if len(bodies) == 1:
         lo, hi = bodies[0].bounding_box()
         return bodies[0].project((lo + hi) / 2.0)
-    inter = IntersectionBody(bodies, witness=witness, tol=tol)
+    inter = IntersectionBody(bodies, tol=tol)
     eye = np.eye(inter.dim)
     sup = [inter.support(sgn * eye[i]) for i in range(inter.dim) for sgn in (1.0, -1.0)]
     center = np.mean(sup, axis=0)
@@ -154,7 +149,8 @@ def check_critical(bodies, tol=DEFAULT_TOL):
 
     Verifies that every leave-one-out intersection has a point (collecting a
     recentered witness for each) and that the full intersection is empty
-    with margin above ``10 * tol``.
+    with margin above ``10 * tol``.  A leave-one-out scan that decides
+    nothing raises as :func:`~hollowkit.bodies.decided_scan` does.
 
     Returns
     -------
@@ -176,16 +172,12 @@ def check_critical(bodies, tol=DEFAULT_TOL):
 
     for j in range(n + 1):
         rest = [b for i, b in enumerate(bodies) if i != j]
-        status, point, gap, _, _ = feasibility_scan(rest, tol=tol)
-        if status == "ambiguous":
-            raise ToleranceAmbiguityError(
-                f"leave-one-out intersection {j} is indeterminate at tol {tol:.0e}",
-                gap=gap, tol=tol)
-        if status != "witness":
+        try:
+            witnesses[j] = recentered_witness(rest, tol=tol)
+        except EmptyBodyError as exc:
             return CriticalityFailure(
                 "leave-one-out-empty", index=j,
-                detail=f"bodies other than {j} share no point (gap {gap:.3e})")
-        witnesses[j] = recentered_witness(rest, tol=tol, witness=point)
+                detail=f"bodies other than {j} share no point (gap {exc.gap:.3e})")
 
     full = intersect_witness(bodies, tol=tol)
     if full.status == "witness":
@@ -243,13 +235,14 @@ class UniquenessReport:
         return bool(np.all(self.deviations <= self.threshold))
 
 
-def uniqueness_probe(family, restarts=10, seed=0, threshold=UNIQUENESS_THRESHOLD):
+def uniqueness_probe(family, restarts=10, seed=0):
     """Re-solve the hollow simplex from random starts and measure spread.
 
     Returns a report whose ``deviations[j]`` is the diameter of the cloud of
     p_j solutions over ``restarts`` seeded random initial points.  A report
-    with ``ok == False`` flags a (numerically) non-unique nearest point; the
-    probe never silently discards a bad spread.
+    with ``ok == False`` (a deviation above ``UNIQUENESS_THRESHOLD``) flags
+    a (numerically) non-unique nearest point; the probe never silently
+    discards a bad spread.
     """
     rng = np.random.default_rng(seed)
     lo = family.witnesses.min(axis=0)
@@ -266,10 +259,10 @@ def uniqueness_probe(family, restarts=10, seed=0, threshold=UNIQUENESS_THRESHOLD
         cloud = points[:, j, :]
         diffs = cloud[:, None, :] - cloud[None, :, :]
         deviations[j] = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
-    report = UniquenessReport(deviations, threshold, restarts)
+    report = UniquenessReport(deviations, UNIQUENESS_THRESHOLD, restarts)
     if not report.ok:
         logger.warning("uniqueness probe flagged deviations %s above %.1e",
-                       deviations, threshold)
+                       deviations, UNIQUENESS_THRESHOLD)
     return report
 
 

@@ -23,7 +23,14 @@ class UnboundedBodyError(HollowkitError):
 
 
 class EmptyBodyError(HollowkitError):
-    """A body description has no feasible point."""
+    """A body description has no feasible point.
+
+    ``gap`` is the gap a feasibility scan left open, when one decided it.
+    """
+
+    def __init__(self, message, gap=None):
+        super().__init__(message)
+        self.gap = gap
 
 
 class ProjectionError(HollowkitError):
@@ -100,6 +107,10 @@ class KleeSolveError(HollowkitError):
 
 class GridResolutionError(HollowkitError):
     """Grid resolution too coarse for the region being rasterized."""
+
+
+class GridDimensionError(HollowkitError, ValueError):
+    """The grid certificate does not rasterize this ambient dimension."""
 
 
 class HollowNotFoundError(HollowkitError):

@@ -30,7 +30,7 @@ def as_point(x, dim=None):
         p = p.reshape(1)
     if p.ndim != 1:
         raise ValueError(f"point must be 1-D, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"point has dimension {p.shape[0]}, expected {dim}")
@@ -44,7 +44,7 @@ def as_points(xs, dim=None):
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError(f"need a nonempty (n, d) point array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("point set has non-finite coordinates")
     if dim is not None and pts.shape[1] != dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {dim}")

@@ -6,6 +6,9 @@ union on a cell grid around the witness simplex, labels the uncovered
 cells by face adjacency, and certifies the largest bounded component: its
 measure, its convex hull, which bodies form its boundary, and whether a
 given pair of affine flats stabs it the way the construction predicts.
+The stabbing check rasterizes the union's trace on the first flat through
+the same grid and labeling, with the grid laid out in the flat's
+coordinates; a transversal that is a single point (n = d) is accepted.
 """
 from __future__ import annotations
 
@@ -13,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.linalg import null_space
 from scipy.spatial import ConvexHull, QhullError
 
-from .bodies import ConvexBody, HPolytope, VPolytope
-from .errors import (GridResolutionError, HollowNotFoundError, NoHollowError)
+from .bodies import HPolytope, VPolytope
+from .errors import (GridDimensionError, GridResolutionError,
+                     HollowNotFoundError, NoHollowError)
 from .geometry import AffineSubspace, as_point, as_points
 from .solvers import min_distance
 
@@ -29,7 +34,8 @@ class Grid:
     """Axis-aligned cell grid with per-body coverage masks.
 
     ``covered[idx]`` is true when the cell center lies in at least one
-    body; ``body_covers[i]`` is the mask for body i alone.
+    body; ``body_covers[i]`` is the mask for body i alone.  Coordinates
+    are the bodies' own, or a flat's frame coordinates for a trace grid.
     """
 
     lo: np.ndarray
@@ -52,16 +58,32 @@ class Grid:
         return tuple(int(i) for i in idx)
 
 
-def _build_grid(bodies, lo, hi, resolution):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    counts = np.maximum(np.ceil((hi - lo) / resolution - 1e-12), 1).astype(int)
-    axes = [lo[i] + (np.arange(counts[i]) + 0.5) * resolution
+def _box_corners(lo, hi):
+    """The 2^d corners of the axis-aligned box [lo, hi], one per row."""
+    bits = (np.arange(2 ** lo.size)[:, None] >> np.arange(lo.size)) & 1
+    return np.where(bits == 0, lo, hi)
+
+
+def _build_grid(bodies, lo, counts, resolution, flat=None):
+    """Rasterize the union of ``bodies`` at the centers of a cell grid.
+
+    The grid has ``counts[i]`` cells of side ``resolution`` along axis i,
+    starting at ``lo``, and at least ``MIN_CELLS_PER_AXIS`` on every axis
+    (else :class:`GridResolutionError`).  With ``flat`` the grid lives in
+    that affine subspace's coordinates and is lifted for membership tests.
+    """
+    if counts.min() < MIN_CELLS_PER_AXIS:
+        raise GridResolutionError(
+            f"resolution {resolution:g} gives only {int(counts.min())} cells "
+            f"on the narrowest axis; at least {MIN_CELLS_PER_AXIS} required")
+    shape = tuple(int(c) for c in counts)
+    axes = [lo[i] + (np.arange(shape[i]) + 0.5) * resolution
             for i in range(lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    shape = tuple(int(c) for c in counts)
-    body_covers = [b.contains_batch(flat, tol=0.0).reshape(shape)
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    if flat is not None:
+        points = points @ flat.basis + flat.base
+    body_covers = [b.contains_batch(points, tol=0.0).reshape(shape)
                    for b in bodies]
     covered = np.zeros(shape, dtype=bool)
     for mask in body_covers:
@@ -69,16 +91,23 @@ def _build_grid(bodies, lo, hi, resolution):
     return Grid(lo, float(resolution), shape, covered, body_covers)
 
 
-def _border_labels(labels):
-    d = labels.ndim
-    seen = set()
+def _uncovered_components(grid):
+    """Face-adjacency labels of the uncovered cells, and the border labels.
+
+    Label 0 marks covered cells; the returned set holds every label that
+    reaches a face of the grid box, i.e. the unbounded components.
+    """
+    d = len(grid.shape)
+    labels, _ = ndimage.label(
+        ~grid.covered, structure=ndimage.generate_binary_structure(d, 1))
+    border = set()
     for axis in range(d):
         for face in (0, -1):
             sl = [slice(None)] * d
             sl[axis] = face
-            seen.update(np.unique(labels[tuple(sl)]).tolist())
-    seen.discard(0)
-    return seen
+            border.update(np.unique(labels[tuple(sl)]).tolist())
+    border.discard(0)
+    return labels, border
 
 
 @dataclass
@@ -118,20 +147,22 @@ def _component_hull(centers):
         return np.unique(pts, axis=0)
 
 
-def certify_hollow(family, resolution, expand=BOX_EXPAND, retry=True):
+def certify_hollow(family, resolution, retry=True):
     """Locate and certify the bounded complement component of a family.
 
-    The grid box is the witness bounding box scaled by ``expand`` about its
-    center; cell centers are classified by body membership, uncovered cells
-    are labeled by face adjacency, and components touching the grid border
-    are discarded as unbounded.  If no bounded component shows up the grid
-    is retried once at half the cell size.
+    The grid box is the witness bounding box scaled by ``BOX_EXPAND`` about
+    its center; cell centers are classified by body membership, uncovered
+    cells are labeled by face adjacency, and components touching the grid
+    border are discarded as unbounded.  If no bounded component shows up
+    the grid is retried once at half the cell size.
 
     Raises
     ------
     NoHollowError
         If the family has fewer overlap conditions than dimensions (the
         complement of the union is connected).
+    GridDimensionError
+        If the family does not live in dimension 2 or 3.
     GridResolutionError
         If the requested resolution gives fewer than 20 cells per axis.
     HollowNotFoundError
@@ -143,35 +174,28 @@ def certify_hollow(family, resolution, expand=BOX_EXPAND, retry=True):
             "no bounded complement component")
     d = family.d
     if d not in (2, 3):
-        raise ValueError("grid certification supports dimension 2 or 3")
+        raise GridDimensionError(
+            "grid certification supports dimension 2 or 3")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     W = family.witnesses
     lo0, hi0 = W.min(axis=0), W.max(axis=0)
     center = 0.5 * (lo0 + hi0)
-    half = 0.5 * expand * (hi0 - lo0)
+    half = 0.5 * BOX_EXPAND * (hi0 - lo0)
     lo, hi = center - half, center + half
     counts = np.ceil((hi - lo) / resolution - 1e-12)
-    if counts.min() < MIN_CELLS_PER_AXIS:
-        raise GridResolutionError(
-            f"resolution {resolution:g} gives only {int(counts.min())} cells "
-            f"on the narrowest axis; at least {MIN_CELLS_PER_AXIS} required")
-    grid = _build_grid(family.bodies, lo, hi, resolution)
-    labels, nlab = ndimage.label(
-        ~grid.covered, structure=ndimage.generate_binary_structure(d, 1))
-    unbounded = _border_labels(labels)
-    sizes = np.bincount(labels.ravel(), minlength=nlab + 1)
-    bounded = [(int(sizes[l]), l) for l in range(1, nlab + 1)
-               if l not in unbounded and sizes[l] > 0]
+    grid = _build_grid(family.bodies, lo, counts, resolution)
+    labels, unbounded = _uncovered_components(grid)
+    sizes = np.bincount(labels.ravel())
+    bounded = [(int(sizes[l]), l) for l in range(1, sizes.size)
+               if l not in unbounded]
     if not bounded:
         if retry:
-            return certify_hollow(family, resolution / 2.0, expand=expand,
-                                  retry=False)
+            return certify_hollow(family, resolution / 2.0, retry=False)
         raise HollowNotFoundError(
             f"no bounded uncovered component at resolution {resolution:g} "
             "or its refinement")
-    bounded.sort(reverse=True)
-    _, lab = bounded[0]
+    _, lab = max(bounded)
     cells = np.argwhere(labels == lab)
     centers = grid.centers(cells)
     return HollowCertificate(
@@ -202,13 +226,14 @@ class BoundaryAttribution:
     complete: bool
 
 
-def boundary_attribution(certificate, n_bodies=None):
-    """Attribute each boundary cell of the component to covering bodies."""
+def boundary_attribution(certificate):
+    """Attribute each boundary cell of the component to covering bodies.
+
+    The attribution is complete when every body of the grid shows up.
+    """
     grid = certificate.grid
     d = grid.lo.size
     cells = certificate.cells
-    if n_bodies is None:
-        n_bodies = len(grid.body_covers)
     shape = np.asarray(grid.shape)
     per_cell = [set() for _ in range(cells.shape[0])]
     for axis in range(d):
@@ -235,7 +260,7 @@ def boundary_attribution(certificate, n_bodies=None):
         centers=grid.centers(bcells),
         bodies_by_cell=by_cell,
         bodies_present=present,
-        complete=(len(present) == n_bodies),
+        complete=(len(present) == len(grid.body_covers)),
     )
 
 
@@ -327,46 +352,6 @@ def hull_vs_simplex(certificate, hollow):
     return hausdorff_convex(certificate.hull_vertices, hollow.vertices)
 
 
-class _AffineSlice(ConvexBody):
-    """A bounded piece of an affine flat, as a projection oracle.
-
-    The flat is parametrized by orthonormal directions, so projecting a
-    point means projecting its flat coordinates onto the parameter-space
-    box polytope and lifting back.
-    """
-
-    def __init__(self, subspace, lo, hi):
-        self._sub = subspace
-        basis = subspace.basis
-        A = np.vstack([basis.T, -basis.T])
-        b = np.concatenate([np.asarray(hi, dtype=float) - subspace.base,
-                            subspace.base - np.asarray(lo, dtype=float)])
-        self._tbody = HPolytope(A, b)
-
-    @property
-    def dim(self):
-        return self._sub.base.size
-
-    def project(self, point):
-        t = self._sub.coords(as_point(point, self.dim))
-        return self._sub.lift(self._tbody.project(t))
-
-    def support(self, direction):
-        u = as_point(direction, self.dim)
-        tu = self._sub.basis @ u
-        if np.linalg.norm(tu) < 1e-12:
-            return self._sub.lift(self._tbody.anchor)
-        return self._sub.lift(self._tbody.support(tu))
-
-    def bounding_box(self):
-        tlo, thi = self._tbody.bounding_box()
-        k = tlo.size
-        corners = np.array([[tlo[i] if (m >> i) & 1 == 0 else thi[i]
-                             for i in range(k)] for m in range(2 ** k)])
-        lifted = np.array([self._sub.lift(c) for c in corners])
-        return lifted.min(axis=0), lifted.max(axis=0)
-
-
 @dataclass(frozen=True)
 class StabbingPair:
     """Complementary affine flats crossing at a single point.
@@ -420,7 +405,8 @@ class StabbingReport:
         return bool(self.witness_ok) and bool(self.surround_ok)
 
 
-def _family_box(bodies, extra_points, margin=0.1):
+def _family_box(bodies, extra_points):
+    """Bounding box of the bodies and points, padded by a tenth of its span."""
     los, his = [], []
     for b in bodies:
         lo, hi = b.bounding_box()
@@ -431,7 +417,7 @@ def _family_box(bodies, extra_points, margin=0.1):
     his.append(pts.max(axis=0))
     lo = np.min(los, axis=0)
     hi = np.max(his, axis=0)
-    pad = margin * max(float((hi - lo).max()), 1.0)
+    pad = 0.1 * max(float((hi - lo).max()), 1.0)
     return lo - pad, hi + pad
 
 
@@ -439,10 +425,14 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6, resolution=None):
     """Check that a pair of flats stabs a family the way a hollow demands.
 
     Stage one: every witness must lie on ``pair.w`` (within ``tol``) and
-    ``pair.v`` must keep a clearance above ``tol`` from every body.  Stage
-    two, only if stage one passes: the union's trace on ``pair.w`` is
-    rasterized and the crossing point must fall in a bounded uncovered
-    component of that trace.
+    ``pair.v`` must keep a clearance above ``tol`` from every body.  The
+    clearances are measured to the part of ``pair.v`` inside the family's
+    padded bounding box, an H-polytope; ``pair.v`` may be a single point,
+    as for n = d.  Stage two, only if stage one passes: the union's trace
+    on ``pair.w`` is rasterized on the certificate's grid, laid out in the
+    coordinates of ``pair.w`` (cell size ``resolution``, by default 1/256
+    of the trace box's widest side), and the crossing point must fall in a
+    bounded uncovered component of that trace.
     """
     bodies = list(bodies)
     witnesses = as_points(witnesses)
@@ -456,10 +446,17 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6, resolution=None):
         return StabbingReport(False, None, tuple(reasons),
                               witness_offsets=offsets)
     lo, hi = _family_box(bodies, np.vstack([witnesses, pair.point[None, :]]))
-    slice_body = _AffineSlice(pair.v, lo, hi)
+    # The transversal inside the box: the box rows plus both signs of the
+    # rows spanning the flat's normal space.
+    d = lo.size
+    normals = null_space(pair.v.basis).T
+    v_offsets = normals @ pair.v.base
+    transversal = HPolytope(
+        np.vstack([np.eye(d), -np.eye(d), normals, -normals]),
+        np.concatenate([hi, -lo, v_offsets, -v_offsets]))
     clearances = np.empty(len(bodies))
     for i, body in enumerate(bodies):
-        clearances[i] = min_distance(slice_body, body).distance
+        clearances[i] = min_distance(transversal, body).distance
         if clearances[i] <= tol:
             reasons.append(
                 f"transversal flat meets body {i} "
@@ -468,47 +465,23 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6, resolution=None):
         return StabbingReport(False, None, tuple(reasons),
                               witness_offsets=offsets, clearances=clearances)
     # stage two: trace of the union on the flat w
-    k = pair.w.dim
-    basis = pair.w.basis
-    corners = np.array([[lo[i] if (m >> i) & 1 == 0 else hi[i]
-                         for i in range(lo.size)]
-                        for m in range(2 ** lo.size)])
-    tcorners = np.array([pair.w.coords(c) for c in corners])
+    tcorners = np.array([pair.w.coords(c) for c in _box_corners(lo, hi)])
     tlo = tcorners.min(axis=0)
     thi = tcorners.max(axis=0)
     span = float((thi - tlo).max())
     h = resolution if resolution is not None else span / 256.0
     counts = np.ceil((thi - tlo + 4 * h) / h - 1e-12)
-    if counts.min() < MIN_CELLS_PER_AXIS:
-        raise GridResolutionError(
-            f"trace resolution {h:g} gives only {int(counts.min())} cells "
-            f"per axis; at least {MIN_CELLS_PER_AXIS} required")
-    tlo = tlo - 2 * h
-    axes = [tlo[i] + (np.arange(int(counts[i])) + 0.5) * h for i in range(k)]
-    tmesh = np.meshgrid(*axes, indexing="ij")
-    tflat = np.stack([m.ravel() for m in tmesh], axis=1)
-    lifted = tflat @ basis + pair.w.base
-    shape = tuple(int(c) for c in counts)
-    covered = np.zeros(shape, dtype=bool)
-    for body in bodies:
-        covered |= body.contains_batch(lifted, tol=0.0).reshape(shape)
-    tp = pair.w.coords(pair.point)
-    pidx = np.floor((tp - tlo) / h).astype(int)
-    if np.any(pidx < 0) or np.any(pidx >= np.asarray(shape)):
-        reasons.append("crossing point falls outside the trace grid")
-        return StabbingReport(True, False, tuple(reasons),
-                              witness_offsets=offsets, clearances=clearances)
-    if covered[tuple(pidx)]:
-        reasons.append("crossing point lies inside the union's trace")
-        return StabbingReport(True, False, tuple(reasons),
-                              witness_offsets=offsets, clearances=clearances)
-    labels, _ = ndimage.label(
-        ~covered, structure=ndimage.generate_binary_structure(k, 1))
-    lab = labels[tuple(pidx)]
-    if lab in _border_labels(labels):
-        reasons.append(
-            "crossing point's uncovered trace component reaches the border")
-        return StabbingReport(True, False, tuple(reasons),
-                              witness_offsets=offsets, clearances=clearances)
-    return StabbingReport(True, True, tuple(reasons),
-                          witness_offsets=offsets, clearances=clearances)
+    grid = _build_grid(bodies, tlo - 2 * h, counts, h, flat=pair.w)
+    pidx = grid.index_of(pair.w.coords(pair.point))
+    if pidx is None:
+        reason = "crossing point falls outside the trace grid"
+    elif grid.covered[pidx]:
+        reason = "crossing point lies inside the union's trace"
+    else:
+        labels, border = _uncovered_components(grid)
+        if labels[pidx] not in border:
+            return StabbingReport(True, True, (), witness_offsets=offsets,
+                                  clearances=clearances)
+        reason = "crossing point's uncovered trace component reaches the border"
+    return StabbingReport(True, False, (reason,), witness_offsets=offsets,
+                          clearances=clearances)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, IntersectionBody, feasibility_scan
+from .bodies import DEFAULT_TOL, IntersectionBody, decided_scan
 from .errors import (ConvergenceError, EmptyBodyError, NotSeparableError,
                      ToleranceAmbiguityError)
 from .geometry import Hyperplane, as_point
@@ -213,15 +213,8 @@ def intersect_witness(bodies, tol=DEFAULT_TOL):
     bodies = list(bodies)
     if not bodies:
         raise ValueError("need at least one body")
-    status, point, gap, dists, rounds = feasibility_scan(bodies, tol=tol)
+    status, point, gap, dists, rounds = decided_scan(bodies, tol=tol)
     if status == "witness":
         return FeasibilityReport("witness", witness=point, gap=gap, rounds=rounds)
-    if status == "ambiguous":
-        raise ToleranceAmbiguityError(
-            f"feasibility gap {gap:.3e} falls in the indeterminate band "
-            f"[{tol / 10:.1e}, {tol:.1e}]; adjust the tolerance", gap=gap, tol=tol)
-    if status == "noconv":
-        raise ConvergenceError(
-            f"feasibility scan undecided after {rounds} rounds (gap {gap:.3e})")
     certificate = _empty_certificate(bodies, dists, tol)
     return FeasibilityReport("empty", certificate=certificate, gap=gap, rounds=rounds)

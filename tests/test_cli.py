@@ -222,6 +222,13 @@ def test_missing_section_exit_code(tmp_path, capsys):
     assert "no kkm section" in capsys.readouterr().err
 
 
+def test_certify_line_family_is_a_structured_error(tmp_path, capsys):
+    code = main(["certify", scene_path("pair.json"), "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: grid certification supports dimension 2 or 3" in \
+        capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

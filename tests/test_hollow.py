@@ -176,3 +176,17 @@ def test_stabbing_rejects_open_gap(gap_pair):
     assert report.witness_ok
     assert report.surround_ok is False
     assert any("border" in r for r in report.reasons)
+
+
+def test_stabbing_point_transversal_for_disks(three_disks, disks_family):
+    """n = d: the transversal is the hollow's crossing point itself."""
+    centroid = np.mean([b.center for b in three_disks], axis=0)
+    w = AffineSubspace(centroid, np.eye(2))
+    v = AffineSubspace(centroid, np.zeros((0, 2)))
+    pair = StabbingPair(w, v, centroid)
+    report = verify_stabbing(pair, three_disks, disks_family.witnesses)
+    assert report.ok
+    assert report.reasons == ()
+    # circumradius of the side-1.9 triangle minus the unit radius, ~0.0970
+    expected = 1.9 / np.sqrt(3.0) - 1.0
+    assert np.allclose(report.clearances, expected, atol=1e-7)

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from hollowkit import (Ball, ConvergenceError, HPolytope, NotSeparableError,
-                       ToleranceAmbiguityError, VPolytope, intersect_witness,
-                       min_distance, separating_hyperplane)
+from hollowkit import (Ball, ConvergenceError, HPolytope, IntersectionBody,
+                       NotSeparableError, ToleranceAmbiguityError, VPolytope,
+                       check_critical, intersect_witness, min_distance,
+                       separating_hyperplane)
 from helpers import (ball_ball_distance, box_box_distance,
                      segment_point_distance)
 
@@ -165,6 +166,21 @@ def test_intersect_witness_ambiguous_band_raises():
     with pytest.raises(ToleranceAmbiguityError) as info:
         intersect_witness([a, b], tol=1e-7)
     assert info.value.gap == pytest.approx(5e-8, rel=0.5)
+
+
+def test_scan_out_of_rounds_is_a_convergence_error(monkeypatch):
+    """An undecided scan means the same on every path that runs one."""
+    monkeypatch.setattr("hollowkit.bodies.SCAN_MAX_ROUNDS", 50)
+    side = 1.9
+    centers = np.array([[0.0, 0.0, 0.0], [side, 0.0, 0.0],
+                        [side / 2.0, side * np.sqrt(3.0) / 2.0, 0.0]])
+    balls = [Ball(c, 1.0) for c in centers]
+    with pytest.raises(ConvergenceError):
+        IntersectionBody(balls)
+    with pytest.raises(ConvergenceError):
+        intersect_witness(balls)
+    with pytest.raises(ConvergenceError):
+        check_critical(balls + [Ball(centers.mean(axis=0), 1.0)])
 
 
 def test_certificate_orientation_separates_bodies():
