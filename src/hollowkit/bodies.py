@@ -5,9 +5,13 @@ Concrete types: :class:`HPolytope` (bounded intersection of halfspaces),
 :class:`IntersectionBody` (lazy intersection of other bodies).  Projection
 onto an H-polytope is exact: one least-distance program solved by a single
 nonnegative least-squares call (Lawson & Hanson, ch. 23).  Projection onto a
-V-polytope runs a finite active-set method over the weight simplex, and
-projection onto an intersection runs Dykstra's alternating scheme with
-correction terms over the members' projections.
+V-polytope runs a finite active-set method over the weight simplex.
+Projection onto an intersection is an outer approximation (Kelley's
+cutting-plane scheme): the members' projections supply cuts, and the same
+least-distance solve projects onto the polyhedron of cuts until the iterate
+lies in every member; its support is the projection of a far point.
+Dykstra's alternating scheme remains for feasibility scans and callers that
+only have projectors.
 """
 from __future__ import annotations
 
@@ -44,6 +48,11 @@ SCAN_STALL_RTOL = 1e-12
 SCAN_MAX_ROUNDS = 200000
 HULL_GAP_RTOL = 1e-12
 HULL_MAX_ITER = 5000
+
+# Stop and pass budget of IntersectionBody.project: the iterate must lie
+# within PROJECT_RTOL * (1 + |query|_inf) of every member.
+PROJECT_RTOL = 1e-13
+PROJECT_MAX_PASSES = 500
 
 
 @dataclass
@@ -157,6 +166,29 @@ def support_centroid(bodies):
             pts.append(body.support(eye[i]))
             pts.append(body.support(-eye[i]))
     return np.mean(pts, axis=0)
+
+
+def _least_distance(A, b, p):
+    """Nearest point to ``p`` of the nonempty polyhedron {x : A x <= b}.
+
+    A feasible ``p`` comes back as a copy.  Otherwise the least-distance
+    program for y = x - p, min |y| s.t. -A y >= s with s = A p - b
+    (Lawson & Hanson, ch. 23), is solved through its dual: one NNLS on
+    E = [-A^T; s^T / sigma], f = e_{d+1}, where sigma = max s.  Dividing
+    by sigma makes the solve independent of how far p lies outside.  With
+    r = E u - f, r[d] = -|r|^2 is nonzero because the polyhedron is
+    nonempty.
+    """
+    slacks = A @ p - b
+    sigma = float(slacks.max())
+    if sigma <= 0.0:
+        return p.copy()
+    E = np.vstack([-A.T, slacks / sigma])
+    f = np.zeros(p.shape[0] + 1)
+    f[-1] = 1.0
+    u, _ = nnls(E, f)
+    r = E @ u - f
+    return p - (sigma / r[-1]) * r[:-1]
 
 
 class ConvexBody(abc.ABC):
@@ -309,22 +341,7 @@ class HPolytope(ConvexBody):
         return np.asarray(res.x, dtype=float)
 
     def project(self, p):
-        p = as_point(p, self._dim)
-        slacks = self._A @ p - self._b
-        sigma = float(slacks.max())
-        if sigma <= 0.0:
-            return p.copy()
-        # Least-distance program for y = x - p: min |y| s.t. -A y >= slacks
-        # (Lawson & Hanson, ch. 23).  Its dual is one NNLS on
-        # E = [-A^T; slacks^T / sigma], f = e_{d+1}; dividing by sigma makes
-        # the solve independent of how far p lies outside.  With r = E u - f,
-        # r[d] = -|r|^2 is nonzero because the polytope is nonempty.
-        E = np.vstack([-self._A.T, slacks / sigma])
-        f = np.zeros(self._dim + 1)
-        f[-1] = 1.0
-        u, _ = nnls(E, f)
-        r = E @ u - f
-        return p - (sigma / r[-1]) * r[:-1]
+        return _least_distance(self._A, self._b, as_point(p, self._dim))
 
     def distance(self, p):
         p = as_point(p, self._dim)
@@ -523,11 +540,12 @@ class IntersectionBody(ConvexBody):
     Nonemptiness is certified at construction: either a ``witness`` member
     point is supplied by the caller or a feasibility scan finds one.  An
     empty intersection raises :class:`EmptyBodyError`, and a scan that
-    decides nothing raises as :func:`decided_scan` does.
+    decides nothing raises as :func:`decided_scan` does.  ``project`` is
+    an outer approximation by cuts from the members' projections, and
+    ``support`` projects a far point in the requested direction.
     """
 
-    # Far-point multiplier for support computations; the support point's
-    # inner-product defect is bounded by diam^2 / (2 R).
+    # Far-point multiplier of ``support``: R = _SUPPORT_RADIUS (1 + diam).
     _SUPPORT_RADIUS = 1e4
 
     def __init__(self, bodies, witness=None, tol=DEFAULT_TOL):
@@ -572,42 +590,53 @@ class IntersectionBody(ConvexBody):
         return lo, np.maximum(hi, lo)
 
     def project(self, p):
+        """Nearest point of the intersection, by outer approximation.
+
+        Each pass projects the iterate x onto every member; for each member
+        that x misses it keeps the cut {y : n.y <= n.P_i(x)}, with n the
+        unit vector from P_i(x) to x, which holds the whole member.  The
+        next x is the nearest point to p of the polyhedron of all cuts kept
+        so far (Kelley's cutting-plane scheme, each step one least-distance
+        solve).  Stops once x lies within ``PROJECT_RTOL * (1 + |p|_inf)``
+        of every member; raises :class:`ProjectionError` when
+        ``PROJECT_MAX_PASSES`` passes run out first.
+        """
         p = as_point(p, self._dim)
-        res = dykstra(p, [b.project for b in self._bodies])
-        if not res.converged:
-            residual = max(b.distance(res.point) for b in self._bodies)
-            raise ProjectionError(
-                f"intersection projection stalled after {res.rounds} rounds",
-                last_iterate=res.point, residual=residual)
-        return res.point
+        stop = PROJECT_RTOL * (1.0 + float(np.abs(p).max()))
+        normals, offsets = [], []
+        x = p
+        for _ in range(PROJECT_MAX_PASSES):
+            residual = 0.0
+            for body in self._bodies:
+                y = body.project(x)
+                v = x - y
+                dist = float(np.linalg.norm(v))
+                residual = max(residual, dist)
+                if dist > stop:
+                    n = v / dist
+                    normals.append(n)
+                    offsets.append(float(n @ y))
+            if residual <= stop:
+                return x.copy()
+            x = _least_distance(np.array(normals), np.array(offsets), p)
+        raise ProjectionError(
+            f"intersection projection undecided after {PROJECT_MAX_PASSES} "
+            f"passes (residual {residual:.3e})",
+            last_iterate=x, residual=residual)
 
     def support(self, direction):
+        """Projection of a far point ``witness + R u / |u|``.
+
+        With R = ``_SUPPORT_RADIUS * (1 + diam)`` the returned member's inner
+        product with u falls short of the support value by at most
+        diam^2 / (2 R).
+        """
         u = as_point(direction, self._dim)
         norm = float(np.linalg.norm(u))
         if norm == 0:
             raise ValueError("support direction must be nonzero")
-        diam = self.diameter()
-        radius = self._SUPPORT_RADIUS * (1.0 + diam)
-        far = self._witness + (radius / norm) * u
-        # Projecting the far point directly stalls: Dykstra's corrections
-        # would have to grow to the far point's scale before the iterate
-        # reaches a corner of the intersection.  Instead re-aim a proxy at
-        # short lever arm rho along the current far direction and project
-        # that; a fixed point x of this map has (far - x) in the normal
-        # cone at x, which makes x exactly the projection of the far point.
-        rho = 10.0 * (1.0 + diam)
-        projs = [b.project for b in self._bodies]
-        x = self._witness.copy()
-        for _ in range(200):
-            w = far - x
-            dist = float(np.linalg.norm(w))
-            z = far if dist <= rho else x + (rho / dist) * w
-            res = dykstra(z, projs, max_rounds=20000)
-            step = float(np.linalg.norm(res.point - x))
-            x = res.point
-            if step < 1e-10 * (1.0 + rho):
-                break
-        return x
+        radius = self._SUPPORT_RADIUS * (1.0 + self.diameter())
+        return self.project(self._witness + (radius / norm) * u)
 
     def membership(self, p, tol=DEFAULT_TOL):
         p = as_point(p, self._dim)

@@ -18,9 +18,9 @@ import numpy as np
 from .bodies import DEFAULT_TOL
 from .critical import (CriticalFamily, check_critical, hollow_simplex,
                        recentered_witness, uniqueness_probe)
-from .errors import HollowkitError, SceneError
+from .errors import GridResolutionError, HollowkitError, SceneError
 from .hollow import (BOX_EXPAND, boundary_attribution, certify_hollow,
-                     hull_vs_simplex, verify_stabbing)
+                     check_resolution, hull_vs_simplex, verify_stabbing)
 from .render import render_svg
 from .scenes import SCHEMA, dumps, load_scene
 from .sperner import MAX_CELLS, klee_solve, kkm_verify
@@ -37,6 +37,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_ERROR)
+
+
+def _resolution_arg(text):
+    """Type of ``--resolution``: a positive finite cell size."""
+    try:
+        return check_resolution(text)
+    except (GridResolutionError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _opt(args, scene, name, default):
@@ -307,7 +315,7 @@ def build_parser():
         p.add_argument("--out", default=".",
                        help="directory for result files (default: .)")
         if resolution:
-            p.add_argument("--resolution", type=float, default=None,
+            p.add_argument("--resolution", type=_resolution_arg, default=None,
                            help="grid cell size")
         if restarts:
             p.add_argument("--restarts", type=int, default=None,

@@ -127,9 +127,9 @@ def helly_guard(bodies):
 def recentered_witness(bodies, tol=DEFAULT_TOL):
     """Witness of the intersection of ``bodies``, pulled toward its middle.
 
-    The point is computed by a Dykstra run seeded at the average of the
-    intersection's axis-direction support points, so repeated calls give a
-    stable, well-centered witness that passes membership in every body.
+    The point is the projection onto the intersection of the average of
+    its axis-direction support points, so repeated calls give a stable,
+    well-centered witness that passes membership in every body.
     The :class:`IntersectionBody` constructor scans for a first member
     point and raises its errors when the scan finds none.
     """

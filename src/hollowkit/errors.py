@@ -36,14 +36,14 @@ class EmptyBodyError(HollowkitError):
 class ProjectionError(HollowkitError):
     """A projection or support oracle failed.
 
-    Raised when Dykstra's projection onto an intersection of bodies runs out
-    of rounds, or when an H-polytope's LP (construction screen or support)
+    Raised when the projection onto an intersection of bodies runs out of
+    passes, or when an H-polytope's LP (construction screen or support)
     ends with a solver failure.
 
     Attributes
     ----------
     last_iterate : ndarray
-        The final iterate when the round budget ran out, if any.
+        The final iterate when the pass budget ran out, if any.
     residual : float
         Distance from the final iterate to the farthest member set, if any.
     """
@@ -106,7 +106,8 @@ class KleeSolveError(HollowkitError):
 
 
 class GridResolutionError(HollowkitError):
-    """Grid resolution too coarse for the region being rasterized."""
+    """Grid resolution not a positive finite number, or too coarse for the
+    region being rasterized."""
 
 
 class GridDimensionError(HollowkitError, ValueError):

@@ -58,6 +58,16 @@ class Grid:
         return tuple(int(i) for i in idx)
 
 
+def check_resolution(resolution):
+    """``resolution`` as a float cell size; :class:`GridResolutionError`
+    unless it is a positive finite number."""
+    h = float(resolution)
+    if not (np.isfinite(h) and h > 0.0):
+        raise GridResolutionError(
+            f"resolution must be a positive finite number, got {h:g}")
+    return h
+
+
 def _box_corners(lo, hi):
     """The 2^d corners of the axis-aligned box [lo, hi], one per row."""
     bits = (np.arange(2 ** lo.size)[:, None] >> np.arange(lo.size)) & 1
@@ -164,7 +174,8 @@ def certify_hollow(family, resolution, retry=True):
     GridDimensionError
         If the family does not live in dimension 2 or 3.
     GridResolutionError
-        If the requested resolution gives fewer than 20 cells per axis.
+        If the resolution is not a positive finite number, or gives fewer
+        than 20 cells per axis.
     HollowNotFoundError
         If no bounded component exists even after the retry.
     """
@@ -176,8 +187,7 @@ def certify_hollow(family, resolution, retry=True):
     if d not in (2, 3):
         raise GridDimensionError(
             "grid certification supports dimension 2 or 3")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    resolution = check_resolution(resolution)
     W = family.witnesses
     lo0, hi0 = W.min(axis=0), W.max(axis=0)
     center = 0.5 * (lo0 + hi0)
@@ -432,8 +442,11 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6, resolution=None):
     on ``pair.w`` is rasterized on the certificate's grid, laid out in the
     coordinates of ``pair.w`` (cell size ``resolution``, by default 1/256
     of the trace box's widest side), and the crossing point must fall in a
-    bounded uncovered component of that trace.
+    bounded uncovered component of that trace.  A ``resolution`` that is
+    not a positive finite number raises :class:`GridResolutionError`.
     """
+    if resolution is not None:
+        resolution = check_resolution(resolution)
     bodies = list(bodies)
     witnesses = as_points(witnesses)
     reasons = []

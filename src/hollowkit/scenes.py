@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Ball, HPolytope, IntersectionBody, VPolytope
-from .errors import SceneError
+from .errors import GridResolutionError, SceneError
 from .geometry import AffineSubspace, as_point, as_points
-from .hollow import StabbingPair
+from .hollow import StabbingPair, check_resolution
 from .sperner import KkmInstance
 
 SCHEMA = "hollowkit/1"
@@ -198,6 +198,11 @@ def parse_scene(text, source="<scene>"):
             if not isinstance(val, (int, float)):
                 raise SceneError(f"{source}: option {key!r} must be a number")
             clean[key] = float(val)
+    if "resolution" in clean:
+        try:
+            check_resolution(clean["resolution"])
+        except GridResolutionError as exc:
+            raise SceneError(f"{source}: option 'resolution': {exc}") from exc
     kkm = None
     if "kkm" in raw:
         sec = raw["kkm"]

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 from scipy.optimize import nnls
+from scipy.spatial import Delaunay
 
+import hollowkit.bodies
 from hollowkit import (Ball, EmptyBodyError, HPolytope, IntersectionBody,
                        UnboundedBodyError, VPolytope, dykstra,
                        feasibility_scan)
@@ -18,6 +20,13 @@ SUPPORT_DIRECTIONS = 100
 # KKT residuals of an H-polytope projection, relative to the coordinate
 # magnitude of the query and its projection (the rounding floor).
 KKT_RTOL = 1e-10
+# Intersection projections stop within PROJECT_RTOL * (1 + |q|_inf) of every
+# member, so their errors are measured on that scale: against closed forms
+# (a lens corner amplifies the stop by up to about 1 / sin of its half-angle),
+# member slack, and the variational inequality (relative to |q - x| diam).
+LENS_RTOL = 1e-12
+MEMBER_RTOL = 1e-10
+VI_RTOL = 1e-9
 
 
 def thin_wedge(apex_angle=1e-3):
@@ -258,3 +267,138 @@ def test_support_between_two_interval_bodies(two_intervals):
     a, b = two_intervals
     assert np.allclose(a.support([1.0]), [1.0])
     assert np.allclose(b.support([-1.0]), [2.0])
+
+
+LENS_PLACEMENTS = [(1.0, 0.0), (1.0, 1e4), (1e-3, 0.0), (1e3, 0.0)]
+
+
+def lens_cases(D, scale, shift):
+    """Two disks of radius ``scale`` whose centers lie D * scale apart, and
+    queries with known nearest points on either arc or at either corner.
+
+    A query is its nearest point x plus a step along a normal of the lens
+    at x: the outer normal on the inner part of an arc, a positive mix of
+    both disks' normals at a corner.
+    """
+    a = np.array([shift, shift])
+    b = a + np.array([D * scale, 0.0])
+    alpha = np.arccos(D / 2.0)
+    cases = []
+    for center, sign in ((a, 1.0), (b, -1.0)):
+        for theta in np.linspace(-0.8 * alpha, 0.8 * alpha, 5):
+            n = np.array([sign * np.cos(theta), np.sin(theta)])
+            x = center + scale * n
+            cases += [(x + t * scale * n, x) for t in (0.01, 0.1, 1.0, 10.0)]
+    for up in (1.0, -1.0):
+        corner = a + scale * np.array([D / 2.0, up * np.sqrt(1.0 - D * D / 4.0)])
+        na, nb = (corner - a) / scale, (corner - b) / scale
+        for w in (0.05, 0.5, 0.95):
+            cases += [(corner + t * scale * (w * na + (1.0 - w) * nb), corner)
+                      for t in (0.01, 0.1, 1.0, 10.0)]
+    return a, b, cases
+
+
+@pytest.mark.parametrize("D", [1.2, 1.865, 1.93])
+@pytest.mark.parametrize("scale,shift", LENS_PLACEMENTS)
+def test_lens_projection_and_support_match_closed_form(D, scale, shift):
+    a, b, cases = lens_cases(D, scale, shift)
+    half_height = scale * np.sqrt(1.0 - D * D / 4.0)
+    # a witness off the line of centers, so that the far points of the
+    # support along +-x project to where their distance R decides
+    lens = IntersectionBody([Ball(a, scale), Ball(b, scale)],
+                            witness=0.5 * (a + b) + [0.0, 0.5 * half_height])
+    for q, x in cases:
+        err = float(np.abs(lens.project(q) - x).max())
+        assert err <= LENS_RTOL * (1.0 + np.abs(q).max()), (q, err)
+    # support(u) is the projection of the far point witness + R u / |u|:
+    # along +-x it is the far point's projection onto the disk whose arc
+    # faces it, along +-y the corner on that side
+    radius = IntersectionBody._SUPPORT_RADIUS * (1.0 + lens.diameter())
+    for u in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
+        u = np.array(u)
+        far = lens.anchor + radius * u
+        if u[0] != 0.0:
+            center = a if u[0] > 0 else b
+            expect = center + scale * (far - center) / np.linalg.norm(far - center)
+        else:
+            expect = 0.5 * (a + b) + np.array([0.0, u[1] * half_height])
+        err = float(np.abs(lens.support(u) - expect).max())
+        assert err <= LENS_RTOL * (1.0 + np.abs(far).max()), (u, err)
+
+
+def random_part(rng, kind, center, scale):
+    """A seeded body of the given kind that holds ``center`` in its interior."""
+    d = center.size
+    if kind == "ball":
+        offset = 0.5 * scale * rng.normal(size=d)
+        return Ball(center + offset,
+                    float(np.linalg.norm(offset)) + scale * rng.uniform(0.3, 1.0))
+    if kind == "box":
+        return HPolytope.box(center - scale * rng.uniform(0.2, 1.0, size=d),
+                             center + scale * rng.uniform(0.2, 1.0, size=d))
+    if kind == "hpoly":
+        while True:
+            A = rng.normal(size=(int(rng.integers(d + 2, 9)), d))
+            A /= np.linalg.norm(A, axis=1)[:, None]
+            b = A @ center + scale * rng.uniform(0.3, 1.0, size=A.shape[0])
+            try:
+                return HPolytope(A, b)
+            except UnboundedBodyError:
+                continue
+    # a rotated cross-polytope around the center plus a few random generators
+    rot, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cross = 0.4 * np.vstack([rot, -rot])
+    extra = rng.normal(size=(3, d))
+    return VPolytope(center + scale * np.vstack([cross, extra]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_intersection_projection_is_the_nearest_member(d):
+    """Seeded intersections of balls, boxes, rotated H-polytopes and
+    V-polytopes: the projection lies in every part and satisfies the
+    variational inequality (q - x).(y - x) <= 0 against member points y."""
+    rng = np.random.default_rng(400 + d)
+    kinds = ("ball", "box", "hpoly", "vpoly")
+    for trial in range(12):
+        scale = 10.0 ** rng.choice([-3.0, 0.0, 3.0])
+        center = scale * rng.uniform(-10.0, 10.0, size=d)
+        parts = [random_part(rng, kinds[(trial + i) % 4], center, scale)
+                 for i in range(2 + trial % 3)]
+        inter = IntersectionBody(parts, witness=center)
+        lo, hi = inter.bounding_box()
+        diam = inter.diameter()
+
+        def members(cloud):
+            for part in parts:
+                if isinstance(part, VPolytope):
+                    inside = Delaunay(part.vertices).find_simplex(cloud) >= 0
+                else:
+                    inside = part.contains_batch(cloud, tol=0.0)
+                cloud = cloud[inside]
+            return cloud
+
+        spread = np.vstack([members(rng.uniform(lo, hi, size=(1000, d))), center])
+        for _ in range(5):
+            q = center + 3.0 * scale * rng.normal(size=d)
+            x = inter.project(q)
+            ref = 1.0 + float(np.abs(q).max())
+            for part in parts:
+                assert part.distance(x) <= MEMBER_RTOL * ref
+            # members ever closer to x expose a point moved along the boundary
+            ys = np.vstack([spread] + [
+                members(x + radius * diam * rng.uniform(-1.0, 1.0, size=(100, d)))
+                for radius in (1e-2, 1e-5, 1e-8)])
+            gap = float(np.linalg.norm(q - x))
+            assert ((ys - x) @ (q - x)).max() <= VI_RTOL * gap * diam
+
+
+def test_intersection_oracles_run_no_dykstra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Dykstra called")
+
+    monkeypatch.setattr(hollowkit.bodies, "dykstra", refuse)
+    monkeypatch.setattr(hollowkit.bodies, "_dykstra_round", refuse)
+    lens = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)],
+                            witness=[0.75, 0.0])
+    assert lens.membership(lens.project([0.75, 3.0]), 1e-12)
+    assert lens.membership(lens.support([1.0, 1.0]), 1e-8)

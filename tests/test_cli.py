@@ -229,6 +229,40 @@ def test_certify_line_family_is_a_structured_error(tmp_path, capsys):
         capsys.readouterr().err
 
 
+GRID_COMMANDS = [("certify", "disks.json"), ("render", "disks.json"),
+                 ("stab-verify", "stab.json")]
+BAD_RESOLUTIONS = ["0", "-1", "-0.01", "nan", "inf"]
+
+
+@pytest.mark.parametrize("value", BAD_RESOLUTIONS)
+@pytest.mark.parametrize("command,scene", GRID_COMMANDS)
+def test_bad_resolution_option_is_a_one_line_error(command, scene, value,
+                                                   tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, scene_path(scene), "--out", str(tmp_path),
+              "--resolution", value])
+    assert info.value.code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == [f"hollowkit {command}: error: argument --resolution: "
+                      f"resolution must be a positive finite number, "
+                      f"got {float(value):g}"]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("command,scene", GRID_COMMANDS)
+def test_bad_resolution_scene_option_is_a_scene_error(command, scene, value,
+                                                      tmp_path, capsys):
+    raw = json.loads(read(scene_path(scene)))
+    raw.setdefault("options", {})["resolution"] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "option 'resolution': resolution must be a positive finite number" in err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import DISK_SIDE_CRITICAL, TRIANGLE, disk_centers
 from hollowkit import (Ball, BorderlineCriticalError, Cage, CriticalFamily,
-                       CriticalityFailure, HPolytope, NoHollowError, VPolytope,
+                       CriticalityFailure, HPolytope, NoHollowError,
+                       ProjectionError, ToleranceAmbiguityError, VPolytope,
                        cage_contains_hull_vertices, cage_intersection_is_cage,
                        check_critical, helly_guard, hollow_simplex, make_cage,
                        random_cage, recentered_witness, sandwich_check,
@@ -79,19 +80,47 @@ def test_recentered_witness_is_deterministic(three_disks):
         assert b.membership(w1, 1e-7)
 
 
+def assert_certificate_rechecks_with_support(fam):
+    """The separating plane keeps body j and the rest apart by half the
+    margin, the far side checked through ``IntersectionBody.support``."""
+    cert = fam.certificate
+    assert cert.subfamily is None
+    j = cert.separated_index
+    normal, offset = cert.hyperplane.normal, cert.hyperplane.offset
+    slack = 0.5 * cert.margin
+    assert normal @ fam.bodies[j].support(normal) <= offset - slack
+    assert normal @ fam.leave_one_out(j).support(-normal) >= offset + slack
+
+
 @pytest.mark.parametrize("fixture", ["triangle_rects", "triangle_segments"])
 def test_loose_tolerance_certificate_rechecks_with_support(fixture, request):
     """At tol above the default the leave-one-out bodies are built at that tol."""
     bodies = request.getfixturevalue(fixture)
     fam = check_critical(bodies, tol=1e-5)
     assert isinstance(fam, CriticalFamily)
-    cert = fam.certificate
-    assert cert.subfamily is None
-    j = cert.separated_index
-    normal, offset = cert.hyperplane.normal, cert.hyperplane.offset
-    slack = 0.5 * cert.margin
-    assert normal @ bodies[j].support(normal) <= offset - slack
-    assert normal @ fam.leave_one_out(j).support(-normal) >= offset + slack
+    assert_certificate_rechecks_with_support(fam)
+
+
+def test_small_scale_certificate_rechecks_with_support():
+    """The critical disks shrunk by 1e-3, with tol shrunk alike."""
+    scale = 1e-3
+    bodies = [Ball(scale * c, scale) for c in disk_centers(DISK_SIDE_CRITICAL)]
+    fam = check_critical(bodies, tol=1e-7 * scale)
+    assert isinstance(fam, CriticalFamily)
+    assert_certificate_rechecks_with_support(fam)
+
+
+@pytest.mark.xfail(strict=True, raises=ProjectionError,
+                   reason="the leave-one-out lens of tangent disks is a single "
+                          "point, and projecting onto it runs out of passes")
+def test_tangent_disks_end_in_a_structured_verdict():
+    bodies = [Ball(c, 1.0) for c in disk_centers(2.0)]
+    try:
+        res = check_critical(bodies)
+    except ToleranceAmbiguityError:
+        return
+    assert isinstance(res, CriticalityFailure)
+    assert res.reason == "borderline"
 
 
 def test_full_intersection_nonempty_failure(three_disks_overlapping):

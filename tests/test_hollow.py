@@ -111,6 +111,20 @@ def test_grid_resolution_floor(disks_family):
         certify_hollow(disks_family, 0.5)
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1.0, np.nan, np.inf])
+def test_grid_rejects_bad_resolution(disks_family, resolution):
+    with pytest.raises(GridResolutionError, match="positive finite"):
+        certify_hollow(disks_family, resolution)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.01, np.nan])
+def test_stabbing_rejects_bad_resolution(gap_pair, resolution):
+    bodies, w, v, witnesses = gap_pair
+    pair = StabbingPair(w, v, [1.5, 0.5])
+    with pytest.raises(GridResolutionError, match="positive finite"):
+        verify_stabbing(pair, bodies, witnesses, resolution=resolution)
+
+
 def test_hausdorff_convex_closed_forms():
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     assert hausdorff_convex(tri, tri) == 0.0
