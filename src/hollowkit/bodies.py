@@ -4,8 +4,11 @@ Concrete types: :class:`HPolytope` (bounded intersection of halfspaces),
 :class:`VPolytope` (convex hull of finitely many points), :class:`Ball`, and
 :class:`IntersectionBody` (lazy intersection of other bodies).  Projection
 onto an H-polytope is exact: one least-distance program solved by a single
-nonnegative least-squares call (Lawson & Hanson, ch. 23).  Projection onto a
-V-polytope runs a finite active-set method over the weight simplex.
+nonnegative least-squares call (Lawson & Hanson, ch. 23).  A V-polytope
+gets the facet rows of its hull once, at construction, from Quickhull
+(Barber, Dobkin & Huhdanpaa, ACM TOMS 1996), so both polytope kinds answer
+distance and membership from the same row slacks; a V-polytope projects by
+one NNLS over its generators' weights, exact on thin hulls too.
 Projection onto an intersection is an outer approximation (Kelley's
 cutting-plane scheme): the members' projections supply cuts, and the same
 least-distance solve projects onto the polyhedron of cuts until the iterate
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, nnls
+from scipy.spatial import ConvexHull
 
 from .errors import (
     ConvergenceError,
@@ -29,7 +33,7 @@ from .errors import (
     ToleranceAmbiguityError,
     UnboundedBodyError,
 )
-from .geometry import as_point, as_points
+from .geometry import affine_hull, as_point, as_points
 
 logger = logging.getLogger(__name__)
 
@@ -41,13 +45,10 @@ DEFAULT_TOL = 1e-7
 DYKSTRA_MOVE_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 100000
 
-# Stall rule and budget of feasibility_scan, stop and pass cap of the hull
-# projection (see their docstrings).
+# Stall rule and budget of feasibility_scan (see its docstring).
 SCAN_STALL_ROUNDS = 1000
 SCAN_STALL_RTOL = 1e-12
 SCAN_MAX_ROUNDS = 200000
-HULL_GAP_RTOL = 1e-12
-HULL_MAX_ITER = 5000
 
 # Stop and pass budget of IntersectionBody.project: the iterate must lie
 # within PROJECT_RTOL * (1 + |query|_inf) of every member.
@@ -236,7 +237,43 @@ class ConvexBody(abc.ABC):
         return self.project((lo + hi) / 2.0)
 
 
-class HPolytope(ConvexBody):
+class _FacetPolytope(ConvexBody):
+    """Polytope held as unit rows {x : A x <= b}; subclasses set ``_A``,
+    ``_b`` and ``_dim`` and supply ``project``.  Only points within ``tol``
+    of the rows need a projection: the worst slack bounds the distance."""
+
+    @property
+    def dim(self):
+        return self._dim
+
+    def distance(self, p):
+        p = as_point(p, self._dim)
+        slacks = self._A @ p - self._b
+        if slacks.max() <= 0.0:
+            return 0.0
+        return float(np.linalg.norm(p - self.project(p)))
+
+    def membership(self, p, tol=DEFAULT_TOL):
+        p = as_point(p, self._dim)
+        worst = float((self._A @ p - self._b).max())
+        if worst <= 0.0:
+            return True
+        if worst > tol:
+            # distance to the polytope dominates the worst halfspace slack
+            return False
+        return self.distance(p) <= tol
+
+    def contains_batch(self, points, tol=DEFAULT_TOL):
+        pts = as_points(points, self._dim)
+        worst = (pts @ self._A.T - self._b).max(axis=1)
+        out = worst <= 0.0
+        band = (~out) & (worst <= tol)
+        for idx in np.flatnonzero(band):
+            out[idx] = self.distance(pts[idx]) <= tol
+        return out
+
+
+class HPolytope(_FacetPolytope):
     """Bounded nonempty polytope {x : A x <= b}.
 
     Rows of ``A`` are normalized at construction.  Construction verifies
@@ -265,6 +302,9 @@ class HPolytope(ConvexBody):
             A, b, norms = A[keep], b[keep], norms[keep]
         if A.shape[0] == 0:
             raise UnboundedBodyError("no constraints: whole space is unbounded")
+        # rows already unit up to rounding are kept as given, so that a
+        # polytope written out and read back has the same rows
+        norms[np.abs(norms - 1.0) <= 1e-14] = 1.0
         self._A = A / norms[:, None]
         self._b = b / norms
         self._dim = A.shape[1]
@@ -312,10 +352,6 @@ class HPolytope(ConvexBody):
         return cls(A, b)
 
     @property
-    def dim(self):
-        return self._dim
-
-    @property
     def A(self):
         return self._A
 
@@ -343,109 +379,20 @@ class HPolytope(ConvexBody):
     def project(self, p):
         return _least_distance(self._A, self._b, as_point(p, self._dim))
 
-    def distance(self, p):
-        p = as_point(p, self._dim)
-        slacks = self._A @ p - self._b
-        if slacks.max() <= 0.0:
-            return 0.0
-        return float(np.linalg.norm(p - self.project(p)))
 
-    def membership(self, p, tol=DEFAULT_TOL):
-        p = as_point(p, self._dim)
-        worst = float((self._A @ p - self._b).max())
-        if worst <= 0.0:
-            return True
-        if worst > tol:
-            # distance to the polytope dominates the worst halfspace slack
-            return False
-        return self.distance(p) <= tol
+class VPolytope(_FacetPolytope):
+    """Convex hull of a finite generator set, screened through its facets.
 
-    def contains_batch(self, points, tol=DEFAULT_TOL):
-        pts = as_points(points, self._dim)
-        worst = (pts @ self._A.T - self._b).max(axis=1)
-        out = worst <= 0.0
-        band = (~out) & (worst <= tol)
-        for idx in np.flatnonzero(band):
-            out[idx] = self.distance(pts[idx]) <= tol
-        return out
-
-
-def _face_lstsq(Va, p):
-    """Affine-combination weights of the point of aff(Va) nearest to p.
-
-    Solved in a basis of the zero-sum subspace so the weights stay affine;
-    signs are unconstrained.  Rank-deficient faces get the minimum-norm
-    weights.
-    """
-    m = Va.shape[0]
-    if m == 1:
-        return np.ones(1)
-    u0 = np.full(m, 1.0 / m)
-    N = np.zeros((m - 1, m))
-    for i in range(m - 1):
-        N[i, i] = 1.0
-        N[i, m - 1] = -1.0
-    B = N @ Va
-    t, *_ = np.linalg.lstsq(B.T, p - u0 @ Va, rcond=None)
-    return u0 + t @ N
-
-
-def _hull_project(V, p):
-    """Nearest point of conv(V) to p, by an active-set method.
-
-    Each pass solves the affine least-squares problem on the current face
-    exactly; an infeasible solution is approached only as far as the
-    weights stay nonnegative (dropping the vertex that hits zero first),
-    and a feasible one is tested against the simplex optimality condition,
-    admitting the most promising outside vertex.  Finite in exact
-    arithmetic.  The duality gap is judged relative to the query scale
-    (``HULL_GAP_RTOL``) so far-away points terminate instead of chasing
-    rounding noise; ``p`` itself is returned within that stop of the hull.
-    """
-    V = np.asarray(V, dtype=float)
-    k = V.shape[0]
-    if k == 1:
-        return V[0].copy()
-    d2 = ((V - p) ** 2).sum(axis=1)
-    gap_stop = HULL_GAP_RTOL * max(1.0, float(np.sqrt(d2.max())))
-    mask = np.zeros(k, dtype=bool)
-    mask[int(np.argmin(d2))] = True
-    lam = mask.astype(float)
-    best = V[mask][0].copy()
-    best_d2 = float(d2.min())
-    for _ in range(HULL_MAX_ITER):
-        u = np.zeros(k)
-        u[mask] = _face_lstsq(V[mask], p)
-        if u[mask].min() >= -1e-12:
-            lam = np.clip(u, 0.0, None)
-            lam /= lam.sum()
-            x = lam @ V
-            r = x - p
-            dist2 = float(r @ r)
-            if dist2 < best_d2:
-                best, best_d2 = x, dist2
-            g = V @ r
-            fw = int(np.argmin(g))
-            if float(lam @ g - g[fw]) < gap_stop or mask[fw]:
-                break
-            mask[fw] = True
-        else:
-            # walk from the current weights toward the face solution until
-            # the first weight vanishes, and retire that vertex
-            drop = mask & (u < lam)
-            steps = lam[drop] / (lam[drop] - u[drop])
-            t = float(steps.min())
-            lam = (1.0 - t) * lam + t * u
-            lam[lam < 1e-15] = 0.0
-            lam /= lam.sum()
-            mask = lam > 0.0
-    if best_d2 <= gap_stop * gap_stop:
-        return p.copy()
-    return best
-
-
-class VPolytope(ConvexBody):
-    """Convex hull of a finite generator set.
+    The facet rows are built once, in the frame of the generators'
+    :func:`~hollowkit.geometry.affine_hull`: Quickhull
+    (``scipy.spatial.ConvexHull``) when the hull has dimension 2 or more,
+    the two end rows of a segment, none for a point, plus both signs of
+    the flat's orthonormal complement.  So ``distance``, ``membership``
+    and ``contains_batch`` are the H-polytope slack screens in every
+    dimension, and no LP screen runs: a hull of its generators is nonempty
+    and bounded.  ``support`` is an exact argmax over the generators.  A
+    hull thinner than the rank cutoff of ``affine_hull`` is flat to the
+    rows: a generator that far off the flat violates them by as much.
 
     Parameters
     ----------
@@ -456,10 +403,20 @@ class VPolytope(ConvexBody):
     def __init__(self, vertices):
         self._V = as_points(vertices)
         self._dim = self._V.shape[1]
-
-    @property
-    def dim(self):
-        return self._dim
+        flat = affine_hull(self._V)
+        coords = (self._V - flat.base) @ flat.basis.T
+        # rows [normal, -offset] in frame coordinates
+        if flat.dim >= 2:
+            facets = ConvexHull(coords).equations
+        elif flat.dim == 1:
+            facets = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
+        else:
+            facets = np.zeros((0, 1))
+        eigval, eigvec = np.linalg.eigh(np.eye(self._dim) - flat.basis.T @ flat.basis)
+        complement = eigvec[:, eigval > 0.5].T
+        self._A = np.vstack([facets[:, :-1] @ flat.basis, complement, -complement])
+        self._b = self._A @ flat.base - np.append(facets[:, -1],
+                                                  np.zeros(2 * len(complement)))
 
     @property
     def vertices(self):
@@ -479,7 +436,28 @@ class VPolytope(ConvexBody):
         return self._V[int(np.argmax(self._V @ u))].copy()
 
     def project(self, p):
-        return _hull_project(self._V, as_point(p, self._dim))
+        """Nearest point of the hull; ``p`` itself if it violates no row.
+
+        One NNLS picks the face: with the columns of W the generators minus
+        p (scaled to max norm 1), min |W u|^2 + (sum u - 1)^2 over u >= 0
+        has u / sum(u) = the simplex weights of the nearest point, since for
+        fixed weights it is m / (1 + m), m their squared distance.  The
+        generators with positive weight lie on the supporting hyperplane
+        there, so the answer is p projected onto their affine hull, solved
+        on edge vectors: exact at acute vertices of thin hulls, where rows
+        lose about eps / angle, and with an error that does not grow with
+        the distance of p.
+        """
+        p = as_point(p, self._dim)
+        if (self._A @ p - self._b).max() <= 0.0:
+            return p.copy()
+        W = (self._V - p).T
+        W /= np.sqrt((W * W).sum(axis=0).max())
+        u, _ = nnls(np.vstack([W, np.ones(W.shape[1])]), np.eye(self._dim + 1)[-1])
+        face = self._V[u > 0.0]
+        edges = face[1:] - face[0]
+        t = np.linalg.lstsq(edges.T, p - face[0], rcond=None)[0]
+        return face[0] + t @ edges
 
 
 class Ball(ConvexBody):

@@ -10,13 +10,13 @@ module computes those vertices analytically from the body oracles.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, IntersectionBody
+from .bodies import DEFAULT_TOL, IntersectionBody, VPolytope
 from .errors import BorderlineCriticalError, EmptyBodyError, NoHollowError
-from .geometry import Simplex, as_point, as_points, barycentric
+from .geometry import Simplex, as_points, barycentric
 from .solvers import SeparationCertificate, intersect_witness, min_distance
 
 logger = logging.getLogger(__name__)
@@ -26,6 +26,9 @@ logger = logging.getLogger(__name__)
 BORDERLINE_FACTOR = 10.0
 
 UNIQUENESS_THRESHOLD = 1e-5
+
+# Membership tolerance of every cage check.
+CAGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -271,35 +274,36 @@ class Cage:
     """d + 1 base points, one inside each leave-one-out intersection.
 
     The convex hull of any such base-point set contains the hollow, so it
-    "cages" the enclosed region.
+    "cages" the enclosed region.  That hull is built once, as ``hull``.
     """
 
     base_points: np.ndarray
+    hull: VPolytope = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "base_points", as_points(self.base_points))
+        pts = as_points(self.base_points)
+        object.__setattr__(self, "base_points", pts)
+        object.__setattr__(self, "hull", VPolytope(pts))
 
-    def contains(self, p, tol=1e-6):
-        from .bodies import _hull_project  # local import to keep the dataclass light
-        p = as_point(p, self.base_points.shape[1])
-        q = _hull_project(self.base_points, p)
-        return float(np.linalg.norm(p - q)) <= tol
+    def contains(self, p):
+        """True when ``p`` lies within ``CAGE_TOL`` of the cage's hull."""
+        return self.hull.distance(p) <= CAGE_TOL
 
 
-def make_cage(family, base_points, tol=1e-6):
+def make_cage(family, base_points):
     """Validate base points (b_j in every body except j) and build a cage."""
     pts = as_points(base_points, family.d)
     if pts.shape[0] != family.n + 1:
         raise ValueError(f"need {family.n + 1} base points, got {pts.shape[0]}")
     for j in range(family.n + 1):
         for i, b in enumerate(family.bodies):
-            if i != j and not b.membership(pts[j], tol):
+            if i != j and not b.membership(pts[j], CAGE_TOL):
                 raise ValueError(
-                    f"base point {j} misses body {i} by more than {tol:.0e}")
+                    f"base point {j} misses body {i} by more than {CAGE_TOL:.0e}")
     return Cage(pts)
 
 
-def random_cage(family, rng=None, tol=1e-6):
+def random_cage(family, rng=None):
     """A cage with random base points drawn from each leave-one-out region."""
     rng = np.random.default_rng(rng)
     lo, hi = family.bodies[0].bounding_box()
@@ -312,18 +316,17 @@ def random_cage(family, rng=None, tol=1e-6):
         X = family.leave_one_out(j)
         raw = lo + (hi - lo) * rng.random(family.d)
         pts[j] = X.project(raw)
-    return make_cage(family, pts, tol=tol)
+    return make_cage(family, pts)
 
 
-def cage_contains_hull_vertices(family, cage, hs=None, tol=1e-6):
+def cage_contains_hull_vertices(family, cage, hs=None):
     """True when every hollow-simplex vertex lies in the cage's hull."""
     if hs is None:
         hs = hollow_simplex(family)
-    return all(cage.contains(v, tol=tol) for v in hs.vertices)
+    return all(cage.contains(v) for v in hs.vertices)
 
 
-def cage_intersection_is_cage(family, cage, region, hs=None, tol=1e-6,
-                              region_tol=None):
+def cage_intersection_is_cage(family, cage, region, hs=None):
     """Check that region-and-cage still cages the hollow.
 
     ``region`` is any object with a ``membership(p, tol)`` method covering
@@ -333,11 +336,10 @@ def cage_intersection_is_cage(family, cage, region, hs=None, tol=1e-6,
     """
     if hs is None:
         hs = hollow_simplex(family)
-    region_tol = tol if region_tol is None else region_tol
     for v in hs.vertices:
-        if not cage.contains(v, tol=tol):
+        if not cage.contains(v):
             return False
-        if not region.membership(v, region_tol):
+        if not region.membership(v, CAGE_TOL):
             return False
     return True
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import Ball, HPolytope, IntersectionBody, VPolytope
+from .bodies import DEFAULT_TOL, Ball, HPolytope, IntersectionBody, VPolytope
 from .errors import GridResolutionError, SceneError
 from .geometry import AffineSubspace, as_point, as_points
 from .hollow import StabbingPair, check_resolution
@@ -96,8 +96,9 @@ def _field(obj, key, path, kind=None):
     return val
 
 
-def body_from_json(obj, dimension, path="body"):
-    """Build a body from its JSON description, checking the dimension."""
+def body_from_json(obj, dimension, path="body", tol=DEFAULT_TOL):
+    """Build a body from its JSON description, checking the dimension;
+    an intersection's witness is checked at ``tol``."""
     if not isinstance(obj, dict):
         raise SceneError(f"{path}: body must be an object")
     kind = _field(obj, "kind", path, str)
@@ -129,12 +130,12 @@ def body_from_json(obj, dimension, path="body"):
             return Ball(c, float(r))
         if kind == "intersection":
             parts_json = _field(obj, "parts", path, list)
-            parts = [body_from_json(p, dimension, f"{path}.parts[{i}]")
+            parts = [body_from_json(p, dimension, f"{path}.parts[{i}]", tol)
                      for i, p in enumerate(parts_json)]
             witness = obj.get("witness")
             if witness is not None:
                 witness = as_point(witness, dimension)
-            return IntersectionBody(parts, witness=witness)
+            return IntersectionBody(parts, witness=witness, tol=tol)
     except SceneError:
         raise
     except Exception as exc:
@@ -173,16 +174,6 @@ def parse_scene(text, source="<scene>"):
     bodies_json = raw.get("bodies")
     if not isinstance(bodies_json, list) or not bodies_json:
         raise SceneError(f"{source}: bodies must be a nonempty list")
-    bodies = []
-    problems = []
-    for i, obj in enumerate(bodies_json):
-        try:
-            bodies.append(body_from_json(obj, dimension, f"bodies[{i}]"))
-        except SceneError as exc:
-            problems.append(str(exc))
-    if problems:
-        raise SceneError(f"{source}: {len(problems)} bad bodies",
-                         details=tuple(problems))
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise SceneError(f"{source}: options must be an object")
@@ -203,6 +194,17 @@ def parse_scene(text, source="<scene>"):
             check_resolution(clean["resolution"])
         except GridResolutionError as exc:
             raise SceneError(f"{source}: option 'resolution': {exc}") from exc
+    tol = clean.get("tol", DEFAULT_TOL)
+    bodies = []
+    problems = []
+    for i, obj in enumerate(bodies_json):
+        try:
+            bodies.append(body_from_json(obj, dimension, f"bodies[{i}]", tol))
+        except SceneError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise SceneError(f"{source}: {len(problems)} bad bodies",
+                         details=tuple(problems))
     kkm = None
     if "kkm" in raw:
         sec = raw["kkm"]
@@ -212,7 +214,7 @@ def parse_scene(text, source="<scene>"):
         if points.shape[1] != dimension:
             raise SceneError("kkm.points: dimension mismatch with scene")
         images_json = _field(sec, "images", "kkm", list)
-        images = [body_from_json(g, dimension, f"kkm.images[{i}]")
+        images = [body_from_json(g, dimension, f"kkm.images[{i}]", tol)
                   for i, g in enumerate(images_json)]
         try:
             kkm = KkmInstance(points, tuple(images))

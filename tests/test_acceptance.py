@@ -143,7 +143,7 @@ def test_criterion_07_random_cages(disks_family, balls_family):
             rng = np.random.default_rng(seed)
             for _ in range(100):
                 cage = random_cage(fam, rng=rng)
-                assert cage_contains_hull_vertices(fam, cage, hs=hs, tol=1e-6)
+                assert cage_contains_hull_vertices(fam, cage, hs=hs)
 
 
 def test_criterion_08_kkm_cover():

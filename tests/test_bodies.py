@@ -27,6 +27,9 @@ KKT_RTOL = 1e-10
 LENS_RTOL = 1e-12
 MEMBER_RTOL = 1e-10
 VI_RTOL = 1e-9
+# V-polytope projections against the test-side hull projection, relative to
+# 1 + |q|_inf
+HULL_RTOL = 1e-12
 
 
 def thin_wedge(apex_angle=1e-3):
@@ -36,19 +39,57 @@ def thin_wedge(apex_angle=1e-3):
                      [0.0, 0.0, 1.0])
 
 
+def off_line_generators(offset=1e-8):
+    """Points along the line through (0, 0) and (3, 1.5), moved alternately
+    ``offset`` to either side: a hull that thin has acute vertices at both
+    ends, where its facet rows are nearly parallel."""
+    t = np.linspace(0.0, 1.0, 5)
+    normal = np.array([-1.5, 3.0]) / np.hypot(1.5, 3.0)
+    side = offset * np.array([0.0, 1.0, -1.0, 1.0, 0.0])
+    return np.outer(t, [3.0, 1.5]) + side[:, None] * normal
+
+
 def sample_bodies():
     box_a = HPolytope.box([0.0, 0.0], [2.0, 1.0])
     box_b = HPolytope.box([1.0, 0.0], [3.0, 2.0])
+    triangle = [[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]]
     return [
         ("box", box_a),
         ("rotated-rect", side_rectangle([0.0, 0.0], [2.0, 1.5], 0.3)),
-        ("triangle-hull", VPolytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]])),
+        ("triangle-hull", VPolytope(triangle)),
         ("segment-hull", VPolytope([[0.0, 0.0], [2.0, 1.0]])),
         ("ball", Ball([0.5, 0.5], 0.75)),
         ("box-intersection", IntersectionBody([box_a, box_b])),
         ("box-ball", IntersectionBody([box_a, Ball([1.0, 0.5], 0.8)])),
         ("thin-wedge", thin_wedge()),
+        # degenerate generator sets; the V-polytopes' projections are also
+        # checked against hull_projection below
+        ("point-hull", VPolytope([[0.3, -0.7]])),
+        ("duplicate-hull", VPolytope(triangle + triangle + [triangle[1]])),
+        ("interior-hull", VPolytope(triangle + [[0.8, 0.5], [1.0, 0.1],
+                                                [0.6, 1.2]])),
+        ("collinear-hull-2d", VPolytope([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0],
+                                         [-1.0, -0.5]])),
+        ("collinear-hull-3d", VPolytope([[0.0, 0.0, 0.0], [1.0, 2.0, -1.0],
+                                         [0.5, 1.0, -0.5], [-1.0, -2.0, 1.0]])),
+        ("coplanar-hull-3d", VPolytope([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0],
+                                        [0.0, 1.0, 0.0], [1.0, 1.0, 1.0],
+                                        [0.5, 0.2, 1.3]])),
+        ("interval-1d", VPolytope([[0.5], [2.0], [-1.0], [0.0]])),
+        ("off-line-hull", VPolytope(off_line_generators())),
     ]
+
+
+def hull_projection(V, q):
+    """Nearest point of conv(V) to q, by one NNLS over simplex weights.
+
+    With W = (V - q)^T, min |W u|^2 + (sum u - 1)^2 over u >= 0 is attained
+    at u = w / (1 + m), where w are the optimal simplex weights and m the
+    squared distance; so the nearest point is q + W u / sum u.
+    """
+    W = (np.asarray(V, dtype=float) - q).T
+    u, _ = nnls(np.vstack([W, np.ones(W.shape[1])]), np.eye(W.shape[0] + 1)[-1])
+    return q + W @ u / u.sum()
 
 
 @pytest.mark.parametrize("name,body", sample_bodies())
@@ -62,6 +103,9 @@ def test_projection_is_idempotent_and_member(name, body):
         q2 = body.project(q)
         assert np.linalg.norm(q2 - q) <= IDEMPOTENT_TOL, name
         assert body.membership(q, 1e-7), name
+        if isinstance(body, VPolytope):
+            err = float(np.abs(q - hull_projection(body.vertices, p)).max())
+            assert err <= HULL_RTOL * (1.0 + np.abs(p).max()), (name, p, err)
 
 
 @pytest.mark.parametrize("name,body", sample_bodies())

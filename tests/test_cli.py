@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from hollowkit import (Ball, HPolytope, SceneError, Scene, dumps, parse_scene,
-                       serialize_scene)
+from hollowkit import (Ball, HPolytope, IntersectionBody, SceneError, Scene,
+                       VPolytope, body_from_json, body_to_json, dumps,
+                       parse_scene, render_svg, serialize_scene)
 from hollowkit.cli import main
+from hollowkit.render import _body_elements, _Frame, _polygon, _vpoly_ring
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -28,7 +30,8 @@ def result_of(outdir):
 
 
 def test_scene_round_trip():
-    for name in ("disks.json", "squares.json", "gapkkm.json", "stab.json"):
+    for name in ("disks.json", "squares.json", "gapkkm.json", "stab.json",
+                 "vpoly.json"):
         scene = parse_scene(read(scene_path(name)), source=name)
         again = parse_scene(serialize_scene(scene), source=name)
         assert again == scene
@@ -42,6 +45,60 @@ def test_scene_programmatic_round_trip():
     again = parse_scene(serialize_scene(scene))
     assert again == scene
     assert again.options == {"tol": 1e-7, "seed": 3}
+
+
+def test_body_json_round_trip_keeps_kind_and_data():
+    V = [[0.0, 0.0], [2.0, 0.0], [0.5, 1.5], [0.6, 0.4]]
+    A = [[1.0, 0.2], [-1.0, 0.0], [0.0, 1.0], [0.3, -1.0]]
+    bodies = {
+        "hpoly": HPolytope(A, [2.0, 0.0, 1.0, 0.5]),
+        "vpoly": VPolytope(V),
+        "ball": Ball([0.25, -0.5], 0.75),
+        "intersection": IntersectionBody(
+            [HPolytope.box([0.0, 0.0], [2.0, 1.0]), VPolytope(V),
+             Ball([1.0, 0.5], 0.8)], witness=[0.7, 0.4]),
+    }
+    assert not isinstance(bodies["vpoly"], HPolytope)
+    for kind, body in bodies.items():
+        obj = body_to_json(body)
+        assert obj["kind"] == kind
+        again = body_from_json(json.loads(dumps(obj)), 2)
+        assert type(again) is type(body)
+        assert body_to_json(again) == obj
+    assert np.array_equal(body_from_json(body_to_json(bodies["vpoly"]), 2).vertices, V)
+    hpoly = body_from_json(body_to_json(bodies["hpoly"]), 2)
+    assert np.array_equal(hpoly.A, bodies["hpoly"].A)
+    assert np.array_equal(hpoly.b, bodies["hpoly"].b)
+    inter = body_from_json(body_to_json(bodies["intersection"]), 2)
+    assert np.array_equal(inter.anchor, [0.7, 0.4])
+    assert [type(b) for b in inter.bodies] == [HPolytope, VPolytope, Ball]
+    assert np.array_equal(inter.bodies[1].vertices, V)
+
+
+def test_rendered_vpoly_is_drawn_from_its_vertex_ring():
+    vpoly = VPolytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5], [0.6, 0.4]])
+    frame = _Frame(np.array([-1.0, -1.0]), np.array([3.0, 2.0]), 100.0)
+    ring = _vpoly_ring(vpoly.vertices)
+    assert ring.shape == (3, 2)
+    expect = _polygon(frame, ring, "#fill", "#stroke")
+    assert _body_elements(frame, vpoly, "#fill", "#stroke") == expect
+    assert 'points="' in render_svg([vpoly])
+
+
+def test_scene_tol_reaches_intersection_witness():
+    lens = {"kind": "intersection",
+            "parts": [{"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                      {"kind": "ball", "center": [2.0, 0.0], "radius": 1.0}],
+            "witness": [1.00001, 0.0]}
+    raw = {"schema": "hollowkit/1", "dimension": 2, "bodies": [lens],
+           "options": {"tol": 1e-4}}
+    scene = parse_scene(json.dumps(raw))
+    assert np.array_equal(scene.bodies[0].anchor, [1.00001, 0.0])
+    # the witness misses the first disk by 1e-5, above the default tol
+    del raw["options"]
+    with pytest.raises(SceneError) as info:
+        parse_scene(json.dumps(raw))
+    assert "witness fails membership in member 0" in str(info.value.details)
 
 
 def test_serialization_is_canonical():
@@ -124,6 +181,17 @@ def test_certify_command(tmp_path, capsys):
     assert grid["boundary_bodies"] == [0, 1, 2]
     assert grid["boundary_complete"] is True
     assert res["hull_vs_simplex"] < 0.015
+
+
+def test_certify_vpoly_scene(tmp_path, capsys):
+    out = str(tmp_path)
+    code = main(["certify", scene_path("vpoly.json"), "--out", out])
+    assert code == 0
+    assert "hollow certified" in capsys.readouterr().out
+    grid = result_of(out)["grid_certificate"]
+    assert grid["bounded"] is True
+    assert grid["component_count"] == 1
+    assert grid["boundary_bodies"] == [0, 1, 2]
 
 
 def test_solve_klee_command(tmp_path, capsys):

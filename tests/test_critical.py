@@ -227,7 +227,7 @@ def test_cage_intersection_still_cages(disks_family, disks_hollow):
     cage = make_cage(disks_family, disks_family.witnesses)
     region = VPolytope(disks_family.witnesses)
     assert cage_intersection_is_cage(disks_family, cage, region,
-                                     hs=disks_hollow, region_tol=1e-6)
+                                     hs=disks_hollow)
 
 
 def test_cages_for_ball_tetrahedron(balls_family):
