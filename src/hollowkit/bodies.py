@@ -9,12 +9,11 @@ gets the facet rows of its hull once, at construction, from Quickhull
 (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996), so both polytope kinds answer
 distance and membership from the same row slacks; a V-polytope projects by
 one NNLS over its generators' weights, exact on thin hulls too.
-Projection onto an intersection is an outer approximation (Kelley's
-cutting-plane scheme): the members' projections supply cuts, and the same
-least-distance solve projects onto the polyhedron of cuts until the iterate
-lies in every member; its support is the projection of a far point.
-Dykstra's alternating scheme remains for feasibility scans and callers that
-only have projectors.
+Families run on one cutting-plane engine (Kelley, J. SIAM 1960): the
+members' projections supply cuts.  :func:`project_intersection` projects
+onto the cuts by the same least-distance solve until the iterate lies in
+every member; :func:`feasibility_scan` decides emptiness by an LP lower
+bound over the cuts.  Nothing in the package runs :func:`dykstra`.
 """
 from __future__ import annotations
 
@@ -45,15 +44,19 @@ DEFAULT_TOL = 1e-7
 DYKSTRA_MOVE_TOL = 1e-10
 DYKSTRA_MAX_ROUNDS = 100000
 
-# Stall rule and budget of feasibility_scan (see its docstring).
-SCAN_STALL_ROUNDS = 1000
-SCAN_STALL_RTOL = 1e-12
-SCAN_MAX_ROUNDS = 200000
+# Cutting planes: a pass cuts at each member the iterate misses by
+# CUT_RTOL * (1 + |p|_inf) or more, p the start point, and a projection
+# stops once it misses none; every loop gets CUT_MAX_PASSES passes.
+CUT_RTOL = 1e-13
+CUT_MAX_PASSES = 500
 
-# Stop and pass budget of IntersectionBody.project: the iterate must lie
-# within PROJECT_RTOL * (1 + |query|_inf) of every member.
-PROJECT_RTOL = 1e-13
-PROJECT_MAX_PASSES = 500
+
+def check_tol(tol):
+    """``tol`` as a float; :class:`ValueError` unless it is positive and finite."""
+    t = float(tol)
+    if not (np.isfinite(t) and t > 0.0):
+        raise ValueError(f"tolerance must be a positive finite number, got {t:g}")
+    return t
 
 
 @dataclass
@@ -64,78 +67,126 @@ class DykstraResult:
     converged: bool
 
 
-def _dykstra_round(x, projectors, incr):
-    """One cyclic pass of Dykstra's projections; updates ``incr`` in place."""
-    for i, proj in enumerate(projectors):
-        y = proj(x + incr[i])
-        incr[i] = x + incr[i] - y
-        x = y
-    return x
-
-
-def dykstra(start, projectors, max_rounds=DYKSTRA_MAX_ROUNDS):
+def dykstra(start, projectors):
     """Dykstra's cyclic projection with correction terms.
 
     Converges to the nearest point of the intersection of the projectors'
     sets whenever that intersection is nonempty.  ``projectors`` is a list
     of callables mapping a point to its nearest point in one set.  Stops
-    when a round moves less than ``DYKSTRA_MOVE_TOL`` or after ``max_rounds``.
+    when a round moves less than ``DYKSTRA_MOVE_TOL``, or after
+    ``DYKSTRA_MAX_ROUNDS``.
     """
     x = np.array(start, dtype=float)
     incr = [np.zeros_like(x) for _ in projectors]
     movement = np.inf
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, DYKSTRA_MAX_ROUNDS + 1):
         x_prev, incr_prev = x, list(incr)
-        x = _dykstra_round(x, projectors, incr)
+        for i, proj in enumerate(projectors):
+            y = proj(x + incr[i])
+            incr[i] = x + incr[i] - y
+            x = y
         # The iterate can sit still for whole stretches while the
         # corrections keep growing toward a corner, so convergence must be
         # judged on both.
-        corr_delta = 0.0
-        for new, old in zip(incr, incr_prev):
-            corr_delta += float(np.linalg.norm(new - old))
-        movement = float(np.linalg.norm(x - x_prev)) + corr_delta
+        movement = float(np.linalg.norm(x - x_prev)) + sum(
+            float(np.linalg.norm(new - old)) for new, old in zip(incr, incr_prev))
         if movement < DYKSTRA_MOVE_TOL:
             return DykstraResult(x, rounds, movement, True)
     return DykstraResult(x, rounds, movement, False)
 
 
+def _cut_pass(bodies, x, stop, normals, offsets):
+    """Distances from ``x`` to the bodies.  Appends the cut
+    {y : n.y <= n.P(x)} of each body missed by ``stop`` or more, with n the
+    unit vector from its projection P(x) to x: it holds the whole body."""
+    dists = np.empty(len(bodies))
+    for i, body in enumerate(bodies):
+        y = body.project(x)
+        v = x - y
+        dists[i] = np.linalg.norm(v)
+        if dists[i] >= stop:
+            n = v / dists[i]
+            normals.append(n)
+            offsets.append(float(n @ y))
+    return dists
+
+
+def project_intersection(bodies, p):
+    """Nearest point to ``p`` of the nonempty intersection of ``bodies``.
+
+    Each pass cuts at the members the iterate x misses, and the next x is
+    the nearest point to p of all cuts kept so far, one least-distance
+    solve.  Raises :class:`ProjectionError`, carrying the last iterate,
+    when ``CUT_MAX_PASSES`` passes run out.
+    """
+    p = as_point(p, bodies[0].dim)
+    stop = CUT_RTOL * (1.0 + float(np.abs(p).max()))
+    normals, offsets = [], []
+    x = p
+    for _ in range(CUT_MAX_PASSES):
+        residual = float(_cut_pass(bodies, x, stop, normals, offsets).max())
+        if residual <= stop:
+            return x.copy()
+        x = _least_distance(np.array(normals), np.array(offsets), p)
+    raise ProjectionError(
+        f"intersection projection undecided after {CUT_MAX_PASSES} "
+        f"passes (residual {residual:.3e})",
+        last_iterate=x, residual=residual)
+
+
 def feasibility_scan(bodies, tol=DEFAULT_TOL):
-    """Cyclic Dykstra feasibility decision over a list of bodies.
+    """Decide whether ``bodies`` share a point, by Kelley's cutting planes.
 
-    Starting at :func:`support_centroid`, after every full round the gap
-    ``max_i dist(x, C_i)`` is measured at the current iterate.  It returns
+    From p = :func:`support_centroid`, each pass measures the gap
+    ``max_i dist(x, C_i)`` at the iterate x and cuts as
+    :func:`project_intersection` does.  The cuts hold their bodies, so the
+    optimum t* of the LP min t s.t. n_k.y - t <= h_k, t >= 0 is a certified
+    lower bound on ``min_x max_i dist(x, C_i)``.  It returns
 
-    - ``("witness", x, gap, dists, rounds)`` once the gap drops below
-      ``tol / 10``;
-    - ``("empty", x, gap, dists, rounds)`` when the gap stalls (changes by
-      less than ``SCAN_STALL_RTOL * max(1, gap)``) above ``tol`` for
-      ``SCAN_STALL_ROUNDS`` consecutive rounds;
-    - ``("ambiguous", ...)`` when it stalls inside ``[tol / 10, tol]``;
-    - ``("noconv", ...)`` if ``SCAN_MAX_ROUNDS`` rounds run out first.
+    - ``("witness", x, gap, dists, passes)`` once the gap is below ``tol / 10``;
+    - ``("empty", ...)`` once t* > ``tol``;
+    - ``("ambiguous", ...)`` once t* >= ``tol / 10`` and gap <= ``tol``;
+    - ``("noconv", x, gap, None, passes)`` if ``CUT_MAX_PASSES`` passes run out.
+
+    The next x is the cuts' nearest point to p if it lies within ``tol / 10``
+    of every cut (so t* < ``tol / 10``; no LP is solved), else the LP
+    minimizer.  The LP runs in y = x + gap z, t = gap tau, so that the
+    solver's absolute tolerances are relative to the gap.
     """
     if len(bodies) == 0:
         raise ValueError("need at least one body")
-    x = support_centroid(bodies)
-    projectors = [body.project for body in bodies]
-    incr = [np.zeros_like(x) for _ in bodies]
-    prev_gap = None
-    stalled = 0
-    for rounds in range(1, SCAN_MAX_ROUNDS + 1):
-        x = _dykstra_round(x, projectors, incr)
-        dists = np.array([body.distance(x) for body in bodies])
+    p = support_centroid(bodies)
+    d = p.shape[0]
+    # <= tol / 10, so an undecided pass (gap >= tol / 10) cuts its farthest body
+    stop = min(CUT_RTOL * (1.0 + float(np.abs(p).max())), tol / 10.0)
+    normals, offsets = [], []
+    x = p
+    for passes in range(1, CUT_MAX_PASSES + 1):
+        dists = _cut_pass(bodies, x, stop, normals, offsets)
         gap = float(dists.max())
         if gap < tol / 10.0:
-            return "witness", x, gap, dists, rounds
-        if prev_gap is not None and abs(gap - prev_gap) < SCAN_STALL_RTOL * max(1.0, gap):
-            stalled += 1
-        else:
-            stalled = 0
-        prev_gap = gap
-        if stalled >= SCAN_STALL_ROUNDS:
-            status = "empty" if gap > tol else "ambiguous"
-            return status, x, gap, dists, rounds
-    return "noconv", x, gap, None, rounds
+            return "witness", x, gap, dists, passes
+        A, h = np.array(normals), np.array(offsets)
+        try:
+            y = _least_distance(A, h, p)
+        except ProjectionError:
+            y = x  # the cuts share no point; x misses its own by the gap
+        if (A @ y - h).max() < tol / 10.0:
+            x = y
+            continue
+        lp = linprog(np.eye(d + 1)[-1], A_ub=np.hstack([A, -np.ones((len(h), 1))]),
+                     b_ub=(h - A @ x) / gap, bounds=[(None, None)] * d + [(0.0, None)],
+                     method="highs")
+        if lp.status != 0:
+            raise ProjectionError(f"cut LP failed with status {lp.status}")
+        bound = gap * lp.fun
+        if bound > tol:
+            return "empty", x, gap, dists, passes
+        if bound >= tol / 10.0 and gap <= tol:
+            return "ambiguous", x, gap, dists, passes
+        x = x + gap * lp.x[:d]
+    return "noconv", x, gap, None, passes
 
 
 def decided_scan(bodies, tol=DEFAULT_TOL):
@@ -146,27 +197,21 @@ def decided_scan(bodies, tol=DEFAULT_TOL):
     ``"noconv"`` one :class:`ConvergenceError`.
     """
     scan = feasibility_scan(bodies, tol=tol)
-    status, _, gap, _, rounds = scan
+    status, _, gap, _, passes = scan
     if status == "ambiguous":
         raise ToleranceAmbiguityError(
             f"feasibility gap {gap:.3e} falls in the indeterminate band "
             f"[{tol / 10:.1e}, {tol:.1e}]; adjust the tolerance", gap=gap, tol=tol)
     if status == "noconv":
         raise ConvergenceError(
-            f"feasibility scan undecided after {rounds} rounds (gap {gap:.3e})")
+            f"feasibility scan undecided after {passes} passes (gap {gap:.3e})")
     return scan
 
 
 def support_centroid(bodies):
     """Average of every body's support points along the +-axis directions."""
-    dim = bodies[0].dim
-    pts = []
-    eye = np.eye(dim)
-    for body in bodies:
-        for i in range(dim):
-            pts.append(body.support(eye[i]))
-            pts.append(body.support(-eye[i]))
-    return np.mean(pts, axis=0)
+    axes = [sign * u for u in np.eye(bodies[0].dim) for sign in (1.0, -1.0)]
+    return np.mean([body.support(u) for body in bodies for u in axes], axis=0)
 
 
 def _least_distance(A, b, p):
@@ -177,18 +222,19 @@ def _least_distance(A, b, p):
     (Lawson & Hanson, ch. 23), is solved through its dual: one NNLS on
     E = [-A^T; s^T / sigma], f = e_{d+1}, where sigma = max s.  Dividing
     by sigma makes the solve independent of how far p lies outside.  With
-    r = E u - f, r[d] = -|r|^2 is nonzero because the polyhedron is
-    nonempty.
+    r = E u - f, r[d] = -|r|^2 is nonzero when the polyhedron is nonempty;
+    r = 0 raises :class:`ProjectionError`, carrying ``p``.
     """
     slacks = A @ p - b
     sigma = float(slacks.max())
     if sigma <= 0.0:
         return p.copy()
     E = np.vstack([-A.T, slacks / sigma])
-    f = np.zeros(p.shape[0] + 1)
-    f[-1] = 1.0
+    f = np.eye(p.shape[0] + 1)[-1]
     u, _ = nnls(E, f)
     r = E @ u - f
+    if r[-1] >= 0.0:
+        raise ProjectionError("the rows share no point", last_iterate=p)
     return p - (sigma / r[-1]) * r[:-1]
 
 
@@ -248,8 +294,7 @@ class _FacetPolytope(ConvexBody):
 
     def distance(self, p):
         p = as_point(p, self._dim)
-        slacks = self._A @ p - self._b
-        if slacks.max() <= 0.0:
+        if (self._A @ p - self._b).max() <= 0.0:
             return 0.0
         return float(np.linalg.norm(p - self.project(p)))
 
@@ -267,8 +312,7 @@ class _FacetPolytope(ConvexBody):
         pts = as_points(points, self._dim)
         worst = (pts @ self._A.T - self._b).max(axis=1)
         out = worst <= 0.0
-        band = (~out) & (worst <= tol)
-        for idx in np.flatnonzero(band):
+        for idx in np.flatnonzero(~out & (worst <= tol)):
             out[idx] = self.distance(pts[idx]) <= tol
         return out
 
@@ -531,9 +575,8 @@ class IntersectionBody(ConvexBody):
         if not bodies:
             raise ValueError("need at least one body")
         d = bodies[0].dim
-        for b in bodies:
-            if b.dim != d:
-                raise ValueError("member bodies live in different dimensions")
+        if any(b.dim != d for b in bodies):
+            raise ValueError("member bodies live in different dimensions")
         self._bodies = bodies
         self._dim = d
         if witness is None:
@@ -568,39 +611,8 @@ class IntersectionBody(ConvexBody):
         return lo, np.maximum(hi, lo)
 
     def project(self, p):
-        """Nearest point of the intersection, by outer approximation.
-
-        Each pass projects the iterate x onto every member; for each member
-        that x misses it keeps the cut {y : n.y <= n.P_i(x)}, with n the
-        unit vector from P_i(x) to x, which holds the whole member.  The
-        next x is the nearest point to p of the polyhedron of all cuts kept
-        so far (Kelley's cutting-plane scheme, each step one least-distance
-        solve).  Stops once x lies within ``PROJECT_RTOL * (1 + |p|_inf)``
-        of every member; raises :class:`ProjectionError` when
-        ``PROJECT_MAX_PASSES`` passes run out first.
-        """
-        p = as_point(p, self._dim)
-        stop = PROJECT_RTOL * (1.0 + float(np.abs(p).max()))
-        normals, offsets = [], []
-        x = p
-        for _ in range(PROJECT_MAX_PASSES):
-            residual = 0.0
-            for body in self._bodies:
-                y = body.project(x)
-                v = x - y
-                dist = float(np.linalg.norm(v))
-                residual = max(residual, dist)
-                if dist > stop:
-                    n = v / dist
-                    normals.append(n)
-                    offsets.append(float(n @ y))
-            if residual <= stop:
-                return x.copy()
-            x = _least_distance(np.array(normals), np.array(offsets), p)
-        raise ProjectionError(
-            f"intersection projection undecided after {PROJECT_MAX_PASSES} "
-            f"passes (residual {residual:.3e})",
-            last_iterate=x, residual=residual)
+        """Nearest point of the intersection: :func:`project_intersection`."""
+        return project_intersection(self._bodies, p)
 
     def support(self, direction):
         """Projection of a far point ``witness + R u / |u|``.
@@ -618,8 +630,7 @@ class IntersectionBody(ConvexBody):
 
     def membership(self, p, tol=DEFAULT_TOL):
         p = as_point(p, self._dim)
-        dists = [b.distance(p) for b in self._bodies]
-        worst = max(dists)
+        worst = max(b.distance(p) for b in self._bodies)
         if worst == 0.0:
             return True
         if worst > tol:
@@ -634,7 +645,6 @@ class IntersectionBody(ConvexBody):
             inner &= b.contains_batch(pts, tol=0.0)
             outer |= ~b.contains_batch(pts, tol=tol)
         out = inner.copy()
-        band = ~inner & ~outer
-        for idx in np.flatnonzero(band):
+        for idx in np.flatnonzero(~inner & ~outer):
             out[idx] = self.membership(pts[idx], tol)
         return out

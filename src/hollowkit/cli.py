@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL
+from .bodies import DEFAULT_TOL, check_tol
 from .critical import (CriticalFamily, check_critical, hollow_simplex,
                        recentered_witness, uniqueness_probe)
 from .errors import GridResolutionError, HollowkitError, SceneError
@@ -39,12 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _resolution_arg(text):
-    """Type of ``--resolution``: a positive finite cell size."""
-    try:
-        return check_resolution(text)
-    except (GridResolutionError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked_arg(check):
+    """Argument type from a check that raises on a bad value."""
+    def parse(text):
+        try:
+            return check(text)
+        except (GridResolutionError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _opt(args, scene, name, default):
@@ -310,13 +312,13 @@ def build_parser():
             samples=False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("scene", help="scene JSON file")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_checked_arg(check_tol), default=None,
                        help="numerical tolerance")
         p.add_argument("--out", default=".",
                        help="directory for result files (default: .)")
         if resolution:
-            p.add_argument("--resolution", type=_resolution_arg, default=None,
-                           help="grid cell size")
+            p.add_argument("--resolution", type=_checked_arg(check_resolution),
+                           default=None, help="grid cell size")
         if restarts:
             p.add_argument("--restarts", type=int, default=None,
                            help="random restarts for the uniqueness probe")

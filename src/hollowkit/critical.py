@@ -163,9 +163,8 @@ def check_critical(bodies, tol=DEFAULT_TOL):
     if len(bodies) < 2:
         raise ValueError("a critical family needs at least two bodies")
     d = bodies[0].dim
-    for b in bodies:
-        if b.dim != d:
-            raise ValueError("bodies live in different dimensions")
+    if any(b.dim != d for b in bodies):
+        raise ValueError("bodies live in different dimensions")
     rejection = helly_guard(bodies)
     if rejection is not None:
         return CriticalityFailure("helly", detail=rejection.message)
@@ -257,11 +256,9 @@ def uniqueness_probe(family, restarts=10, seed=0):
         starts = np.tile(start, (family.n + 1, 1))
         hs = hollow_simplex(family, starts=starts)
         points[r] = hs.vertices
-    deviations = np.empty(family.n + 1)
-    for j in range(family.n + 1):
-        cloud = points[:, j, :]
-        diffs = cloud[:, None, :] - cloud[None, :, :]
-        deviations[j] = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
+    # pairwise spread over the restarts, per vertex
+    diffs = points[:, None, :, :] - points[None, :, :, :]
+    deviations = np.sqrt((diffs ** 2).sum(axis=3).max(axis=(0, 1)))
     report = UniquenessReport(deviations, UNIQUENESS_THRESHOLD, restarts)
     if not report.ok:
         logger.warning("uniqueness probe flagged deviations %s above %.1e",
@@ -306,11 +303,8 @@ def make_cage(family, base_points):
 def random_cage(family, rng=None):
     """A cage with random base points drawn from each leave-one-out region."""
     rng = np.random.default_rng(rng)
-    lo, hi = family.bodies[0].bounding_box()
-    for b in family.bodies[1:]:
-        blo, bhi = b.bounding_box()
-        lo = np.minimum(lo, blo)
-        hi = np.maximum(hi, bhi)
+    los, his = zip(*(b.bounding_box() for b in family.bodies))
+    lo, hi = np.min(los, axis=0), np.max(his, axis=0)
     pts = np.empty((family.n + 1, family.d))
     for j in range(family.n + 1):
         X = family.leave_one_out(j)
@@ -336,12 +330,8 @@ def cage_intersection_is_cage(family, cage, region, hs=None):
     """
     if hs is None:
         hs = hollow_simplex(family)
-    for v in hs.vertices:
-        if not cage.contains(v):
-            return False
-        if not region.membership(v, CAGE_TOL):
-            return False
-    return True
+    return all(cage.contains(v) and region.membership(v, CAGE_TOL)
+               for v in hs.vertices)
 
 
 def witness_simplex(family):
@@ -358,8 +348,4 @@ def sandwich_check(family, hs=None, tol=DEFAULT_TOL):
     if hs is None:
         hs = hollow_simplex(family)
     S = witness_simplex(family)
-    worst = np.inf
-    for v in hs.vertices:
-        w = barycentric(S, v, tol=1e-6)
-        worst = min(worst, float(w.min()))
-    return worst
+    return min(float(barycentric(S, v, tol=1e-6).min()) for v in hs.vertices)

@@ -417,11 +417,7 @@ class StabbingReport:
 
 def _family_box(bodies, extra_points):
     """Bounding box of the bodies and points, padded by a tenth of its span."""
-    los, his = [], []
-    for b in bodies:
-        lo, hi = b.bounding_box()
-        los.append(lo)
-        his.append(hi)
+    los, his = map(list, zip(*(b.bounding_box() for b in bodies)))
     pts = as_points(extra_points)
     los.append(pts.min(axis=0))
     his.append(pts.max(axis=0))

@@ -171,11 +171,7 @@ def render_svg(bodies, witnesses=None, hollow=None, certificate=None):
     bodies = list(bodies)
     if any(b.dim != 2 for b in bodies):
         raise ValueError("rendering supports two-dimensional scenes only")
-    los, his = [], []
-    for b in bodies:
-        lo, hi = b.bounding_box()
-        los.append(lo)
-        his.append(hi)
+    los, his = map(list, zip(*(b.bounding_box() for b in bodies)))
     if witnesses is not None:
         W = as_points(witnesses, 2)
         los.append(W.min(axis=0))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, Ball, HPolytope, IntersectionBody, VPolytope
+from .bodies import (DEFAULT_TOL, Ball, HPolytope, IntersectionBody, VPolytope,
+                     check_tol)
 from .errors import GridResolutionError, SceneError
 from .geometry import AffineSubspace, as_point, as_points
 from .hollow import StabbingPair, check_resolution
@@ -189,11 +190,12 @@ def parse_scene(text, source="<scene>"):
             if not isinstance(val, (int, float)):
                 raise SceneError(f"{source}: option {key!r} must be a number")
             clean[key] = float(val)
-    if "resolution" in clean:
-        try:
-            check_resolution(clean["resolution"])
-        except GridResolutionError as exc:
-            raise SceneError(f"{source}: option 'resolution': {exc}") from exc
+    for key, check in (("tol", check_tol), ("resolution", check_resolution)):
+        if key in clean:
+            try:
+                check(clean[key])
+            except (GridResolutionError, ValueError) as exc:
+                raise SceneError(f"{source}: option {key!r}: {exc}") from exc
     tol = clean.get("tol", DEFAULT_TOL)
     bodies = []
     problems = []

@@ -1,10 +1,10 @@
 """Distance, feasibility, and separation solvers over convex-body oracles.
 
 ``min_distance`` alternates nearest-point projections between two bodies and
-polishes the pair with midpoint re-projections.  ``intersect_witness`` runs a
-cyclic Dykstra scan over the whole family and returns either a common point
-or an emptiness certificate: a hyperplane strictly separating one body from
-the intersection of the others.
+polishes the pair with midpoint re-projections.  ``intersect_witness`` runs
+the cutting-plane feasibility scan over the whole family and returns either
+a common point or an emptiness certificate: a hyperplane strictly
+separating one body from the intersection of the others.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from .geometry import Hyperplane, as_point
 logger = logging.getLogger(__name__)
 
 # Alternating projections stop once the distance estimate changes by less
-# than this between consecutive iterations.
+# than this between consecutive iterations, or than 8 ulps of the pair's
+# largest coordinate, below which the change is rounding.
 DISTANCE_STOP = 1e-12
 DISTANCE_MAX_ITER = 100000
 POLISH_STEPS = 5
@@ -69,8 +70,8 @@ class FeasibilityReport:
     """Outcome of an intersection feasibility scan.
 
     ``status`` is ``"witness"`` (with ``witness`` a common point) or
-    ``"empty"`` (with ``certificate`` set).  ``gap`` is the limiting maximum
-    distance from the final iterate to the bodies.
+    ``"empty"`` (with ``certificate`` set).  ``gap`` is the maximum distance
+    from the scan's last iterate to the bodies, ``rounds`` its passes.
     """
 
     status: str
@@ -88,8 +89,9 @@ def min_distance(body_a, body_b, start=None):
     """Minimum Euclidean distance between two compact convex bodies.
 
     Alternating nearest-point projections from ``start`` (default: midpoint
-    of the bodies' anchor points) until the distance estimate settles below
-    ``DISTANCE_STOP``, then ``POLISH_STEPS`` rounds of midpoint re-projection.
+    of the bodies' anchor points) until the distance estimate changes by
+    less than ``max(DISTANCE_STOP, 8 eps max(|a|_inf, |b|_inf))``, then
+    ``POLISH_STEPS`` rounds of midpoint re-projection.
 
     Returns
     -------
@@ -115,7 +117,8 @@ def min_distance(body_a, body_b, start=None):
         m = float(np.linalg.norm(a - b))
         residual = abs(m - m_prev)
         m_prev = m
-        if residual < DISTANCE_STOP:
+        floor = 8.0 * np.finfo(float).eps * max(np.abs(a).max(), np.abs(b).max())
+        if residual < max(DISTANCE_STOP, floor):
             converged = True
             break
     for _ in range(POLISH_STEPS):
@@ -156,15 +159,14 @@ def _plane_through_gap(res, tol):
     return Hyperplane(normal, float(normal @ midpoint))
 
 
-def _empty_certificate(bodies, dists, tol):
+def _empty_certificate(bodies, tol):
     """Build a separation certificate for a family with empty intersection.
 
-    Tries, in order of decreasing final residual, to separate one body from
-    the intersection of the others; falls back to a proper subfamily when a
-    leave-one-out intersection is itself empty or the gap is below ``tol``.
+    Tries, in index order, to separate one body from the intersection of
+    the others; falls back to a proper subfamily when a leave-one-out
+    intersection is itself empty or the gap is below ``tol``.
     """
-    order = sorted(range(len(bodies)), key=lambda j: (-dists[j], -j))
-    for j in order:
+    for j in range(len(bodies)):
         rest = [bodies[i] for i in range(len(bodies)) if i != j]
         try:
             rest_body = rest[0] if len(rest) == 1 else IntersectionBody(rest, tol=tol)
@@ -176,7 +178,7 @@ def _empty_certificate(bodies, dists, tol):
         return SeparationCertificate(plane, j, res.distance, res.distance / 2.0)
     # Leave-one-out intersections are empty or the gaps are too thin: find a
     # proper subfamily that is still empty and certify that one instead.
-    for j in sorted(range(len(bodies)), key=lambda j: (dists[j], j)):
+    for j in range(len(bodies)):
         sub_idx = tuple(i for i in range(len(bodies)) if i != j)
         sub = [bodies[i] for i in sub_idx]
         if len(sub) < 2:
@@ -196,25 +198,26 @@ def _empty_certificate(bodies, dists, tol):
 def intersect_witness(bodies, tol=DEFAULT_TOL):
     """Decide whether a family of bodies has a common point.
 
-    Runs cyclic Dykstra projections from the centroid of the bodies' support
-    points.  A witness is returned once the measured gap (maximum distance
-    from the iterate to any body) falls below ``tol / 10``; an emptiness
-    verdict with a separation certificate is returned when the gap stalls
-    above ``tol``.
+    Runs :func:`~hollowkit.bodies.feasibility_scan`, Kelley's cutting
+    planes from the centroid of the bodies' support points.  A witness is
+    returned once the measured gap (maximum distance from the iterate to
+    any body) falls below ``tol / 10``; an emptiness verdict with a
+    separation certificate once the cuts' LP bound on the min-max distance
+    exceeds ``tol``.
 
     Raises
     ------
     ToleranceAmbiguityError
-        When the gap stalls inside ``[tol / 10, tol]``: the scene cannot be
-        decided at this tolerance.
+        When the min-max distance lies inside ``[tol / 10, tol]``: the scene
+        cannot be decided at this tolerance.
     ConvergenceError
-        When the scan's round budget runs out undecided.
+        When the scan's pass budget runs out undecided.
     """
     bodies = list(bodies)
     if not bodies:
         raise ValueError("need at least one body")
-    status, point, gap, dists, rounds = decided_scan(bodies, tol=tol)
+    status, point, gap, _, rounds = decided_scan(bodies, tol=tol)
     if status == "witness":
         return FeasibilityReport("witness", witness=point, gap=gap, rounds=rounds)
-    certificate = _empty_certificate(bodies, dists, tol)
+    certificate = _empty_certificate(bodies, tol)
     return FeasibilityReport("empty", certificate=certificate, gap=gap, rounds=rounds)

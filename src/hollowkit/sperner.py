@@ -17,10 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, dykstra
+from .bodies import DEFAULT_TOL, project_intersection
 from .errors import (
     ConvergenceError,
     KleeSolveError,
+    ProjectionError,
     SpernerLegalityError,
     SubdivisionSizeError,
     ToleranceAmbiguityError,
@@ -289,10 +290,13 @@ def random_legal_coloring(complex_, rng=None):
 
 
 def _polish_common_point(x, bodies, tol):
-    res = dykstra(x, [b.project for b in bodies], max_rounds=5000)
-    cand = res.point
-    if max(b.distance(cand) for b in bodies) <= max(b.distance(x) for b in bodies):
-        x = cand
+    """``x`` or its projection onto the intersection, whichever misses the
+    bodies by less; :class:`KleeSolveError` if that is more than ``tol``."""
+    try:
+        cand = project_intersection(bodies, x)
+    except ProjectionError as exc:
+        cand = exc.last_iterate
+    x = min((cand, x), key=lambda q: max(b.distance(q) for b in bodies))
     worst = max(b.distance(x) for b in bodies)
     if worst > tol:
         raise KleeSolveError(
@@ -306,8 +310,8 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
     ``witnesses[j]`` must be a point shared by every body except possibly j.
     The witness simplex is subdivided until either some vertex lies in all
     bodies (short-circuit) or an all-colors cell has diameter below
-    ``tol / 2``; the candidate is polished by cyclic projections and must
-    pass membership in every body at ``tol``.
+    ``tol / 2``; the candidate is polished by projection onto the
+    intersection and must pass membership in every body at ``tol``.
 
     Degenerate witness configurations fall back to the direct feasibility
     scan, which succeeds whenever fewer than d + 1 sets are involved or the

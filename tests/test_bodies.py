@@ -1,13 +1,15 @@
 """Oracle contracts shared by every body: project, support, membership."""
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 from scipy.spatial import Delaunay
 
-import hollowkit.bodies
 from hollowkit import (Ball, EmptyBodyError, HPolytope, IntersectionBody,
-                       UnboundedBodyError, VPolytope, dykstra,
-                       feasibility_scan)
+                       ProjectionError, UnboundedBodyError, VPolytope, dykstra,
+                       feasibility_scan, intersect_witness, klee_solve)
+from hollowkit.bodies import project_intersection
 from conftest import side_rectangle
 
 IDEMPOTENT_TOL = 1e-9
@@ -20,7 +22,7 @@ SUPPORT_DIRECTIONS = 100
 # KKT residuals of an H-polytope projection, relative to the coordinate
 # magnitude of the query and its projection (the rounding floor).
 KKT_RTOL = 1e-10
-# Intersection projections stop within PROJECT_RTOL * (1 + |q|_inf) of every
+# Intersection projections stop within CUT_RTOL * (1 + |q|_inf) of every
 # member, so their errors are measured on that scale: against closed forms
 # (a lens corner amplifies the stop by up to about 1 / sin of its half-angle),
 # member slack, and the variational inequality (relative to |q - x| diam).
@@ -307,6 +309,37 @@ def test_feasibility_scan_reports_witness_and_empty():
     assert gap >= 0.9
 
 
+SCAN_TOL = 1e-7
+# min-max distance of a family over tol, and the scan's verdict on it
+SCAN_CASES = [(-1e3, "witness"), (0.02, "witness"), (0.4, "ambiguous"),
+              (4.0, "empty"), (1e3, "empty")]
+
+
+@pytest.mark.parametrize("ratio,verdict", SCAN_CASES)
+@pytest.mark.parametrize("kind", ["intervals", "disks"])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_feasibility_scan_verdicts_match_closed_forms(ratio, verdict, kind,
+                                                      scale, shift):
+    """Families whose min-max distance g = min_x max_i dist(x, C_i) is
+    known: [0, 1] and [1 + 2g, 2], and unit disks on a triangle of side
+    s, with g = s / sqrt(3) - 1.  The scene is moved by ``shift`` and then
+    scaled with ``tol``; a negative g means the bodies overlap."""
+    g = ratio * SCAN_TOL
+    if kind == "intervals":
+        bodies = [HPolytope.box([scale * (lo + shift)], [scale * (hi + shift)])
+                  for lo, hi in ((0.0, 1.0), (1.0 + 2.0 * g, 2.0))]
+    else:
+        side = np.sqrt(3.0) * (1.0 + g)
+        centers = np.array([[0.0, 0.0], [side, 0.0],
+                            [side / 2.0, side * np.sqrt(3.0) / 2.0]])
+        bodies = [Ball(scale * (c + shift), scale) for c in centers]
+    status, _, gap, _, _ = feasibility_scan(bodies, tol=SCAN_TOL * scale)
+    assert status == verdict
+    if verdict == "witness":
+        assert gap < SCAN_TOL * scale / 10.0
+
+
 def test_support_between_two_interval_bodies(two_intervals):
     a, b = two_intervals
     assert np.allclose(a.support([1.0]), [1.0])
@@ -436,13 +469,27 @@ def test_intersection_projection_is_the_nearest_member(d):
             assert ((ys - x) @ (q - x)).max() <= VI_RTOL * gap * diam
 
 
-def test_intersection_oracles_run_no_dykstra(monkeypatch):
+def test_projection_onto_an_empty_intersection_is_a_projection_error():
+    with pytest.raises(ProjectionError):
+        project_intersection([Ball([0.0, 0.0], 1.0), Ball([3.0, 0.0], 1.0)],
+                             [1.5, 0.3])
+
+
+def test_intersection_oracles_run_no_dykstra(monkeypatch, squares_union):
+    """Projections, supports, scans and the Klee polish all run on cuts."""
     def refuse(*args, **kwargs):
         raise AssertionError("Dykstra called")
 
-    monkeypatch.setattr(hollowkit.bodies, "dykstra", refuse)
-    monkeypatch.setattr(hollowkit.bodies, "_dykstra_round", refuse)
+    # at every binding, so that a module importing it is caught too
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hollowkit" and hasattr(module, "dykstra"):
+            monkeypatch.setattr(module, "dykstra", refuse)
     lens = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)],
                             witness=[0.75, 0.0])
     assert lens.membership(lens.project([0.75, 3.0]), 1e-12)
     assert lens.membership(lens.support([1.0, 1.0]), 1e-8)
+    scanned = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)])
+    assert lens.membership(scanned.anchor, 1e-7)
+    assert intersect_witness(squares_union).feasible
+    x = klee_solve(squares_union, [[1.5, 2.5], [0.5, 1.5], [2.5, 0.5]])
+    assert all(b.membership(x, 1e-6) for b in squares_union)

@@ -331,6 +331,33 @@ def test_bad_resolution_scene_option_is_a_scene_error(command, scene, value,
     assert not (tmp_path / "result.json").exists()
 
 
+BAD_TOLS = ["0", "-1", "nan", "inf"]
+
+
+@pytest.mark.parametrize("value", BAD_TOLS)
+def test_bad_tol_option_is_a_one_line_error(value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check", scene_path("disks.json"), "--out", str(tmp_path),
+              "--tol", value])
+    assert info.value.code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == ["hollowkit check: error: argument --tol: tolerance "
+                      f"must be a positive finite number, got {float(value):g}"]
+
+
+@pytest.mark.parametrize("value", [float(v) for v in BAD_TOLS])
+def test_bad_tol_scene_option_is_a_scene_error(value, tmp_path, capsys):
+    raw = json.loads(read(scene_path("disks.json")))
+    raw.setdefault("options", {})["tol"] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "option 'tol': tolerance must be a positive finite number" in err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

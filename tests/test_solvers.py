@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from hollowkit import (Ball, ConvergenceError, HPolytope, IntersectionBody,
-                       NotSeparableError, ToleranceAmbiguityError, VPolytope,
-                       check_critical, intersect_witness, min_distance,
-                       separating_hyperplane)
+from hollowkit import (Ball, ConvergenceError, CriticalFamily, HPolytope,
+                       IntersectionBody, NotSeparableError,
+                       ToleranceAmbiguityError, VPolytope, check_critical,
+                       intersect_witness, min_distance, separating_hyperplane)
 from helpers import (ball_ball_distance, box_box_distance,
                      segment_point_distance)
 
@@ -169,18 +169,32 @@ def test_intersect_witness_ambiguous_band_raises():
 
 
 def test_scan_out_of_rounds_is_a_convergence_error(monkeypatch):
-    """An undecided scan means the same on every path that runs one."""
-    monkeypatch.setattr("hollowkit.bodies.SCAN_MAX_ROUNDS", 50)
-    side = 1.9
-    centers = np.array([[0.0, 0.0, 0.0], [side, 0.0, 0.0],
-                        [side / 2.0, side * np.sqrt(3.0) / 2.0, 0.0]])
-    balls = [Ball(c, 1.0) for c in centers]
+    """An undecided scan means the same on every path that runs one.
+
+    A large disk overlaps a small one whose support centroid lies outside
+    the small disk, so no scan decides in its first pass."""
+    monkeypatch.setattr("hollowkit.bodies.CUT_MAX_PASSES", 1)
+    balls = [Ball([0.0, 0.0], 10.0), Ball([10.5, 0.0], 1.0)]
     with pytest.raises(ConvergenceError):
         IntersectionBody(balls)
     with pytest.raises(ConvergenceError):
         intersect_witness(balls)
     with pytest.raises(ConvergenceError):
-        check_critical(balls + [Ball(centers.mean(axis=0), 1.0)])
+        check_critical(balls + [Ball([21.0, 0.0], 10.0)])
+
+
+def test_critical_verdict_survives_a_far_translation():
+    """Far from the origin a distance changes by rounding only, and the
+    alternating projections still stop."""
+    side = 1.9
+    centers = np.array([[0.0, 0.0], [side, 0.0],
+                        [side / 2.0, side * np.sqrt(3.0) / 2.0]])
+    near = check_critical([Ball(c, 1.0) for c in centers])
+    far = check_critical([Ball(c + 1e6, 1.0) for c in centers])
+    assert isinstance(near, CriticalFamily) and isinstance(far, CriticalFamily)
+    assert far.certificate.separated_index == near.certificate.separated_index
+    assert far.certificate.distance == pytest.approx(near.certificate.distance,
+                                                     abs=1e-6)
 
 
 def test_certificate_orientation_separates_bodies():
