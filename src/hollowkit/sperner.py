@@ -6,6 +6,11 @@ an all-colors cell (one always exists, in odd number), and shrink it by
 refining.  A vertex that cannot be colored lies in every body and is
 returned immediately.  ``kkm_verify`` is the companion sampled check for
 set-valued covers of finite point sets.
+
+Subdivisions are built in exact integer barycentrics: one int64 array over
+a common denominator that each barycentric step multiplies by
+``lcm(1..k+1)``, refined with array operations.  The denominator is kept at
+most 2**53, so the float barycentrics are the correctly rounded exact ones.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -32,47 +37,57 @@ from .solvers import intersect_witness
 logger = logging.getLogger(__name__)
 
 MAX_CELLS = 10_000_000
+# Largest common denominator of exact barycentrics: float64 holds every
+# integer up to it, and int64 cannot overflow below it.
+MAX_DENOMINATOR = 2 ** 53
 
 
 class _ExactComplex:
-    """Iterated barycentric subdivision in exact rational barycentrics.
+    """Iterated barycentric subdivision in exact integer barycentrics.
 
-    Vertices are tuples of Fractions; deduplication and carrier faces are
-    exact, so coloring legality never depends on floating-point luck.
+    Row v of the int64 array ``V`` holds the barycentrics of vertex v times
+    one common denominator ``D``.  A step multiplies ``D`` by
+    ``L = lcm(1..k+1)``: the m-th point of a vertex chain is the chain's
+    partial sum times ``L // m``, an integer again.  Deduplication and
+    carrier faces are exact, so coloring legality never depends on
+    floating-point luck.  Vertices are numbered in order of first
+    appearance and cells run cell-major, permutation-minor.  Entries are at
+    most ``D``, and callers step only while ``D <= MAX_DENOMINATOR``.
     """
 
     def __init__(self, k):
         self.k = k
-        self.vertices = [
-            tuple(Fraction(1 if i == j else 0) for j in range(k + 1))
-            for i in range(k + 1)
-        ]
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.cells = [tuple(range(k + 1))]
+        self.V = np.eye(k + 1, dtype=np.int64)
+        self.D = 1
+        self.L = math.lcm(*range(1, k + 2))
+        self.perms = np.array(list(itertools.permutations(range(k + 1))))
+        self.cells = np.arange(k + 1).reshape(1, k + 1)
         self.depth = 0
 
     def cell_count_after_step(self):
-        return len(self.cells) * math.factorial(self.k + 1)
+        return self.cells.shape[0] * math.factorial(self.k + 1)
+
+    def denominator_after_step(self):
+        return self.D * self.L
 
     def step(self):
         """One barycentric subdivision pass: cells become vertex-chain cells."""
-        new_cells = []
-        for cell in self.cells:
-            for perm in itertools.permutations(cell):
-                acc = [Fraction(0)] * (self.k + 1)
-                chain = []
-                for m, vid in enumerate(perm, start=1):
-                    v = self.vertices[vid]
-                    acc = [a + c for a, c in zip(acc, v)]
-                    bary = tuple(a / m for a in acc)
-                    idx = self.index.get(bary)
-                    if idx is None:
-                        idx = len(self.vertices)
-                        self.vertices.append(bary)
-                        self.index[bary] = idx
-                    chain.append(idx)
-                new_cells.append(tuple(chain))
-        self.cells = new_cells
+        k1 = self.k + 1
+        n_old = self.V.shape[0]
+        chains = self.cells[:, self.perms]
+        scale = (self.L // np.arange(1, k1 + 1))[:, None]
+        points = np.cumsum(self.V[chains], axis=2) * scale
+        rows = np.concatenate([self.V * self.L, points.reshape(-1, k1)])
+        unique, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                           return_inverse=True)
+        # re-rank the sorted rows by first appearance: old vertices keep
+        # their ids and new ones are numbered in traversal order
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.V = unique[order]
+        self.cells = rank[inverse.reshape(-1)[n_old:]].reshape(-1, k1)
+        self.D *= self.L
         self.depth += 1
 
 
@@ -139,12 +154,12 @@ class SubdivisionComplex:
         scale = max(1.0, self.ambient.diameter)
         if err.max() > 1e-9 * scale:
             raise ValueError("vertex coordinates disagree with barycentrics")
-        for v, carrier in enumerate(self.carriers):
-            off_face = sum(abs(self.bary[v, i])
-                           for i in range(k + 1) if i not in carrier)
-            if off_face > 1e-9:
-                raise ValueError(
-                    f"vertex {v} has weight {off_face:.2e} outside its carrier face")
+        off_face = np.where(self.carrier_mask, 0.0, np.abs(self.bary)).sum(axis=1)
+        bad = np.flatnonzero(off_face > 1e-9)
+        if bad.size:
+            v = int(bad[0])
+            raise ValueError(
+                f"vertex {v} has weight {off_face[v]:.2e} outside its carrier face")
         # cells tile the ambient simplex (relative volume sums to one)
         rel = 0.0
         for chunk in range(0, self.cells.shape[0], 100000):
@@ -152,6 +167,15 @@ class SubdivisionComplex:
             rel += np.abs(np.linalg.det(cell_bary)).sum()
         if abs(rel - 1.0) > 1e-6:
             raise ValueError(f"cells cover relative volume {rel:.8f}, expected 1")
+
+    @cached_property
+    def carrier_mask(self):
+        """``carrier_mask[v, i]``: ambient vertex i spans v's carrier face."""
+        faces = {}
+        ids = [faces.setdefault(frozenset(c), len(faces)) for c in self.carriers]
+        span = np.arange(self.ambient.dim + 1)
+        table = np.array([np.isin(span, list(f)) for f in faces], dtype=bool)
+        return table.reshape(len(faces), span.size)[np.asarray(ids, dtype=int)]
 
     def _compute_mesh(self):
         mesh = 0.0
@@ -176,13 +200,15 @@ class SubdivisionComplex:
 
 
 def _freeze(exact, ambient):
-    bary = np.array([[float(f) for f in v] for v in exact.vertices])
+    # both operands are integers below 2**53, so the one rounding of the
+    # division is the correctly rounded value of the exact barycentric
+    bary = exact.V / exact.D
     coords = bary @ ambient.vertices
-    carriers = tuple(
-        frozenset(i for i, f in enumerate(v) if f != 0) for v in exact.vertices
-    )
-    cells = np.array(exact.cells, dtype=int)
-    return SubdivisionComplex(ambient, coords, bary, carriers, cells,
+    # at most 2**(k+1) - 1 distinct supports: one frozenset each, shared
+    supports, which = np.unique(exact.V != 0, axis=0, return_inverse=True)
+    faces = [frozenset(np.flatnonzero(row).tolist()) for row in supports]
+    carriers = tuple(faces[i] for i in which.reshape(-1).tolist())
+    return SubdivisionComplex(ambient, coords, bary, carriers, exact.cells,
                               depth=exact.depth)
 
 
@@ -190,8 +216,12 @@ def subdivide(simplex, depth, max_cells=MAX_CELLS):
     """Iterated barycentric subdivision of a simplex.
 
     Produces ``((k+1)!)**depth`` cells with mesh at most
-    ``(k/(k+1))**depth`` times the diameter.  Depths that would exceed
-    ``max_cells`` cells are refused.
+    ``(k/(k+1))**depth`` times the diameter.  Barycentrics are computed
+    exactly as integers over the common denominator ``lcm(1..k+1)**depth``
+    and rounded once to float.  Depths that would exceed ``max_cells``
+    cells, or whose denominator exceeds ``MAX_DENOMINATOR`` (2**53, beyond
+    which float64 no longer holds every integer), are refused before any
+    array is built.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -200,6 +230,11 @@ def subdivide(simplex, depth, max_cells=MAX_CELLS):
     if cells > max_cells:
         raise SubdivisionSizeError(
             f"depth {depth} needs {cells} cells, over the {max_cells} budget")
+    denominator = math.lcm(*range(1, k + 2)) ** depth
+    if denominator > MAX_DENOMINATOR:
+        raise SubdivisionSizeError(
+            f"depth {depth} needs the common denominator {denominator}, over "
+            f"the exact-float limit {MAX_DENOMINATOR}")
     exact = _ExactComplex(k)
     for _ in range(depth):
         exact.step()
@@ -250,11 +285,13 @@ def sperner_color(complex_, bodies, tol=DEFAULT_TOL):
             f"vertex at {x} lies outside every consecutive difference and "
             "outside some body; the union is not convex there")
     colors = eligible.argmax(axis=1)
-    for v, (color, carrier) in enumerate(zip(colors, complex_.carriers)):
-        if int(color) not in carrier:
-            raise SpernerLegalityError(
-                f"vertex {v} colored {int(color)} outside its carrier face "
-                f"{sorted(carrier)}")
+    legal = complex_.carrier_mask[np.arange(colors.size), colors]
+    illegal = np.flatnonzero(~legal)
+    if illegal.size:
+        v = int(illegal[0])
+        raise SpernerLegalityError(
+            f"vertex {v} colored {int(colors[v])} outside its carrier face "
+            f"{sorted(complex_.carriers[v])}")
     return SpernerColoring(colors)
 
 
@@ -317,11 +354,15 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
     scan, which succeeds whenever fewer than d + 1 sets are involved or the
     union hypothesis holds.
 
+    Each level is logged at DEBUG (depth, cells, vertices, all-colors cells,
+    best diameter), and the rule that ended the search at INFO.
+
     Raises
     ------
     KleeSolveError
-        If the cell budget is exhausted first; carries the vertex array of
-        the smallest all-colors cell seen.
+        If the cell budget, or the ``MAX_DENOMINATOR`` limit of exact
+        barycentrics, is exhausted first; carries the vertex array of the
+        smallest all-colors cell seen.
     """
     bodies = list(bodies)
     n = len(bodies) - 1
@@ -329,8 +370,11 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
     if witnesses.shape[0] != n + 1:
         raise ValueError(f"need {n + 1} witnesses, got {witnesses.shape[0]}")
     if n == 0:
+        logger.info("klee_solve: one body, its witness is the candidate")
         return _polish_common_point(witnesses[0], bodies, tol)
     if affine_hull(witnesses).dim < n:
+        logger.info("klee_solve: degenerate witnesses, deciding by the "
+                    "feasibility scan")
         report = intersect_witness(bodies, tol=min(tol, DEFAULT_TOL))
         if report.feasible:
             return _polish_common_point(report.witness, bodies, tol)
@@ -344,6 +388,8 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
         complex_ = _freeze(exact, ambient)
         outcome = sperner_color(complex_, bodies, tol=tol)
         if isinstance(outcome, np.ndarray):
+            logger.info("klee_solve: a depth-%d vertex lies in every body",
+                        exact.depth)
             return _polish_common_point(outcome, bodies, tol)
         hits = rainbow_cells(complex_, outcome)
         if hits.size == 0:
@@ -356,12 +402,23 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
             if diam < best_diam:
                 best_diam = diam
                 best_cell = pts
+        logger.debug("klee_solve depth %d: %d cells, %d vertices, %d "
+                     "all-colors cells, best diameter %.3e", exact.depth,
+                     complex_.n_cells, complex_.n_vertices, hits.size, best_diam)
         if best_diam < tol / 2.0:
+            logger.info("klee_solve: an all-colors cell of diameter %.3e is "
+                        "below tol/2 at depth %d", best_diam, exact.depth)
             return _polish_common_point(best_cell.mean(axis=0), bodies, tol)
+        spent = None
         if exact.cell_count_after_step() > max_cells:
+            spent = f"the {max_cells}-cell budget"
+        elif exact.denominator_after_step() > MAX_DENOMINATOR:
+            spent = f"the exact-barycentric limit {MAX_DENOMINATOR}"
+        if spent:
+            logger.info("klee_solve: %s is spent at depth %d", spent, exact.depth)
             raise KleeSolveError(
-                f"no common point within the {max_cells}-cell budget; the "
-                "union may not be convex", best_cell=best_cell)
+                f"no common point within {spent}; the union may not be convex",
+                best_cell=best_cell)
         exact.step()
 
 

@@ -5,6 +5,7 @@ the package itself (direct LP formulations, closed forms), so agreement
 between the two is evidence rather than tautology.
 """
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -133,3 +134,33 @@ def random_critical_rejection_family(rng, dim):
 
 def random_points(rng, count, dim, spread=2.0):
     return rng.uniform(-spread, spread, size=(count, dim))
+
+
+def fraction_subdivisions(k):
+    """Iterated barycentric subdivisions of the standard k-simplex, one
+    ``Fraction`` at a time: the reference for ``hollowkit.subdivide``.
+
+    Yields ``(vertices, cells)`` at depth 0, 1, 2, ...: the vertices are
+    tuples of exact barycentrics, numbered in order of first appearance, and
+    the cells are tuples of vertex ids, cell-major and permutation-minor.
+    """
+    vertices = [tuple(Fraction(int(i == j)) for j in range(k + 1))
+                for i in range(k + 1)]
+    index = {v: i for i, v in enumerate(vertices)}
+    cells = [tuple(range(k + 1))]
+    while True:
+        yield tuple(vertices), cells
+        new_cells = []
+        for cell in cells:
+            for perm in itertools.permutations(cell):
+                acc = [Fraction(0)] * (k + 1)
+                chain = []
+                for m, vid in enumerate(perm, start=1):
+                    acc = [a + c for a, c in zip(acc, vertices[vid])]
+                    bary = tuple(a / m for a in acc)
+                    if bary not in index:
+                        index[bary] = len(vertices)
+                        vertices.append(bary)
+                    chain.append(index[bary])
+                new_cells.append(tuple(chain))
+        cells = new_cells

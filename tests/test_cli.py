@@ -258,6 +258,15 @@ def test_results_are_byte_identical(tmp_path):
         read(os.path.join(b, "result.json"), "rb")
 
 
+@pytest.mark.parametrize("command", ["solve-klee", "kkm"])
+def test_deep_core_results_match_fixture(command, tmp_path):
+    """The coloring of this scene goes six levels deep; its results are
+    pinned byte for byte."""
+    assert main([command, scene_path("thincore.json"), "--out", str(tmp_path)]) == 0
+    expected = scene_path(os.path.join("expected", f"thincore.{command}.result.json"))
+    assert read(os.path.join(tmp_path, "result.json"), "rb") == read(expected, "rb")
+
+
 def test_render_matches_fixture(tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")

@@ -1,16 +1,22 @@
 """Subdivision complexes, Sperner colorings, and the cover machinery."""
+import logging
 import math
+import os
 
 import numpy as np
 import pytest
 
+import hollowkit.sperner as sperner
 from hollowkit import (HPolytope, Ball, KkmInstance, KleeSolveError, Simplex,
                        SpernerColoring, SpernerLegalityError,
                        SubdivisionComplex, SubdivisionSizeError,
                        family_kkm_instance, find_rainbow, kkm_verify,
-                       klee_solve, rainbow_cells, random_legal_coloring,
-                       sperner_color, subdivide)
+                       klee_solve, load_scene, rainbow_cells,
+                       random_legal_coloring, sperner_color, subdivide)
 
+from helpers import fraction_subdivisions
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 UNIT_TRIANGLE = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SEGMENT = Simplex([[1.0], [0.0]])
 
@@ -52,6 +58,31 @@ def test_subdivision_depth_zero_is_identity():
 def test_subdivision_budget_refusal():
     with pytest.raises(SubdivisionSizeError):
         subdivide(UNIT_TRIANGLE, 3, max_cells=100)
+
+
+def test_subdivision_matches_fraction_reference():
+    """Vertex order, barycentrics bit for bit, cells and carriers agree with
+    the one-Fraction-at-a-time construction at every depth up to ~15k cells."""
+    for k in (1, 2, 3, 4):
+        for depth, (vertices, cells) in enumerate(fraction_subdivisions(k)):
+            sub = subdivide(unit_simplex(k), depth)
+            bary = np.array([[float(f) for f in v] for v in vertices])
+            assert sub.bary.shape == bary.shape
+            assert sub.bary.tobytes() == bary.tobytes()
+            assert np.array_equal(sub.cells, cells)
+            assert sub.carriers == tuple(
+                frozenset(i for i, f in enumerate(v) if f) for v in vertices)
+            if len(cells) * math.factorial(k + 1) > 15000:
+                break
+
+
+def test_subdivision_refuses_inexact_depths_up_front(monkeypatch):
+    def no_build(k):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(sperner, "_ExactComplex", no_build)
+    with pytest.raises(SubdivisionSizeError, match="denominator"):
+        subdivide(SEGMENT, 60, max_cells=2 ** 62)
 
 
 def test_subdivision_vertex_invariants():
@@ -121,6 +152,14 @@ def test_coloring_rejects_uncovered_vertices():
         sperner_color(subdivide(SEGMENT, 3), bodies)
 
 
+def test_coloring_rejects_colors_off_the_carrier_face():
+    # the witnesses are swapped: ambient vertex 0 (x = 1) is colored 1
+    bodies = [HPolytope.box([0.6], [1.0]), HPolytope.box([0.0], [0.6])]
+    with pytest.raises(SpernerLegalityError,
+                       match=r"^vertex 0 colored 1 outside its carrier face \[0\]$"):
+        sperner_color(subdivide(SEGMENT, 2), bodies)
+
+
 def test_random_legal_colorings_have_odd_rainbows():
     rng = np.random.default_rng(29)
     cases = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
@@ -175,6 +214,61 @@ def test_klee_solve_budget_error_carries_best_cell():
     assert cell is not None
     assert cell.min() <= 0.35 <= cell.max()
     assert cell.max() - cell.min() == pytest.approx(0.25)
+
+
+def test_klee_solve_stops_at_the_exact_denominator_limit(monkeypatch):
+    # a segment's denominator doubles per level: 8 allows depth 3, not 4
+    monkeypatch.setattr(sperner, "MAX_DENOMINATOR", 8)
+    bodies = [HPolytope.box([0.0], [0.35]), HPolytope.box([0.35], [1.0])]
+    with pytest.raises(KleeSolveError, match="exact-barycentric") as info:
+        klee_solve(bodies, [[1.0], [0.0]], tol=1e-12)
+    cell = info.value.best_cell
+    assert cell.min() <= 0.35 <= cell.max()
+    assert cell.max() - cell.min() == pytest.approx(0.125)
+
+
+def _solve_log(caplog, bodies, witnesses, **kw):
+    with caplog.at_level(logging.DEBUG, logger="hollowkit.sperner"):
+        try:
+            klee_solve(bodies, witnesses, **kw)
+        except KleeSolveError:
+            pass
+    records = [r for r in caplog.records if r.name == "hollowkit.sperner"]
+    levels = [r.getMessage() for r in records if r.levelno == logging.DEBUG]
+    stops = [r.getMessage() for r in records if r.levelno == logging.INFO]
+    return levels, stops
+
+
+def test_klee_solve_logs_each_level_and_the_rule_that_stopped_it(
+        caplog, capsys, squares_union):
+    thin = [HPolytope.box([0.0], [1.0 / 3.0]), HPolytope.box([1.0 / 3.0], [1.0])]
+    levels, stops = _solve_log(caplog, thin, [[1.0], [0.0]], tol=1e-4)
+    assert levels[0] == ("klee_solve depth 0: 1 cells, 2 vertices, "
+                         "1 all-colors cells, best diameter 1.000e+00")
+    assert [m.split(":")[0] for m in levels] == [
+        f"klee_solve depth {d}" for d in range(12)]
+    assert stops == ["klee_solve: a depth-12 vertex lies in every body"]
+    caplog.clear()
+    # the deep-core scene with its core turned into a hole of inradius
+    # 0.9 tol: no vertex comes within tol of all three bodies before an
+    # all-colors cell is smaller than tol / 2
+    scene = load_scene(os.path.join(DATA, "thincore.json"))
+    tol = 0.04
+    hole = [HPolytope(b.A, b.b - np.eye(4)[3] * (0.0035 + 0.9 * tol))
+            for b in scene.bodies]
+    levels, stops = _solve_log(caplog, hole, scene.kkm.points, tol=tol)
+    assert len(levels) == 5
+    assert stops == ["klee_solve: an all-colors cell of diameter 1.464e-02 "
+                     "is below tol/2 at depth 4"]
+    caplog.clear()
+    collinear = [[1.5, 2.5], [1.5, 1.5], [1.5, 0.5]]
+    assert _solve_log(caplog, squares_union, collinear) == ([], [
+        "klee_solve: degenerate witnesses, deciding by the feasibility scan"])
+    caplog.clear()
+    gap = [HPolytope.box([0.0], [0.35]), HPolytope.box([0.35], [1.0])]
+    stops = _solve_log(caplog, gap, [[1.0], [0.0]], tol=1e-12, max_cells=4)[1]
+    assert stops == ["klee_solve: the 4-cell budget is spent at depth 2"]
+    assert capsys.readouterr().out == ""
 
 
 def test_kkm_gap_counterexample():
