@@ -23,7 +23,7 @@ from .hollow import (BOX_EXPAND, boundary_attribution, certify_hollow,
                      check_resolution, hull_vs_simplex, verify_stabbing)
 from .render import render_svg
 from .scenes import SCHEMA, dumps, load_scene
-from .sperner import MAX_CELLS, klee_solve, kkm_verify
+from .sperner import klee_solve, kkm_verify
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -201,7 +201,7 @@ def cmd_solve_klee(args):
                            tol=min(tol, DEFAULT_TOL))
         for j in range(len(bodies))
     ])
-    point = klee_solve(bodies, witnesses, tol=tol, max_cells=MAX_CELLS)
+    point = klee_solve(bodies, witnesses, tol=tol)
     dists = np.array([b.distance(point) for b in bodies])
     payload = {
         **_result_header("solve-klee", scene, tol),

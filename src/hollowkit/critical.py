@@ -339,7 +339,7 @@ def witness_simplex(family):
     return Simplex(family.witnesses)
 
 
-def sandwich_check(family, hs=None, tol=DEFAULT_TOL):
+def sandwich_check(family, hs=None):
     """Barycentric coordinates of each p_j inside the witness simplex.
 
     Returns the minimum coordinate over all vertices; nonnegative (up to

@@ -11,6 +11,9 @@ Subdivisions are built in exact integer barycentrics: one int64 array over
 a common denominator that each barycentric step multiplies by
 ``lcm(1..k+1)``, refined with array operations.  The denominator is kept at
 most 2**53, so the float barycentrics are the correctly rounded exact ones.
+Carrier faces are kept as a boolean mask (the support of the integer
+barycentrics); the frozenset ``carriers`` and the ``mesh`` are computed on
+first read, so the coloring loop pays for neither.
 """
 from __future__ import annotations
 
@@ -64,12 +67,6 @@ class _ExactComplex:
         self.cells = np.arange(k + 1).reshape(1, k + 1)
         self.depth = 0
 
-    def cell_count_after_step(self):
-        return self.cells.shape[0] * math.factorial(self.k + 1)
-
-    def denominator_after_step(self):
-        return self.D * self.L
-
     def step(self):
         """One barycentric subdivision pass: cells become vertex-chain cells."""
         k1 = self.k + 1
@@ -96,25 +93,27 @@ class SubdivisionComplex:
     """A simplicial subdivision of an ambient simplex.
 
     ``bary[v]`` are barycentric coordinates of vertex v with respect to the
-    ambient vertices, ``carriers[v]`` is the minimal ambient face containing
-    v (as a frozenset of ambient vertex indices), and ``cells`` indexes
-    ``coords`` row-wise.  Construction validates that the cells tile the
-    ambient simplex and that every vertex lies on its carrier face.
+    ambient vertices, ``carrier_mask[v, i]`` says that ambient vertex i spans
+    the minimal ambient face containing v, and ``cells`` indexes ``coords``
+    row-wise.  Construction validates that the cells tile the ambient
+    simplex and that every vertex lies on its carrier face.  ``carriers``
+    (the faces as frozensets of ambient vertex indices) and ``mesh`` are
+    computed on first read.
     """
 
     ambient: Simplex
     coords: np.ndarray
     bary: np.ndarray
-    carriers: tuple
+    carrier_mask: np.ndarray
     cells: np.ndarray
     depth: int = None
 
     def __post_init__(self):
         self.coords = as_points(self.coords)
         self.bary = np.asarray(self.bary, dtype=float)
+        self.carrier_mask = np.asarray(self.carrier_mask, dtype=bool)
         self.cells = np.asarray(self.cells, dtype=int)
         self._validate()
-        self.mesh = self._compute_mesh()
 
     @classmethod
     def build(cls, ambient, coords, cells, carriers=None, depth=None):
@@ -122,7 +121,8 @@ class SubdivisionComplex:
 
         Barycentrics are recovered by a least-squares solve against the
         ambient vertices; carriers default to the support of the
-        barycentrics.
+        barycentrics, and given carriers must be faces of ambient vertex
+        indices 0..k.
         """
         coords = as_points(coords, ambient.ambient_dim)
         k = ambient.dim
@@ -132,13 +132,16 @@ class SubdivisionComplex:
         bary, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         bary = bary.T
         if carriers is None:
-            carriers = tuple(
-                frozenset(int(i) for i in np.flatnonzero(row > 1e-9))
-                for row in bary
-            )
+            mask = bary > 1e-9
         else:
-            carriers = tuple(frozenset(int(i) for i in c) for c in carriers)
-        return cls(ambient, coords, bary, carriers, cells, depth=depth)
+            mask = np.zeros((len(carriers), k + 1), dtype=bool)
+            for v, face in enumerate(carriers):
+                for i in face:
+                    if not 0 <= i <= k:
+                        raise ValueError(
+                            f"vertex {v} has carrier index {i} outside 0..{k}")
+                    mask[v, i] = True
+        return cls(ambient, coords, bary, mask, cells, depth=depth)
 
     def _validate(self):
         k = self.ambient.dim
@@ -146,7 +149,7 @@ class SubdivisionComplex:
             raise ValueError("barycentric array shape mismatch")
         if self.cells.ndim != 2 or self.cells.shape[1] != k + 1:
             raise ValueError(f"cells must be (C, {k + 1}) vertex-index rows")
-        if len(self.carriers) != self.coords.shape[0]:
+        if self.carrier_mask.shape != self.bary.shape:
             raise ValueError("one carrier face required per vertex")
         # vertices sit on their carrier faces
         recon = self.bary @ self.ambient.vertices
@@ -169,23 +172,26 @@ class SubdivisionComplex:
             raise ValueError(f"cells cover relative volume {rel:.8f}, expected 1")
 
     @cached_property
-    def carrier_mask(self):
-        """``carrier_mask[v, i]``: ambient vertex i spans v's carrier face."""
-        faces = {}
-        ids = [faces.setdefault(frozenset(c), len(faces)) for c in self.carriers]
-        span = np.arange(self.ambient.dim + 1)
-        table = np.array([np.isin(span, list(f)) for f in faces], dtype=bool)
-        return table.reshape(len(faces), span.size)[np.asarray(ids, dtype=int)]
+    def carriers(self):
+        """``carriers[v]``: v's carrier face as a frozenset of ambient indices."""
+        return tuple(frozenset(np.flatnonzero(row).tolist())
+                     for row in self.carrier_mask)
 
-    def _compute_mesh(self):
-        mesh = 0.0
-        k1 = self.cells.shape[1]
-        for chunk in range(0, self.cells.shape[0], 100000):
-            pts = self.coords[self.cells[chunk:chunk + 100000]]
+    def cell_diameters(self, idx):
+        """Diameter of each cell in ``cells[idx]``: the largest vertex distance."""
+        cells = self.cells[idx]
+        diam = np.empty(cells.shape[0])
+        for chunk in range(0, cells.shape[0], 100000):
+            pts = self.coords[cells[chunk:chunk + 100000]]
             diffs = pts[:, :, None, :] - pts[:, None, :, :]
-            d2 = (diffs ** 2).sum(axis=3).reshape(pts.shape[0], k1 * k1)
-            mesh = max(mesh, float(np.sqrt(d2.max(initial=0.0))))
-        return mesh
+            diam[chunk:chunk + 100000] = np.sqrt(
+                (diffs ** 2).sum(axis=3).max(axis=(1, 2)))
+        return diam
+
+    @cached_property
+    def mesh(self):
+        """Largest cell diameter."""
+        return float(self.cell_diameters(slice(None)).max())
 
     @property
     def n_vertices(self):
@@ -203,13 +209,18 @@ def _freeze(exact, ambient):
     # both operands are integers below 2**53, so the one rounding of the
     # division is the correctly rounded value of the exact barycentric
     bary = exact.V / exact.D
-    coords = bary @ ambient.vertices
-    # at most 2**(k+1) - 1 distinct supports: one frozenset each, shared
-    supports, which = np.unique(exact.V != 0, axis=0, return_inverse=True)
-    faces = [frozenset(np.flatnonzero(row).tolist()) for row in supports]
-    carriers = tuple(faces[i] for i in which.reshape(-1).tolist())
-    return SubdivisionComplex(ambient, coords, bary, carriers, exact.cells,
-                              depth=exact.depth)
+    return SubdivisionComplex(ambient, bary @ ambient.vertices, bary,
+                              exact.V != 0, exact.cells, depth=exact.depth)
+
+
+def _depth_limit(k, depth, max_cells):
+    """The limit that a depth-``depth`` subdivision of a k-simplex exceeds
+    (the cell budget first, then the exact denominator), or None."""
+    if math.factorial(k + 1) ** depth > max_cells:
+        return f"the {max_cells}-cell budget"
+    if math.lcm(*range(1, k + 2)) ** depth > MAX_DENOMINATOR:
+        return f"the exact-barycentric denominator limit {MAX_DENOMINATOR}"
+    return None
 
 
 def subdivide(simplex, depth, max_cells=MAX_CELLS):
@@ -225,17 +236,10 @@ def subdivide(simplex, depth, max_cells=MAX_CELLS):
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    k = simplex.dim
-    cells = math.factorial(k + 1) ** depth
-    if cells > max_cells:
-        raise SubdivisionSizeError(
-            f"depth {depth} needs {cells} cells, over the {max_cells} budget")
-    denominator = math.lcm(*range(1, k + 2)) ** depth
-    if denominator > MAX_DENOMINATOR:
-        raise SubdivisionSizeError(
-            f"depth {depth} needs the common denominator {denominator}, over "
-            f"the exact-float limit {MAX_DENOMINATOR}")
-    exact = _ExactComplex(k)
+    limit = _depth_limit(simplex.dim, depth, max_cells)
+    if limit:
+        raise SubdivisionSizeError(f"depth {depth} exceeds {limit}")
+    exact = _ExactComplex(simplex.dim)
     for _ in range(depth):
         exact.step()
     return _freeze(exact, simplex)
@@ -291,7 +295,7 @@ def sperner_color(complex_, bodies, tol=DEFAULT_TOL):
         v = int(illegal[0])
         raise SpernerLegalityError(
             f"vertex {v} colored {int(colors[v])} outside its carrier face "
-            f"{sorted(complex_.carriers[v])}")
+            f"{np.flatnonzero(complex_.carrier_mask[v]).tolist()}")
     return SpernerColoring(colors)
 
 
@@ -320,9 +324,9 @@ def random_legal_coloring(complex_, rng=None):
     """Uniform random color from each vertex's carrier face (always legal)."""
     rng = np.random.default_rng(rng)
     colors = np.empty(complex_.n_vertices, dtype=int)
-    for v, carrier in enumerate(complex_.carriers):
-        choices = sorted(carrier)
-        colors[v] = choices[int(rng.integers(len(choices)))]
+    for v, face in enumerate(complex_.carrier_mask):
+        choices = np.flatnonzero(face)
+        colors[v] = choices[int(rng.integers(choices.size))]
     return SpernerColoring(colors)
 
 
@@ -395,13 +399,11 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
         if hits.size == 0:
             raise SpernerLegalityError(
                 "no all-colors cell in a legally colored complex")
-        for idx in hits:
-            pts = complex_.cell_points(complex_.cells[idx])
-            diffs = pts[:, None, :] - pts[None, :, :]
-            diam = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
-            if diam < best_diam:
-                best_diam = diam
-                best_cell = pts
+        diams = complex_.cell_diameters(hits)
+        first = int(np.argmin(diams))
+        if diams[first] < best_diam:
+            best_diam = float(diams[first])
+            best_cell = complex_.cell_points(complex_.cells[hits[first]])
         logger.debug("klee_solve depth %d: %d cells, %d vertices, %d "
                      "all-colors cells, best diameter %.3e", exact.depth,
                      complex_.n_cells, complex_.n_vertices, hits.size, best_diam)
@@ -409,11 +411,7 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
             logger.info("klee_solve: an all-colors cell of diameter %.3e is "
                         "below tol/2 at depth %d", best_diam, exact.depth)
             return _polish_common_point(best_cell.mean(axis=0), bodies, tol)
-        spent = None
-        if exact.cell_count_after_step() > max_cells:
-            spent = f"the {max_cells}-cell budget"
-        elif exact.denominator_after_step() > MAX_DENOMINATOR:
-            spent = f"the exact-barycentric limit {MAX_DENOMINATOR}"
+        spent = _depth_limit(n, exact.depth + 1, max_cells)
         if spent:
             logger.info("klee_solve: %s is spent at depth %d", spent, exact.depth)
             raise KleeSolveError(

@@ -258,12 +258,16 @@ def test_results_are_byte_identical(tmp_path):
         read(os.path.join(b, "result.json"), "rb")
 
 
-@pytest.mark.parametrize("command", ["solve-klee", "kkm"])
-def test_deep_core_results_match_fixture(command, tmp_path):
-    """The coloring of this scene goes six levels deep; its results are
-    pinned byte for byte."""
-    assert main([command, scene_path("thincore.json"), "--out", str(tmp_path)]) == 0
-    expected = scene_path(os.path.join("expected", f"thincore.{command}.result.json"))
+@pytest.mark.parametrize("scene, command, code", [
+    pytest.param("thincore", "solve-klee", 0, id="solve-klee"),
+    pytest.param("thincore", "kkm", 0, id="kkm"),
+    ("squares", "solve-klee", 0), ("goodkkm", "solve-klee", 0),
+    ("noncrit", "solve-klee", 0), ("goodkkm", "kkm", 0), ("gapkkm", "kkm", 2)])
+def test_deep_core_results_match_fixture(scene, command, code, tmp_path):
+    """The Klee and cover results are pinned byte for byte; the coloring of
+    the thin-core scene goes six levels deep."""
+    assert main([command, scene_path(f"{scene}.json"), "--out", str(tmp_path)]) == code
+    expected = scene_path(os.path.join("expected", f"{scene}.{command}.result.json"))
     assert read(os.path.join(tmp_path, "result.json"), "rb") == read(expected, "rb")
 
 

@@ -26,3 +26,27 @@ def test_no_unused_imports():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     assert modules
     assert [entry for p in modules for entry in unused_imports(p)] == []
+
+
+def unused_parameters(path):
+    """``module function parameter`` for each parameter a function body
+    never reads; abstract methods only declare a signature and are skipped."""
+    tree = ast.parse(path.read_text())
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or any(
+                ast.unparse(d).endswith("abstractmethod") for d in func.decorator_list):
+            continue
+        a = func.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name} {func.name} {p.arg}" for p in params
+                   if p is not None and p.arg not in read]
+    return unused
+
+
+def test_no_unused_parameters():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [entry for p in modules for entry in unused_parameters(p)] == []

@@ -116,6 +116,17 @@ def test_build_rejects_carrier_violations():
                                  carriers=[{0}, {1}, {2}, {0}])
 
 
+def test_build_rejects_carrier_indices_outside_the_simplex():
+    fan_coords = np.vstack([UNIT_TRIANGLE.vertices,
+                            UNIT_TRIANGLE.vertices.mean(axis=0)])
+    fan = [[0, 1, 3], [1, 2, 3], [2, 0, 3]]
+    for bad in (5, -1):
+        with pytest.raises(ValueError,
+                           match=rf"^vertex 0 has carrier index {bad} outside 0\.\.2$"):
+            SubdivisionComplex.build(UNIT_TRIANGLE, fan_coords, fan,
+                                     carriers=[{0, bad}, {1}, {2}, {0, 1, 2}])
+
+
 def test_fan_coloring_has_one_rainbow():
     fan_coords = np.vstack([UNIT_TRIANGLE.vertices,
                             UNIT_TRIANGLE.vertices.mean(axis=0)])
@@ -225,6 +236,20 @@ def test_klee_solve_stops_at_the_exact_denominator_limit(monkeypatch):
     cell = info.value.best_cell
     assert cell.min() <= 0.35 <= cell.max()
     assert cell.max() - cell.min() == pytest.approx(0.125)
+
+
+def test_klee_solve_reads_neither_mesh_nor_carriers(monkeypatch):
+    # the coloring loop needs the carrier mask and the rainbow cells'
+    # diameters only; the per-level complexes must not build the rest
+    def unread(self):
+        raise AssertionError("read in the coloring loop")
+
+    monkeypatch.setattr(SubdivisionComplex, "mesh", property(unread))
+    monkeypatch.setattr(SubdivisionComplex, "carriers", property(unread))
+    scene = load_scene(os.path.join(DATA, "thincore.json"))
+    x = klee_solve(scene.bodies, scene.kkm.points)
+    for b in scene.bodies:
+        assert b.membership(x, 1e-6)
 
 
 def _solve_log(caplog, bodies, witnesses, **kw):
