@@ -22,9 +22,10 @@ from .errors import (BorderlineCriticalError, ConvergenceError,
                      DegenerateConfigurationError, DegenerateSimplexError,
                      EmptyBodyError, GridDimensionError, GridResolutionError,
                      HollowNotFoundError, HollowkitError, KleeSolveError,
-                     NoHollowError, NotSeparableError, ProjectionError,
-                     SceneError, SpernerLegalityError, SubdivisionSizeError,
-                     ToleranceAmbiguityError, UnboundedBodyError)
+                     NoHollowError, NotSeparableError, PolytopeSizeError,
+                     ProjectionError, SceneError, SpernerLegalityError,
+                     SubdivisionSizeError, ToleranceAmbiguityError,
+                     UnboundedBodyError)
 from .geometry import (AffineSubspace, Hyperplane, RadonPartition, Simplex,
                        affine_hull, barycentric, radon_partition)
 from .hollow import (BoundaryAttribution, Grid, HollowCertificate,
@@ -53,7 +54,8 @@ __all__ = [
     "GridResolutionError", "HPolytope", "HellyRejection", "HollowCertificate",
     "HollowNotFoundError", "HollowSimplex", "HollowkitError", "Hyperplane",
     "IntersectionBody", "KkmInstance", "KkmReport", "KleeSolveError",
-    "NoHollowError", "NotSeparableError", "ProjectionError", "RadonPartition",
+    "NoHollowError", "NotSeparableError", "PolytopeSizeError",
+    "ProjectionError", "RadonPartition",
     "SCHEMA", "Scene", "SceneError", "SeparationCertificate", "Simplex",
     "SpernerColoring", "SpernerLegalityError", "StabbingPair",
     "StabbingReport", "SubdivisionComplex", "SubdivisionSizeError",

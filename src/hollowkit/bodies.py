@@ -2,13 +2,18 @@
 
 Concrete types: :class:`HPolytope` (bounded intersection of halfspaces),
 :class:`VPolytope` (convex hull of finitely many points), :class:`Ball`, and
-:class:`IntersectionBody` (lazy intersection of other bodies).  Projection
-onto an H-polytope is exact: one least-distance program solved by a single
-nonnegative least-squares call (Lawson & Hanson, ch. 23).  A V-polytope
-gets the facet rows of its hull once, at construction, from Quickhull
-(Barber, Dobkin & Huhdanpaa, ACM TOMS 1996), so both polytope kinds answer
-distance and membership from the same row slacks; a V-polytope projects by
-one NNLS over its generators' weights, exact on thin hulls too.
+:class:`IntersectionBody` (lazy intersection of other bodies).  Each
+polytope kind builds its other description once, at construction: an
+H-polytope lists its vertices by solving every nonsingular d-row subset
+(C(m, d) solves for m rows, refused above ``MAX_VERTEX_CANDIDATES``), a
+V-polytope gets the facet rows of its hull from Quickhull (Barber, Dobkin
+& Huhdanpaa, ACM TOMS 1996).  So both answer distance and membership from
+the same row slacks, and support and bounds from the same point list,
+exact ties going to the lexicographically least point; no LP runs.
+Projection onto an H-polytope is exact: one least-distance program solved
+by a single nonnegative least-squares call (Lawson & Hanson, ch. 23); a
+V-polytope projects by one NNLS over its generators' weights, exact on
+thin hulls too.
 Families run on one cutting-plane engine (Kelley, J. SIAM 1960): the
 members' projections supply cuts.  :func:`project_intersection` projects
 onto the cuts by the same least-distance solve until the iterate lies in
@@ -18,7 +23,9 @@ bound over the cuts.  Nothing in the package runs :func:`dykstra`.
 from __future__ import annotations
 
 import abc
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +35,7 @@ from scipy.spatial import ConvexHull
 from .errors import (
     ConvergenceError,
     EmptyBodyError,
+    PolytopeSizeError,
     ProjectionError,
     ToleranceAmbiguityError,
     UnboundedBodyError,
@@ -49,6 +57,16 @@ DYKSTRA_MAX_ROUNDS = 100000
 # stops once it misses none; every loop gets CUT_MAX_PASSES passes.
 CUT_RTOL = 1e-13
 CUT_MAX_PASSES = 500
+
+# H-polytope vertices: d unit rows are a vertex candidate when their |det|
+# exceeds VERTEX_SINGULAR, and its solution a vertex when it satisfies every
+# row within VERTEX_RTOL * (1 + |b|_inf).  A description with more than
+# MAX_VERTEX_CANDIDATES d-row subsets is refused; subsets are solved
+# _SUBSET_CHUNK at a time.
+VERTEX_SINGULAR = 1e-12
+VERTEX_RTOL = 1e-12
+MAX_VERTEX_CANDIDATES = 100000
+_SUBSET_CHUNK = 4096
 
 
 def check_tol(tol):
@@ -284,13 +302,30 @@ class ConvexBody(abc.ABC):
 
 
 class _FacetPolytope(ConvexBody):
-    """Polytope held as unit rows {x : A x <= b}; subclasses set ``_A``,
-    ``_b`` and ``_dim`` and supply ``project``.  Only points within ``tol``
-    of the rows need a projection: the worst slack bounds the distance."""
+    """Polytope held twice: as unit rows {x : A x <= b} and as a point list
+    ``_V`` whose hull it is.  Subclasses set ``_A``, ``_b``, ``_V`` and
+    ``_dim`` and supply ``project``.  Distance and membership read the rows:
+    only points within ``tol`` of them need a projection, since the worst
+    slack bounds the distance.  Support and the bounding box read the
+    points."""
 
     @property
     def dim(self):
         return self._dim
+
+    @property
+    def vertices(self):
+        return self._V
+
+    def bounding_box(self):
+        return self._V.min(axis=0), self._V.max(axis=0)
+
+    def support(self, direction):
+        """The lexicographically least of the points maximizing ``u . x``."""
+        u = as_point(direction, self._dim)
+        if np.linalg.norm(u) == 0:
+            raise ValueError("support direction must be nonzero")
+        return _least_maximizer(self._V, u)
 
     def distance(self, p):
         p = as_point(p, self._dim)
@@ -317,13 +352,80 @@ class _FacetPolytope(ConvexBody):
         return out
 
 
+def _least_maximizer(V, u):
+    """The lexicographically least row of V maximizing ``V @ u``: exact ties
+    are broken by coordinates, not by position, so the answer does not
+    depend on the order of the rows."""
+    values = V @ u
+    ties = V[values == values.max()]
+    return ties[np.lexsort(ties.T[::-1])[0]].copy()
+
+
+def _row_subsets(m, k):
+    """Every k-subset of range(m), in lexicographic order, as index arrays
+    of at most ``_SUBSET_CHUNK`` rows."""
+    combos = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+    total = math.comb(m, k)
+    for start in range(0, total, _SUBSET_CHUNK):
+        rows = min(_SUBSET_CHUNK, total - start)
+        yield np.fromiter(combos, dtype=np.intp, count=rows * k).reshape(rows, k)
+
+
+def _vertex_solutions(A, b, tol):
+    """Solutions of the nonsingular d-row subsets of {A x <= b} that satisfy
+    every row within ``tol``, sorted and without exact repeats; and whether
+    any subset was nonsingular, i.e. whether the rows have rank d."""
+    found, full_rank = [], False
+    for idx in _row_subsets(*A.shape):
+        M = A[idx]
+        regular = np.abs(np.linalg.det(M)) > VERTEX_SINGULAR
+        if not regular.any():
+            continue
+        full_rank = True
+        # + 0.0 maps -0.0 to 0.0, so that no coordinate prints as -0.0
+        X = np.linalg.solve(M[regular], b[idx[regular]][..., None])[..., 0] + 0.0
+        found.append(X[(X @ A.T - b).max(axis=1) <= tol])
+    if not found:
+        return np.zeros((0, A.shape[1])), full_rank
+    return np.unique(np.concatenate(found), axis=0), full_rank
+
+
+def _recession_ray(A):
+    """A unit y with A y <= VERTEX_RTOL, or None.  For rows of rank d the
+    cone {A y <= 0} is pointed, so it is {0} unless one of its extreme
+    rays, the null line of d - 1 independent rows, lies in it."""
+    d = A.shape[1]
+    for idx in _row_subsets(A.shape[0], d - 1):
+        M = A[idx]
+        # the null line of d - 1 rows: their cofactors (a cross product in 3-D)
+        Y = np.stack([(-1) ** j * np.linalg.det(np.delete(M, j, axis=2))
+                      for j in range(d)], axis=1)
+        norms = np.linalg.norm(Y, axis=1)
+        keep = norms > VERTEX_SINGULAR
+        Y = Y[keep] / norms[keep, None]
+        for ray in (Y, -Y):
+            inside = np.flatnonzero((ray @ A.T).max(axis=1) <= VERTEX_RTOL)
+            if inside.size:
+                return ray[inside[0]]
+    return None
+
+
 class HPolytope(_FacetPolytope):
     """Bounded nonempty polytope {x : A x <= b}.
 
-    Rows of ``A`` are normalized at construction.  Construction verifies
-    nonemptiness and boundedness with an LP screen and rejects unbounded or
-    empty descriptions.  ``project`` is exact and finite: a point outside is
-    mapped to its nearest point by one least-distance solve.
+    Rows of ``A`` are normalized at construction, which also lists the
+    vertices once: every nonsingular d-row subset is solved, in vectorized
+    chunks, and a solution is kept when it satisfies every row within
+    ``VERTEX_RTOL * (1 + |b|_inf)``.  That costs C(m, d) small solves for
+    m rows in R^d, so a description with more than
+    ``MAX_VERTEX_CANDIDATES`` subsets raises :class:`PolytopeSizeError`
+    before any solve.  No vertex means :class:`EmptyBodyError`; rows of
+    rank below d (whose trace on the row space has a vertex) or an extreme
+    ray of {A y <= 0} mean :class:`UnboundedBodyError`.  ``support`` and
+    ``bounding_box`` read the vertex list, with exact ties broken by the
+    lexicographically least vertex; ``anchor`` is the mean of the supports
+    along the +-axis directions.  ``project`` is exact and finite: a point
+    outside is mapped to its nearest point by one least-distance solve.
 
     Parameters
     ----------
@@ -351,37 +453,37 @@ class HPolytope(_FacetPolytope):
         norms[np.abs(norms - 1.0) <= 1e-14] = 1.0
         self._A = A / norms[:, None]
         self._b = b / norms
-        self._dim = A.shape[1]
-        self._screen()
-
-    def _screen(self):
-        """LP screen: nonempty, bounded, and cache the axis-aligned bounds."""
-        d = self._dim
-        lo = np.empty(d)
-        hi = np.empty(d)
-        sup_points = []
-        for i in range(d):
-            c = np.zeros(d)
-            for sign in (1.0, -1.0):
-                c[i] = -sign  # minimize -sign * x_i, i.e. maximize sign * x_i
-                res = linprog(c, A_ub=self._A, b_ub=self._b, bounds=(None, None),
-                              method="highs")
-                c[i] = 0.0
-                if res.status == 3:
-                    raise UnboundedBodyError(
-                        f"polytope is unbounded along axis {i} ({'+' if sign > 0 else '-'})"
-                    )
-                if res.status == 2:
-                    raise EmptyBodyError("polytope has no feasible point")
-                if res.status != 0:
-                    raise ProjectionError(f"LP screen failed with status {res.status}")
-                if sign > 0:
-                    hi[i] = -res.fun
-                else:
-                    lo[i] = res.fun
-                sup_points.append(np.asarray(res.x, dtype=float))
-        self._lo, self._hi = lo, hi
-        self._anchor = np.mean(sup_points, axis=0)
+        m, d = self._A.shape
+        self._dim = d
+        count = math.comb(m, d)
+        if count > MAX_VERTEX_CANDIDATES:
+            raise PolytopeSizeError(
+                f"{m} rows in dimension {d} give {count} vertex candidates, "
+                f"over the budget of {MAX_VERTEX_CANDIDATES}")
+        # enumerate in a canonical row order, so that a permutation of the
+        # rows gives the same vertices to the last bit
+        order = np.lexsort(np.column_stack([self._A, self._b]).T[::-1])
+        A, b = self._A[order], self._b[order]
+        tol = VERTEX_RTOL * (1.0 + float(np.abs(b).max()))
+        V, full_rank = _vertex_solutions(A, b, tol)
+        if full_rank:
+            ray = _recession_ray(A) if V.size else None
+        else:
+            # rows of rank r < d: the polytope is its trace on their row
+            # space plus the complement, nonempty iff that trace has a vertex
+            _, s, vt = np.linalg.svd(A)
+            r = min(d - 1, int((s > VERTEX_SINGULAR).sum()))
+            V, _ = _vertex_solutions(A @ vt[:r].T, b, tol)
+            ray = vt[-1]
+        if V.size == 0:
+            raise EmptyBodyError("polytope has no feasible point")
+        if ray is not None:
+            i = int(np.argmax(np.abs(ray)))
+            raise UnboundedBodyError(
+                f"polytope is unbounded along axis {i} ({'+' if ray[i] > 0 else '-'})")
+        self._V = V
+        self._anchor = np.mean([_least_maximizer(V, sign * u) for u in np.eye(d)
+                                for sign in (1.0, -1.0)], axis=0)
 
     @classmethod
     def box(cls, lo, hi):
@@ -407,19 +509,6 @@ class HPolytope(_FacetPolytope):
     def anchor(self):
         return self._anchor
 
-    def bounding_box(self):
-        return self._lo.copy(), self._hi.copy()
-
-    def support(self, direction):
-        u = as_point(direction, self._dim)
-        if np.linalg.norm(u) == 0:
-            raise ValueError("support direction must be nonzero")
-        res = linprog(-u, A_ub=self._A, b_ub=self._b, bounds=(None, None),
-                      method="highs")
-        if res.status != 0:
-            raise ProjectionError(f"support LP failed with status {res.status}")
-        return np.asarray(res.x, dtype=float)
-
     def project(self, p):
         return _least_distance(self._A, self._b, as_point(p, self._dim))
 
@@ -433,10 +522,11 @@ class VPolytope(_FacetPolytope):
     the two end rows of a segment, none for a point, plus both signs of
     the flat's orthonormal complement.  So ``distance``, ``membership``
     and ``contains_batch`` are the H-polytope slack screens in every
-    dimension, and no LP screen runs: a hull of its generators is nonempty
-    and bounded.  ``support`` is an exact argmax over the generators.  A
-    hull thinner than the rank cutoff of ``affine_hull`` is flat to the
-    rows: a generator that far off the flat violates them by as much.
+    dimension, and ``support`` and ``bounding_box`` read the generators,
+    which are its ``vertices``; a hull of its generators is nonempty and
+    bounded, so nothing is screened.  A hull thinner than the rank cutoff
+    of ``affine_hull`` is flat to the rows: a generator that far off the
+    flat violates them by as much.
 
     Parameters
     ----------
@@ -463,21 +553,8 @@ class VPolytope(_FacetPolytope):
                                                   np.zeros(2 * len(complement)))
 
     @property
-    def vertices(self):
-        return self._V
-
-    @property
     def anchor(self):
         return self._V.mean(axis=0)
-
-    def bounding_box(self):
-        return self._V.min(axis=0), self._V.max(axis=0)
-
-    def support(self, direction):
-        u = as_point(direction, self._dim)
-        if np.linalg.norm(u) == 0:
-            raise ValueError("support direction must be nonzero")
-        return self._V[int(np.argmax(self._V @ u))].copy()
 
     def project(self, p):
         """Nearest point of the hull; ``p`` itself if it violates no row.

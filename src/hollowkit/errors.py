@@ -33,12 +33,16 @@ class EmptyBodyError(HollowkitError):
         self.gap = gap
 
 
+class PolytopeSizeError(HollowkitError):
+    """An H-polytope has more d-row subsets than the vertex budget."""
+
+
 class ProjectionError(HollowkitError):
     """A projection or support oracle failed.
 
     Raised when the projection onto an intersection of bodies runs out of
-    passes, or when an H-polytope's LP (construction screen or support)
-    ends with a solver failure.
+    passes, when an H-polytope's rows share no point, or when the cut LP of
+    a feasibility scan ends with a solver failure.
 
     Attributes
     ----------

@@ -29,29 +29,8 @@ def _fmt(x):
     return format(float(x), ".3f")
 
 
-def _hpoly_ring(body):
-    """Vertices of a 2-D H-polytope, ordered counterclockwise."""
-    A, b = body.A, body.b
-    m = b.shape[0]
-    scale = max(1.0, float(np.abs(b).max()))
-    pts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            M = np.array([A[i], A[j]])
-            if abs(np.linalg.det(M)) < 1e-12:
-                continue
-            v = np.linalg.solve(M, np.array([b[i], b[j]]))
-            if (A @ v - b).max() <= 1e-9 * scale:
-                pts.append(v)
-    if not pts:
-        return np.zeros((0, 2))
-    pts = np.unique(np.round(np.asarray(pts), 9), axis=0)
-    center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-    return pts[order]
-
-
-def _vpoly_ring(V):
+def _hull_ring(V):
+    """Hull ring of a 2-D point set, ordered counterclockwise."""
     pts = np.unique(np.round(as_points(V), 12), axis=0)
     if pts.shape[0] < 3:
         return pts
@@ -114,10 +93,8 @@ def _body_elements(frame, body, fill, stroke, opacity="0.30"):
         return [f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
                 f'fill="{fill}" fill-opacity="{opacity}" stroke="{stroke}" '
                 f'stroke-width="1.5"/>']
-    if isinstance(body, HPolytope):
-        return _polygon(frame, _hpoly_ring(body), fill, stroke, opacity)
-    if isinstance(body, VPolytope):
-        return _polygon(frame, _vpoly_ring(body.vertices), fill, stroke,
+    if isinstance(body, (HPolytope, VPolytope)):
+        return _polygon(frame, _hull_ring(body.vertices), fill, stroke,
                         opacity)
     if isinstance(body, IntersectionBody):
         parts = []

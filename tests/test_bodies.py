@@ -3,12 +3,14 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 from scipy.spatial import Delaunay
 
+import hollowkit.bodies
 from hollowkit import (Ball, EmptyBodyError, HPolytope, IntersectionBody,
-                       ProjectionError, UnboundedBodyError, VPolytope, dykstra,
-                       feasibility_scan, intersect_witness, klee_solve)
+                       PolytopeSizeError, ProjectionError, UnboundedBodyError,
+                       VPolytope, dykstra, feasibility_scan, intersect_witness,
+                       klee_solve)
 from hollowkit.bodies import project_intersection
 from conftest import side_rectangle
 
@@ -32,6 +34,9 @@ VI_RTOL = 1e-9
 # V-polytope projections against the test-side hull projection, relative to
 # 1 + |q|_inf
 HULL_RTOL = 1e-12
+# H-polytope support values and bounds against scipy's LP, relative to
+# 1 + |b|_inf
+LP_RTOL = 1e-12
 
 
 def thin_wedge(apex_angle=1e-3):
@@ -211,6 +216,108 @@ def test_hpolytope_projection_satisfies_kkt():
     assert checked >= 500
 
 
+def lp_max(poly, u):
+    """max u . x over the polytope's rows, by scipy's LP."""
+    lp = linprog(-u, A_ub=poly.A, b_ub=poly.b, bounds=(None, None), method="highs")
+    assert lp.status == 0
+    return -lp.fun
+
+
+def test_hpolytope_support_and_bounds_match_lp():
+    """support(u) . u and the bounding box are the LP optima, in every
+    dimension, at every scale and far from the origin."""
+    rng = np.random.default_rng(606)
+    for _ in range(100):
+        poly = random_hpolytope(rng, 10.0 ** rng.uniform(0.0, 6.0),
+                                10.0 ** rng.uniform(-3.0, 3.0))
+        d = poly.dim
+        ref = LP_RTOL * (1.0 + np.abs(poly.b).max())
+        lo, hi = poly.bounding_box()
+        for i, e in enumerate(np.eye(d)):
+            assert abs(hi[i] - lp_max(poly, e)) <= ref
+            assert abs(lo[i] + lp_max(poly, -e)) <= ref
+        for u in np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(4, d))]):
+            s = poly.support(u)
+            assert abs(s @ u - lp_max(poly, u)) <= ref
+            assert (poly.A @ s - poly.b).max() <= ref
+
+
+def test_box_support_breaks_ties_by_the_least_vertex():
+    """Along +e_i the maximizers of a box form a face; the answer is its
+    lexicographically least vertex, lo everywhere but hi_i."""
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3):
+        lo = rng.uniform(-5.0, 5.0, size=d)
+        hi = lo + rng.uniform(0.5, 3.0, size=d)
+        box = HPolytope.box(lo, hi)
+        for i in range(d):
+            expect = lo.copy()
+            expect[i] = hi[i]
+            assert np.array_equal(box.support(np.eye(d)[i]), expect)
+            assert np.array_equal(box.support(-np.eye(d)[i]), lo)
+        # each coordinate of the 2d supports is hi once, lo otherwise
+        assert np.allclose(box.anchor, lo + (hi - lo) / (2 * d), rtol=1e-15, atol=0.0)
+        assert all(np.array_equal(x, y) for x, y in zip(box.bounding_box(), (lo, hi)))
+
+
+def test_supports_and_anchor_ignore_row_and_generator_order():
+    """Integer data, so that exact ties are common: permuting the rows of an
+    H-polytope or the generators of a V-polytope changes no support and no
+    anchor, to the last bit."""
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        d = int(rng.integers(1, 4))
+        while True:
+            A = rng.integers(-2, 3, size=(int(rng.integers(2 * d, 9)), d))
+            b = rng.integers(1, 4, size=A.shape[0])
+            try:
+                poly = HPolytope(A, b)
+                break
+            except (EmptyBodyError, UnboundedBodyError):
+                continue
+        V = rng.integers(-3, 4, size=(int(rng.integers(d + 1, 9)), d)).astype(float)
+        order = rng.permutation(A.shape[0])
+        shuffled = [(poly, HPolytope(A[order], b[order])),
+                    (VPolytope(V), VPolytope(V[rng.permutation(V.shape[0])]))]
+        dirs = np.vstack([np.eye(d), -np.eye(d),
+                          rng.integers(-2, 3, size=(6, d))])
+        for one, other in shuffled:
+            assert np.array_equal(one.anchor, other.anchor)
+            for u in dirs[np.abs(dirs).sum(axis=1) > 0]:
+                assert np.array_equal(one.support(u), other.support(u))
+
+
+def test_hpolytope_oracles_run_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(hollowkit.bodies, "linprog", refuse)
+    rng = np.random.default_rng(12)
+    for poly in (HPolytope.box([0.0, 1.0, -2.0], [1.0, 3.0, 0.5]),
+                 random_hpolytope(rng, 10.0, 1.0)):
+        lo, hi = poly.bounding_box()
+        assert poly.membership(poly.anchor)
+        assert poly.membership(poly.support(np.ones(poly.dim)))
+        far = hi + (hi - lo)
+        x = poly.project(far)
+        assert poly.membership(x) and not poly.membership(far)
+        assert poly.contains_batch(np.vstack([x, far])).tolist() == [True, False]
+
+
+def test_vertex_budget_is_refused_before_any_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("vertex candidates solved")
+
+    monkeypatch.setattr(hollowkit.bodies, "MAX_VERTEX_CANDIDATES", 14)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+    with pytest.raises(PolytopeSizeError) as info:
+        HPolytope(np.column_stack([np.cos(angles), np.sin(angles)]), np.ones(6))
+    assert str(info.value) == ("6 rows in dimension 2 give 15 vertex candidates, "
+                               "over the budget of 14")
+
+
 def test_vpolytope_interior_points_are_exact_members():
     """Hull points come back unchanged, so membership holds at tol = 0."""
     rng = np.random.default_rng(23)
@@ -274,6 +381,15 @@ def test_hpolytope_rejects_bad_descriptions():
         HPolytope(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
     with pytest.raises(UnboundedBodyError):
         HPolytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+    # rows of rank 1 in the plane: empty is judged before unbounded
+    with pytest.raises(EmptyBodyError):
+        HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
+    with pytest.raises(UnboundedBodyError):
+        HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 0.0]))
+    # rank 2 with a recession ray along -y
+    with pytest.raises(UnboundedBodyError):
+        HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                  np.array([1.0, 0.0, 1.0]))
     with pytest.raises(EmptyBodyError):
         HPolytope.box([1.0], [0.0])
 

@@ -11,7 +11,7 @@ from hollowkit import (Ball, HPolytope, IntersectionBody, SceneError, Scene,
                        VPolytope, body_from_json, body_to_json, dumps,
                        parse_scene, render_svg, serialize_scene)
 from hollowkit.cli import main
-from hollowkit.render import _body_elements, _Frame, _polygon, _vpoly_ring
+from hollowkit.render import _body_elements, _Frame, _hull_ring, _polygon
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -78,7 +78,7 @@ def test_body_json_round_trip_keeps_kind_and_data():
 def test_rendered_vpoly_is_drawn_from_its_vertex_ring():
     vpoly = VPolytope([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5], [0.6, 0.4]])
     frame = _Frame(np.array([-1.0, -1.0]), np.array([3.0, 2.0]), 100.0)
-    ring = _vpoly_ring(vpoly.vertices)
+    ring = _hull_ring(vpoly.vertices)
     assert ring.shape == (3, 2)
     expect = _polygon(frame, ring, "#fill", "#stroke")
     assert _body_elements(frame, vpoly, "#fill", "#stroke") == expect
@@ -258,6 +258,16 @@ def test_results_are_byte_identical(tmp_path):
         read(os.path.join(b, "result.json"), "rb")
 
 
+def test_thincore_kkm_witness_lies_in_every_image(tmp_path):
+    """Body 0's bottom edge ties along -y, so the scan's start depends on
+    the support's tie rule; any point it stops at must be common."""
+    assert main(["kkm", scene_path("thincore.json"), "--out", str(tmp_path)]) == 0
+    res = result_of(str(tmp_path))
+    scene = parse_scene(read(scene_path("thincore.json")))
+    assert all(image.membership(res["witness"], res["tol"])
+               for image in scene.kkm.images)
+
+
 @pytest.mark.parametrize("scene, command, code", [
     pytest.param("thincore", "solve-klee", 0, id="solve-klee"),
     pytest.param("thincore", "kkm", 0, id="kkm"),
@@ -281,6 +291,25 @@ def test_render_matches_fixture(tmp_path):
     assert fig_a == read(scene_path("disks_figure.svg"), "rb")
     assert read(os.path.join(a, "result.json"), "rb") == \
         read(os.path.join(b, "result.json"), "rb")
+
+
+def test_render_draws_hpolys_from_their_vertices(tmp_path):
+    """The squares' polygons, recorded when render still intersected the
+    rows pairwise."""
+    assert main(["render", scene_path("squares.json"), "--out", str(tmp_path)]) == 0
+    svg = read(os.path.join(tmp_path, "figure.svg"))
+    points = [part.split('"')[0] for part in svg.split('points="')[1:]]
+    assert points == [
+        "29.091,610.909 610.909,610.909 610.909,223.030 29.091,223.030",
+        "223.030,610.909 610.909,610.909 610.909,29.091 223.030,29.091",
+        "29.091,416.970 416.970,416.970 416.970,29.091 29.091,29.091"]
+
+
+@pytest.mark.parametrize("scene, reason", [("hpoly_empty.json", "no feasible point"),
+                                           ("hpoly_unbounded.json", "unbounded")])
+def test_check_names_why_an_hpoly_is_refused(scene, reason, tmp_path, capsys):
+    assert main(["check", scene_path(scene), "--out", str(tmp_path)]) == 1
+    assert reason in capsys.readouterr().err
 
 
 def test_scene_error_exit_code(tmp_path, capsys):
