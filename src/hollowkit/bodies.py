@@ -1,4 +1,4 @@
-"""Compact convex bodies behind a three-call oracle: membership, support, project.
+"""Compact convex bodies behind a three-call oracle: contains, support, project.
 
 Concrete types: :class:`HPolytope` (bounded intersection of halfspaces),
 :class:`VPolytope` (convex hull of finitely many points), :class:`Ball`, and
@@ -7,9 +7,13 @@ polytope kind builds its other description once, at construction: an
 H-polytope lists its vertices by solving every nonsingular d-row subset
 (C(m, d) solves for m rows, refused above ``MAX_VERTEX_CANDIDATES``), a
 V-polytope gets the facet rows of its hull from Quickhull (Barber, Dobkin
-& Huhdanpaa, ACM TOMS 1996).  So both answer distance and membership from
+& Huhdanpaa, ACM TOMS 1996).  So both answer distance and containment from
 the same row slacks, and support and bounds from the same point list,
 exact ties going to the lexicographically least point; no LP runs.
+Each body kind has one contains rule, its ``contains_batch``; the scalar
+``membership`` is that rule on one point, so the two cannot disagree at
+the boundary (the weak-membership oracle of Grötschel, Lovász & Schrijver,
+*Geometric Algorithms and Combinatorial Optimization*, 1988).
 Projection onto an H-polytope is exact: one least-distance program solved
 by a single nonnegative least-squares call (Lawson & Hanson, ch. 23); a
 V-polytope projects by one NNLS over its generators' weights, exact on
@@ -282,13 +286,16 @@ class ConvexBody(abc.ABC):
         return float(np.linalg.norm(p - self.project(p)))
 
     def membership(self, p, tol=DEFAULT_TOL):
-        """True when ``p`` lies within ``tol`` of the body."""
-        return self.distance(p) <= tol
+        """True when ``p`` lies within ``tol`` of the body: the body's one
+        contains rule, :meth:`contains_batch`, on a single point."""
+        return bool(self.contains_batch(as_point(p, self.dim)[None], tol)[0])
 
     def contains_batch(self, points, tol=DEFAULT_TOL):
-        """Vectorized membership for an (N, d) array; subclasses override."""
+        """Which rows of an (N, d) array lie within ``tol`` of the body: the
+        body's one contains rule.  This default tests ``distance <= tol``
+        row by row; subclasses override it with a vectorized rule."""
         pts = as_points(points, self.dim)
-        return np.array([self.membership(q, tol) for q in pts], dtype=bool)
+        return np.array([self.distance(q) <= tol for q in pts], dtype=bool)
 
     def diameter(self):
         lo, hi = self.bounding_box()
@@ -304,7 +311,7 @@ class ConvexBody(abc.ABC):
 class _FacetPolytope(ConvexBody):
     """Polytope held twice: as unit rows {x : A x <= b} and as a point list
     ``_V`` whose hull it is.  Subclasses set ``_A``, ``_b``, ``_V`` and
-    ``_dim`` and supply ``project``.  Distance and membership read the rows:
+    ``_dim`` and supply ``project``.  Distance and containment read the rows:
     only points within ``tol`` of them need a projection, since the worst
     slack bounds the distance.  Support and the bounding box read the
     points."""
@@ -333,20 +340,11 @@ class _FacetPolytope(ConvexBody):
             return 0.0
         return float(np.linalg.norm(p - self.project(p)))
 
-    def membership(self, p, tol=DEFAULT_TOL):
-        p = as_point(p, self._dim)
-        worst = float((self._A @ p - self._b).max())
-        if worst <= 0.0:
-            return True
-        if worst > tol:
-            # distance to the polytope dominates the worst halfspace slack
-            return False
-        return self.distance(p) <= tol
-
     def contains_batch(self, points, tol=DEFAULT_TOL):
         pts = as_points(points, self._dim)
         worst = (pts @ self._A.T - self._b).max(axis=1)
         out = worst <= 0.0
+        # past tol a point is out: its distance dominates its worst slack
         for idx in np.flatnonzero(~out & (worst <= tol)):
             out[idx] = self.distance(pts[idx]) <= tol
         return out
@@ -520,8 +518,8 @@ class VPolytope(_FacetPolytope):
     :func:`~hollowkit.geometry.affine_hull`: Quickhull
     (``scipy.spatial.ConvexHull``) when the hull has dimension 2 or more,
     the two end rows of a segment, none for a point, plus both signs of
-    the flat's orthonormal complement.  So ``distance``, ``membership``
-    and ``contains_batch`` are the H-polytope slack screens in every
+    the flat's orthonormal complement.  So ``distance`` and
+    ``contains_batch`` are the H-polytope slack screens in every
     dimension, and ``support`` and ``bounding_box`` read the generators,
     which are its ``vertices``; a hull of its generators is nonempty and
     bounded, so nothing is screened.  A hull thinner than the rank cutoff
@@ -705,16 +703,10 @@ class IntersectionBody(ConvexBody):
         radius = self._SUPPORT_RADIUS * (1.0 + self.diameter())
         return self.project(self._witness + (radius / norm) * u)
 
-    def membership(self, p, tol=DEFAULT_TOL):
-        p = as_point(p, self._dim)
-        worst = max(b.distance(p) for b in self._bodies)
-        if worst == 0.0:
-            return True
-        if worst > tol:
-            return False
-        return self.distance(p) <= tol
-
     def contains_batch(self, points, tol=DEFAULT_TOL):
+        """In when every member holds the point exactly, out when some
+        member misses it by more than ``tol``; the band between is decided
+        by the distance to the intersection."""
         pts = as_points(points, self._dim)
         inner = np.ones(pts.shape[0], dtype=bool)
         outer = np.zeros(pts.shape[0], dtype=bool)
@@ -723,5 +715,5 @@ class IntersectionBody(ConvexBody):
             outer |= ~b.contains_batch(pts, tol=tol)
         out = inner.copy()
         for idx in np.flatnonzero(~inner & ~outer):
-            out[idx] = self.membership(pts[idx], tol)
+            out[idx] = self.distance(pts[idx]) <= tol
         return out

@@ -23,7 +23,7 @@ from .hollow import (BOX_EXPAND, boundary_attribution, certify_hollow,
                      check_resolution, hull_vs_simplex, verify_stabbing)
 from .render import render_svg
 from .scenes import SCHEMA, dumps, load_scene
-from .sperner import klee_solve, kkm_verify
+from .sperner import check_samples, klee_solve, kkm_verify
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -221,7 +221,7 @@ def cmd_kkm(args):
     if scene.kkm is None:
         raise SceneError("scene has no kkm section")
     tol = _opt(args, scene, "tol", DEFAULT_TOL)
-    samples = int(_opt(args, scene, "samples", 64))
+    samples = _opt(args, scene, "samples", 64)
     report = kkm_verify(scene.kkm, samples=samples, tol=tol)
     payload = {
         **_result_header("kkm", scene, tol),
@@ -325,7 +325,8 @@ def build_parser():
             p.add_argument("--seed", type=int, default=None,
                            help="seed for the uniqueness probe")
         if samples:
-            p.add_argument("--samples", type=int, default=None,
+            p.add_argument("--samples", type=_checked_arg(check_samples),
+                           default=None,
                            help="hull samples per subset")
         p.set_defaults(func=func)
         return p

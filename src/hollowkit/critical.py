@@ -284,7 +284,7 @@ class Cage:
 
     def contains(self, p):
         """True when ``p`` lies within ``CAGE_TOL`` of the cage's hull."""
-        return self.hull.distance(p) <= CAGE_TOL
+        return self.hull.membership(p, CAGE_TOL)
 
 
 def make_cage(family, base_points):

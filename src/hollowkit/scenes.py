@@ -19,7 +19,7 @@ from .bodies import (DEFAULT_TOL, Ball, HPolytope, IntersectionBody, VPolytope,
 from .errors import GridResolutionError, SceneError
 from .geometry import AffineSubspace, as_point, as_points
 from .hollow import StabbingPair, check_resolution
-from .sperner import KkmInstance
+from .sperner import KkmInstance, check_samples
 
 SCHEMA = "hollowkit/1"
 
@@ -190,7 +190,8 @@ def parse_scene(text, source="<scene>"):
             if not isinstance(val, (int, float)):
                 raise SceneError(f"{source}: option {key!r} must be a number")
             clean[key] = float(val)
-    for key, check in (("tol", check_tol), ("resolution", check_resolution)):
+    for key, check in (("tol", check_tol), ("resolution", check_resolution),
+                       ("samples", check_samples)):
         if key in clean:
             try:
                 check(clean[key])

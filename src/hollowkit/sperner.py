@@ -456,6 +456,14 @@ class KkmReport:
     samples_per_subset: int = 0
 
 
+def check_samples(samples):
+    """``samples`` as an int; :class:`ValueError` unless it is a positive integer."""
+    n = int(samples) if str(samples).isdecimal() else 0
+    if n < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
+    return n
+
+
 def _subset_samples(pts, samples):
     """Hull samples for one subset: vertices, midpoints, centroid, and a
     low-discrepancy spread with a vertex-biased half."""
@@ -496,8 +504,12 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
     (:class:`ToleranceAmbiguityError`) intersection scan counts as that
     failure; any other error from the image oracles propagates.
 
-    The point budget is capped at 12 points (4095 subsets).
+    Each image is tested in one ``contains_batch`` call, over the subset's
+    samples that no earlier image holds; the counterexample is the first
+    sample, in sampling order, that none holds.  The point budget is capped
+    at 12 points (4095 subsets); ``samples`` must pass :func:`check_samples`.
     """
+    samples = check_samples(samples)
     pts = instance.points
     m = pts.shape[0]
     if m > 12:
@@ -505,12 +517,16 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
     checked = 0
     for mask in range(1, 2 ** m):
         subset = tuple(i for i in range(m) if mask >> i & 1)
-        sub_pts = pts[list(subset)]
-        sub_images = [instance.images[i] for i in subset]
-        for x in _subset_samples(sub_pts, samples):
-            if not any(g.membership(x, tol) for g in sub_images):
-                return KkmReport(False, counterexample=x, subset=subset,
-                                 subsets_checked=checked, samples_per_subset=samples)
+        X = _subset_samples(pts[list(subset)], samples)
+        held = np.zeros(X.shape[0], dtype=bool)
+        for i in subset:
+            todo = np.flatnonzero(~held)
+            if todo.size == 0:
+                break
+            held[todo] = instance.images[i].contains_batch(X[todo], tol)
+        if not held.all():
+            return KkmReport(False, counterexample=X[np.argmin(held)], subset=subset,
+                             subsets_checked=checked, samples_per_subset=samples)
         checked += 1
     try:
         report = intersect_witness(list(instance.images), tol=tol)

@@ -1,4 +1,4 @@
-"""Oracle contracts shared by every body: project, support, membership."""
+"""Oracle contracts shared by every body: project, support, contains."""
 import sys
 
 import numpy as np
@@ -157,12 +157,27 @@ def test_membership_convex_along_chords(name, body):
         assert body.membership(t * a + (1 - t) * b, 1e-6), name
 
 
+def boundary_band(body, tol, rng, directions=64):
+    """Points ``support(u) + (tol + k spacing) u`` for k in -3..3, along
+    random unit directions u: a few ulp either side of the tol band."""
+    U = rng.normal(size=(directions, body.dim))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    pts = []
+    for u in U:
+        x = body.support(u)
+        spacing = np.spacing(float(np.abs(x).max()) + tol)
+        pts.extend(x + (tol + k * spacing) * u for k in range(-3, 4))
+    return np.array(pts)
+
+
 @pytest.mark.parametrize("name,body", sample_bodies())
 def test_contains_batch_matches_membership(name, body):
     rng = np.random.default_rng(21)
     lo, hi = body.bounding_box()
     span = float((hi - lo).max())
-    pts = rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(300, body.dim))
+    pts = np.vstack([
+        rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(300, body.dim)),
+        boundary_band(body, 1e-7, rng)])
     batch = body.contains_batch(pts, tol=1e-7)
     for p, flag in zip(pts, batch):
         assert flag == body.membership(p, 1e-7), name

@@ -272,10 +272,14 @@ def test_thincore_kkm_witness_lies_in_every_image(tmp_path):
     pytest.param("thincore", "solve-klee", 0, id="solve-klee"),
     pytest.param("thincore", "kkm", 0, id="kkm"),
     ("squares", "solve-klee", 0), ("goodkkm", "solve-klee", 0),
-    ("noncrit", "solve-klee", 0), ("goodkkm", "kkm", 0), ("gapkkm", "kkm", 2)])
+    ("noncrit", "solve-klee", 0), ("goodkkm", "kkm", 0), ("gapkkm", "kkm", 2),
+    ("disks", "certify", 0), ("vpoly", "certify", 0), ("squares", "check", 2),
+    ("stab", "stab-verify", 0)])
 def test_deep_core_results_match_fixture(scene, command, code, tmp_path):
     """The Klee and cover results are pinned byte for byte; the coloring of
-    the thin-core scene goes six levels deep."""
+    the thin-core scene goes six levels deep.  The grid certificates, the
+    full-intersection check and the stabbing check pin the contains rules
+    of balls, both polytope kinds and intersections."""
     assert main([command, scene_path(f"{scene}.json"), "--out", str(tmp_path)]) == code
     expected = scene_path(os.path.join("expected", f"{scene}.{command}.result.json"))
     assert read(os.path.join(tmp_path, "result.json"), "rb") == read(expected, "rb")
@@ -398,6 +402,41 @@ def test_bad_tol_scene_option_is_a_scene_error(value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "option 'tol': tolerance must be a positive finite number" in err
     assert not (tmp_path / "result.json").exists()
+
+
+BAD_SAMPLES = ["0", "-5", "-1", "2.5", "many"]
+
+
+@pytest.mark.parametrize("value", BAD_SAMPLES)
+def test_bad_samples_option_is_a_one_line_error(value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["kkm", scene_path("goodkkm.json"), "--out", str(tmp_path),
+              "--samples", value])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hollowkit kkm")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == ["hollowkit kkm: error: argument --samples: samples "
+                      f"must be a positive integer, got {value}"]
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_bad_samples_scene_option_is_a_scene_error(value, tmp_path, capsys):
+    raw = json.loads(read(scene_path("goodkkm.json")))
+    raw.setdefault("options", {})["samples"] = value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(raw))
+    assert main(["kkm", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"option 'samples': samples must be a positive integer, got {value}" in err
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_samples_option_reaches_the_report(tmp_path):
+    assert main(["kkm", scene_path("goodkkm.json"), "--out", str(tmp_path),
+                 "--samples", "5"]) == 0
+    assert result_of(str(tmp_path))["samples_per_subset"] == 5
 
 
 def test_usage_error_exit_code(capsys):

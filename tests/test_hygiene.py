@@ -50,3 +50,29 @@ def test_no_unused_parameters():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [entry for p in modules for entry in unused_parameters(p)] == []
+
+
+def function_defs(path, name):
+    """``(enclosing class or None, node)`` for each def of ``name``."""
+    tree = ast.parse(path.read_text())
+    found = [(None, node) for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            found += [(cls.name, node) for node in cls.body
+                      if isinstance(node, ast.FunctionDef) and node.name == name]
+    return found
+
+
+def test_one_membership_rule_per_body():
+    """``membership`` is written once, on the base class, over each body's
+    ``contains_batch``; the cover check makes no scalar membership call."""
+    defs = function_defs(PACKAGE / "bodies.py", "membership")
+    assert [cls for cls, _ in defs] == ["ConvexBody"]
+    body = defs[0][1]
+    calls = {node.func.attr for node in ast.walk(body)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert "contains_batch" in calls
+    (_, kkm), = function_defs(PACKAGE / "sperner.py", "kkm_verify")
+    assert not [node for node in ast.walk(kkm)
+                if isinstance(node, ast.Attribute) and node.attr == "membership"]

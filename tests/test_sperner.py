@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import hollowkit.sperner as sperner
-from hollowkit import (HPolytope, Ball, KkmInstance, KleeSolveError, Simplex,
-                       SpernerColoring, SpernerLegalityError,
-                       SubdivisionComplex, SubdivisionSizeError,
-                       family_kkm_instance, find_rainbow, kkm_verify,
-                       klee_solve, load_scene, rainbow_cells,
+from hollowkit import (HPolytope, Ball, ConvergenceError, IntersectionBody,
+                       KkmInstance, KleeSolveError, Simplex, SpernerColoring,
+                       SpernerLegalityError, SubdivisionComplex,
+                       SubdivisionSizeError, ToleranceAmbiguityError, VPolytope,
+                       family_kkm_instance, find_rainbow, intersect_witness,
+                       kkm_verify, klee_solve, load_scene, rainbow_cells,
                        random_legal_coloring, sperner_color, subdivide)
 
 from helpers import fraction_subdivisions
@@ -333,6 +334,92 @@ def test_kkm_verify_propagates_foreign_oracle_errors():
     instance = KkmInstance([[0.0], [1.0]], (broken, HPolytope.box([0.0], [1.0])))
     with pytest.raises(RuntimeError, match="projection oracle failed"):
         kkm_verify(instance)
+
+
+def random_image(rng, center, size):
+    """A ball, H-polytope, V-polytope or ball-and-box intersection that
+    holds ``center``, about ``size`` across."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return Ball(center, size)
+    if kind == 1:
+        return HPolytope.box(center - size * rng.uniform(0.3, 1.0, 2),
+                             center + size * rng.uniform(0.3, 1.0, 2))
+    if kind == 2:
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 5))
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        return VPolytope(np.vstack([center, center + size * ring]))
+    return IntersectionBody([Ball(center, size),
+                             HPolytope.box(center - 0.8 * size, center + 0.8 * size)],
+                            witness=center)
+
+
+def random_kkm_instance(seed):
+    """Two to four points in the unit square, each with an image around it:
+    small images leave hull samples uncovered, large ones cover the hull."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    pts = rng.uniform(0.0, 1.0, size=(m, 2))
+    size = rng.uniform(0.15, 1.2)
+    return KkmInstance(pts, tuple(random_image(rng, p, size * rng.uniform(0.8, 1.2))
+                                  for p in pts))
+
+
+def scalar_kkm_reference(instance, samples, tol):
+    """The cover check written one sample and one image at a time."""
+    pts = instance.points
+    m = pts.shape[0]
+    checked = 0
+    for mask in range(1, 2 ** m):
+        subset = tuple(i for i in range(m) if mask >> i & 1)
+        for x in sperner._subset_samples(pts[list(subset)], samples):
+            if not any(instance.images[i].membership(x, tol) for i in subset):
+                return {"kkm_holds": False, "counterexample": x, "subset": subset,
+                        "witness": None, "contradiction": False,
+                        "subsets_checked": checked, "samples_per_subset": samples}
+        checked += 1
+    try:
+        feas = intersect_witness(list(instance.images), tol=tol)
+    except (ConvergenceError, ToleranceAmbiguityError):
+        feas = None
+    found = feas is not None and feas.feasible
+    return {"kkm_holds": True, "counterexample": None, "subset": None,
+            "witness": feas.witness if found else None, "contradiction": not found,
+            "subsets_checked": checked, "samples_per_subset": samples}
+
+
+def test_batched_cover_check_matches_the_scalar_reference():
+    failed_late = held = 0
+    for seed in range(40):
+        instance = random_kkm_instance(seed)
+        samples = (4, 16)[seed % 2]
+        report = kkm_verify(instance, samples=samples)
+        ref = scalar_kkm_reference(instance, samples, sperner.DEFAULT_TOL)
+        for field, want in ref.items():
+            got = getattr(report, field)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), (seed, field)
+            else:
+                assert got == want, (seed, field)
+        if report.kkm_holds:
+            held += 1
+        else:
+            X = sperner._subset_samples(instance.points[list(report.subset)], samples)
+            first = int(np.flatnonzero((X == report.counterexample).all(axis=1))[0])
+            failed_late += first > 0
+    # both verdicts occur, and failures are found past the first sample
+    assert held >= 5 and failed_late >= 5
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.5, 3.0, True, "+5", "many", None])
+def test_kkm_verify_refuses_bad_sample_counts(samples):
+    instance = KkmInstance([[0.0], [1.0]], (HPolytope.box([0.0], [1.0]),) * 2)
+    with pytest.raises(ValueError, match="samples must be a positive integer"):
+        kkm_verify(instance, samples=samples)
+
+
+def test_check_samples_accepts_positive_integers():
+    assert [sperner.check_samples(v) for v in (1, "7", np.int64(64))] == [1, 7, 64]
 
 
 def test_kkm_instance_validation():
