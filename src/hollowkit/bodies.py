@@ -81,6 +81,16 @@ def check_tol(tol):
     return t
 
 
+def check_count(value, name, least=0):
+    """``value`` as an int; :class:`ValueError` naming ``name`` unless it is
+    decimal digits alone (no sign, point or boolean) and at least ``least``."""
+    n = int(value) if str(value).isdecimal() else -1
+    if n < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    return n
+
+
 @dataclass
 class DykstraResult:
     point: np.ndarray

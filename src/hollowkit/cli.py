@@ -15,15 +15,15 @@ import time
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, check_tol
+from .bodies import DEFAULT_TOL
 from .critical import (CriticalFamily, check_critical, hollow_simplex,
                        recentered_witness, uniqueness_probe)
 from .errors import GridResolutionError, HollowkitError, SceneError
 from .hollow import (BOX_EXPAND, boundary_attribution, certify_hollow,
-                     check_resolution, hull_vs_simplex, verify_stabbing)
+                     hull_vs_simplex, verify_stabbing)
 from .render import render_svg
-from .scenes import SCHEMA, dumps, load_scene
-from .sperner import check_samples, klee_solve, kkm_verify
+from .scenes import OPTIONS, SCHEMA, dumps, load_scene
+from .sperner import klee_solve, kkm_verify
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -49,22 +49,24 @@ def _checked_arg(check):
     return parse
 
 
-def _opt(args, scene, name, default):
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    if name in scene.options:
-        return scene.options[name]
-    return default
+def _opt(args, scene, name):
+    """An option's flag, else the scene's value, else the subcommand's default."""
+    val = getattr(args, name)
+    if val is None:
+        val = scene.options.get(name, args.option_defaults[name])
+    return val
+
+
+def _write(args, name, text):
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
 
 
 def _write_result(args, payload):
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "result.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(payload))
-    return path
+    _write(args, "result.json", dumps(payload))
 
 
 def _result_header(command, scene, tol):
@@ -90,55 +92,58 @@ def _certificate_json(cert):
     return out
 
 
-def _run_check(scene, tol):
+def _run_check(args, command, scene):
+    """``check_critical`` at the subcommand's tolerance: the outcome, and the
+    result so far, which holds the family or the reason it is refused."""
+    tol = _opt(args, scene, "tol")
     outcome = check_critical(list(scene.bodies), tol=tol)
+    payload = _result_header(command, scene, tol)
     if isinstance(outcome, CriticalFamily):
-        payload = {
-            "critical": True,
-            "n": outcome.n,
-            "d": outcome.d,
-            "witnesses": outcome.witnesses,
-            "certificate": _certificate_json(outcome.certificate),
-        }
+        payload.update(critical=True, n=outcome.n, d=outcome.d,
+                       witnesses=outcome.witnesses,
+                       certificate=_certificate_json(outcome.certificate))
         return outcome, payload
-    payload = {"critical": False,
-               "failure": {"reason": outcome.reason, "detail": outcome.detail}}
+    failure = {"reason": outcome.reason, "detail": outcome.detail}
     if outcome.index is not None:
-        payload["failure"]["index"] = outcome.index
+        failure["index"] = outcome.index
     if outcome.witness is not None:
-        payload["failure"]["witness"] = outcome.witness
+        failure["witness"] = outcome.witness
+    payload.update(critical=False, failure=failure)
     return outcome, payload
 
 
-def cmd_check(args):
+def _critical_or_reject(args, command):
+    """Load the scene and check it.  A family that is not critical has its
+    result written and its reason printed, and comes back as None."""
     scene = load_scene(args.scene)
-    tol = _opt(args, scene, "tol", DEFAULT_TOL)
-    outcome, body = _run_check(scene, tol)
-    payload = {**_result_header("check", scene, tol), **body}
-    _write_result(args, payload)
+    outcome, payload = _run_check(args, command, scene)
     if isinstance(outcome, CriticalFamily):
-        print(f"critical family: n={outcome.n} d={outcome.d} "
-              f"margin={outcome.certificate.distance:.6g}")
-        return EXIT_OK
+        return scene, outcome, payload
+    _write_result(args, payload)
     print(f"not critical ({outcome.reason}): {outcome.detail}")
-    return EXIT_REJECTED
+    return scene, None, payload
+
+
+def cmd_check(args):
+    _, family, payload = _critical_or_reject(args, "check")
+    if family is None:
+        return EXIT_REJECTED
+    _write_result(args, payload)
+    print(f"critical family: n={family.n} d={family.d} "
+          f"margin={family.certificate.distance:.6g}")
+    return EXIT_OK
 
 
 def cmd_hollow(args):
-    scene = load_scene(args.scene)
-    tol = _opt(args, scene, "tol", DEFAULT_TOL)
-    restarts = int(_opt(args, scene, "restarts", 10))
-    seed = int(_opt(args, scene, "seed", 0))
-    outcome, body = _run_check(scene, tol)
-    payload = {**_result_header("hollow", scene, tol), **body}
-    if not isinstance(outcome, CriticalFamily):
-        _write_result(args, payload)
-        print(f"not critical ({outcome.reason}): {outcome.detail}")
+    scene, family, payload = _critical_or_reject(args, "hollow")
+    if family is None:
         return EXIT_REJECTED
-    hs = hollow_simplex(outcome)
+    hs = hollow_simplex(family)
     payload["hollow_simplex"] = {"vertices": hs.vertices, "gaps": hs.gaps}
+    restarts = _opt(args, scene, "restarts")
     if restarts > 0:
-        probe = uniqueness_probe(outcome, restarts=restarts, seed=seed)
+        probe = uniqueness_probe(family, restarts=restarts,
+                                 seed=_opt(args, scene, "seed"))
         payload["uniqueness"] = {
             "deviations": probe.deviations,
             "threshold": probe.threshold,
@@ -153,26 +158,21 @@ def cmd_hollow(args):
 def _grid_resolution(args, scene, family):
     """The ``resolution`` option, else 128 cells across the widest side of
     the certificate's grid box."""
-    resolution = _opt(args, scene, "resolution", None)
+    resolution = _opt(args, scene, "resolution")
     if resolution is not None:
-        return float(resolution)
+        return resolution
     W = family.witnesses
     span = float((W.max(axis=0) - W.min(axis=0)).max())
     return BOX_EXPAND * span / 128.0
 
 
 def cmd_certify(args):
-    scene = load_scene(args.scene)
-    tol = _opt(args, scene, "tol", DEFAULT_TOL)
-    outcome, body = _run_check(scene, tol)
-    payload = {**_result_header("certify", scene, tol), **body}
-    if not isinstance(outcome, CriticalFamily):
-        _write_result(args, payload)
-        print(f"not critical ({outcome.reason}): {outcome.detail}")
+    scene, family, payload = _critical_or_reject(args, "certify")
+    if family is None:
         return EXIT_REJECTED
-    hs = hollow_simplex(outcome)
+    hs = hollow_simplex(family)
     payload["hollow_simplex"] = {"vertices": hs.vertices, "gaps": hs.gaps}
-    cert = certify_hollow(outcome, _grid_resolution(args, scene, outcome))
+    cert = certify_hollow(family, _grid_resolution(args, scene, family))
     attribution = boundary_attribution(cert)
     distance = hull_vs_simplex(cert, hs)
     payload["grid_certificate"] = {
@@ -194,7 +194,7 @@ def cmd_certify(args):
 
 def cmd_solve_klee(args):
     scene = load_scene(args.scene)
-    tol = _opt(args, scene, "tol", 1e-6)
+    tol = _opt(args, scene, "tol")
     bodies = list(scene.bodies)
     witnesses = np.array([
         recentered_witness([b for i, b in enumerate(bodies) if i != j],
@@ -220,9 +220,9 @@ def cmd_kkm(args):
     scene = load_scene(args.scene)
     if scene.kkm is None:
         raise SceneError("scene has no kkm section")
-    tol = _opt(args, scene, "tol", DEFAULT_TOL)
-    samples = _opt(args, scene, "samples", 64)
-    report = kkm_verify(scene.kkm, samples=samples, tol=tol)
+    tol = _opt(args, scene, "tol")
+    report = kkm_verify(scene.kkm, samples=_opt(args, scene, "samples"),
+                        tol=tol)
     payload = {
         **_result_header("kkm", scene, tol),
         "points": scene.kkm.points,
@@ -251,11 +251,10 @@ def cmd_stab_verify(args):
     scene = load_scene(args.scene)
     if scene.stabbing is None:
         raise SceneError("scene has no stabbing section")
-    tol = _opt(args, scene, "tol", 1e-6)
-    resolution = _opt(args, scene, "resolution", None)
+    tol = _opt(args, scene, "tol")
     report = verify_stabbing(scene.stabbing, list(scene.bodies),
                              scene.stabbing_witnesses, tol=tol,
-                             resolution=resolution)
+                             resolution=_opt(args, scene, "resolution"))
     payload = {
         **_result_header("stab-verify", scene, tol),
         "witness_ok": report.witness_ok,
@@ -279,9 +278,7 @@ def cmd_render(args):
     scene = load_scene(args.scene)
     if scene.dimension != 2:
         raise SceneError("rendering supports two-dimensional scenes only")
-    tol = _opt(args, scene, "tol", DEFAULT_TOL)
-    outcome, body = _run_check(scene, tol)
-    payload = {**_result_header("render", scene, tol), **body}
+    outcome, payload = _run_check(args, "render", scene)
     witnesses = None
     hollow = None
     cert = None
@@ -293,10 +290,7 @@ def cmd_render(args):
                                   _grid_resolution(args, scene, outcome))
     svg = render_svg(list(scene.bodies), witnesses=witnesses, hollow=hollow,
                      certificate=cert)
-    os.makedirs(args.out, exist_ok=True)
-    figure = os.path.join(args.out, "figure.svg")
-    with open(figure, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+    figure = _write(args, "figure.svg", svg)
     payload["figure"] = "figure.svg"
     _write_result(args, payload)
     print(f"wrote {figure}")
@@ -308,42 +302,34 @@ def build_parser():
                      description="certify critical families and their hollows")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, resolution=False, restarts=False,
-            samples=False):
+    def flag(p, key):
+        check, text = OPTIONS[key]
+        p.add_argument(f"--{key}", type=_checked_arg(check), help=text)
+
+    def add(name, func, help_, tol=DEFAULT_TOL, **defaults):
+        """A subcommand with a flag, and a default, for each option it reads."""
         p = sub.add_parser(name, help=help_)
         p.add_argument("scene", help="scene JSON file")
-        p.add_argument("--tol", type=_checked_arg(check_tol), default=None,
-                       help="numerical tolerance")
+        flag(p, "tol")
         p.add_argument("--out", default=".",
                        help="directory for result files (default: .)")
-        if resolution:
-            p.add_argument("--resolution", type=_checked_arg(check_resolution),
-                           default=None, help="grid cell size")
-        if restarts:
-            p.add_argument("--restarts", type=int, default=None,
-                           help="random restarts for the uniqueness probe")
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for the uniqueness probe")
-        if samples:
-            p.add_argument("--samples", type=_checked_arg(check_samples),
-                           default=None,
-                           help="hull samples per subset")
-        p.set_defaults(func=func)
-        return p
+        for key in defaults:
+            flag(p, key)
+        p.set_defaults(func=func, option_defaults={"tol": tol, **defaults})
 
     add("check", cmd_check, "certify that a family is critical")
     add("hollow", cmd_hollow, "compute the hollow simplex and gaps",
-        restarts=True)
+        restarts=10, seed=0)
     add("certify", cmd_certify, "grid-certify the bounded hollow",
-        resolution=True)
+        resolution=None)
     add("solve-klee", cmd_solve_klee,
-        "find a common point when the union is convex")
-    add("kkm", cmd_kkm, "sampled cover check for a kkm section",
-        samples=True)
+        "find a common point when the union is convex", tol=1e-6)
+    add("kkm", cmd_kkm, "sampled cover check for a kkm section", samples=64)
     add("stab-verify", cmd_stab_verify,
-        "verify a stabbing pair against the family", resolution=True)
+        "verify a stabbing pair against the family", tol=1e-6,
+        resolution=None)
     add("render", cmd_render, "draw the scene as a deterministic SVG",
-        resolution=True)
+        resolution=None)
     return parser
 
 

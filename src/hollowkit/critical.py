@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, IntersectionBody, VPolytope
+from .bodies import (DEFAULT_TOL, IntersectionBody, VPolytope,
+                     check_count)
 from .errors import BorderlineCriticalError, EmptyBodyError, NoHollowError
 from .geometry import Simplex, as_points, barycentric
 from .solvers import SeparationCertificate, intersect_witness, min_distance
@@ -244,9 +245,11 @@ def uniqueness_probe(family, restarts=10, seed=0):
     p_j solutions over ``restarts`` seeded random initial points.  A report
     with ``ok == False`` (a deviation above ``UNIQUENESS_THRESHOLD``) flags
     a (numerically) non-unique nearest point; the probe never silently
-    discards a bad spread.
+    discards a bad spread.  ``restarts`` and ``seed`` must pass
+    :func:`check_count`; zero restarts give zero deviations.
     """
-    rng = np.random.default_rng(seed)
+    restarts = check_count(restarts, "restarts")
+    rng = np.random.default_rng(check_count(seed, "seed"))
     lo = family.witnesses.min(axis=0)
     hi = family.witnesses.max(axis=0)
     span = np.maximum(hi - lo, 1e-3)
@@ -258,7 +261,8 @@ def uniqueness_probe(family, restarts=10, seed=0):
         points[r] = hs.vertices
     # pairwise spread over the restarts, per vertex
     diffs = points[:, None, :, :] - points[None, :, :, :]
-    deviations = np.sqrt((diffs ** 2).sum(axis=3).max(axis=(0, 1)))
+    spread = (diffs ** 2).sum(axis=3)
+    deviations = np.sqrt(spread.max(axis=(0, 1), initial=0.0))
     report = UniquenessReport(deviations, UNIQUENESS_THRESHOLD, restarts)
     if not report.ok:
         logger.warning("uniqueness probe flagged deviations %s above %.1e",

@@ -29,23 +29,33 @@ def _fmt(x):
     return format(float(x), ".3f")
 
 
+def _turns_left(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0
+
+
 def _hull_ring(V):
-    """Hull ring of a 2-D point set, ordered counterclockwise."""
+    """Hull ring of a 2-D point set, counterclockwise from the vertex of least
+    angle around the mean of the points.  A point on a hull edge is not a
+    vertex, and a collinear set gives its two end points.
+
+    The ring is Andrew's monotone chain over the lexicographic order, since
+    an angle sort around the mean cannot order points that lie on one ray
+    from it exactly, and a ring in that order then keeps reflex points.
+    """
     pts = np.unique(np.round(as_points(V), 12), axis=0)
     if pts.shape[0] < 3:
         return pts
-    center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-    ring = pts[order]
-    # Keep only hull vertices: drop points that are not extreme.
-    keep = []
-    k = ring.shape[0]
-    for i in range(k):
-        a, b, c = ring[(i - 1) % k], ring[i], ring[(i + 1) % k]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross > -1e-12:
-            keep.append(i)
-    return ring[keep] if keep else ring
+    ring = []
+    for seq in (pts.tolist(), pts[::-1].tolist()):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and not _turns_left(chain[-2], chain[-1], p):
+                chain.pop()
+            chain.append(p)
+        ring += chain[:-1]
+    ring = np.array(ring)
+    off = ring - pts.mean(axis=0)
+    return np.roll(ring, -np.argmin(np.arctan2(off[:, 1], off[:, 0])), axis=0)
 
 
 class _Frame:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .bodies import (DEFAULT_TOL, Ball, HPolytope, IntersectionBody, VPolytope,
-                     check_tol)
+                     check_count, check_tol)
 from .errors import GridResolutionError, SceneError
 from .geometry import AffineSubspace, as_point, as_points
 from .hollow import StabbingPair, check_resolution
@@ -23,8 +24,16 @@ from .sperner import KkmInstance, check_samples
 
 SCHEMA = "hollowkit/1"
 
-OPTION_KEYS = ("tol", "resolution", "restarts", "seed", "samples")
-_INT_OPTIONS = {"restarts", "seed", "samples"}
+# option -> (check, help): the one rule for a scene's option and for the
+# command-line flag of the same name.  Options are written in this order.
+OPTIONS = {
+    "tol": (check_tol, "numerical tolerance"),
+    "resolution": (check_resolution, "grid cell size"),
+    "restarts": (partial(check_count, name="restarts"),
+                 "random restarts for the uniqueness probe"),
+    "seed": (partial(check_count, name="seed"), "seed for the uniqueness probe"),
+    "samples": (check_samples, "hull samples per subset"),
+}
 
 
 @dataclass(eq=False)
@@ -42,7 +51,7 @@ class Scene:
         out = {"schema": SCHEMA, "dimension": int(self.dimension)}
         out["bodies"] = [body_to_json(b) for b in self.bodies]
         if self.options:
-            out["options"] = {k: self.options[k] for k in OPTION_KEYS
+            out["options"] = {k: self.options[k] for k in OPTIONS
                               if k in self.options}
         if self.kkm is not None:
             out["kkm"] = {
@@ -156,6 +165,18 @@ def _subspace_from_json(obj, dimension, path):
         raise SceneError(f"{path}: {exc}") from exc
 
 
+def _refuse_booleans(val, path):
+    """No scene field takes a boolean, and a boolean is not a number."""
+    if isinstance(val, bool):
+        raise SceneError(f"{path}: a boolean is not a number")
+    if isinstance(val, dict):
+        for key, item in val.items():
+            _refuse_booleans(item, f"{path}.{key}")
+    elif isinstance(val, list):
+        for i, item in enumerate(val):
+            _refuse_booleans(item, f"{path}[{i}]")
+
+
 def parse_scene(text, source="<scene>"):
     """Parse scene JSON text; errors carry line and column positions."""
     try:
@@ -169,6 +190,8 @@ def parse_scene(text, source="<scene>"):
     if schema != SCHEMA:
         raise SceneError(f"{source}: unsupported schema {schema!r}, "
                          f"expected {SCHEMA!r}")
+    for key, val in raw.items():
+        _refuse_booleans(val, f"{source}: {key}")
     dimension = raw.get("dimension")
     if not isinstance(dimension, int) or dimension < 1:
         raise SceneError(f"{source}: dimension must be a positive integer")
@@ -180,23 +203,14 @@ def parse_scene(text, source="<scene>"):
         raise SceneError(f"{source}: options must be an object")
     clean = {}
     for key, val in options.items():
-        if key not in OPTION_KEYS:
+        if key not in OPTIONS:
             raise SceneError(f"{source}: unknown option {key!r}")
-        if key in _INT_OPTIONS:
-            if not isinstance(val, int):
-                raise SceneError(f"{source}: option {key!r} must be an integer")
-            clean[key] = val
-        else:
-            if not isinstance(val, (int, float)):
-                raise SceneError(f"{source}: option {key!r} must be a number")
-            clean[key] = float(val)
-    for key, check in (("tol", check_tol), ("resolution", check_resolution),
-                       ("samples", check_samples)):
-        if key in clean:
-            try:
-                check(clean[key])
-            except (GridResolutionError, ValueError) as exc:
-                raise SceneError(f"{source}: option {key!r}: {exc}") from exc
+        if not isinstance(val, (int, float)):
+            raise SceneError(f"{source}: option {key!r} must be a number")
+        try:
+            clean[key] = OPTIONS[key][0](val)
+        except (GridResolutionError, ValueError, OverflowError) as exc:
+            raise SceneError(f"{source}: option {key!r}: {exc}") from exc
     tol = clean.get("tol", DEFAULT_TOL)
     bodies = []
     problems = []
@@ -251,54 +265,43 @@ def load_scene(path):
     return parse_scene(text, source=str(path))
 
 
-def to_jsonable(obj):
-    """Normalize numpy containers and scalars for serialization."""
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+# values written as nested lists or objects rather than inline
+_NESTED = (dict, list, tuple, set, frozenset, np.ndarray)
+
+
+def _dump(obj, indent=0):
+    """Canonical text of ``obj``; numpy arrays, tuples and sets are written as
+    lists (sets sorted), numpy scalars as the Python numbers they hold."""
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(to_jsonable(v) for v in obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        # adding +0.0 folds negative zero, keeping the text re-parse stable
-        return float(obj) + 0.0
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise SceneError(f"cannot serialize value of type {type(obj).__name__}")
-
-
-def _dump(obj, indent):
+        obj = obj.tolist()
+    elif isinstance(obj, (set, frozenset)):
+        obj = sorted(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        rows = [f'{pad}  {json.dumps(k)}: {_dump(v, indent + 1)}'
+        rows = [f'{pad}  {json.dumps(str(k))}: {_dump(v, indent + 1)}'
                 for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        flat = all(not isinstance(v, (dict, list)) for v in obj)
-        if flat:
-            return "[" + ", ".join(_dump(v, 0) for v in obj) + "]"
+        if not any(isinstance(v, _NESTED) for v in obj):
+            return "[" + ", ".join(_dump(v) for v in obj) + "]"
         rows = [f"{pad}  {_dump(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        # adding +0.0 folds negative zero, keeping the text re-parse stable
+        x = float(obj) + 0.0
+        if not math.isfinite(x):
             raise SceneError("cannot serialize non-finite number")
-        return format(obj, ".17g")
+        return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise SceneError(f"cannot serialize value of type {type(obj).__name__}")
@@ -306,7 +309,7 @@ def _dump(obj, indent):
 
 def dumps(obj):
     """Canonical JSON text: stable key order, indent 2, 17-digit floats."""
-    return _dump(to_jsonable(obj), 0) + "\n"
+    return _dump(obj) + "\n"
 
 
 def serialize_scene(scene):

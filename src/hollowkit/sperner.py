@@ -21,11 +21,11 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, project_intersection
+from .bodies import DEFAULT_TOL, check_count, project_intersection
 from .errors import (
     ConvergenceError,
     KleeSolveError,
@@ -458,10 +458,26 @@ class KkmReport:
 
 def check_samples(samples):
     """``samples`` as an int; :class:`ValueError` unless it is a positive integer."""
-    n = int(samples) if str(samples).isdecimal() else 0
-    if n < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
-    return n
+    return check_count(samples, "samples", least=1)
+
+
+@lru_cache(maxsize=32)
+def _sobol_weights(m, count):
+    """Barycentric weights for ``count`` hull samples of m points, and their
+    vertex-biased squares: unscrambled Sobol draws, so every subset of size m
+    gets the same ones.  Both arrays are read-only, since callers share them."""
+    # scipy.stats costs a noticeable share of the package import, and only
+    # this sampler needs it.
+    from scipy.stats import qmc
+
+    u = qmc.Sobol(d=m, scramble=False).random(count)
+    u = np.clip(u, 1e-9, 1.0 - 1e-9)
+    w = -np.log1p(-u)
+    w /= w.sum(axis=1, keepdims=True)
+    biased = w ** 2
+    biased /= biased.sum(axis=1, keepdims=True)
+    w.flags.writeable = biased.flags.writeable = False
+    return w, biased
 
 
 def _subset_samples(pts, samples):
@@ -474,19 +490,9 @@ def _subset_samples(pts, samples):
             out.append(0.5 * (pts[i] + pts[j]))
     out.append(pts.mean(axis=0))
     if m >= 2:
-        # scipy.stats costs a noticeable share of the package import, and
-        # only this sampler needs it.
-        from scipy.stats import qmc
-
         count = 2 ** int(math.ceil(math.log2(max(samples, 2))))
-        sob = qmc.Sobol(d=m, scramble=False)
-        u = sob.random(count)
-        u = np.clip(u, 1e-9, 1.0 - 1e-9)
-        w = -np.log1p(-u)
-        w /= w.sum(axis=1, keepdims=True)
+        w, biased = _sobol_weights(m, count)
         out.extend(w @ pts)
-        biased = w ** 2
-        biased /= biased.sum(axis=1, keepdims=True)
         out.extend(biased @ pts)
     return np.asarray(out)
 

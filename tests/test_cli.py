@@ -6,12 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from hollowkit import (Ball, HPolytope, IntersectionBody, SceneError, Scene,
                        VPolytope, body_from_json, body_to_json, dumps,
                        parse_scene, render_svg, serialize_scene)
 from hollowkit.cli import main
 from hollowkit.render import _body_elements, _Frame, _hull_ring, _polygon
+from hollowkit.scenes import OPTIONS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -83,6 +85,32 @@ def test_rendered_vpoly_is_drawn_from_its_vertex_ring():
     expect = _polygon(frame, ring, "#fill", "#stroke")
     assert _body_elements(frame, vpoly, "#fill", "#stroke") == expect
     assert 'points="' in render_svg([vpoly])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hull_ring_is_the_convex_hull(seed):
+    """Against ``ConvexHull`` on random sets, and on small lattices, where
+    points tie, repeat and lie on hull edges and on rays from the mean."""
+    rng = np.random.default_rng(seed)
+    for trial in range(150):
+        k = rng.integers(3, 16)
+        # six decimals, so the ring's rounding to twelve leaves them as they are
+        pts = (np.round(rng.random((k, 2)), 6) if trial % 3 == 0
+               else rng.integers(0, 2 + trial % 5, (k, 2)).astype(float))
+        ring = _hull_ring(pts)
+        unique = np.unique(pts, axis=0)
+        try:
+            hull = ConvexHull(pts)
+        except QhullError:
+            # a collinear set is drawn as the segment between its ends
+            ends = unique[:1].tolist() + unique[1:][-1:].tolist()
+            assert sorted(ring.tolist()) == ends
+            continue
+        assert sorted(map(tuple, ring)) == sorted(map(tuple, pts[hull.vertices]))
+        x, y = ring[:, 0], ring[:, 1]
+        assert (x * np.roll(y, -1) - np.roll(x, -1) * y).sum() > 0
+        off = ring - unique.mean(axis=0)
+        assert np.argmin(np.arctan2(off[:, 1], off[:, 0])) == 0
 
 
 def test_scene_tol_reaches_intersection_witness():
@@ -433,6 +461,70 @@ def test_bad_samples_scene_option_is_a_scene_error(value, tmp_path, capsys):
     assert not (tmp_path / "result.json").exists()
 
 
+# a subcommand with each option's flag, and a scene it runs on
+FLAG_COMMANDS = {"tol": ("check", "disks.json"),
+                 "resolution": ("certify", "disks.json"),
+                 "restarts": ("hollow", "pair.json"),
+                 "seed": ("hollow", "pair.json"),
+                 "samples": ("kkm", "goodkkm.json")}
+INT_OPTIONS = {"restarts", "seed", "samples"}
+BAD_OPTIONS = [(key, value) for key in OPTIONS
+               for value in (["true", "-1", "2.5"] if key in INT_OPTIONS
+                             else ["true", "-1", "0", "nan", "inf"])
+               + (["0"] if key == "samples" else [])]
+
+
+@pytest.mark.parametrize("key,value", BAD_OPTIONS)
+def test_scene_reader_refuses_bad_option_values(key, value):
+    raw = json.loads(read(scene_path("disks.json")))
+    raw["options"] = {key: json.loads(value.replace("nan", "NaN")
+                                      .replace("inf", "Infinity"))}
+    with pytest.raises(SceneError) as info:
+        parse_scene(json.dumps(raw), source="scene.json")
+    assert str(info.value).startswith("scene.json: option")
+    assert key in str(info.value)
+
+
+@pytest.mark.parametrize("key,value", BAD_OPTIONS)
+def test_bad_option_flags_are_one_usage_error(key, value, tmp_path, capsys):
+    command, scene = FLAG_COMMANDS[key]
+    with pytest.raises(SystemExit) as info:
+        main([command, scene_path(scene), "--out", str(tmp_path),
+              f"--{key}", value])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hollowkit {command}")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"hollowkit {command}: error: argument --{key}: ")
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("where", ["dimension", "radius", "center", "tol"])
+def test_scene_reader_refuses_booleans(where):
+    raw = json.loads(read(scene_path("disks.json")))
+    ball = raw["bodies"][0]
+    if where == "dimension":
+        raw["dimension"] = True
+    elif where == "center":
+        ball["center"][1] = False
+    elif where == "radius":
+        ball["radius"] = True
+    else:
+        raw["options"]["tol"] = True
+    with pytest.raises(SceneError, match="a boolean is not a number"):
+        parse_scene(json.dumps(raw))
+
+
+def test_integer_options_keep_their_values():
+    scene = parse_scene(json.dumps({
+        "schema": "hollowkit/1", "dimension": 1,
+        "bodies": [{"kind": "ball", "center": [0.0], "radius": 1.0}],
+        "options": {"seed": 0, "restarts": 0, "samples": 3, "tol": 1}}))
+    assert scene.options == {"seed": 0, "restarts": 0, "samples": 3, "tol": 1.0}
+    assert type(scene.options["tol"]) is float
+
+
 def test_samples_option_reaches_the_report(tmp_path):
     assert main(["kkm", scene_path("goodkkm.json"), "--out", str(tmp_path),
                  "--samples", "5"]) == 0
@@ -467,3 +559,20 @@ def test_dumps_floats_round_trip():
     values = [0.1, 1e-7, 0.33319836727051344, 1.0 / 3.0, 12.0 / np.sqrt(13.0)]
     text = dumps({"values": values})
     assert json.loads(text)["values"] == values
+
+
+def test_dumps_normalizes_numpy_tuples_sets_and_negative_zero():
+    obj = {"a": np.float64(-0.0), "b": np.int64(3),
+           "c": np.array([[1.0, -0.0], [0.1, 2.5e-17]]),
+           "d": (np.bool_(True), None, 'x"y'),
+           "e": {"f": {"g": [1, (2.0, -0.0)], "h": {}}, "i": []},
+           "j": np.float32(0.1), "k": {2, 1}, 7: np.array([1, 2])}
+    assert dumps(obj) == (
+        '{\n  "a": 0,\n  "b": 3,\n  "c": [\n    [1, 0],\n'
+        '    [0.10000000000000001, 2.4999999999999999e-17]\n  ],\n'
+        '  "d": [true, null, "x\\"y"],\n  "e": {\n    "f": {\n'
+        '      "g": [\n        1,\n        [2, 0]\n      ],\n'
+        '      "h": {}\n    },\n    "i": []\n  },\n'
+        '  "j": 0.10000000149011612,\n  "k": [1, 2],\n  "7": [1, 2]\n}\n')
+    with pytest.raises(SceneError, match="non-finite"):
+        dumps({"x": np.array([np.nan])})

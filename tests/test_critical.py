@@ -208,6 +208,19 @@ def test_uniqueness_probe_small_deviations(disks_family):
     assert np.all(report.deviations <= report.threshold)
 
 
+def test_uniqueness_probe_refuses_bad_restarts_and_seeds(disks_family):
+    for kwargs in ({"restarts": -1}, {"restarts": True}, {"restarts": 2.5},
+                   {"seed": -1}, {"seed": True}):
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError,
+                           match=f"{name} must be a non-negative integer, "
+                                 f"got {value}"):
+            uniqueness_probe(disks_family, **kwargs)
+    report = uniqueness_probe(disks_family, restarts=0)
+    assert report.ok
+    assert np.array_equal(report.deviations, np.zeros(3))
+
+
 def test_random_cage_contains_hollow_vertices(disks_family, disks_hollow):
     rng = np.random.default_rng(11)
     for _ in range(5):

@@ -418,6 +418,16 @@ def test_kkm_verify_refuses_bad_sample_counts(samples):
         kkm_verify(instance, samples=samples)
 
 
+def test_sobol_weights_are_drawn_once_per_size_and_count():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    first = sperner._subset_samples(pts, 8)
+    w, biased = sperner._sobol_weights(3, 8)
+    assert sperner._sobol_weights(3, 8)[0] is w
+    assert not w.flags.writeable and not biased.flags.writeable
+    assert np.array_equal(first[-16:], np.vstack([w @ pts, biased @ pts]))
+    assert np.array_equal(sperner._subset_samples(pts, 8), first)
+
+
 def test_check_samples_accepts_positive_integers():
     assert [sperner.check_samples(v) for v in (1, "7", np.int64(64))] == [1, 7, 64]
 
