@@ -321,10 +321,10 @@ class ConvexBody(abc.ABC):
 class _FacetPolytope(ConvexBody):
     """Polytope held twice: as unit rows {x : A x <= b} and as a point list
     ``_V`` whose hull it is.  Subclasses set ``_A``, ``_b``, ``_V`` and
-    ``_dim`` and supply ``project``.  Distance and containment read the rows:
-    only points within ``tol`` of them need a projection, since the worst
-    slack bounds the distance.  Support and the bounding box read the
-    points."""
+    ``_dim`` and supply ``project``, which returns a point that violates no
+    row as a copy.  Containment reads the rows: only points within ``tol``
+    of them need a projection, since the worst slack bounds the distance.
+    Support and the bounding box read the points."""
 
     @property
     def dim(self):
@@ -343,12 +343,6 @@ class _FacetPolytope(ConvexBody):
         if np.linalg.norm(u) == 0:
             raise ValueError("support direction must be nonzero")
         return _least_maximizer(self._V, u)
-
-    def distance(self, p):
-        p = as_point(p, self._dim)
-        if (self._A @ p - self._b).max() <= 0.0:
-            return 0.0
-        return float(np.linalg.norm(p - self.project(p)))
 
     def contains_batch(self, points, tol=DEFAULT_TOL):
         pts = as_points(points, self._dim)
@@ -444,7 +438,7 @@ class HPolytope(_FacetPolytope):
     def __init__(self, A, b):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float)).astype(float)
-        if A.ndim != 2 or A.shape[0] != b.shape[0]:
+        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
             raise ValueError(f"inconsistent halfspace data: A {A.shape}, b {b.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("halfspace data has non-finite entries")
@@ -490,8 +484,7 @@ class HPolytope(_FacetPolytope):
             raise UnboundedBodyError(
                 f"polytope is unbounded along axis {i} ({'+' if ray[i] > 0 else '-'})")
         self._V = V
-        self._anchor = np.mean([_least_maximizer(V, sign * u) for u in np.eye(d)
-                                for sign in (1.0, -1.0)], axis=0)
+        self._anchor = support_centroid([self])
 
     @classmethod
     def box(cls, lo, hi):

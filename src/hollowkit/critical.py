@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (DEFAULT_TOL, IntersectionBody, VPolytope,
-                     check_count)
+                     check_count, support_centroid)
 from .errors import BorderlineCriticalError, EmptyBodyError, NoHollowError
 from .geometry import Simplex, as_points, barycentric
 from .solvers import SeparationCertificate, intersect_witness, min_distance
@@ -142,10 +142,7 @@ def recentered_witness(bodies, tol=DEFAULT_TOL):
         lo, hi = bodies[0].bounding_box()
         return bodies[0].project((lo + hi) / 2.0)
     inter = IntersectionBody(bodies, tol=tol)
-    eye = np.eye(inter.dim)
-    sup = [inter.support(sgn * eye[i]) for i in range(inter.dim) for sgn in (1.0, -1.0)]
-    center = np.mean(sup, axis=0)
-    return inter.project(center)
+    return inter.project(support_centroid([inter]))
 
 
 def check_critical(bodies, tol=DEFAULT_TOL):

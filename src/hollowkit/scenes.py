@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .bodies import (DEFAULT_TOL, Ball, HPolytope, IntersectionBody, VPolytope,
                      check_count, check_tol)
-from .errors import GridResolutionError, SceneError
+from .errors import SceneError
 from .geometry import AffineSubspace, as_point, as_points
 from .hollow import StabbingPair, check_resolution
 from .sperner import KkmInstance, check_samples
@@ -106,63 +107,45 @@ def _field(obj, key, path, kind=None):
     return val
 
 
+@contextmanager
+def _reading(path):
+    """Read scene input under ``path``: any error raised while building from
+    it becomes a :class:`SceneError` naming ``path``, chained to the cause.
+    A :class:`SceneError` passes through unchanged."""
+    try:
+        yield
+    except SceneError:
+        raise
+    except Exception as exc:
+        raise SceneError(f"{path}: {exc}") from exc
+
+
 def body_from_json(obj, dimension, path="body", tol=DEFAULT_TOL):
     """Build a body from its JSON description, checking the dimension;
     an intersection's witness is checked at ``tol``."""
     if not isinstance(obj, dict):
         raise SceneError(f"{path}: body must be an object")
     kind = _field(obj, "kind", path, str)
-    try:
+    with _reading(path):
         if kind == "hpoly":
-            A = as_points(_field(obj, "normals", path, list))
-            b = np.asarray(_field(obj, "offsets", path, list), dtype=float)
-            if A.shape[1] != dimension:
-                raise SceneError(
-                    f"{path}: normals have dimension {A.shape[1]}, "
-                    f"scene has {dimension}")
-            if b.shape != (A.shape[0],):
-                raise SceneError(f"{path}: need one offset per normal row")
-            return HPolytope(A, b)
+            return HPolytope(as_points(_field(obj, "normals", path, list), dimension),
+                             _field(obj, "offsets", path, list))
         if kind == "vpoly":
-            V = as_points(_field(obj, "vertices", path, list))
-            if V.shape[1] != dimension:
-                raise SceneError(
-                    f"{path}: vertices have dimension {V.shape[1]}, "
-                    f"scene has {dimension}")
-            return VPolytope(V)
+            return VPolytope(as_points(_field(obj, "vertices", path, list), dimension))
         if kind == "ball":
-            c = as_point(_field(obj, "center", path, list))
-            if c.shape[0] != dimension:
-                raise SceneError(
-                    f"{path}: center has dimension {c.shape[0]}, "
-                    f"scene has {dimension}")
-            r = _field(obj, "radius", path, (int, float))
-            return Ball(c, float(r))
+            return Ball(as_point(_field(obj, "center", path, list), dimension),
+                        _field(obj, "radius", path, (int, float)))
         if kind == "intersection":
-            parts_json = _field(obj, "parts", path, list)
             parts = [body_from_json(p, dimension, f"{path}.parts[{i}]", tol)
-                     for i, p in enumerate(parts_json)]
-            witness = obj.get("witness")
-            if witness is not None:
-                witness = as_point(witness, dimension)
-            return IntersectionBody(parts, witness=witness, tol=tol)
-    except SceneError:
-        raise
-    except Exception as exc:
-        raise SceneError(f"{path}: {exc}") from exc
+                     for i, p in enumerate(_field(obj, "parts", path, list))]
+            return IntersectionBody(parts, witness=obj.get("witness"), tol=tol)
     raise SceneError(f"{path}: unknown body kind {kind!r}")
 
 
 def _subspace_from_json(obj, dimension, path):
-    base = as_point(_field(obj, "base", path, list))
-    basis = as_points(_field(obj, "basis", path, list))
-    if base.shape[0] != dimension or basis.shape[1] != dimension:
-        raise SceneError(f"{path}: flat does not match scene dimension "
-                         f"{dimension}")
-    try:
-        return AffineSubspace(base, basis)
-    except Exception as exc:
-        raise SceneError(f"{path}: {exc}") from exc
+    with _reading(path):
+        return AffineSubspace(as_point(_field(obj, "base", path, list), dimension),
+                              _field(obj, "basis", path, list))
 
 
 def _refuse_booleans(val, path):
@@ -178,12 +161,15 @@ def _refuse_booleans(val, path):
 
 
 def parse_scene(text, source="<scene>"):
-    """Parse scene JSON text; errors carry line and column positions."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"{source}: invalid JSON: {exc.msg}",
-                         line=exc.lineno, column=exc.colno) from exc
+    """Parse scene JSON text.  Every refusal is a :class:`SceneError` that
+    names ``source`` and the body or section; syntax errors carry line and
+    column positions."""
+    with _reading(source):
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SceneError(f"{source}: invalid JSON: {exc.msg}",
+                             line=exc.lineno, column=exc.colno) from exc
     if not isinstance(raw, dict):
         raise SceneError(f"{source}: top level must be an object")
     schema = raw.get("schema")
@@ -207,10 +193,8 @@ def parse_scene(text, source="<scene>"):
             raise SceneError(f"{source}: unknown option {key!r}")
         if not isinstance(val, (int, float)):
             raise SceneError(f"{source}: option {key!r} must be a number")
-        try:
+        with _reading(f"{source}: option {key!r}"):
             clean[key] = OPTIONS[key][0](val)
-        except (GridResolutionError, ValueError, OverflowError) as exc:
-            raise SceneError(f"{source}: option {key!r}: {exc}") from exc
     tol = clean.get("tol", DEFAULT_TOL)
     bodies = []
     problems = []
@@ -227,41 +211,36 @@ def parse_scene(text, source="<scene>"):
         sec = raw["kkm"]
         if not isinstance(sec, dict):
             raise SceneError(f"{source}: kkm must be an object")
-        points = as_points(_field(sec, "points", "kkm", list))
-        if points.shape[1] != dimension:
-            raise SceneError("kkm.points: dimension mismatch with scene")
-        images_json = _field(sec, "images", "kkm", list)
-        images = [body_from_json(g, dimension, f"kkm.images[{i}]", tol)
-                  for i, g in enumerate(images_json)]
-        try:
+        path = f"{source}: kkm"
+        with _reading(path):
+            points = as_points(_field(sec, "points", path, list), dimension)
+            images = [body_from_json(g, dimension, f"{path}.images[{i}]", tol)
+                      for i, g in enumerate(_field(sec, "images", path, list))]
             kkm = KkmInstance(points, tuple(images))
-        except Exception as exc:
-            raise SceneError(f"kkm: {exc}") from exc
     stabbing = None
     stab_wit = None
     if "stabbing" in raw:
         sec = raw["stabbing"]
         if not isinstance(sec, dict):
             raise SceneError(f"{source}: stabbing must be an object")
-        w = _subspace_from_json(_field(sec, "flat", "stabbing", dict),
-                                dimension, "stabbing.flat")
-        v = _subspace_from_json(_field(sec, "transversal", "stabbing", dict),
-                                dimension, "stabbing.transversal")
-        point = as_point(_field(sec, "point", "stabbing", list), dimension)
-        stab_wit = as_points(_field(sec, "witnesses", "stabbing", list),
-                             dimension)
-        try:
-            stabbing = StabbingPair(w, v, point)
-        except Exception as exc:
-            raise SceneError(f"stabbing: {exc}") from exc
+        path = f"{source}: stabbing"
+        with _reading(path):
+            w = _subspace_from_json(_field(sec, "flat", path, dict),
+                                    dimension, f"{path}.flat")
+            v = _subspace_from_json(_field(sec, "transversal", path, dict),
+                                    dimension, f"{path}.transversal")
+            stab_wit = as_points(_field(sec, "witnesses", path, list), dimension)
+            stabbing = StabbingPair(w, v, _field(sec, "point", path, list))
     return Scene(dimension=dimension, bodies=tuple(bodies), options=clean,
                  kkm=kkm, stabbing=stabbing, stabbing_witnesses=stab_wit)
 
 
 def load_scene(path):
-    """Parse a scene file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a scene file from disk; one that is not UTF-8 is a SceneError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with _reading(path):
+        text = data.decode("utf-8")
     return parse_scene(text, source=str(path))
 
 

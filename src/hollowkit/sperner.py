@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, check_count, project_intersection
+from .bodies import DEFAULT_TOL, check_count, decided_scan, project_intersection
 from .errors import (
     ConvergenceError,
     KleeSolveError,
@@ -35,7 +35,6 @@ from .errors import (
     ToleranceAmbiguityError,
 )
 from .geometry import Simplex, affine_hull, as_points
-from .solvers import intersect_witness
 
 logger = logging.getLogger(__name__)
 
@@ -379,9 +378,9 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
     if affine_hull(witnesses).dim < n:
         logger.info("klee_solve: degenerate witnesses, deciding by the "
                     "feasibility scan")
-        report = intersect_witness(bodies, tol=min(tol, DEFAULT_TOL))
-        if report.feasible:
-            return _polish_common_point(report.witness, bodies, tol)
+        status, witness, *_ = decided_scan(bodies, tol=min(tol, DEFAULT_TOL))
+        if status == "witness":
+            return _polish_common_point(witness, bodies, tol)
         raise KleeSolveError(
             "degenerate witnesses and no common point: union cannot be convex")
     ambient = Simplex(witnesses)
@@ -535,11 +534,11 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
                              subsets_checked=checked, samples_per_subset=samples)
         checked += 1
     try:
-        report = intersect_witness(list(instance.images), tol=tol)
+        status, witness, *_ = decided_scan(instance.images, tol=tol)
     except (ConvergenceError, ToleranceAmbiguityError):
-        report = None
-    if report is not None and report.feasible:
-        return KkmReport(True, witness=report.witness, subsets_checked=checked,
+        status = None
+    if status == "witness":
+        return KkmReport(True, witness=witness, subsets_checked=checked,
                          samples_per_subset=samples)
     return KkmReport(True, witness=None, contradiction=True,
                      subsets_checked=checked, samples_per_subset=samples)

@@ -407,6 +407,9 @@ def test_hpolytope_rejects_bad_descriptions():
                   np.array([1.0, 0.0, 1.0]))
     with pytest.raises(EmptyBodyError):
         HPolytope.box([1.0], [0.0])
+    # one offset per row: a column of offsets is refused, not solved with
+    with pytest.raises(ValueError, match="inconsistent halfspace data"):
+        HPolytope([[1.0], [-1.0]], [[1.0], [0.0]])
 
 
 def test_ball_requires_positive_radius():

@@ -1,5 +1,8 @@
 """Scene files, the command line driver, and its deterministic outputs."""
+import copy
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -8,9 +11,10 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
 
-from hollowkit import (Ball, HPolytope, IntersectionBody, SceneError, Scene,
-                       VPolytope, body_from_json, body_to_json, dumps,
-                       parse_scene, render_svg, serialize_scene)
+from hollowkit import (AffineSubspace, Ball, HPolytope, IntersectionBody,
+                       SceneError, Scene, StabbingPair, VPolytope,
+                       body_from_json, body_to_json, dumps, parse_scene,
+                       render_svg, serialize_scene)
 from hollowkit.cli import main
 from hollowkit.render import _body_elements, _Frame, _hull_ring, _polygon
 from hollowkit.scenes import OPTIONS
@@ -356,6 +360,98 @@ def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["check", scene_path("nope.json"), "--out", str(tmp_path)])
     assert code == 1
     assert "io error" in capsys.readouterr().err
+
+
+def test_scene_fields_are_refused_with_one_scene_error_line(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(read(scene_path("disks.json"), "rb")
+                       .replace(b'"hollowkit/1"', b'"hollowkit/1\xe9"'))
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"bodies": ' + "[" * 100000 + "]" * 100000 + "}")
+    cases = [(str(latin1), "latin1.json: 'utf-8' codec can't decode"),
+             (str(deep), "deep.json: maximum recursion depth exceeded"),
+             (scene_path("kkm_ragged.json"), "kkm_ragged.json: kkm: "),
+             (scene_path("stab_baddim.json"),
+              "stab_baddim.json: stabbing: point has dimension 3, expected 2")]
+    for path, reason in cases:
+        assert main(["check", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("scene error: ")
+        assert reason in errors[0]
+        assert not (tmp_path / "result.json").exists()
+
+
+def test_point_transversal_round_trips_and_verifies(tmp_path):
+    """n = d: the transversal flat is a point, written ``"basis": []``."""
+    scene = parse_scene(read(scene_path("disks.json")))
+    centroid = np.array([0.95, 0.5485])
+    scene.stabbing = StabbingPair(AffineSubspace(centroid, np.eye(2)),
+                                  AffineSubspace(centroid, np.zeros((0, 2))),
+                                  centroid)
+    scene.stabbing_witnesses = np.array([[1.425, 0.8227], [0.475, 0.8227],
+                                         [0.95, 0.0]])
+    text = serialize_scene(scene)
+    assert json.loads(text)["stabbing"]["transversal"]["basis"] == []
+    assert parse_scene(text) == scene
+    path = tmp_path / "point.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["stab-verify", str(path), "--out", str(tmp_path)]) == 0
+    assert result_of(str(tmp_path))["surround_ok"] is True
+
+
+# replacement values for any leaf of a scene, and for any nonempty list
+# "one entry too long": its last entry repeated
+BAD_VALUES = [None, "a", [], [[]], [1, [2]], {}, -1, 1e308]
+
+
+def node_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, val in items:
+            yield from node_paths(val, path + (key,))
+
+
+def bad_variants(raw):
+    """``(path, value)`` pairs: each bad value at each leaf, and each
+    nonempty list one entry too long."""
+    for path in node_paths(raw):
+        node = functools.reduce(operator.getitem, path, raw)
+        if isinstance(node, list) and node:
+            yield path, node + [node[-1]]
+        elif path and not (isinstance(node, dict) and node):
+            for bad in BAD_VALUES:
+                yield path, bad
+
+
+def with_value(raw, path, value):
+    out = copy.deepcopy(raw)
+    functools.reduce(operator.getitem, path[:-1], out)[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+VALID_SCENES = ["disks.json", "gapkkm.json", "goodkkm.json", "noncrit.json",
+                "pair.json", "squares.json", "stab.json", "stab_bad.json",
+                "thincore.json", "vpoly.json"]
+
+
+# 1e308 overflows in norms and Gram matrices before it is refused
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", VALID_SCENES)
+def test_every_bad_field_is_a_scene_or_a_scene_error(name):
+    raw = json.loads(read(scene_path(name)))
+    assert isinstance(parse_scene(json.dumps(raw)), Scene)
+    sections = set()
+    for path, value in bad_variants(raw):
+        sections.add(path[0])
+        try:
+            result = parse_scene(json.dumps(with_value(raw, path, value)))
+        except SceneError:
+            continue
+        assert isinstance(result, Scene), (path, value)
+    assert sections == set(raw)
 
 
 def test_missing_section_exit_code(tmp_path, capsys):

@@ -76,3 +76,16 @@ def test_one_membership_rule_per_body():
     (_, kkm), = function_defs(PACKAGE / "sperner.py", "kkm_verify")
     assert not [node for node in ast.walk(kkm)
                 if isinstance(node, ast.Attribute) and node.attr == "membership"]
+
+
+def catch_alls(node):
+    """The ``except Exception`` handlers under ``node``."""
+    return [h for h in ast.walk(node) if isinstance(h, ast.ExceptHandler)
+            and isinstance(h.type, ast.Name) and h.type.id == "Exception"]
+
+
+def test_one_scene_error_reader():
+    """Scene input becomes a ``SceneError`` in one place, the reader."""
+    (_, reader), = function_defs(PACKAGE / "scenes.py", "_reading")
+    assert len(catch_alls(ast.parse((PACKAGE / "scenes.py").read_text()))) == 1
+    assert len(catch_alls(reader)) == 1
