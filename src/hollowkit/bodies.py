@@ -307,6 +307,13 @@ class ConvexBody(abc.ABC):
         pts = as_points(points, self.dim)
         return np.array([self.distance(q) <= tol for q in pts], dtype=bool)
 
+    def _grid_cover(self, axes):
+        """``contains_batch(., tol=0)`` at the points of the grid whose
+        coordinates along axis i are the 1-D array ``axes[i]``, shaped like
+        that grid.  This default lifts the grid to its (N, d) point list."""
+        return self.contains_batch(_grid_points(axes), tol=0.0).reshape(
+            [a.size for a in axes])
+
     def diameter(self):
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
@@ -352,6 +359,16 @@ class _FacetPolytope(ConvexBody):
         for idx in np.flatnonzero(~out & (worst <= tol)):
             out[idx] = self.distance(pts[idx]) <= tol
         return out
+
+
+def _grid_points(axes):
+    """The (N, d) list of the points of the grid whose coordinates along
+    axis i are the 1-D array ``axes[i]``, the last axis varying fastest."""
+    d = len(axes)
+    points = np.empty([a.size for a in axes] + [d])
+    for i, a in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        points[..., i] = a
+    return points.reshape(-1, d)
 
 
 def _least_maximizer(V, u):
@@ -629,9 +646,21 @@ class Ball(ConvexBody):
         p = as_point(p, self.dim)
         return max(0.0, float(np.linalg.norm(p - self._c)) - self._r)
 
+    def _within(self, coords, tol):
+        """The contains rule on per-axis coordinate arrays that broadcast:
+        the squared offsets summed left to right, so that a row of a point
+        list and a cell of a grid give the same bits."""
+        squares = [(x - c) * (x - c) for x, c in zip(coords, self._c)]
+        # sum(rest, first) adds ((first + s1) + s2) + ...
+        return np.sqrt(sum(squares[1:], squares[0])) <= self._r + tol
+
     def contains_batch(self, points, tol=DEFAULT_TOL):
-        pts = as_points(points, self.dim)
-        return np.linalg.norm(pts - self._c, axis=1) <= self._r + tol
+        return self._within(as_points(points, self.dim).T, tol)
+
+    def _grid_cover(self, axes):
+        """:meth:`_within` on each axis laid along its own dimension: the
+        same sums as on the point list, without building it."""
+        return self._within(np.meshgrid(*axes, indexing="ij", sparse=True), 0.0)
 
 
 class IntersectionBody(ConvexBody):
@@ -720,3 +749,11 @@ class IntersectionBody(ConvexBody):
         for idx in np.flatnonzero(~inner & ~outer):
             out[idx] = self.distance(pts[idx]) <= tol
         return out
+
+    def _grid_cover(self, axes):
+        """The AND of the members' grid covers: at tol = 0 the band of
+        :meth:`contains_batch` is empty, so this is that rule exactly."""
+        cover = self._bodies[0]._grid_cover(axes)
+        for b in self._bodies[1:]:
+            cover &= b._grid_cover(axes)
+        return cover

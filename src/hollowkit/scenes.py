@@ -128,18 +128,32 @@ def body_from_json(obj, dimension, path="body", tol=DEFAULT_TOL):
     kind = _field(obj, "kind", path, str)
     with _reading(path):
         if kind == "hpoly":
-            return HPolytope(as_points(_field(obj, "normals", path, list), dimension),
+            body = HPolytope(as_points(_field(obj, "normals", path, list), dimension),
                              _field(obj, "offsets", path, list))
-        if kind == "vpoly":
-            return VPolytope(as_points(_field(obj, "vertices", path, list), dimension))
-        if kind == "ball":
-            return Ball(as_point(_field(obj, "center", path, list), dimension),
+        elif kind == "vpoly":
+            body = VPolytope(as_points(_field(obj, "vertices", path, list), dimension))
+        elif kind == "ball":
+            body = Ball(as_point(_field(obj, "center", path, list), dimension),
                         _field(obj, "radius", path, (int, float)))
-        if kind == "intersection":
+        elif kind == "intersection":
             parts = [body_from_json(p, dimension, f"{path}.parts[{i}]", tol)
                      for i, p in enumerate(_field(obj, "parts", path, list))]
-            return IntersectionBody(parts, witness=obj.get("witness"), tol=tol)
-    raise SceneError(f"{path}: unknown body kind {kind!r}")
+            body = IntersectionBody(parts, witness=obj.get("witness"), tol=tol)
+        else:
+            raise SceneError(f"{path}: unknown body kind {kind!r}")
+        _check_extent(body)
+    return body
+
+
+def _check_extent(body):
+    """Every oracle squares coordinates to measure distances, so a body
+    whose bounding box has no finite squared norm is refused: its
+    distances, supports and centroids would overflow to inf."""
+    lo, hi = body.bounding_box()
+    with np.errstate(over="ignore"):
+        square = lo @ lo + hi @ hi
+    if not np.isfinite(square):
+        raise ValueError("coordinates too large: their squares overflow")
 
 
 def _subspace_from_json(obj, dimension, path):

@@ -11,7 +11,7 @@ from hollowkit import (Ball, EmptyBodyError, HPolytope, IntersectionBody,
                        PolytopeSizeError, ProjectionError, UnboundedBodyError,
                        VPolytope, dykstra, feasibility_scan, intersect_witness,
                        klee_solve)
-from hollowkit.bodies import project_intersection
+from hollowkit.bodies import _grid_points, project_intersection
 from conftest import side_rectangle
 
 IDEMPOTENT_TOL = 1e-9
@@ -181,6 +181,51 @@ def test_contains_batch_matches_membership(name, body):
     batch = body.contains_batch(pts, tol=1e-7)
     for p, flag in zip(pts, batch):
         assert flag == body.membership(p, 1e-7), name
+
+
+def moved(body, scale, shift):
+    """The image of ``body`` under x -> scale x + shift."""
+    if isinstance(body, Ball):
+        return Ball(scale * body.center + shift, scale * body.radius)
+    if isinstance(body, HPolytope):
+        return HPolytope(body.A, scale * body.b + body.A @ shift)
+    if isinstance(body, VPolytope):
+        return VPolytope(scale * body.vertices + shift)
+    return IntersectionBody([moved(b, scale, shift) for b in body.bodies],
+                            witness=scale * body.anchor + shift, tol=1e-6 * scale)
+
+
+def grid_cover_bodies():
+    ball3 = Ball([0.2, -0.1, 0.3], 0.9)
+    return sample_bodies() + [
+        ("ball-3d", ball3),
+        ("ball-box-3d", IntersectionBody(
+            [ball3, HPolytope.box([-0.5, -1.0, 0.0], [1.0, 0.4, 1.5])]))]
+
+
+@pytest.mark.parametrize("name,body", grid_cover_bodies())
+def test_grid_cover_is_contains_batch_on_the_grid(name, body):
+    """Every point of a body's grid cover equals ``contains_batch`` at tol 0
+    on the lifted points, with no tolerance, at every scale and far from
+    the origin.  Each axis also holds the body's bounds and anchor and
+    their neighbouring floats, so that some points lie on the boundary."""
+    rng = np.random.default_rng(31)
+    for scale in (1e-3, 0.37, 1.0, 1e3):
+        for shift in (0.0, 1e3, 1e6):
+            image = moved(body, scale, rng.uniform(-shift, shift, size=body.dim))
+            lo, hi = image.bounding_box()
+            span = float((hi - lo).max())
+            marks = np.concatenate([lo, hi, image.anchor])
+            marks = np.concatenate([np.nextafter(marks, -np.inf), marks,
+                                    np.nextafter(marks, np.inf)]).reshape(3, 3, -1)
+            axes = [np.unique(np.concatenate([
+                a - 0.2 * span + (np.arange(int(rng.integers(20, 30))) + 0.5)
+                * (1.4 * span / 24), marks[..., i].ravel()]))
+                for i, a in enumerate(lo)]
+            cover = image._grid_cover(axes)
+            lifted = image.contains_batch(_grid_points(axes), tol=0.0)
+            assert cover.shape == tuple(a.size for a in axes), name
+            assert np.array_equal(cover.ravel(), lifted), (name, scale, shift)
 
 
 def test_box_support_and_project_closed_form():

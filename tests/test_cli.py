@@ -305,13 +305,15 @@ def test_thincore_kkm_witness_lies_in_every_image(tmp_path):
     pytest.param("thincore", "kkm", 0, id="kkm"),
     ("squares", "solve-klee", 0), ("goodkkm", "solve-klee", 0),
     ("noncrit", "solve-klee", 0), ("goodkkm", "kkm", 0), ("gapkkm", "kkm", 2),
-    ("disks", "certify", 0), ("vpoly", "certify", 0), ("squares", "check", 2),
+    ("disks", "certify", 0), ("vpoly", "certify", 0), ("balls3", "certify", 0),
+    ("squares", "check", 2),
     ("stab", "stab-verify", 0)])
 def test_deep_core_results_match_fixture(scene, command, code, tmp_path):
     """The Klee and cover results are pinned byte for byte; the coloring of
     the thin-core scene goes six levels deep.  The grid certificates, the
     full-intersection check and the stabbing check pin the contains rules
-    of balls, both polytope kinds and intersections."""
+    of balls, both polytope kinds and intersections; balls3 pins the 3-D
+    grid."""
     assert main([command, scene_path(f"{scene}.json"), "--out", str(tmp_path)]) == code
     expected = scene_path(os.path.join("expected", f"{scene}.{command}.result.json"))
     assert read(os.path.join(tmp_path, "result.json"), "rb") == read(expected, "rb")
@@ -383,6 +385,19 @@ def test_scene_fields_are_refused_with_one_scene_error_line(tmp_path, capsys):
         assert not (tmp_path / "result.json").exists()
 
 
+def test_body_too_far_out_to_square_is_a_scene_error(tmp_path, capsys):
+    """A center at 1e308 would overflow every distance and centroid; the
+    reader refuses its body by name."""
+    assert main(["check", scene_path("far_center.json"), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [f"scene error: {scene_path('far_center.json')}: 1 bad bodies"]
+    assert ("  bodies[0]: coordinates too large: their squares overflow"
+            in err.splitlines())
+    assert "Traceback" not in err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_point_transversal_round_trips_and_verifies(tmp_path):
     """n = d: the transversal flat is a point, written ``"basis": []``."""
     scene = parse_scene(read(scene_path("disks.json")))
@@ -432,9 +447,9 @@ def with_value(raw, path, value):
     return out
 
 
-VALID_SCENES = ["disks.json", "gapkkm.json", "goodkkm.json", "noncrit.json",
-                "pair.json", "squares.json", "stab.json", "stab_bad.json",
-                "thincore.json", "vpoly.json"]
+VALID_SCENES = ["balls3.json", "disks.json", "gapkkm.json", "goodkkm.json",
+                "noncrit.json", "pair.json", "squares.json", "stab.json",
+                "stab_bad.json", "thincore.json", "vpoly.json"]
 
 
 # 1e308 overflows in norms and Gram matrices before it is refused

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hollowkit import (AffineSubspace, GridResolutionError, HPolytope,
+from hollowkit import (AffineSubspace, Ball, GridResolutionError, HPolytope,
                        NoHollowError, StabbingPair, boundary_attribution,
                        certify_hollow, check_critical, enclosure_check,
                        hausdorff_convex, hollow_simplex, hull_vs_simplex,
@@ -86,6 +86,24 @@ def test_rects_component(rects_cert, rects_family):
     assert hull_vs_simplex(rects_cert, hs) < 0.05
     attr = boundary_attribution(rects_cert)
     assert attr.complete
+
+
+def test_ball_grid_builds_no_point_list(balls_family, monkeypatch):
+    """A ball-only 3-D grid is rasterized on its axes: ``contains_batch``
+    is handed no grid point."""
+    counted = []
+    contains_batch = Ball.contains_batch
+
+    def counting(self, points, tol=1e-7):
+        counted.append(len(points))
+        return contains_batch(self, points, tol)
+
+    monkeypatch.setattr(Ball, "contains_batch", counting)
+    W = balls_family.witnesses
+    span = float((W.max(axis=0) - W.min(axis=0)).max())
+    cert = certify_hollow(balls_family, span / 40)
+    assert cert.bounded and len(cert.grid.shape) == 3
+    assert sum(counted) == 0
 
 
 def test_grid_index_roundtrip(disks_cert):
