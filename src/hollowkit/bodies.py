@@ -271,7 +271,9 @@ def _least_distance(A, b, p):
 
 
 class ConvexBody(abc.ABC):
-    """Oracle interface for a compact convex set in R^d."""
+    """Oracle interface for a compact convex set in R^d.  Each kind states
+    its projection, support, bounding box, one contains rule
+    (``contains_batch``) and a member ``anchor``; the rest derive from them."""
 
     @property
     @abc.abstractmethod
@@ -300,12 +302,10 @@ class ConvexBody(abc.ABC):
         contains rule, :meth:`contains_batch`, on a single point."""
         return bool(self.contains_batch(as_point(p, self.dim)[None], tol)[0])
 
+    @abc.abstractmethod
     def contains_batch(self, points, tol=DEFAULT_TOL):
         """Which rows of an (N, d) array lie within ``tol`` of the body: the
-        body's one contains rule.  This default tests ``distance <= tol``
-        row by row; subclasses override it with a vectorized rule."""
-        pts = as_points(points, self.dim)
-        return np.array([self.distance(q) <= tol for q in pts], dtype=bool)
+        body's one contains rule, stated by each kind."""
 
     def _grid_cover(self, axes):
         """``contains_batch(., tol=0)`` at the points of the grid whose
@@ -319,10 +319,9 @@ class ConvexBody(abc.ABC):
         return float(np.linalg.norm(hi - lo))
 
     @property
+    @abc.abstractmethod
     def anchor(self):
         """Some member point, used as a default start for iterations."""
-        lo, hi = self.bounding_box()
-        return self.project((lo + hi) / 2.0)
 
 
 class _FacetPolytope(ConvexBody):

@@ -19,8 +19,8 @@ from .bodies import DEFAULT_TOL
 from .critical import (CriticalFamily, check_critical, hollow_simplex,
                        recentered_witness, uniqueness_probe)
 from .errors import GridResolutionError, HollowkitError, SceneError
-from .hollow import (BOX_EXPAND, boundary_attribution, certify_hollow,
-                     hull_vs_simplex, verify_stabbing)
+from .hollow import (boundary_attribution, certify_hollow, hull_vs_simplex,
+                     verify_stabbing)
 from .render import render_svg
 from .scenes import OPTIONS, SCHEMA, dumps, load_scene
 from .sperner import klee_solve, kkm_verify
@@ -155,24 +155,13 @@ def cmd_hollow(args):
     return EXIT_OK
 
 
-def _grid_resolution(args, scene, family):
-    """The ``resolution`` option, else 128 cells across the widest side of
-    the certificate's grid box."""
-    resolution = _opt(args, scene, "resolution")
-    if resolution is not None:
-        return resolution
-    W = family.witnesses
-    span = float((W.max(axis=0) - W.min(axis=0)).max())
-    return BOX_EXPAND * span / 128.0
-
-
 def cmd_certify(args):
     scene, family, payload = _critical_or_reject(args, "certify")
     if family is None:
         return EXIT_REJECTED
     hs = hollow_simplex(family)
     payload["hollow_simplex"] = {"vertices": hs.vertices, "gaps": hs.gaps}
-    cert = certify_hollow(family, _grid_resolution(args, scene, family))
+    cert = certify_hollow(family, _opt(args, scene, "resolution"))
     attribution = boundary_attribution(cert)
     distance = hull_vs_simplex(cert, hs)
     payload["grid_certificate"] = {
@@ -286,8 +275,7 @@ def cmd_render(args):
         witnesses = outcome.witnesses
         if outcome.n == outcome.d:
             hollow = hollow_simplex(outcome)
-            cert = certify_hollow(outcome,
-                                  _grid_resolution(args, scene, outcome))
+            cert = certify_hollow(outcome, _opt(args, scene, "resolution"))
     svg = render_svg(list(scene.bodies), witnesses=witnesses, hollow=hollow,
                      certificate=cert)
     figure = _write(args, "figure.svg", svg)

@@ -116,9 +116,6 @@ class AffineSubspace:
     def distance(self, p):
         return float(np.linalg.norm(as_point(p, self.ambient_dim) - self.project(p)))
 
-    def contains(self, p, tol=ATOL):
-        return self.distance(p) <= tol
-
     def coords(self, p):
         """Coordinates of ``p`` in the basis frame (p should lie on the subspace)."""
         return self.basis @ (as_point(p, self.ambient_dim) - self.base)
@@ -325,10 +322,6 @@ class Simplex:
         gram = edges @ edges.T
         det = float(np.linalg.det(gram))
         return float(np.sqrt(max(det, 0.0)) / np.prod([i for i in range(1, k + 1)]))
-
-    @property
-    def centroid(self):
-        return self.vertices.mean(axis=0)
 
     def contains(self, p, tol=1e-9):
         """Convex containment via barycentric coordinates (all >= -tol)."""

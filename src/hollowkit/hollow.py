@@ -172,14 +172,15 @@ def _component_hull(centers):
         return np.unique(pts, axis=0)
 
 
-def certify_hollow(family, resolution, retry=True):
+def certify_hollow(family, resolution=None, retry=True):
     """Locate and certify the bounded complement component of a family.
 
     The grid box is the witness bounding box scaled by ``BOX_EXPAND`` about
-    its center; cell centers are classified by body membership, uncovered
-    cells are labeled by face adjacency, and components touching the grid
-    border are discarded as unbounded.  If no bounded component shows up
-    the grid is retried once at half the cell size.
+    its center; ``resolution`` is its cell size, by default 1/128 of the
+    box's widest side.  Cell centers are classified by body membership,
+    uncovered cells are labeled by face adjacency, and components touching
+    the grid border are discarded as unbounded.  If no bounded component
+    shows up the grid is retried once at half the cell size.
 
     Raises
     ------
@@ -202,9 +203,11 @@ def certify_hollow(family, resolution, retry=True):
     if d not in (2, 3):
         raise GridDimensionError(
             "grid certification supports dimension 2 or 3")
-    resolution = check_resolution(resolution)
     W = family.witnesses
     lo0, hi0 = W.min(axis=0), W.max(axis=0)
+    if resolution is None:
+        resolution = BOX_EXPAND * float((hi0 - lo0).max()) / 128.0
+    resolution = check_resolution(resolution)
     center = 0.5 * (lo0 + hi0)
     half = 0.5 * BOX_EXPAND * (hi0 - lo0)
     lo, hi = center - half, center + half
@@ -398,10 +401,11 @@ class StabbingPair:
             raise ValueError(
                 f"flat dimensions {self.w.dim} + {self.v.dim} must sum to {d}")
         scale = 1.0 + float(np.linalg.norm(self.point))
-        if self.w.distance(self.point) > 1e-7 * scale:
-            raise ValueError("crossing point is off the first flat")
-        if self.v.distance(self.point) > 1e-7 * scale:
-            raise ValueError("crossing point is off the second flat")
+        # refused too: a distance that overflows, when scale may be inf
+        for flat, name in ((self.w, "first"), (self.v, "second")):
+            off = flat.distance(self.point)
+            if not np.isfinite(off) or off > 1e-7 * scale:
+                raise ValueError(f"crossing point is off the {name} flat")
         stacked = np.vstack([self.w.basis, self.v.basis])
         sv = np.linalg.svd(stacked, compute_uv=False)
         if sv.size and sv[-1] < 1e-9:

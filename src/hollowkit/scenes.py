@@ -141,17 +141,17 @@ def body_from_json(obj, dimension, path="body", tol=DEFAULT_TOL):
             body = IntersectionBody(parts, witness=obj.get("witness"), tol=tol)
         else:
             raise SceneError(f"{path}: unknown body kind {kind!r}")
-        _check_extent(body)
+        _check_extent(*body.bounding_box())
     return body
 
 
-def _check_extent(body):
+def _check_extent(*coords):
     """Every oracle squares coordinates to measure distances, so a body
-    whose bounding box has no finite squared norm is refused: its
-    distances, supports and centroids would overflow to inf."""
-    lo, hi = body.bounding_box()
+    whose bounding box, or a stabbing section whose points, have no finite
+    squared norm are refused: their distances, supports and centroids
+    would overflow to inf."""
     with np.errstate(over="ignore"):
-        square = lo @ lo + hi @ hi
+        square = sum(np.ravel(c) @ np.ravel(c) for c in coords)
     if not np.isfinite(square):
         raise ValueError("coordinates too large: their squares overflow")
 
@@ -244,7 +244,9 @@ def parse_scene(text, source="<scene>"):
             v = _subspace_from_json(_field(sec, "transversal", path, dict),
                                     dimension, f"{path}.transversal")
             stab_wit = as_points(_field(sec, "witnesses", path, list), dimension)
-            stabbing = StabbingPair(w, v, _field(sec, "point", path, list))
+            point = as_point(_field(sec, "point", path, list), dimension)
+            _check_extent(w.base, v.base, stab_wit, point)
+            stabbing = StabbingPair(w, v, point)
     return Scene(dimension=dimension, bodies=tuple(bodies), options=clean,
                  kkm=kkm, stabbing=stabbing, stabbing_witnesses=stab_wit)
 

@@ -25,14 +25,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, check_count, decided_scan, project_intersection
+from .bodies import (DEFAULT_TOL, check_count, decided_scan, feasibility_scan,
+                     project_intersection)
 from .errors import (
-    ConvergenceError,
     KleeSolveError,
     ProjectionError,
     SpernerLegalityError,
     SubdivisionSizeError,
-    ToleranceAmbiguityError,
 )
 from .geometry import Simplex, affine_hull, as_points
 
@@ -504,10 +503,11 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
     vertex-biased half); each sample must land in some image of a point of
     N.  On success a common point of all images is computed; failure to
     produce one despite the sampled check passing is flagged as a
-    contradiction (tolerance breakdown).  Only an empty, undecided
-    (:class:`ConvergenceError`) or ambiguous
-    (:class:`ToleranceAmbiguityError`) intersection scan counts as that
-    failure; any other error from the image oracles propagates.
+    contradiction (tolerance breakdown).  That reads the status of one
+    :func:`~hollowkit.bodies.feasibility_scan` over the images: any status
+    but ``"witness"`` (empty, ambiguous, or undecided when its pass budget
+    runs out) is the contradiction; an error from the image oracles
+    propagates.
 
     Each image is tested in one ``contains_batch`` call, over the subset's
     samples that no earlier image holds; the counterexample is the first
@@ -533,10 +533,7 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
             return KkmReport(False, counterexample=X[np.argmin(held)], subset=subset,
                              subsets_checked=checked, samples_per_subset=samples)
         checked += 1
-    try:
-        status, witness, *_ = decided_scan(instance.images, tol=tol)
-    except (ConvergenceError, ToleranceAmbiguityError):
-        status = None
+    status, witness, *_ = feasibility_scan(instance.images, tol=tol)
     if status == "witness":
         return KkmReport(True, witness=witness, subsets_checked=checked,
                          samples_per_subset=samples)

@@ -6,6 +6,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,24 @@ def test_rendered_vpoly_is_drawn_from_its_vertex_ring():
     expect = _polygon(frame, ring, "#fill", "#stroke")
     assert _body_elements(frame, vpoly, "#fill", "#stroke") == expect
     assert 'points="' in render_svg([vpoly])
+
+
+def test_rendered_degenerate_bodies_are_lines_points_and_parts():
+    """A segment is drawn as a line, a single point as a dot, and an
+    intersection as each of its members at half the fill opacity."""
+    frame = _Frame(np.array([-1.0, -1.0]), np.array([3.0, 2.0]), 100.0)
+    segment = VPolytope([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]])
+    (line,) = _body_elements(frame, segment, "#fill", "#stroke")
+    assert line.startswith("<line ") and 'stroke="#stroke"' in line
+    (dot,) = _body_elements(frame, VPolytope([[1.0, 1.0]]), "#fill", "#stroke")
+    assert dot.startswith("<circle ") and 'r="2.0" fill="#stroke"' in dot
+    parts = [Ball([0.0, 0.0], 1.0), HPolytope.box([0.0, -1.0], [2.0, 1.0])]
+    inter = IntersectionBody(parts)
+    drawn = _body_elements(frame, inter, "#fill", "#stroke")
+    assert drawn == [e for b in parts
+                     for e in _body_elements(frame, b, "#fill", "#stroke", "0.15")]
+    svg = render_svg([segment, VPolytope([[1.0, 1.0]]), inter])
+    assert svg.count("<line ") == 1 and svg.count('fill-opacity="0.15"') == 2
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -396,6 +415,26 @@ def test_body_too_far_out_to_square_is_a_scene_error(tmp_path, capsys):
             in err.splitlines())
     assert "Traceback" not in err
     assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("name", ["stab_far_point.json", "stab_far_witness.json"])
+def test_stabbing_too_far_out_to_square_is_a_scene_error(name, tmp_path, capsys):
+    """A crossing point at 1e200 or a witness at 1e308 is refused by the rule
+    that refuses a far body, before any distance is measured, with no
+    overflow warning; at 1e150 the section still parses."""
+    path = scene_path(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("check", "stab-verify"):
+            assert main([command, path, "--out", str(tmp_path)]) == 1
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if not line.startswith("[time]")]
+            assert errors == [f"scene error: {path}: stabbing: coordinates "
+                              "too large: their squares overflow"]
+        assert not (tmp_path / "result.json").exists()
+        raw = json.loads(read(scene_path("stab.json")))
+        raw["stabbing"]["witnesses"][0][0] = 1e150
+        assert parse_scene(json.dumps(raw)).stabbing_witnesses[0, 0] == 1e150
 
 
 def test_point_transversal_round_trips_and_verifies(tmp_path):

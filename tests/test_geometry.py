@@ -37,6 +37,17 @@ def test_radon_three_points_on_line():
     assert np.allclose(part.crossing_point, [1.0], atol=1e-9)
 
 
+def test_radon_four_collinear_points():
+    """Four points on a line in the plane: the lifted matrix has rank 2, so
+    the null space has dimension 2 and a null vector is searched for."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    part = radon_partition(pts)
+    assert part.as_sets() == {frozenset({1, 2}), frozenset({0, 3})}
+    for side in (part.part1, part.part2):
+        hull = VPolytope(pts[sorted(side)])
+        assert hull.distance(part.crossing_point) <= MEMBER_TOL
+
+
 def test_radon_against_lp_bipartitions():
     rng = np.random.default_rng(20240817)
     for count, dim, instances in RADON_SWEEP:

@@ -3,11 +3,14 @@ import numpy as np
 import pytest
 
 from hollowkit import (AffineSubspace, Ball, GridResolutionError, HPolytope,
-                       NoHollowError, StabbingPair, boundary_attribution,
-                       certify_hollow, check_critical, enclosure_check,
+                       HollowNotFoundError, NoHollowError, StabbingPair,
+                       boundary_attribution, certify_hollow, check_critical,
+                       enclosure_check,
                        hausdorff_convex, hollow_simplex, hull_vs_simplex,
                        nearest_boundary_distance, perimeter_estimate,
                        simplex_containment, verify_stabbing)
+from hollowkit.hollow import BOX_EXPAND
+from conftest import disk_centers
 
 DISK_RES = 0.005
 RECT_RES = 0.01
@@ -135,6 +138,36 @@ def test_grid_rejects_bad_resolution(disks_family, resolution):
         certify_hollow(disks_family, resolution)
 
 
+def test_default_resolution_is_128_cells_across_the_grid_box(disks_family):
+    W = disks_family.witnesses
+    span = float((W.max(axis=0) - W.min(axis=0)).max())
+    cert = certify_hollow(disks_family)
+    assert cert.resolution == BOX_EXPAND * span / 128.0
+    assert max(cert.grid.shape) == 128
+    again = certify_hollow(disks_family, cert.resolution)
+    assert np.array_equal(again.cells, cert.cells)
+
+
+@pytest.mark.parametrize("side, found", [(1.74, True), (1.735, False)])
+def test_grid_is_retried_once_at_half_the_cell_size(side, found):
+    """Unit disks on a wide triangle leave a hollow a little over one cell
+    across at 20.2 cells on the narrowest axis: the first grid finds no
+    bounded component, the one at half the cell size does at side 1.74 and
+    does not at side 1.735."""
+    fam = check_critical([Ball(c, 1.0) for c in disk_centers(side)])
+    W = fam.witnesses
+    h = 1.1 * float((W.max(axis=0) - W.min(axis=0)).min()) / 20.2
+    with pytest.raises(HollowNotFoundError):
+        certify_hollow(fam, h, retry=False)
+    if not found:
+        with pytest.raises(HollowNotFoundError, match="or its refinement"):
+            certify_hollow(fam, h)
+        return
+    cert = certify_hollow(fam, h)
+    assert cert.resolution == h / 2.0
+    assert cert.bounded and cert.cell_count >= 1
+
+
 @pytest.mark.parametrize("resolution", [0.0, -0.01, np.nan])
 def test_stabbing_rejects_bad_resolution(gap_pair, resolution):
     bodies, w, v, witnesses = gap_pair
@@ -165,6 +198,16 @@ def test_stabbing_pair_validation(gap_pair):
                                 np.zeros((0, 2)))
     with pytest.raises(ValueError):
         StabbingPair(w, point_flat, [1.5, 0.5])
+
+
+# the overflowing distance warns before it is refused
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stabbing_pair_refuses_an_overflowing_crossing_point(gap_pair):
+    """At 1e308 on the first flat the point's distance to the second flat
+    overflows, and the tolerance scaled by its norm would accept it."""
+    _, w, v, _ = gap_pair
+    with pytest.raises(ValueError, match="off the second flat"):
+        StabbingPair(w, v, [1e308, 0.5])
 
 
 def test_stabbing_verified_for_gap(gap_pair):

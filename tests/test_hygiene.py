@@ -2,6 +2,8 @@
 import ast
 import pathlib
 
+from hollowkit.bodies import ConvexBody
+
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hollowkit"
 
 
@@ -89,3 +91,17 @@ def test_one_scene_error_reader():
     (_, reader), = function_defs(PACKAGE / "scenes.py", "_reading")
     assert len(catch_alls(ast.parse((PACKAGE / "scenes.py").read_text()))) == 1
     assert len(catch_alls(reader)) == 1
+
+
+def test_every_body_kind_states_its_contains_rule_and_anchor():
+    """The oracle base class has no fallback for either: each kind writes its
+    own, so no body is tested point by point or anchored by a projection."""
+    assert {"contains_batch", "anchor"} <= ConvexBody.__abstractmethods__
+
+
+def test_cli_does_no_grid_arithmetic():
+    """The default cell size is ``certify_hollow``'s, derived in one place."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "BOX_EXPAND" not in imported

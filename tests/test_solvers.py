@@ -160,6 +160,22 @@ def test_intersect_witness_empty_disks_certificate(three_disks):
     assert cert.margin == pytest.approx(expected / 2.0, abs=1e-7)
 
 
+def test_intersect_witness_falls_back_to_a_subfamily():
+    """Pairwise disjoint disks: every leave-one-out intersection is empty, so
+    the certificate separates a body from the rest of a proper subfamily."""
+    disks = [Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0), Ball([0.0, 5.0], 1.0)]
+    report = intersect_witness(disks)
+    assert report.status == "empty"
+    cert = report.certificate
+    assert cert.separated_index == 1
+    assert cert.subfamily == (1, 2)
+    assert cert.distance == pytest.approx(5.0 * np.sqrt(2.0) - 2.0, abs=1e-9)
+    # re-checked by support calls: body 1 lies below the plane, body 2 above
+    n, c = cert.hyperplane.normal, cert.hyperplane.offset
+    assert n @ disks[1].support(n) < c - cert.margin / 2.0
+    assert n @ disks[2].support(-n) > c + cert.margin / 2.0
+
+
 def test_intersect_witness_ambiguous_band_raises():
     a = HPolytope.box([0.0], [1.0])
     b = HPolytope.box([1.0 + 5e-8], [2.0])
@@ -181,6 +197,21 @@ def test_scan_out_of_rounds_is_a_convergence_error(monkeypatch):
         intersect_witness(balls)
     with pytest.raises(ConvergenceError):
         check_critical(balls + [Ball([21.0, 0.0], 10.0)])
+
+
+def test_min_distance_out_of_iterations_carries_its_best_pair(monkeypatch):
+    """A disk and a skew segment take about 30 alternating projections; with
+    a budget of 5 the error carries the pair reached so far."""
+    disk, seg = Ball([0.0, 0.0], 1.0), VPolytope([[1.5, -2.0], [1.6, 3.0]])
+    exact = min_distance(disk, seg).distance
+    monkeypatch.setattr("hollowkit.solvers.CUT_MAX_PASSES", 5)
+    with pytest.raises(ConvergenceError, match="after 5 iterations") as info:
+        min_distance(disk, seg)
+    best = info.value.best
+    assert best.iterations == 5
+    assert best.distance == pytest.approx(
+        np.linalg.norm(best.point_a - best.point_b))
+    assert exact <= best.distance < exact + 1e-3
 
 
 def test_critical_verdict_survives_a_far_translation():
