@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import CUT_MAX_PASSES, DEFAULT_TOL, IntersectionBody, decided_scan
+from .bodies import DEFAULT_TOL, IntersectionBody, decided_scan
 from .errors import (ConvergenceError, EmptyBodyError, NotSeparableError,
                      ToleranceAmbiguityError)
 from .geometry import Hyperplane, as_point
@@ -22,8 +22,12 @@ logger = logging.getLogger(__name__)
 
 # Alternating projections stop once the distance estimate changes by less
 # than this between consecutive iterations, or than 8 ulps of the pair's
-# largest coordinate, below which the change is rounding.
+# largest coordinate, below which the change is rounding.  Between smooth
+# bodies of radius r a gap g apart, each iteration shrinks the change only
+# by a factor of about 1/(1 + g/r): a unit disk 1e-3 from a segment takes
+# some 7000 iterations, so this budget is not the cut loops' CUT_MAX_PASSES.
 DISTANCE_STOP = 1e-12
+DISTANCE_MAX_ITER = 100000
 POLISH_STEPS = 5
 
 
@@ -86,8 +90,7 @@ def min_distance(body_a, body_b, start=None):
     Alternating nearest-point projections from ``start`` (default: midpoint
     of the bodies' anchor points) until the distance estimate changes by
     less than ``max(DISTANCE_STOP, 8 eps max(|a|_inf, |b|_inf))``, then
-    ``POLISH_STEPS`` rounds of midpoint re-projection.  The iterations get
-    the cut loops' budget, ``CUT_MAX_PASSES``.
+    ``POLISH_STEPS`` rounds of midpoint re-projection.
 
     Returns
     -------
@@ -96,7 +99,7 @@ def min_distance(body_a, body_b, start=None):
     Raises
     ------
     ConvergenceError
-        If ``CUT_MAX_PASSES`` iterations run out; carries the best pair.
+        If ``DISTANCE_MAX_ITER`` iterations run out; carries the best pair.
     """
     if body_a.dim != body_b.dim:
         raise ValueError("bodies live in different dimensions")
@@ -107,7 +110,7 @@ def min_distance(body_a, body_b, start=None):
     b = body_b.project(a)
     m_prev = float(np.linalg.norm(a - b))
     converged = False
-    for iterations in range(2, CUT_MAX_PASSES + 1):
+    for iterations in range(2, DISTANCE_MAX_ITER + 1):
         a = body_a.project(b)
         b = body_b.project(a)
         m = float(np.linalg.norm(a - b))
@@ -124,7 +127,7 @@ def min_distance(body_a, body_b, start=None):
     result = DistanceResult(float(np.linalg.norm(a - b)), a, b, iterations, residual)
     if not converged:
         raise ConvergenceError(
-            f"alternating projections did not settle after {CUT_MAX_PASSES} "
+            f"alternating projections did not settle after {DISTANCE_MAX_ITER} "
             f"iterations (last change {residual:.3e})", best=result)
     return result
 

@@ -290,6 +290,19 @@ def test_stab_verify_accepts(tmp_path, capsys):
     assert res["reasons"] == []
 
 
+
+def test_stab_verify_accepts_a_transversal_near_tangent_to_a_disk(tmp_path, capsys):
+    """The transversal x = 1.01 passes 0.01 from a unit disk, with its
+    clipped segment's anchor far along the line from the contact point;
+    measuring that clearance takes about 900 alternating projections."""
+    out = str(tmp_path)
+    code = main(["stab-verify", scene_path("stab_near_tangent.json"), "--out", out])
+    assert code == 0
+    assert "verified" in capsys.readouterr().out
+    res = result_of(out)
+    assert res["surround_ok"] is True
+    assert res["clearances"][0] == pytest.approx(0.01, abs=1e-6)
+
 def test_stab_verify_rejects(tmp_path, capsys):
     out = str(tmp_path)
     code = main(["stab-verify", scene_path("stab_bad.json"), "--out", out])

@@ -204,7 +204,7 @@ def test_min_distance_out_of_iterations_carries_its_best_pair(monkeypatch):
     a budget of 5 the error carries the pair reached so far."""
     disk, seg = Ball([0.0, 0.0], 1.0), VPolytope([[1.5, -2.0], [1.6, 3.0]])
     exact = min_distance(disk, seg).distance
-    monkeypatch.setattr("hollowkit.solvers.CUT_MAX_PASSES", 5)
+    monkeypatch.setattr("hollowkit.solvers.DISTANCE_MAX_ITER", 5)
     with pytest.raises(ConvergenceError, match="after 5 iterations") as info:
         min_distance(disk, seg)
     best = info.value.best
@@ -213,6 +213,22 @@ def test_min_distance_out_of_iterations_carries_its_best_pair(monkeypatch):
         np.linalg.norm(best.point_a - best.point_b))
     assert exact <= best.distance < exact + 1e-3
 
+
+
+def test_near_tangent_smooth_pairs_settle():
+    """Between smooth bodies a gap g apart the alternating projections
+    converge only linearly, at a rate of about 1/(1 + g/r): a unit disk
+    1e-3 from a segment whose anchor sits 1.5 along it takes about 7200
+    iterations, and two unit disks 1e-3 apart from an offset start about
+    3800, far past the cut loops' 500 passes."""
+    segment = HPolytope.box([1.001, -1.0], [1.001, 4.0])
+    plane = separating_hyperplane(Ball([0.0, 0.0], 1.0), segment)
+    assert np.allclose(plane.normal, [1.0, 0.0], atol=1e-3)
+    assert plane.offset == pytest.approx(1.0005, abs=1e-6)
+    res = min_distance(Ball([0.0, 0.0], 1.0), Ball([2.001, 0.0], 1.0),
+                       start=[1.0, 3.0])
+    assert res.distance == pytest.approx(1e-3, abs=1e-6)
+    assert res.iterations > 500
 
 def test_critical_verdict_survives_a_far_translation():
     """Far from the origin a distance changes by rounding only, and the
