@@ -11,13 +11,10 @@ geometry rests on.
 
 from .bodies import (Ball, ConvexBody, DEFAULT_TOL, HPolytope,
                      IntersectionBody, VPolytope, dykstra, feasibility_scan)
-from .critical import (BORDERLINE_FACTOR, Cage, CriticalFamily,
-                       CriticalityFailure, HellyRejection, HollowSimplex,
-                       UniquenessReport, cage_contains_hull_vertices,
-                       cage_intersection_is_cage, check_critical,
-                       helly_guard, hollow_simplex, make_cage, random_cage,
-                       recentered_witness, sandwich_check, uniqueness_probe,
-                       witness_simplex)
+from .critical import (BORDERLINE_FACTOR, CriticalFamily, CriticalityFailure,
+                       HollowSimplex, UniquenessReport, cage_margin,
+                       check_critical, helly_guard, hollow_simplex,
+                       recentered_witness, uniqueness_probe)
 from .errors import (BorderlineCriticalError, ConvergenceError,
                      DegenerateConfigurationError, DegenerateSimplexError,
                      EmptyBodyError, GridDimensionError, GridResolutionError,
@@ -47,29 +44,27 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineSubspace", "BORDERLINE_FACTOR", "Ball", "BorderlineCriticalError",
-    "BoundaryAttribution", "Cage", "ConvergenceError", "ConvexBody",
-    "CriticalFamily", "CriticalityFailure", "DEFAULT_TOL",
-    "DegenerateConfigurationError", "DegenerateSimplexError", "DistanceResult",
-    "EmptyBodyError", "FeasibilityReport", "Grid", "GridDimensionError",
-    "GridResolutionError", "HPolytope", "HellyRejection", "HollowCertificate",
-    "HollowNotFoundError", "HollowSimplex", "HollowkitError", "Hyperplane",
-    "IntersectionBody", "KkmInstance", "KkmReport", "KleeSolveError",
-    "NoHollowError", "NotSeparableError", "PolytopeSizeError",
-    "ProjectionError", "RadonPartition",
-    "SCHEMA", "Scene", "SceneError", "SeparationCertificate", "Simplex",
+    "BoundaryAttribution", "ConvergenceError", "ConvexBody", "CriticalFamily",
+    "CriticalityFailure", "DEFAULT_TOL", "DegenerateConfigurationError",
+    "DegenerateSimplexError", "DistanceResult", "EmptyBodyError",
+    "FeasibilityReport", "Grid", "GridDimensionError", "GridResolutionError",
+    "HPolytope", "HollowCertificate", "HollowNotFoundError", "HollowSimplex",
+    "HollowkitError", "Hyperplane", "IntersectionBody", "KkmInstance",
+    "KkmReport", "KleeSolveError", "NoHollowError", "NotSeparableError",
+    "PolytopeSizeError", "ProjectionError", "RadonPartition", "SCHEMA",
+    "Scene", "SceneError", "SeparationCertificate", "Simplex",
     "SpernerColoring", "SpernerLegalityError", "StabbingPair",
     "StabbingReport", "SubdivisionComplex", "SubdivisionSizeError",
     "ToleranceAmbiguityError", "UnboundedBodyError", "UniquenessReport",
     "VPolytope", "affine_hull", "barycentric", "body_from_json",
-    "body_to_json", "boundary_attribution", "cage_contains_hull_vertices",
-    "cage_intersection_is_cage", "certify_hollow", "check_critical", "dumps",
-    "dykstra", "enclosure_check", "family_kkm_instance", "feasibility_scan",
-    "find_rainbow", "hausdorff_convex", "helly_guard", "hollow_simplex",
-    "hull_vs_simplex", "intersect_witness", "kkm_verify", "klee_solve",
-    "load_scene", "make_cage", "min_distance", "nearest_boundary_distance",
-    "parse_scene", "perimeter_estimate", "radon_partition", "rainbow_cells",
-    "random_cage", "random_legal_coloring", "recentered_witness",
-    "render_svg", "sandwich_check", "separating_hyperplane",
-    "serialize_scene", "simplex_containment", "sperner_color", "subdivide",
-    "uniqueness_probe", "verify_stabbing", "witness_simplex",
+    "body_to_json", "boundary_attribution", "cage_margin", "certify_hollow",
+    "check_critical", "dumps", "dykstra", "enclosure_check",
+    "family_kkm_instance", "feasibility_scan", "find_rainbow",
+    "hausdorff_convex", "helly_guard", "hollow_simplex", "hull_vs_simplex",
+    "intersect_witness", "kkm_verify", "klee_solve", "load_scene",
+    "min_distance", "nearest_boundary_distance", "parse_scene",
+    "perimeter_estimate", "radon_partition", "rainbow_cells",
+    "random_legal_coloring", "recentered_witness", "render_svg",
+    "separating_hyperplane", "serialize_scene", "simplex_containment",
+    "sperner_color", "subdivide", "uniqueness_probe", "verify_stabbing",
 ]

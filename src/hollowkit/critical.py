@@ -1,23 +1,25 @@
-"""Critical families, the hollow simplex they enclose, and convex cages.
+"""Critical families, the hollow simplex they enclose, and the cages around it.
 
 A family of n + 1 compact convex sets in R^d is n-critical when every n of
 them share a point but all n + 1 together do not.  For n = d such a family
 encloses a hollow: a bounded component of the complement of the union.  The
 closed convex hull of that hollow is a d-simplex whose vertex opposite body
 j is the nearest point of the leave-one-out intersection to body j; this
-module computes those vertices analytically from the body oracles.
+module computes those vertices analytically from the body oracles.  Any
+simplex on one point of each leave-one-out intersection, a cage, holds
+that hull.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (DEFAULT_TOL, IntersectionBody, VPolytope,
-                     check_count, support_centroid)
+from .bodies import (DEFAULT_TOL, IntersectionBody, check_count,
+                     support_centroid)
 from .errors import BorderlineCriticalError, EmptyBodyError, NoHollowError
-from .geometry import Simplex, as_points, barycentric
+from .geometry import Simplex, as_points
 from .solvers import SeparationCertificate, intersect_witness, min_distance
 
 logger = logging.getLogger(__name__)
@@ -28,21 +30,8 @@ BORDERLINE_FACTOR = 10.0
 
 UNIQUENESS_THRESHOLD = 1e-5
 
-# Membership tolerance of every cage check.
+# Membership tolerance of a cage's base points.
 CAGE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class HellyRejection:
-    """Structured refusal: more than d + 1 sets in R^d cannot be critical."""
-
-    n: int
-    d: int
-
-    @property
-    def message(self):
-        return (f"{self.n + 1} convex sets in R^{self.d} with nonempty "
-                f"leave-one-out intersections always share a point (n = {self.n} > d)")
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,7 @@ class HollowSimplex:
 
 
 def helly_guard(bodies):
-    """Return a :class:`HellyRejection` when n > d, else None.
+    """Return a ``"helly"`` :class:`CriticalityFailure` when n > d, else None.
 
     Called before any solving: a family that is too large for its ambient
     dimension can never be critical, so no feasibility work is done.
@@ -124,7 +113,9 @@ def helly_guard(bodies):
     n = len(bodies) - 1
     d = bodies[0].dim
     if n > d:
-        return HellyRejection(n, d)
+        return CriticalityFailure(
+            "helly", detail=f"{n + 1} convex sets in R^{d} with nonempty leave-one-out "
+                            f"intersections always share a point (n = {n} > d)")
     return None
 
 
@@ -165,7 +156,7 @@ def check_critical(bodies, tol=DEFAULT_TOL):
         raise ValueError("bodies live in different dimensions")
     rejection = helly_guard(bodies)
     if rejection is not None:
-        return CriticalityFailure("helly", detail=rejection.message)
+        return rejection
 
     n = len(bodies) - 1
     witnesses = np.empty((n + 1, d))
@@ -267,30 +258,19 @@ def uniqueness_probe(family, restarts=10, seed=0):
     return report
 
 
-@dataclass(frozen=True)
-class Cage:
-    """d + 1 base points, one inside each leave-one-out intersection.
+def cage_margin(family, hs, base_points=None):
+    """Smallest barycentric coordinate of the hollow vertices in a cage.
 
-    The convex hull of any such base-point set contains the hollow, so it
-    "cages" the enclosed region.  That hull is built once, as ``hull``.
+    A cage is the simplex on base points ``b_j``, each in every body but
+    body j (the witnesses by default).  Its facet opposite ``b_j`` lies in
+    body j by convexity, so the cage holds the hollow and the margin is
+    nonnegative up to rounding; it is zero when the base points are the
+    hollow vertices themselves.  Raises ValueError for a wrong count or a
+    base point farther than ``CAGE_TOL`` from one of its bodies, and
+    :class:`DegenerateSimplexError` for affinely dependent base points.
     """
-
-    base_points: np.ndarray
-    hull: VPolytope = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pts = as_points(self.base_points)
-        object.__setattr__(self, "base_points", pts)
-        object.__setattr__(self, "hull", VPolytope(pts))
-
-    def contains(self, p):
-        """True when ``p`` lies within ``CAGE_TOL`` of the cage's hull."""
-        return self.hull.membership(p, CAGE_TOL)
-
-
-def make_cage(family, base_points):
-    """Validate base points (b_j in every body except j) and build a cage."""
-    pts = as_points(base_points, family.d)
+    pts = as_points(family.witnesses if base_points is None else base_points,
+                    family.d)
     if pts.shape[0] != family.n + 1:
         raise ValueError(f"need {family.n + 1} base points, got {pts.shape[0]}")
     for j in range(family.n + 1):
@@ -298,55 +278,8 @@ def make_cage(family, base_points):
             if i != j and not b.membership(pts[j], CAGE_TOL):
                 raise ValueError(
                     f"base point {j} misses body {i} by more than {CAGE_TOL:.0e}")
-    return Cage(pts)
-
-
-def random_cage(family, rng=None):
-    """A cage with random base points drawn from each leave-one-out region."""
-    rng = np.random.default_rng(rng)
-    los, his = zip(*(b.bounding_box() for b in family.bodies))
-    lo, hi = np.min(los, axis=0), np.max(his, axis=0)
-    pts = np.empty((family.n + 1, family.d))
-    for j in range(family.n + 1):
-        X = family.leave_one_out(j)
-        raw = lo + (hi - lo) * rng.random(family.d)
-        pts[j] = X.project(raw)
-    return make_cage(family, pts)
-
-
-def cage_contains_hull_vertices(family, cage, hs=None):
-    """True when every hollow-simplex vertex lies in the cage's hull."""
-    if hs is None:
-        hs = hollow_simplex(family)
-    return all(cage.contains(v) for v in hs.vertices)
-
-
-def cage_intersection_is_cage(family, cage, region, hs=None):
-    """Check that region-and-cage still cages the hollow.
-
-    ``region`` is any object with a ``membership(p, tol)`` method covering
-    the hollow (for instance the hull of a certified component).  It
-    suffices that every hollow-simplex vertex lies in both sets; the
-    intersection then contains base points for a cage of its own.
-    """
-    if hs is None:
-        hs = hollow_simplex(family)
-    return all(cage.contains(v) and region.membership(v, CAGE_TOL)
-               for v in hs.vertices)
-
-
-def witness_simplex(family):
-    """Simplex spanned by the family's witnesses (validates nondegeneracy)."""
-    return Simplex(family.witnesses)
-
-
-def sandwich_check(family, hs=None):
-    """Barycentric coordinates of each p_j inside the witness simplex.
-
-    Returns the minimum coordinate over all vertices; nonnegative (up to
-    tolerance) because the hollow's hull sits inside every witness simplex.
-    """
-    if hs is None:
-        hs = hollow_simplex(family)
-    S = witness_simplex(family)
-    return min(float(barycentric(S, v, tol=1e-6).min()) for v in hs.vertices)
+    V = Simplex(pts).vertices
+    system = np.vstack([V.T, np.ones(V.shape[0])])
+    rhs = np.vstack([hs.vertices.T, np.ones(hs.vertices.shape[0])])
+    bary, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    return float(bary.min())

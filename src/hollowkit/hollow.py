@@ -55,9 +55,6 @@ class Grid:
     covered: np.ndarray = field(repr=False)
     body_covers: list = field(repr=False)
 
-    def center(self, idx):
-        return self.lo + (np.asarray(idx, dtype=float) + 0.5) * self.resolution
-
     def centers(self, cells):
         return self.lo + (np.asarray(cells, dtype=float) + 0.5) * self.resolution
 

@@ -132,6 +132,15 @@ def random_critical_rejection_family(rng, dim):
     return bodies, core
 
 
+def random_base_points(family, rng):
+    """One cage base point per leave-one-out intersection: a uniform point
+    of the family's bounding box, projected onto that intersection."""
+    los, his = zip(*(b.bounding_box() for b in family.bodies))
+    lo, hi = np.min(los, axis=0), np.max(his, axis=0)
+    return np.array([family.leave_one_out(j).project(
+        lo + (hi - lo) * rng.random(family.d)) for j in range(family.n + 1)])
+
+
 def random_points(rng, count, dim, spread=2.0):
     return rng.uniform(-spread, spread, size=(count, dim))
 

@@ -206,6 +206,18 @@ def test_check_rejects_noncritical(tmp_path, capsys):
     assert res["failure"]["reason"] == "full-intersection-nonempty"
     assert len(res["failure"]["witness"]) == 2
 
+    boxes = tmp_path / "four_boxes.json"
+    boxes.write_text(json.dumps({
+        "schema": "hollowkit/1", "dimension": 2,
+        "bodies": [body_to_json(HPolytope.box([i, 0.0], [i + 1.0, 1.0]))
+                   for i in range(4)]}))
+    helly_out = str(tmp_path / "helly")
+    assert main(["check", str(boxes), "--out", helly_out]) == 2
+    failure = result_of(helly_out)["failure"]
+    assert failure["reason"] == "helly"
+    assert failure["detail"] == ("4 convex sets in R^2 with nonempty leave-one-out "
+                                 "intersections always share a point (n = 3 > d)")
+
 
 def test_hollow_command(tmp_path, capsys):
     out = str(tmp_path)

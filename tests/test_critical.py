@@ -1,17 +1,16 @@
-"""Criticality certification, hollow simplices, and cages."""
+"""Criticality certification, hollow simplices, and the cages around them."""
 import dataclasses
 
 import numpy as np
 import pytest
 
 from conftest import DISK_SIDE_CRITICAL, TRIANGLE, disk_centers
-from hollowkit import (Ball, BorderlineCriticalError, Cage, CriticalFamily,
+from helpers import random_base_points
+from hollowkit import (Ball, BorderlineCriticalError, CriticalFamily,
                        CriticalityFailure, HPolytope, NoHollowError,
-                       ProjectionError, ToleranceAmbiguityError, VPolytope,
-                       cage_contains_hull_vertices, cage_intersection_is_cage,
-                       check_critical, helly_guard, hollow_simplex, make_cage,
-                       random_cage, recentered_witness, sandwich_check,
-                       uniqueness_probe, witness_simplex)
+                       ProjectionError, Simplex, ToleranceAmbiguityError,
+                       cage_margin, check_critical, helly_guard,
+                       hollow_simplex, recentered_witness, uniqueness_probe)
 
 # inner corner height of two unit circles at distance 1.9, and its distance
 # to the far vertex of the equilateral triangle of centers
@@ -19,6 +18,8 @@ LENS_HALF_HEIGHT = np.sqrt(0.0975)
 CORNER_TO_FAR_CENTER = 0.95 * np.sqrt(3.0) - LENS_HALF_HEIGHT
 DISK_GAP = CORNER_TO_FAR_CENTER - 1.0
 SEGMENT_GAPS = np.array([3.0, 12.0 / np.sqrt(13.0), 12.0 / np.sqrt(13.0)])
+HELLY_DETAIL = ("4 convex sets in R^2 with nonempty leave-one-out intersections "
+                "always share a point (n = 3 > d)")
 
 
 def test_pair_family_shape(pair_family):
@@ -147,12 +148,10 @@ def test_leave_one_out_empty_failure():
 def test_helly_guard_rejects_oversized_families():
     boxes = [HPolytope.box([float(i), 0.0], [i + 1.0, 1.0]) for i in range(4)]
     rej = helly_guard(boxes)
-    assert rej is not None
-    assert rej.n == 3 and rej.d == 2
-    assert "R^2" in rej.message
-    res = check_critical(boxes)
-    assert isinstance(res, CriticalityFailure)
-    assert res.reason == "helly"
+    assert isinstance(rej, CriticalityFailure)
+    assert rej.reason == "helly"
+    assert rej.detail == HELLY_DETAIL
+    assert check_critical(boxes) == rej
     assert helly_guard(boxes[:3]) is None
 
 
@@ -182,14 +181,22 @@ def test_borderline_hollow_gaps_error(disks_family):
         hollow_simplex(loose)
 
 
-def test_sandwich_check_nonnegative(disks_family, segments_family):
-    assert sandwich_check(disks_family) >= -1e-6
-    assert sandwich_check(segments_family) >= -1e-6
+def test_witness_cage_margin_is_nonnegative(disks_family, segments_family,
+                                            balls_family):
+    """The witnesses are base points, so their simplex holds the hollow."""
+    for fam in (disks_family, segments_family, balls_family):
+        assert cage_margin(fam, hollow_simplex(fam)) >= -1e-6
+
+
+def test_cage_margin_vanishes_on_the_hollow_vertices(disks_family, balls_family):
+    """Equality case: the hollow simplex is itself the smallest cage."""
+    for fam in (disks_family, balls_family):
+        hs = hollow_simplex(fam)
+        assert abs(cage_margin(fam, hs, hs.vertices)) <= 1e-12
 
 
 def test_witness_simplex_has_positive_volume(disks_family):
-    S = witness_simplex(disks_family)
-    assert S.volume > 1e-3
+    assert Simplex(disks_family.witnesses).volume > 1e-3
 
 
 def test_hollow_vertices_permute_with_the_bodies(three_disks, disks_hollow):
@@ -224,23 +231,18 @@ def test_uniqueness_probe_refuses_bad_restarts_and_seeds(disks_family):
 def test_random_cage_contains_hollow_vertices(disks_family, disks_hollow):
     rng = np.random.default_rng(11)
     for _ in range(5):
-        cage = random_cage(disks_family, rng=rng)
-        assert isinstance(cage, Cage)
-        assert cage_contains_hull_vertices(disks_family, cage, hs=disks_hollow)
+        pts = random_base_points(disks_family, rng)
+        assert cage_margin(disks_family, disks_hollow, pts) >= -1e-6
 
 
-def test_make_cage_rejects_bad_base_point(disks_family):
+def test_cage_margin_rejects_bad_base_points(disks_family, disks_hollow):
     pts = disks_family.witnesses.copy()
     pts[0] = [50.0, 50.0]
-    with pytest.raises(ValueError):
-        make_cage(disks_family, pts)
-
-
-def test_cage_intersection_still_cages(disks_family, disks_hollow):
-    cage = make_cage(disks_family, disks_family.witnesses)
-    region = VPolytope(disks_family.witnesses)
-    assert cage_intersection_is_cage(disks_family, cage, region,
-                                     hs=disks_hollow)
+    with pytest.raises(ValueError,
+                       match="base point 0 misses body 1 by more than 1e-06"):
+        cage_margin(disks_family, disks_hollow, pts)
+    with pytest.raises(ValueError, match="need 3 base points, got 2"):
+        cage_margin(disks_family, disks_hollow, disks_family.witnesses[:2])
 
 
 def test_cages_for_ball_tetrahedron(balls_family):
@@ -248,8 +250,8 @@ def test_cages_for_ball_tetrahedron(balls_family):
     hs = hollow_simplex(balls_family)
     assert np.all(hs.gaps > 1e-3)
     for _ in range(3):
-        cage = random_cage(balls_family, rng=rng)
-        assert cage_contains_hull_vertices(balls_family, cage, hs=hs)
+        pts = random_base_points(balls_family, rng)
+        assert cage_margin(balls_family, hs, pts) >= -1e-6
 
 
 def test_leave_one_out_body_membership(disks_family):

@@ -112,7 +112,7 @@ def test_ball_grid_builds_no_point_list(balls_family, monkeypatch):
 def test_grid_index_roundtrip(disks_cert):
     grid = disks_cert.grid
     for cell in disks_cert.cells[::500]:
-        assert np.array_equal(grid.index_of(grid.center(cell)), cell)
+        assert np.array_equal(grid.index_of(grid.centers([cell])[0]), cell)
 
 
 def test_no_hollow_when_conditions_below_dimension():

@@ -2,6 +2,7 @@
 import ast
 import pathlib
 
+import hollowkit
 from hollowkit.bodies import ConvexBody
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hollowkit"
@@ -105,3 +106,13 @@ def test_cli_does_no_grid_arithmetic():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "BOX_EXPAND" not in imported
+
+
+def test_all_lists_each_imported_name_once():
+    """``__all__`` is exactly what ``__init__.py`` imports, so a deleted
+    helper cannot linger in the export list."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(hollowkit.__all__)) == len(hollowkit.__all__)
+    assert set(hollowkit.__all__) == imported
