@@ -22,7 +22,9 @@ Families run on one cutting-plane engine (Kelley, J. SIAM 1960): the
 members' projections supply cuts.  :func:`project_intersection` projects
 onto the cuts by the same least-distance solve until the iterate lies in
 every member; :func:`feasibility_scan` decides emptiness by an LP lower
-bound over the cuts.  Nothing in the package runs :func:`dykstra`.
+bound over the cuts, solved by a dense-tableau primal simplex under
+Bland's rule (Math. Oper. Res. 1977).  Nothing in the package runs
+:func:`dykstra`.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from .errors import (
@@ -61,6 +63,11 @@ DYKSTRA_MAX_ROUNDS = 100000
 # stops once it misses none; every loop gets CUT_MAX_PASSES passes.
 CUT_RTOL = 1e-13
 CUT_MAX_PASSES = 500
+
+# The cut LP's simplex treats tableau entries up to this as zero when it
+# picks the entering column and the rows of the ratio test; its rows are
+# unit and its right-hand side is scaled by the gap, so entries are O(1).
+_PIVOT_TOL = 1e-12
 
 # H-polytope vertices: d unit rows are a vertex candidate when their |det|
 # exceeds VERTEX_SINGULAR, and its solution a vertex when it satisfies every
@@ -183,13 +190,15 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
 
     The next x is the cuts' nearest point to p if it lies within ``tol / 10``
     of every cut (so t* < ``tol / 10``; no LP is solved), else the LP
-    minimizer.  The LP runs in y = x + gap z, t = gap tau, so that the
-    solver's absolute tolerances are relative to the gap.
+    minimizer.  The LP has d + 1 variables and one row per cut, so it is
+    solved by :func:`_cut_lp`, a dense-tableau simplex under Bland's rule,
+    in y = x + gap z, t = gap tau, so that its pivot tolerance is relative
+    to the gap.  At DEBUG level the scan logs its pass count and the rule
+    that decided it, and each LP its pivot count.
     """
     if len(bodies) == 0:
         raise ValueError("need at least one body")
     p = support_centroid(bodies)
-    d = p.shape[0]
     # <= tol / 10, so an undecided pass (gap >= tol / 10) cuts its farthest body
     stop = min(CUT_RTOL * (1.0 + float(np.abs(p).max())), tol / 10.0)
     normals, offsets = [], []
@@ -198,6 +207,8 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
         dists = _cut_pass(bodies, x, stop, normals, offsets)
         gap = float(dists.max())
         if gap < tol / 10.0:
+            logger.debug("scan witness at pass %d: gap %.3e < tol/10, tol %.1e",
+                         passes, gap, tol)
             return "witness", x, gap, dists, passes
         A, h = np.array(normals), np.array(offsets)
         try:
@@ -207,18 +218,72 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
         if (A @ y - h).max() < tol / 10.0:
             x = y
             continue
-        lp = linprog(np.eye(d + 1)[-1], A_ub=np.hstack([A, -np.ones((len(h), 1))]),
-                     b_ub=(h - A @ x) / gap, bounds=[(None, None)] * d + [(0.0, None)],
-                     method="highs")
-        if lp.status != 0:
-            raise ProjectionError(f"cut LP failed with status {lp.status}")
-        bound = gap * lp.fun
+        z, t, _ = _cut_lp(A, (h - A @ x) / gap)
+        bound = gap * t
         if bound > tol:
+            logger.debug("scan empty at pass %d: LP bound %.3e > tol %.1e",
+                         passes, bound, tol)
             return "empty", x, gap, dists, passes
         if bound >= tol / 10.0 and gap <= tol:
+            logger.debug("scan ambiguous at pass %d: LP bound %.3e and gap "
+                         "%.3e in [tol/10, tol], tol %.1e", passes, bound, gap, tol)
             return "ambiguous", x, gap, dists, passes
-        x = x + gap * lp.x[:d]
+        x = x + gap * z
+    logger.debug("scan undecided after %d passes (gap %.3e)", passes, gap)
     return "noconv", x, gap, None, passes
+
+
+def _cut_lp(A, b):
+    """Solve min t s.t. A z - t <= b, t >= 0, z free; return (z, t*, lam).
+
+    A dense-tableau primal simplex over [z+, z-, t, s], z = z+ - z- and s
+    the row slacks.  Pivoting t into the row of the least b makes the first
+    tableau feasible; then Bland's rule (Math. Oper. Res. 1977) picks the
+    least improving column and, among rows tied in the ratio test, the one
+    whose basic column is least, so no basis repeats.  While t is basic the
+    reduced costs are minus its row, so the duals are lam_k = -T[t, s_k]:
+    lam >= 0, A^T lam = 0, sum lam = 1 and -b . lam = t*.  Once t leaves
+    the basis, t* = 0 and lam = 0.  Raises :class:`ProjectionError` if the
+    pivot budget, the tableau's entry count, runs out.
+    """
+    m, d = A.shape
+    lam = np.zeros(m)
+    if b.min() >= 0.0:
+        return np.zeros(d), 0.0, lam
+    T = np.zeros((m, 2 * d + 2 + m))
+    T[:, :d], T[:, d:2 * d], T[:, 2 * d] = A, -A, -1.0
+    T[:, 2 * d + 1:-1] = np.eye(m)
+    T[:, -1] = b
+    basis = np.arange(2 * d + 1, 2 * d + 1 + m)
+    # t stays in row tr until a pivot on that row takes it out
+    tr = r = int(np.argmin(b))
+    c = 2 * d
+    for pivots in range(1, T.size + 1):
+        T[r] /= T[r, c]
+        col = T[:, c].copy()
+        col[r] = 0.0
+        T -= np.outer(col, T[r])
+        basis[r] = c
+        if basis[tr] != 2 * d:
+            break  # t left at 0: the cuts share a point
+        t_row = T[tr, :-1]
+        entering = np.flatnonzero(t_row > _PIVOT_TOL)
+        entering = entering[entering != 2 * d]
+        if entering.size == 0:
+            lam = np.maximum(-t_row[2 * d + 1:], 0.0)
+            break
+        c = int(entering[0])
+        eligible = np.flatnonzero(T[:, c] > _PIVOT_TOL)
+        ratios = T[eligible, -1] / T[eligible, c]
+        ties = eligible[ratios == ratios.min()]
+        r = int(ties[np.argmin(basis[ties])])
+    else:
+        raise ProjectionError(f"cut LP undecided after its pivot budget of {T.size}")
+    logger.debug("cut LP: %d rows, %d pivots", m, pivots)
+    x = np.zeros(2 * d + 1)
+    held = basis < 2 * d + 1
+    x[basis[held]] = T[held, -1]
+    return x[:d] - x[d:2 * d], float(x[2 * d]), lam
 
 
 def decided_scan(bodies, tol=DEFAULT_TOL):

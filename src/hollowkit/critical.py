@@ -278,8 +278,4 @@ def cage_margin(family, hs, base_points=None):
             if i != j and not b.membership(pts[j], CAGE_TOL):
                 raise ValueError(
                     f"base point {j} misses body {i} by more than {CAGE_TOL:.0e}")
-    V = Simplex(pts).vertices
-    system = np.vstack([V.T, np.ones(V.shape[0])])
-    rhs = np.vstack([hs.vertices.T, np.ones(hs.vertices.shape[0])])
-    bary, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    return float(bary.min())
+    return float(Simplex(pts).barycentrics(hs.vertices).min())

@@ -41,8 +41,8 @@ class ProjectionError(HollowkitError):
     """A projection or support oracle failed.
 
     Raised when the projection onto an intersection of bodies runs out of
-    passes, when an H-polytope's rows share no point, or when the cut LP of
-    a feasibility scan ends with a solver failure.
+    passes, when an H-polytope's rows share no point, or when the simplex
+    solving the cut LP of a feasibility scan runs out of its pivot budget.
 
     Attributes
     ----------

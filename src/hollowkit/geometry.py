@@ -323,6 +323,18 @@ class Simplex:
         det = float(np.linalg.det(gram))
         return float(np.sqrt(max(det, 0.0)) / np.prod([i for i in range(1, k + 1)]))
 
+    def barycentrics(self, points):
+        """Least-squares barycentric coordinates of each row of ``points``,
+        shape (N, k + 1): one solve of [V^T; 1] w = [p; 1] for all rows.
+        Rows off the affine hull get the coordinates of their nearest
+        point of it; nothing is checked."""
+        v = self.vertices
+        pts = as_points(points, v.shape[1])
+        system = np.vstack([v.T, np.ones(v.shape[0])])
+        rhs = np.vstack([pts.T, np.ones(pts.shape[0])])
+        w, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        return w.T
+
     def contains(self, p, tol=1e-9):
         """Convex containment via barycentric coordinates (all >= -tol)."""
         try:
@@ -347,9 +359,7 @@ def barycentric(simplex, p, tol=ATOL):
         if np.linalg.norm(p - v[0]) > max(tol, 1e-9):
             raise ValueError("point lies outside the affine hull of the simplex")
         return np.array([1.0])
-    system = np.vstack([v.T, np.ones(v.shape[0])])
-    rhs = np.concatenate([p, [1.0]])
-    w, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    w = simplex.barycentrics(p[None])[0]
     recon = w @ v
     scale = max(1.0, float(np.max(np.abs(v))))
     if np.linalg.norm(recon - p) > max(tol, 1e-9) * scale:

@@ -338,13 +338,10 @@ def simplex_containment(certificate, simplex):
     one cell diagonal of zero.
     """
     centers = certificate.centers
-    V = simplex.vertices
-    system = np.vstack([V.T, np.ones(V.shape[0])])
-    rhs = np.vstack([centers.T, np.ones(centers.shape[0])])
-    bary, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    bary = simplex.barycentrics(centers)
     worst = 0.0
-    hull = VPolytope(V)
-    for j in np.flatnonzero(bary.min(axis=0) < -1e-12):
+    hull = VPolytope(simplex.vertices)
+    for j in np.flatnonzero(bary.min(axis=1) < -1e-12):
         worst = max(worst, float(hull.distance(centers[j])))
     return worst
 

@@ -90,7 +90,8 @@ def min_distance(body_a, body_b, start=None):
     Alternating nearest-point projections from ``start`` (default: midpoint
     of the bodies' anchor points) until the distance estimate changes by
     less than ``max(DISTANCE_STOP, 8 eps max(|a|_inf, |b|_inf))``, then
-    ``POLISH_STEPS`` rounds of midpoint re-projection.
+    up to ``POLISH_STEPS`` rounds of midpoint re-projection, fewer once a
+    round gives back the pair it started from.
 
     Returns
     -------
@@ -122,8 +123,12 @@ def min_distance(body_a, body_b, start=None):
             break
     for _ in range(POLISH_STEPS):
         mid = 0.5 * (a + b)
-        a = body_a.project(mid)
-        b = body_b.project(mid)
+        step = body_a.project(mid), body_b.project(mid)
+        # projections are deterministic, so a step that returns its own
+        # pair bit for bit would be repeated by every later one
+        if step[0].tobytes() == a.tobytes() and step[1].tobytes() == b.tobytes():
+            break
+        a, b = step
     result = DistanceResult(float(np.linalg.norm(a - b)), a, b, iterations, residual)
     if not converged:
         raise ConvergenceError(

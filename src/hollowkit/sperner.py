@@ -124,11 +124,7 @@ class SubdivisionComplex:
         """
         coords = as_points(coords, ambient.ambient_dim)
         k = ambient.dim
-        V = ambient.vertices
-        system = np.vstack([V.T, np.ones(k + 1)])
-        rhs = np.vstack([coords.T, np.ones(coords.shape[0])])
-        bary, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        bary = bary.T
+        bary = ambient.barycentrics(coords)
         if carriers is None:
             mask = bary > 1e-9
         else:

@@ -1,4 +1,5 @@
 """Oracle contracts shared by every body: project, support, contains."""
+import logging
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ from hollowkit import (Ball, EmptyBodyError, HPolytope, IntersectionBody,
                        PolytopeSizeError, ProjectionError, UnboundedBodyError,
                        VPolytope, dykstra, feasibility_scan, intersect_witness,
                        klee_solve)
-from hollowkit.bodies import _grid_points, project_intersection
+from hollowkit.bodies import _cut_lp, _grid_points, project_intersection
 from conftest import side_rectangle
 
 IDEMPOTENT_TOL = 1e-9
@@ -349,9 +350,9 @@ def test_supports_and_anchor_ignore_row_and_generator_order():
 
 def test_hpolytope_oracles_run_no_lp(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("linprog called")
+        raise AssertionError("cut LP solved")
 
-    monkeypatch.setattr(hollowkit.bodies, "linprog", refuse)
+    monkeypatch.setattr(hollowkit.bodies, "_cut_lp", refuse)
     rng = np.random.default_rng(12)
     for poly in (HPolytope.box([0.0, 1.0, -2.0], [1.0, 3.0, 0.5]),
                  random_hpolytope(rng, 10.0, 1.0)):
@@ -486,6 +487,73 @@ def test_feasibility_scan_reports_witness_and_empty():
     status, x, gap, dists, rounds = feasibility_scan([a, c], tol=1e-7)
     assert status == "empty"
     assert gap >= 0.9
+
+
+# The scan's cut LP, min t s.t. A z - t <= b, t >= 0, on unit rows: its
+# optimum, feasibility and duals against scipy's HiGHS, absolutely.
+CUT_LP_CASES = 600
+CUT_LP_TOL = 1e-9
+
+
+def random_cut_lp(rng, case):
+    """A cut LP in R^1..R^4 with d + 1 to 60 unit rows: generic for case 0
+    mod 3, half its rows through one point for 1 mod 3 (shifted off it on
+    every other such case), half its rows repeated for 2 mod 3."""
+    d = int(rng.integers(1, 5))
+    m = int(rng.integers(d + 1, 61))
+    A = rng.normal(size=(m, d))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    b = rng.normal(size=m)
+    if case % 3 == 1:
+        q = rng.normal(size=d)
+        b = A @ q - rng.random() * (case % 2)
+        b[:m // 2] = A[:m // 2] @ q
+    elif case % 3 == 2:
+        k = m // 2
+        A[m - k:], b[m - k:] = A[:k], b[:k]
+    return A, b
+
+
+def test_cut_lp_matches_highs():
+    rng = np.random.default_rng(31)
+    decided = 0
+    for case in range(CUT_LP_CASES):
+        A, b = random_cut_lp(rng, case)
+        m, d = A.shape
+        ref = linprog(np.eye(d + 1)[-1], A_ub=np.hstack([A, -np.ones((m, 1))]),
+                      b_ub=b, bounds=[(None, None)] * d + [(0.0, None)],
+                      method="highs")
+        assert ref.status == 0
+        z, t, lam = _cut_lp(A, b)
+        assert abs(t - ref.fun) <= CUT_LP_TOL
+        assert t >= 0.0 and (A @ z - t - b).max() <= CUT_LP_TOL
+        # the dual max -b.lam s.t. A^T lam = 0, sum lam <= 1, lam >= 0
+        assert lam.min() >= 0.0 and np.abs(A.T @ lam).max() <= CUT_LP_TOL
+        if t > 0.0:
+            decided += 1
+            assert abs(lam.sum() - 1.0) <= CUT_LP_TOL
+            assert abs(-b @ lam - t) <= CUT_LP_TOL
+    # both optimum kinds are drawn: rows with and without a common point
+    assert 0 < decided < CUT_LP_CASES
+
+
+def test_cut_lp_at_a_feasible_origin_pivots_nowhere():
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    z, t, lam = _cut_lp(A, np.array([1.0, 0.0, 2.0]))
+    assert z.tolist() == [0.0, 0.0] and t == 0.0 and lam.tolist() == [0.0] * 3
+
+
+def test_feasibility_scan_explains_itself_at_debug_only(caplog):
+    """At DEBUG the scan names its passes, its deciding rule and each LP's
+    pivots; at the default level it is silent."""
+    bodies = [HPolytope.box([0.0], [1.0]), HPolytope.box([3.0], [4.0])]
+    feasibility_scan(bodies, tol=1e-7)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="hollowkit.bodies"):
+        feasibility_scan(bodies, tol=1e-7)
+    assert [r.getMessage() for r in caplog.records] == [
+        "cut LP: 2 rows, 2 pivots",
+        "scan empty at pass 1: LP bound 1.000e+00 > tol 1.0e-07"]
 
 
 SCAN_TOL = 1e-7

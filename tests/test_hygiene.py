@@ -116,3 +116,14 @@ def test_all_lists_each_imported_name_once():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(set(hollowkit.__all__)) == len(hollowkit.__all__)
     assert set(hollowkit.__all__) == imported
+
+
+def test_no_module_imports_linprog():
+    """The scan's cut LP is the package's own simplex: scipy's LP solver
+    stays a test-side reference."""
+    found = [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if (isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any(a.name.split(".")[-1] == "linprog" for a in node.names))
+             or (isinstance(node, ast.Attribute) and node.attr == "linprog")]
+    assert found == []

@@ -230,6 +230,32 @@ def test_near_tangent_smooth_pairs_settle():
     assert res.distance == pytest.approx(1e-3, abs=1e-6)
     assert res.iterations > 500
 
+
+def test_polish_stop_at_a_fixed_point_changes_no_bit(disks_family, balls_family,
+                                                    monkeypatch):
+    """The polish stops once a step gives back the pair it started from;
+    the result is still that of the five midpoint steps written out, on
+    each leave-one-out lens of the disks and of balls3 and its body.  Some
+    disk step does repeat its pair."""
+    repeats = 0
+    for family in (disks_family, balls_family):
+        for j in range(family.n + 1):
+            lens, body = family.leave_one_out(j), family.bodies[j]
+            res = min_distance(lens, body, start=family.witnesses[j])
+            with monkeypatch.context() as m:
+                m.setattr("hollowkit.solvers.POLISH_STEPS", 0)
+                raw = min_distance(lens, body, start=family.witnesses[j])
+            a, b = raw.point_a, raw.point_b
+            for _ in range(5):
+                mid = 0.5 * (a + b)
+                step = lens.project(mid), body.project(mid)
+                repeats += np.array_equal(step[0], a) and np.array_equal(step[1], b)
+                a, b = step
+            assert np.array_equal(res.point_a, a) and np.array_equal(res.point_b, b)
+            assert res.distance == float(np.linalg.norm(a - b))
+    assert repeats > 0
+
+
 def test_critical_verdict_survives_a_far_translation():
     """Far from the origin a distance changes by rounding only, and the
     alternating projections still stop."""
