@@ -23,8 +23,12 @@ members' projections supply cuts.  :func:`project_intersection` projects
 onto the cuts by the same least-distance solve until the iterate lies in
 every member; :func:`feasibility_scan` decides emptiness by an LP lower
 bound over the cuts, solved by a dense-tableau primal simplex under
-Bland's rule (Math. Oper. Res. 1977).  Nothing in the package runs
-:func:`dykstra`.
+Bland's rule (Math. Oper. Res. 1977).  Every cut holds its body, so a cut
+stays valid for any later query: an :class:`IntersectionBody` keeps a
+pool of the cuts that were tight at its last projection and starts the
+next one from them, so that a run of nearby queries, as in alternating
+projections, mostly ends in two passes instead of four to six.  Nothing
+in the package runs :func:`dykstra`.
 """
 from __future__ import annotations
 
@@ -143,7 +147,7 @@ def _cut_pass(bodies, x, stop, normals, offsets):
     for i, body in enumerate(bodies):
         y = body.project(x)
         v = x - y
-        dists[i] = np.linalg.norm(v)
+        dists[i] = math.sqrt(v @ v)
         if dists[i] >= stop:
             n = v / dists[i]
             normals.append(n)
@@ -151,27 +155,48 @@ def _cut_pass(bodies, x, stop, normals, offsets):
     return dists
 
 
-def project_intersection(bodies, p):
-    """Nearest point to ``p`` of the nonempty intersection of ``bodies``.
+# A pool of no cuts: rows of A and entries of h in {y : A y <= h}.
+_NO_CUTS = ((), ())
+
+
+def _pooled_projection(bodies, p, pool):
+    """Nearest point to ``p`` of the nonempty intersection of ``bodies``,
+    starting from the cuts ``pool``; returns it with the pool's cuts and
+    this call's that are tight there, as a pair (A, h) of arrays.
 
     Each pass cuts at the members the iterate x misses, and the next x is
     the nearest point to p of all cuts kept so far, one least-distance
-    solve.  Raises :class:`ProjectionError`, carrying the last iterate,
-    when ``CUT_MAX_PASSES`` passes run out.
+    solve.  The first pass is taken at p itself, whatever the pool holds:
+    the pool's nearest point to p lies within stop of every member, but on
+    a smooth arc that bounds its distance from the answer only by about
+    sqrt(2 stop dist(p)), while the fresh cut at P_i(p) makes the answer
+    exact.  A cut is tight when its slack at the answer is at most stop.
+    Raises :class:`ProjectionError`, carrying the last iterate, when
+    ``CUT_MAX_PASSES`` passes run out.
     """
     p = as_point(p, bodies[0].dim)
     stop = CUT_RTOL * (1.0 + float(np.abs(p).max()))
-    normals, offsets = [], []
+    normals, offsets = list(pool[0]), list(pool[1])
     x = p
     for _ in range(CUT_MAX_PASSES):
         residual = float(_cut_pass(bodies, x, stop, normals, offsets).max())
         if residual <= stop:
-            return x.copy()
+            A = np.array(normals).reshape(-1, p.shape[0])
+            h = np.array(offsets)
+            tight = h - A @ x <= stop
+            return x.copy(), (A[tight], h[tight])
         x = _least_distance(np.array(normals), np.array(offsets), p)
     raise ProjectionError(
         f"intersection projection undecided after {CUT_MAX_PASSES} "
         f"passes (residual {residual:.3e})",
         last_iterate=x, residual=residual)
+
+
+def project_intersection(bodies, p):
+    """Nearest point to ``p`` of the nonempty intersection of ``bodies``,
+    from no cuts: :func:`_pooled_projection` with an empty pool, so the
+    answer depends on ``bodies`` and ``p`` alone."""
+    return _pooled_projection(bodies, p, _NO_CUTS)[0]
 
 
 def feasibility_scan(bodies, tol=DEFAULT_TOL):
@@ -360,7 +385,8 @@ class ConvexBody(abc.ABC):
     def distance(self, p):
         """Euclidean distance from ``p`` to the body."""
         p = as_point(p, self.dim)
-        return float(np.linalg.norm(p - self.project(p)))
+        v = p - self.project(p)
+        return math.sqrt(v @ v)
 
     def membership(self, p, tol=DEFAULT_TOL):
         """True when ``p`` lies within ``tol`` of the body: the body's one
@@ -693,7 +719,7 @@ class Ball(ConvexBody):
 
     def support(self, direction):
         u = as_point(direction, self.dim)
-        norm = float(np.linalg.norm(u))
+        norm = math.sqrt(u @ u)
         if norm == 0:
             raise ValueError("support direction must be nonzero")
         return self._c + self._r * u / norm
@@ -701,14 +727,14 @@ class Ball(ConvexBody):
     def project(self, p):
         p = as_point(p, self.dim)
         v = p - self._c
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v @ v)
         if norm <= self._r:
             return p.copy()
         return self._c + v * (self._r / norm)
 
     def distance(self, p):
-        p = as_point(p, self.dim)
-        return max(0.0, float(np.linalg.norm(p - self._c)) - self._r)
+        v = as_point(p, self.dim) - self._c
+        return max(0.0, math.sqrt(v @ v) - self._r)
 
     def _within(self, coords, tol):
         """The contains rule on per-axis coordinate arrays that broadcast:
@@ -736,6 +762,15 @@ class IntersectionBody(ConvexBody):
     decides nothing raises as :func:`decided_scan` does.  ``project`` is
     an outer approximation by cuts from the members' projections, and
     ``support`` projects a far point in the requested direction.
+
+    The body keeps a pool of cuts from one ``project`` call to the next:
+    each call starts from the pool (see :func:`_pooled_projection`) and,
+    on success, leaves in it only the cuts tight at its answer, so the pool
+    stays a handful of rows; a call that raises leaves it as it was.  The
+    answer still moves with the pool, within the cut stop, so ``support``
+    projects with fresh cuts, and its answer depends on the direction
+    alone.  Each restart of :func:`~hollowkit.critical.uniqueness_probe`
+    builds its own leave-one-out bodies, so it too starts from no cuts.
     """
 
     # Far-point multiplier of ``support``: R = _SUPPORT_RADIUS (1 + diam).
@@ -762,6 +797,7 @@ class IntersectionBody(ConvexBody):
                 if not b.membership(witness, tol):
                     raise ValueError(f"witness fails membership in member {i}")
         self._witness = witness
+        self._cuts = _NO_CUTS
 
     @property
     def dim(self):
@@ -782,22 +818,25 @@ class IntersectionBody(ConvexBody):
         return lo, np.maximum(hi, lo)
 
     def project(self, p):
-        """Nearest point of the intersection: :func:`project_intersection`."""
-        return project_intersection(self._bodies, p)
+        """Nearest point of the intersection, from the body's pool of cuts."""
+        x, self._cuts = _pooled_projection(self._bodies, p, self._cuts)
+        return x
 
     def support(self, direction):
-        """Projection of a far point ``witness + R u / |u|``.
+        """Projection of a far point ``witness + R u / |u|``, from no cuts.
 
         With R = ``_SUPPORT_RADIUS * (1 + diam)`` the returned member's inner
         product with u falls short of the support value by at most
-        diam^2 / (2 R).
+        diam^2 / (2 R).  The far point is projected with fresh cuts, by
+        :func:`project_intersection`, so the answer depends on u alone and
+        the pool takes in no cut from R away.
         """
         u = as_point(direction, self._dim)
-        norm = float(np.linalg.norm(u))
+        norm = math.sqrt(u @ u)
         if norm == 0:
             raise ValueError("support direction must be nonzero")
         radius = self._SUPPORT_RADIUS * (1.0 + self.diameter())
-        return self.project(self._witness + (radius / norm) * u)
+        return project_intersection(self._bodies, self._witness + (radius / norm) * u)
 
     def contains_batch(self, points, tol=DEFAULT_TOL):
         """In when every member holds the point exactly, out when some

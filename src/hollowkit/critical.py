@@ -18,7 +18,8 @@ import numpy as np
 
 from .bodies import (DEFAULT_TOL, IntersectionBody, check_count,
                      support_centroid)
-from .errors import BorderlineCriticalError, EmptyBodyError, NoHollowError
+from .errors import (BorderlineCriticalError, EmptyBodyError, NoHollowError,
+                     ProjectionError, ToleranceAmbiguityError)
 from .geometry import Simplex, as_points
 from .solvers import SeparationCertificate, intersect_witness, min_distance
 
@@ -76,7 +77,9 @@ class CriticalFamily:
         return self.bodies[0].dim
 
     def leave_one_out(self, j):
-        """Intersection of every body except j, anchored at ``witnesses[j]``."""
+        """Intersection of every body except j, anchored at ``witnesses[j]``;
+        of two or more bodies it is built anew, with no pooled cuts, on
+        every call."""
         rest = [b for i, b in enumerate(self.bodies) if i != j]
         if len(rest) == 1:
             return rest[0]
@@ -126,14 +129,27 @@ def recentered_witness(bodies, tol=DEFAULT_TOL):
     its axis-direction support points, so repeated calls give a stable,
     well-centered witness that passes membership in every body.
     The :class:`IntersectionBody` constructor scans for a first member
-    point and raises its errors when the scan finds none.
+    point and raises its errors when the scan finds none.  A projection
+    that runs out of passes within ``tol`` of every body, as on the single
+    point shared by tangent bodies, raises :class:`ToleranceAmbiguityError`
+    with that residual as its gap; any other :class:`ProjectionError`
+    propagates.
     """
     bodies = list(bodies)
     if len(bodies) == 1:
         lo, hi = bodies[0].bounding_box()
         return bodies[0].project((lo + hi) / 2.0)
     inter = IntersectionBody(bodies, tol=tol)
-    return inter.project(support_centroid([inter]))
+    try:
+        return inter.project(support_centroid([inter]))
+    except ProjectionError as exc:
+        if exc.residual is None or exc.residual > tol:
+            raise
+        raise ToleranceAmbiguityError(
+            f"projection onto the intersection stalled {exc.residual:.3e} from "
+            f"its members, within tol {tol:.1e}: the intersection may be a "
+            "single point; adjust the tolerance",
+            gap=exc.residual, tol=tol) from exc
 
 
 def check_critical(bodies, tol=DEFAULT_TOL):

@@ -9,6 +9,7 @@ separating one body from the intersection of the others.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,12 +110,14 @@ def min_distance(body_a, body_b, start=None):
     x = as_point(start, body_a.dim)
     a = body_a.project(x)
     b = body_b.project(a)
-    m_prev = float(np.linalg.norm(a - b))
+    v = a - b
+    m_prev = math.sqrt(v @ v)
     converged = False
     for iterations in range(2, DISTANCE_MAX_ITER + 1):
         a = body_a.project(b)
         b = body_b.project(a)
-        m = float(np.linalg.norm(a - b))
+        v = a - b
+        m = math.sqrt(v @ v)
         residual = abs(m - m_prev)
         m_prev = m
         floor = 8.0 * np.finfo(float).eps * max(np.abs(a).max(), np.abs(b).max())
@@ -129,7 +132,8 @@ def min_distance(body_a, body_b, start=None):
         if step[0].tobytes() == a.tobytes() and step[1].tobytes() == b.tobytes():
             break
         a, b = step
-    result = DistanceResult(float(np.linalg.norm(a - b)), a, b, iterations, residual)
+    v = a - b
+    result = DistanceResult(math.sqrt(v @ v), a, b, iterations, residual)
     if not converged:
         raise ConvergenceError(
             f"alternating projections did not settle after {DISTANCE_MAX_ITER} "

@@ -622,15 +622,25 @@ def lens_cases(D, scale, shift):
     return a, b, cases
 
 
-@pytest.mark.parametrize("D", [1.2, 1.865, 1.93])
+def lens_body(D, scale, shift):
+    """The lens of :func:`lens_cases`, with a witness off the line of
+    centers, so that the far points of the support along +-x project to
+    where their distance R decides."""
+    a, b, _ = lens_cases(D, scale, shift)
+    half_height = scale * np.sqrt(1.0 - D * D / 4.0)
+    return IntersectionBody([Ball(a, scale), Ball(b, scale)],
+                            witness=0.5 * (a + b) + [0.0, 0.5 * half_height])
+
+
+LENS_DISTANCES = [1.2, 1.865, 1.93]
+
+
+@pytest.mark.parametrize("D", LENS_DISTANCES)
 @pytest.mark.parametrize("scale,shift", LENS_PLACEMENTS)
 def test_lens_projection_and_support_match_closed_form(D, scale, shift):
     a, b, cases = lens_cases(D, scale, shift)
     half_height = scale * np.sqrt(1.0 - D * D / 4.0)
-    # a witness off the line of centers, so that the far points of the
-    # support along +-x project to where their distance R decides
-    lens = IntersectionBody([Ball(a, scale), Ball(b, scale)],
-                            witness=0.5 * (a + b) + [0.0, 0.5 * half_height])
+    lens = lens_body(D, scale, shift)
     for q, x in cases:
         err = float(np.abs(lens.project(q) - x).max())
         assert err <= LENS_RTOL * (1.0 + np.abs(q).max()), (q, err)
@@ -648,6 +658,81 @@ def test_lens_projection_and_support_match_closed_form(D, scale, shift):
             expect = 0.5 * (a + b) + np.array([0.0, u[1] * half_height])
         err = float(np.abs(lens.support(u) - expect).max())
         assert err <= LENS_RTOL * (1.0 + np.abs(far).max()), (u, err)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffle-0", "shuffle-1"])
+@pytest.mark.parametrize("D", LENS_DISTANCES)
+@pytest.mark.parametrize("scale,shift", LENS_PLACEMENTS)
+def test_pooled_lens_projection_does_not_depend_on_query_order(order, D,
+                                                               scale, shift):
+    """One lens body answers every closed-form query, whatever cuts the
+    queries before it left in its pool."""
+    _, _, cases = lens_cases(D, scale, shift)
+    if order == "reversed":
+        cases = cases[::-1]
+    else:
+        rng = np.random.default_rng(int(order[-1]))
+        cases = [cases[i] for i in rng.permutation(len(cases))]
+    lens = lens_body(D, scale, shift)
+    for q, x in cases:
+        err = float(np.abs(lens.project(q) - x).max())
+        assert err <= LENS_RTOL * (1.0 + np.abs(q).max()), (q, err)
+
+
+def warm_lens(D, scale, shift, queries=200):
+    """A lens body after ``queries`` seeded projections of points within a
+    few radii of it."""
+    lens = lens_body(D, scale, shift)
+    rng = np.random.default_rng(7)
+    for q in lens.anchor + 3.0 * scale * rng.normal(size=(queries, 2)):
+        lens.project(q)
+    return lens
+
+
+@pytest.mark.parametrize("D", LENS_DISTANCES)
+@pytest.mark.parametrize("scale,shift", LENS_PLACEMENTS)
+def test_warm_lens_agrees_with_fresh_lens(D, scale, shift):
+    """A body warmed by 200 projections projects as fresh bodies do, and
+    its supports, which neither read nor change the pool, are the same
+    bits."""
+    _, _, cases = lens_cases(D, scale, shift)
+    warm = warm_lens(D, scale, shift)
+    for q, _ in cases:
+        fresh = lens_body(D, scale, shift).project(q)
+        err = float(np.abs(warm.project(q) - fresh).max())
+        assert err <= LENS_RTOL * (1.0 + np.abs(q).max()), (q, err)
+    fresh = lens_body(D, scale, shift)
+    rng = np.random.default_rng(8)
+    cuts = warm._cuts
+    for u in np.vstack([np.eye(2), -np.eye(2), rng.normal(size=(8, 2))]):
+        assert warm.support(u).tobytes() == fresh.support(u).tobytes(), u
+    assert warm._cuts is cuts and fresh._cuts is hollowkit.bodies._NO_CUTS
+
+
+@pytest.mark.parametrize("D", LENS_DISTANCES)
+def test_pool_keeps_only_cuts_tight_at_the_answer(D):
+    """After each call the pool is not empty (every query lies outside),
+    and every pooled cut n.y <= h has slack h - n.x at most the call's
+    stop at the returned x and holds one of the disks."""
+    _, _, cases = lens_cases(D, 1.0, 0.0)
+    lens = warm_lens(D, 1.0, 0.0)
+    for q, _ in cases:
+        x = lens.project(q)
+        A, h = lens._cuts
+        stop = hollowkit.bodies.CUT_RTOL * (1.0 + np.abs(q).max())
+        assert h.size and np.all(h - A @ x <= stop), (q, h - A @ x)
+        for n, offset in zip(A, h):
+            held = min(n @ disk.support(n) for disk in lens.bodies)
+            assert held <= offset + LENS_RTOL, (q, n)
+
+
+def test_raising_projection_leaves_the_pool_as_it_was(monkeypatch):
+    lens = warm_lens(1.865, 1.0, 0.0)
+    A, h = lens._cuts
+    monkeypatch.setattr(hollowkit.bodies, "CUT_MAX_PASSES", 1)
+    with pytest.raises(ProjectionError):
+        lens.project([5.0, 3.0])
+    assert lens._cuts[0] is A and lens._cuts[1] is h
 
 
 def random_part(rng, kind, center, scale):

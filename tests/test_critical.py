@@ -8,7 +8,7 @@ from conftest import DISK_SIDE_CRITICAL, TRIANGLE, disk_centers
 from helpers import random_base_points
 from hollowkit import (Ball, BorderlineCriticalError, CriticalFamily,
                        CriticalityFailure, HPolytope, NoHollowError,
-                       ProjectionError, Simplex, ToleranceAmbiguityError,
+                       Simplex, ToleranceAmbiguityError,
                        cage_margin, check_critical, helly_guard,
                        hollow_simplex, recentered_witness, uniqueness_probe)
 
@@ -111,9 +111,6 @@ def test_small_scale_certificate_rechecks_with_support():
     assert_certificate_rechecks_with_support(fam)
 
 
-@pytest.mark.xfail(strict=True, raises=ProjectionError,
-                   reason="the leave-one-out lens of tangent disks is a single "
-                          "point, and projecting onto it runs out of passes")
 def test_tangent_disks_end_in_a_structured_verdict():
     bodies = [Ball(c, 1.0) for c in disk_centers(2.0)]
     try:
