@@ -25,8 +25,8 @@ from .solvers import SeparationCertificate, intersect_witness, min_distance
 
 logger = logging.getLogger(__name__)
 
-# Families whose emptiness margin falls below this multiple of the working
-# tolerance are rejected as numerically borderline rather than certified.
+# Families whose emptiness margin or hollow gaps are not above this multiple
+# of the working tolerance are rejected as borderline rather than certified.
 BORDERLINE_FACTOR = 10.0
 
 UNIQUENESS_THRESHOLD = 1e-5
@@ -152,6 +152,11 @@ def recentered_witness(bodies, tol=DEFAULT_TOL):
             gap=exc.residual, tol=tol) from exc
 
 
+def _borderline(distance, tol):
+    """Whether a body-to-rest distance is not above the borderline margin."""
+    return distance <= BORDERLINE_FACTOR * tol
+
+
 def check_critical(bodies, tol=DEFAULT_TOL):
     """Certify that a family of n + 1 bodies is n-critical.
 
@@ -191,10 +196,10 @@ def check_critical(bodies, tol=DEFAULT_TOL):
         return CriticalityFailure("full-intersection-nonempty", witness=full.witness,
                                   detail="all bodies share a point")
     cert = full.certificate
-    if cert.distance < BORDERLINE_FACTOR * tol:
+    if _borderline(cert.distance, tol):
         return CriticalityFailure(
             "borderline",
-            detail=f"emptiness margin {cert.distance:.3e} below "
+            detail=f"emptiness margin {cert.distance:.3e} not above "
                    f"{BORDERLINE_FACTOR:.0f} x tol")
     return CriticalFamily(bodies, witnesses, cert, tol=tol)
 
@@ -220,7 +225,7 @@ def hollow_simplex(family, starts=None):
         res = min_distance(family.leave_one_out(j), family.bodies[j], start=start)
         vertices[j] = res.point_a
         gaps[j] = res.distance
-    if np.any(gaps <= BORDERLINE_FACTOR * family.tol):
+    if np.any(_borderline(gaps, family.tol)):
         raise BorderlineCriticalError(
             f"hollow gaps {gaps} not all above {BORDERLINE_FACTOR:.0f} x tol; "
             "family is numerically borderline")

@@ -23,6 +23,7 @@ in 2-D and 3-D, so a broadcast form would change which cells it holds.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,8 @@ from .errors import (GridDimensionError, GridResolutionError,
                      HollowNotFoundError, NoHollowError)
 from .geometry import AffineSubspace, as_point, as_points
 from .solvers import min_distance
+
+logger = logging.getLogger(__name__)
 
 MIN_CELLS_PER_AXIS = 20
 BOX_EXPAND = 1.1
@@ -169,7 +172,7 @@ def _component_hull(centers):
         return np.unique(pts, axis=0)
 
 
-def certify_hollow(family, resolution=None, retry=True):
+def certify_hollow(family, resolution=None):
     """Locate and certify the bounded complement component of a family.
 
     The grid box is the witness bounding box scaled by ``BOX_EXPAND`` about
@@ -177,7 +180,8 @@ def certify_hollow(family, resolution=None, retry=True):
     box's widest side.  Cell centers are classified by body membership,
     uncovered cells are labeled by face adjacency, and components touching
     the grid border are discarded as unbounded.  If no bounded component
-    shows up the grid is retried once at half the cell size.
+    shows up the grid is retried once at half the cell size; each grid that
+    finds none is logged at INFO.
 
     Raises
     ------
@@ -208,15 +212,17 @@ def certify_hollow(family, resolution=None, retry=True):
     center = 0.5 * (lo0 + hi0)
     half = 0.5 * BOX_EXPAND * (hi0 - lo0)
     lo, hi = center - half, center + half
-    counts = np.ceil((hi - lo) / resolution - 1e-12)
-    grid = _build_grid(family.bodies, lo, counts, resolution)
-    labels, unbounded = _uncovered_components(grid)
-    sizes = np.bincount(labels.ravel())
-    bounded = [(int(sizes[l]), l) for l in range(1, sizes.size)
-               if l not in unbounded]
-    if not bounded:
-        if retry:
-            return certify_hollow(family, resolution / 2.0, retry=False)
+    for resolution in (resolution, resolution / 2.0):
+        counts = np.ceil((hi - lo) / resolution - 1e-12)
+        grid = _build_grid(family.bodies, lo, counts, resolution)
+        labels, unbounded = _uncovered_components(grid)
+        sizes = np.bincount(labels.ravel())
+        bounded = [(int(sizes[l]), l) for l in range(1, sizes.size)
+                   if l not in unbounded]
+        if bounded:
+            break
+        logger.info("no bounded component at resolution %g", resolution)
+    else:
         raise HollowNotFoundError(
             f"no bounded uncovered component at resolution {resolution:g} "
             "or its refinement")

@@ -4,22 +4,19 @@
 polishes the pair with midpoint re-projections.  ``intersect_witness`` runs
 the cutting-plane feasibility scan over the whole family and returns either
 a common point or an emptiness certificate: a hyperplane strictly
-separating one body from the intersection of the others.
+separating the first body whose later bodies share a point from their
+intersection, body 0 unless bodies 1.. are themselves disjoint.
 """
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bodies import DEFAULT_TOL, IntersectionBody, decided_scan
-from .errors import (ConvergenceError, EmptyBodyError, NotSeparableError,
-                     ToleranceAmbiguityError)
+from .errors import ConvergenceError, EmptyBodyError, NotSeparableError
 from .geometry import Hyperplane, as_point
-
-logger = logging.getLogger(__name__)
 
 # Alternating projections stop once the distance estimate changes by less
 # than this between consecutive iterations, or than 8 ulps of the pair's
@@ -53,9 +50,9 @@ class SeparationCertificate:
 
     The hyperplane passes through the midpoint of the realizing pair with
     the normal pointing from the separated body toward the intersection of
-    the remaining bodies; ``margin`` is half the realized distance.
-    ``subfamily`` lists the body indices involved when the certificate had
-    to fall back to a proper subfamily.
+    the remaining bodies; ``margin`` is half the realized distance.  The
+    separated body k is the first whose later bodies share a point, and
+    the rest are bodies k+1, ..; for k > 0, ``subfamily`` is (k, .., n).
     """
 
     hyperplane: Hyperplane
@@ -168,39 +165,26 @@ def _plane_through_gap(res, tol):
 
 
 def _empty_certificate(bodies, tol):
-    """Build a separation certificate for a family with empty intersection.
+    """Separate body 0 from the intersection of the others.
 
-    Tries, in index order, to separate one body from the intersection of
-    the others; falls back to a proper subfamily when a leave-one-out
-    intersection is itself empty or the gap is below ``tol``.
+    Called once the scan's LP bound t* exceeds ``tol``.  As t* <=
+    max_i dist(x, C_i) for every x, the midpoint of a nearest pair of C_0
+    and the rest, delta apart, gives delta >= 2 t* > 2 tol (> 1.8 tol if
+    the rest's scan accepted it within tol / 10): ``_plane_through_gap``
+    never refuses, so no other body need be tried.  An empty rest is
+    certified in turn, and named as the ``subfamily``.
     """
-    for j in range(len(bodies)):
-        rest = [bodies[i] for i in range(len(bodies)) if i != j]
-        try:
-            rest_body = rest[0] if len(rest) == 1 else IntersectionBody(rest, tol=tol)
-            res = min_distance(bodies[j], rest_body)
-            plane = _plane_through_gap(res, tol)
-        except (EmptyBodyError, ToleranceAmbiguityError, NotSeparableError,
-                ConvergenceError):
-            continue
-        return SeparationCertificate(plane, j, res.distance, res.distance / 2.0)
-    # Leave-one-out intersections are empty or the gaps are too thin: find a
-    # proper subfamily that is still empty and certify that one instead.
-    for j in range(len(bodies)):
-        sub_idx = tuple(i for i in range(len(bodies)) if i != j)
-        sub = [bodies[i] for i in sub_idx]
-        if len(sub) < 2:
-            continue
-        report = intersect_witness(sub, tol=tol)
-        if report.status == "empty":
-            inner = report.certificate
-            mapped = tuple(sub_idx[i] for i in (inner.subfamily or range(len(sub))))
-            return SeparationCertificate(
-                inner.hyperplane, sub_idx[inner.separated_index],
-                inner.distance, inner.margin, subfamily=mapped)
-    raise ToleranceAmbiguityError(
-        "intersection is empty but no separation exceeds the tolerance",
-        tol=tol)
+    rest = bodies[1:]
+    try:
+        rest_body = rest[0] if len(rest) == 1 else IntersectionBody(rest, tol=tol)
+    except EmptyBodyError:
+        inner = _empty_certificate(rest, tol)
+        sub = tuple(i + 1 for i in (inner.subfamily or range(len(rest))))
+        return replace(inner, separated_index=inner.separated_index + 1,
+                       subfamily=sub)
+    res = min_distance(bodies[0], rest_body)
+    plane = _plane_through_gap(res, tol)
+    return SeparationCertificate(plane, 0, res.distance, res.distance / 2.0)
 
 
 def intersect_witness(bodies, tol=DEFAULT_TOL):
@@ -211,15 +195,17 @@ def intersect_witness(bodies, tol=DEFAULT_TOL):
     returned once the measured gap (maximum distance from the iterate to
     any body) falls below ``tol / 10``; an emptiness verdict with a
     separation certificate once the cuts' LP bound on the min-max distance
-    exceeds ``tol``.
+    exceeds ``tol``.  The certificate scans bodies 1.. once more and
+    separates body 0 from their intersection by :func:`min_distance`.
 
     Raises
     ------
     ToleranceAmbiguityError
-        When the min-max distance lies inside ``[tol / 10, tol]``: the scene
-        cannot be decided at this tolerance.
+        When the min-max distance, of the family or of bodies 1.., lies
+        inside ``[tol / 10, tol]``: it cannot be decided at this tolerance.
     ConvergenceError
-        When the scan's pass budget runs out undecided.
+        When a scan's pass budget runs out undecided, or that of
+        :func:`min_distance` while the certificate is built.
     """
     bodies = list(bodies)
     if not bodies:

@@ -37,6 +37,7 @@ from .geometry import Simplex, affine_hull, as_points
 
 logger = logging.getLogger(__name__)
 
+# Most cells of one subdivision; read at call time, so it can be patched.
 MAX_CELLS = 10_000_000
 # Largest common denominator of exact barycentrics: float64 holds every
 # integer up to it, and int64 cannot overflow below it.
@@ -207,30 +208,30 @@ def _freeze(exact, ambient):
                               exact.V != 0, exact.cells, depth=exact.depth)
 
 
-def _depth_limit(k, depth, max_cells):
+def _depth_limit(k, depth):
     """The limit that a depth-``depth`` subdivision of a k-simplex exceeds
-    (the cell budget first, then the exact denominator), or None."""
-    if math.factorial(k + 1) ** depth > max_cells:
-        return f"the {max_cells}-cell budget"
+    (the ``MAX_CELLS`` budget first, then the exact denominator), or None."""
+    if math.factorial(k + 1) ** depth > MAX_CELLS:
+        return f"the {MAX_CELLS}-cell budget"
     if math.lcm(*range(1, k + 2)) ** depth > MAX_DENOMINATOR:
         return f"the exact-barycentric denominator limit {MAX_DENOMINATOR}"
     return None
 
 
-def subdivide(simplex, depth, max_cells=MAX_CELLS):
+def subdivide(simplex, depth):
     """Iterated barycentric subdivision of a simplex.
 
     Produces ``((k+1)!)**depth`` cells with mesh at most
     ``(k/(k+1))**depth`` times the diameter.  Barycentrics are computed
     exactly as integers over the common denominator ``lcm(1..k+1)**depth``
-    and rounded once to float.  Depths that would exceed ``max_cells``
+    and rounded once to float.  Depths that would exceed ``MAX_CELLS``
     cells, or whose denominator exceeds ``MAX_DENOMINATOR`` (2**53, beyond
     which float64 no longer holds every integer), are refused before any
     array is built.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    limit = _depth_limit(simplex.dim, depth, max_cells)
+    limit = _depth_limit(simplex.dim, depth)
     if limit:
         raise SubdivisionSizeError(f"depth {depth} exceeds {limit}")
     exact = _ExactComplex(simplex.dim)
@@ -339,7 +340,7 @@ def _polish_common_point(x, bodies, tol):
     return x
 
 
-def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
+def klee_solve(bodies, witnesses, tol=1e-6):
     """Common point of bodies whose union is convex, via subdivision coloring.
 
     ``witnesses[j]`` must be a point shared by every body except possibly j.
@@ -358,7 +359,7 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
     Raises
     ------
     KleeSolveError
-        If the cell budget, or the ``MAX_DENOMINATOR`` limit of exact
+        If the ``MAX_CELLS`` budget, or the ``MAX_DENOMINATOR`` limit of exact
         barycentrics, is exhausted first; carries the vertex array of the
         smallest all-colors cell seen.
     """
@@ -405,7 +406,7 @@ def klee_solve(bodies, witnesses, tol=1e-6, max_cells=MAX_CELLS):
             logger.info("klee_solve: an all-colors cell of diameter %.3e is "
                         "below tol/2 at depth %d", best_diam, exact.depth)
             return _polish_common_point(best_cell.mean(axis=0), bodies, tol)
-        spent = _depth_limit(n, exact.depth + 1, max_cells)
+        spent = _depth_limit(n, exact.depth + 1)
         if spent:
             logger.info("klee_solve: %s is spent at depth %d", spent, exact.depth)
             raise KleeSolveError(

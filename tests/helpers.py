@@ -36,19 +36,14 @@ def hulls_intersect(P, Q):
     return res.status == 0
 
 
-def intersecting_bipartitions(points):
-    """All proper bipartitions whose hulls meet, by brute force."""
+def is_intersecting_bipartition(points, part1, part2):
+    """Whether two index sets split ``points`` into two nonempty parts whose
+    hulls meet: one LP, in place of listing every such bipartition."""
+    part1, part2 = frozenset(part1), frozenset(part2)
     points = np.asarray(points, dtype=float)
-    m = points.shape[0]
-    found = []
-    for mask in range(1, 2 ** (m - 1)):
-        part1 = [i for i in range(m) if mask >> i & 1]
-        part2 = [i for i in range(m) if not mask >> i & 1]
-        if not part1 or not part2:
-            continue
-        if hulls_intersect(points[part1], points[part2]):
-            found.append((frozenset(part1), frozenset(part2)))
-    return found
+    return (bool(part1) and bool(part2) and not part1 & part2
+            and part1 | part2 == frozenset(range(points.shape[0]))
+            and hulls_intersect(points[sorted(part1)], points[sorted(part2)]))
 
 
 def segment_point_distance(p, a, b):

@@ -11,8 +11,8 @@ import pytest
 
 from conftest import (DISK_SIDE_CRITICAL, TRIANGLE, disk_centers,
                       side_rectangle)
-from helpers import (ball_ball_distance, box_box_distance, hulls_intersect,
-                     intersecting_bipartitions, random_base_points,
+from helpers import (ball_ball_distance, box_box_distance,
+                     is_intersecting_bipartition, random_base_points,
                      random_critical_rejection_family, segment_point_distance,
                      union_box_family)
 from hollowkit import (AffineSubspace, Ball, CriticalFamily,
@@ -199,12 +199,7 @@ def test_criterion_10_oracle_equivalence():
             for _ in range(trials):
                 pts = rng.uniform(-2.0, 2.0, size=(count, dim))
                 part = radon_partition(pts)
-                assert part.as_sets() in [
-                    {frozenset(a), frozenset(b)}
-                    for a, b in intersecting_bipartitions(pts)
-                ]
-                assert hulls_intersect(pts[sorted(part.part1)],
-                                       pts[sorted(part.part2)])
+                assert is_intersecting_bipartition(pts, part.part1, part.part2)
         for _ in range(200):
             d = int(rng.integers(1, 4))
             c1, c2 = rng.uniform(-3, 3, size=(2, d))

@@ -10,7 +10,8 @@ from hollowkit import (Ball, BorderlineCriticalError, CriticalFamily,
                        CriticalityFailure, HPolytope, NoHollowError,
                        Simplex, ToleranceAmbiguityError,
                        cage_margin, check_critical, helly_guard,
-                       hollow_simplex, recentered_witness, uniqueness_probe)
+                       hollow_simplex, intersect_witness, recentered_witness,
+                       uniqueness_probe)
 
 # inner corner height of two unit circles at distance 1.9, and its distance
 # to the far vertex of the equilateral triangle of centers
@@ -157,6 +158,28 @@ def test_borderline_margin_failure():
     res = check_critical(bodies, tol=1e-7)
     assert isinstance(res, CriticalityFailure)
     assert res.reason == "borderline"
+
+
+@pytest.mark.parametrize("ulps, certified", [(0, False), (1, True)])
+def test_ten_tol_is_borderline_and_the_next_float_is_not(ulps, certified):
+    """The emptiness margin and the hollow gaps, both distances from a body
+    to the intersection of the others, certify only above 10 tol.  Two 1-D
+    balls of radius 2^-18 at gap g give every projection exactly, so both
+    distances are exactly g: 10 tol for tol = 2^-20, or the next float."""
+    tol, r = 2.0 ** -20, 2.0 ** -18
+    gap = np.nextafter(10.0 * tol, np.inf) if ulps else 10.0 * tol
+    bodies = [Ball([-r], r), Ball([gap + r], r)]
+    res = check_critical(bodies, tol=tol)
+    assert isinstance(res, CriticalFamily) is certified
+    cert = intersect_witness(bodies, tol=tol).certificate
+    assert cert.distance == gap
+    family = CriticalFamily(bodies, [[gap + r], [-r]], cert, tol=tol)
+    if certified:
+        assert np.all(hollow_simplex(family).gaps == gap)
+    else:
+        assert res.reason == "borderline"
+        with pytest.raises(BorderlineCriticalError):
+            hollow_simplex(family)
 
 
 def test_no_hollow_below_ambient_dimension():

@@ -5,7 +5,7 @@ import pytest
 from hollowkit import (AffineSubspace, DegenerateSimplexError, Hyperplane,
                        Simplex, VPolytope, affine_hull, barycentric,
                        radon_partition)
-from helpers import intersecting_bipartitions
+from helpers import is_intersecting_bipartition
 
 MEMBER_TOL = 1e-7
 CROSSING_BARY_TOL = 1e-9
@@ -54,10 +54,8 @@ def test_radon_against_lp_bipartitions():
         for _ in range(instances):
             pts = rng.normal(size=(count, dim)) * rng.uniform(0.5, 3.0)
             part = radon_partition(pts)
-            verified = intersecting_bipartitions(pts)
-            key = frozenset((frozenset(part.part1), frozenset(part.part2)))
-            allowed = [frozenset(pair) for pair in verified]
-            assert key in allowed, (pts, part.as_sets())
+            assert is_intersecting_bipartition(pts, part.part1, part.part2), (
+                pts, part.as_sets())
             # the crossing point is in both hulls
             for side in (part.part1, part.part2):
                 hull = VPolytope(pts[sorted(side)])

@@ -1,4 +1,6 @@
 """Grid certification of hollows and stabbing-pair verification."""
+import logging
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,7 @@ def test_default_resolution_is_128_cells_across_the_grid_box(disks_family):
 
 
 @pytest.mark.parametrize("side, found", [(1.74, True), (1.735, False)])
-def test_grid_is_retried_once_at_half_the_cell_size(side, found):
+def test_grid_is_retried_once_at_half_the_cell_size(side, found, caplog):
     """Unit disks on a wide triangle leave a hollow a little over one cell
     across at 20.2 cells on the narrowest axis: the first grid finds no
     bounded component, the one at half the cell size does at side 1.74 and
@@ -157,15 +159,18 @@ def test_grid_is_retried_once_at_half_the_cell_size(side, found):
     fam = check_critical([Ball(c, 1.0) for c in disk_centers(side)])
     W = fam.witnesses
     h = 1.1 * float((W.max(axis=0) - W.min(axis=0)).min()) / 20.2
-    with pytest.raises(HollowNotFoundError):
-        certify_hollow(fam, h, retry=False)
-    if not found:
-        with pytest.raises(HollowNotFoundError, match="or its refinement"):
-            certify_hollow(fam, h)
-        return
-    cert = certify_hollow(fam, h)
-    assert cert.resolution == h / 2.0
-    assert cert.bounded and cert.cell_count >= 1
+    failed = [f"no bounded component at resolution {h:g}"]
+    with caplog.at_level(logging.INFO, logger="hollowkit.hollow"):
+        if found:
+            cert = certify_hollow(fam, h)
+        else:
+            with pytest.raises(HollowNotFoundError, match="or its refinement"):
+                certify_hollow(fam, h)
+            failed.append(f"no bounded component at resolution {h / 2.0:g}")
+    assert [r.getMessage() for r in caplog.records] == failed
+    if found:
+        assert cert.resolution == h / 2.0
+        assert cert.bounded and cert.cell_count >= 1
 
 
 @pytest.mark.parametrize("resolution", [0.0, -0.01, np.nan])

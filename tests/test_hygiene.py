@@ -127,3 +127,13 @@ def test_no_module_imports_linprog():
                  and any(a.name.split(".")[-1] == "linprog" for a in node.names))
              or (isinstance(node, ast.Attribute) and node.attr == "linprog")]
     assert found == []
+
+
+def test_no_handler_swallows_its_error():
+    """No ``except`` in the package drops what it caught with a bare
+    ``continue`` or ``pass``: an error is handled or it propagates."""
+    found = [f"{p.name}:{h.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+             for h in ast.walk(ast.parse(p.read_text()))
+             if isinstance(h, ast.ExceptHandler)
+             and all(isinstance(stmt, (ast.Continue, ast.Pass)) for stmt in h.body)]
+    assert found == []

@@ -160,11 +160,28 @@ def test_intersect_witness_empty_disks_certificate(three_disks):
     assert cert.margin == pytest.approx(expected / 2.0, abs=1e-7)
 
 
-def test_intersect_witness_falls_back_to_a_subfamily():
-    """Pairwise disjoint disks: every leave-one-out intersection is empty, so
-    the certificate separates a body from the rest of a proper subfamily."""
+def counted_intersection_builds(monkeypatch):
+    """The member counts of the ``IntersectionBody`` objects the
+    certificate builds, in order."""
+    builds = []
+
+    class Counted(IntersectionBody):
+        def __init__(self, bodies, **kwargs):
+            builds.append(len(bodies))
+            super().__init__(bodies, **kwargs)
+
+    monkeypatch.setattr("hollowkit.solvers.IntersectionBody", Counted)
+    return builds
+
+
+def test_intersect_witness_falls_back_to_a_subfamily(monkeypatch):
+    """Pairwise disjoint disks: bodies 1 and 2 share no point, so the
+    certificate is that of the family without body 0, found with one
+    intersection build, that of bodies 1 and 2."""
     disks = [Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0), Ball([0.0, 5.0], 1.0)]
+    builds = counted_intersection_builds(monkeypatch)
     report = intersect_witness(disks)
+    assert builds == [2]
     assert report.status == "empty"
     cert = report.certificate
     assert cert.separated_index == 1
@@ -174,6 +191,35 @@ def test_intersect_witness_falls_back_to_a_subfamily():
     n, c = cert.hyperplane.normal, cert.hyperplane.offset
     assert n @ disks[1].support(n) < c - cert.margin / 2.0
     assert n @ disks[2].support(-n) > c + cert.margin / 2.0
+
+
+def test_a_disjoint_pair_inside_body_0_is_certified_on_its_own(monkeypatch):
+    """Body 0 holds two disjoint disks 1 apart: the certificate separates
+    body 1 from body 2 and names them, never separating body 0."""
+    balls = [Ball([0.0, 0.0], 3.0), Ball([-1.5, 0.0], 1.0), Ball([1.5, 0.0], 1.0)]
+    builds = counted_intersection_builds(monkeypatch)
+    cert = intersect_witness(balls).certificate
+    assert builds == [2]
+    assert (cert.separated_index, cert.subfamily) == (1, (1, 2))
+    assert cert.distance == pytest.approx(1.0, abs=1e-9)
+    n, c = cert.hyperplane.normal, cert.hyperplane.offset
+    assert n @ balls[1].support(n) < c - cert.margin / 2.0
+    assert n @ balls[2].support(-n) > c + cert.margin / 2.0
+
+
+def test_certificate_distance_errors_propagate(three_disks, monkeypatch):
+    """A distance solve that runs out separating body 0 ends the call: no
+    other body and no subfamily is tried."""
+    calls = []
+
+    def out_of_iterations(body_a, body_b, start=None):
+        calls.append(body_a)
+        raise ConvergenceError("out of iterations")
+
+    monkeypatch.setattr("hollowkit.solvers.min_distance", out_of_iterations)
+    with pytest.raises(ConvergenceError, match="out of iterations"):
+        intersect_witness(three_disks)
+    assert calls == [three_disks[0]]
 
 
 def test_intersect_witness_ambiguous_band_raises():

@@ -56,9 +56,10 @@ def test_subdivision_depth_zero_is_identity():
     assert sub.mesh == pytest.approx(UNIT_TRIANGLE.diameter)
 
 
-def test_subdivision_budget_refusal():
+def test_subdivision_budget_refusal(monkeypatch):
+    monkeypatch.setattr(sperner, "MAX_CELLS", 100)
     with pytest.raises(SubdivisionSizeError):
-        subdivide(UNIT_TRIANGLE, 3, max_cells=100)
+        subdivide(UNIT_TRIANGLE, 3)
 
 
 def test_subdivision_matches_fraction_reference():
@@ -82,8 +83,9 @@ def test_subdivision_refuses_inexact_depths_up_front(monkeypatch):
         raise AssertionError("a complex was built")
 
     monkeypatch.setattr(sperner, "_ExactComplex", no_build)
+    monkeypatch.setattr(sperner, "MAX_CELLS", 2 ** 62)
     with pytest.raises(SubdivisionSizeError, match="denominator"):
-        subdivide(SEGMENT, 60, max_cells=2 ** 62)
+        subdivide(SEGMENT, 60)
 
 
 def test_subdivision_vertex_invariants():
@@ -218,10 +220,11 @@ def test_klee_solve_degenerate_and_empty_raises():
         klee_solve(bodies, [[1.5], [1.5]])
 
 
-def test_klee_solve_budget_error_carries_best_cell():
+def test_klee_solve_budget_error_carries_best_cell(monkeypatch):
+    monkeypatch.setattr(sperner, "MAX_CELLS", 4)
     bodies = [HPolytope.box([0.0], [0.35]), HPolytope.box([0.35], [1.0])]
     with pytest.raises(KleeSolveError) as info:
-        klee_solve(bodies, [[1.0], [0.0]], tol=1e-12, max_cells=4)
+        klee_solve(bodies, [[1.0], [0.0]], tol=1e-12)
     cell = info.value.best_cell
     assert cell is not None
     assert cell.min() <= 0.35 <= cell.max()
@@ -266,7 +269,7 @@ def _solve_log(caplog, bodies, witnesses, **kw):
 
 
 def test_klee_solve_logs_each_level_and_the_rule_that_stopped_it(
-        caplog, capsys, squares_union):
+        caplog, capsys, squares_union, monkeypatch):
     thin = [HPolytope.box([0.0], [1.0 / 3.0]), HPolytope.box([1.0 / 3.0], [1.0])]
     levels, stops = _solve_log(caplog, thin, [[1.0], [0.0]], tol=1e-4)
     assert levels[0] == ("klee_solve depth 0: 1 cells, 2 vertices, "
@@ -292,7 +295,8 @@ def test_klee_solve_logs_each_level_and_the_rule_that_stopped_it(
         "klee_solve: degenerate witnesses, deciding by the feasibility scan"])
     caplog.clear()
     gap = [HPolytope.box([0.0], [0.35]), HPolytope.box([0.35], [1.0])]
-    stops = _solve_log(caplog, gap, [[1.0], [0.0]], tol=1e-12, max_cells=4)[1]
+    monkeypatch.setattr(sperner, "MAX_CELLS", 4)
+    stops = _solve_log(caplog, gap, [[1.0], [0.0]], tol=1e-12)[1]
     assert stops == ["klee_solve: the 4-cell budget is spent at depth 2"]
     assert capsys.readouterr().out == ""
 
