@@ -11,9 +11,15 @@ Subdivisions are built in exact integer barycentrics: one int64 array over
 a common denominator that each barycentric step multiplies by
 ``lcm(1..k+1)``, refined with array operations.  The denominator is kept at
 most 2**53, so the float barycentrics are the correctly rounded exact ones.
-Carrier faces are kept as a boolean mask (the support of the integer
-barycentrics); the frozenset ``carriers`` and the ``mesh`` are computed on
-first read, so the coloring loop pays for neither.
+Deduplication is exact too.  Each new vertex is the barycenter of a face of
+the current subdivision, and distinct faces of a triangulation have disjoint
+relative interiors, so two barycenters are equal exactly when their faces
+are.  A cell's own barycenter is therefore always new, and only the
+barycenters of proper faces of dimension 1..k-1, which neighbouring cells
+share, need one lexicographic sort of their integer rows.  Carrier faces are
+kept as a boolean mask (the support of the integer barycentrics); the
+frozenset ``carriers`` and the ``mesh`` are computed on first read, so the
+coloring loop pays for neither.
 """
 from __future__ import annotations
 
@@ -48,13 +54,20 @@ class _ExactComplex:
     """Iterated barycentric subdivision in exact integer barycentrics.
 
     Row v of the int64 array ``V`` holds the barycentrics of vertex v times
-    one common denominator ``D``.  A step multiplies ``D`` by
-    ``L = lcm(1..k+1)``: the m-th point of a vertex chain is the chain's
-    partial sum times ``L // m``, an integer again.  Deduplication and
-    carrier faces are exact, so coloring legality never depends on
-    floating-point luck.  Vertices are numbered in order of first
-    appearance and cells run cell-major, permutation-minor.  Entries are at
-    most ``D``, and callers step only while ``D <= MAX_DENOMINATOR``.
+    one common denominator ``D``, so every row sums to ``D``.  A step
+    multiplies ``D`` by ``L = lcm(1..k+1)``: the m-th point of the vertex
+    chain of cell c under permutation sigma is the chain's partial sum times
+    ``L // m``, an integer again, and the barycenter of the face spanned by
+    the first m vertices.  Point 1 is the old vertex ``cells[c, sigma(0)]``
+    and keeps its id.  Point k + 1 is the cell's barycenter, one new vertex
+    per cell.  Points 2..k are barycenters of proper faces, the only new
+    points that neighbouring cells share; exact rows are equal exactly when
+    their faces are, so one stable lexicographic sort of these rows alone
+    finds every repeat.  Deduplication and carrier faces are thus exact, and
+    coloring legality never depends on floating-point luck.  Vertices are
+    numbered in order of first appearance and cells run cell-major,
+    permutation-minor.  Entries are at most ``D``, and callers step only
+    while ``D <= MAX_DENOMINATOR``.
     """
 
     def __init__(self, k):
@@ -68,23 +81,48 @@ class _ExactComplex:
 
     def step(self):
         """One barycentric subdivision pass: cells become vertex-chain cells."""
-        k1 = self.k + 1
+        k, k1, L = self.k, self.k + 1, self.L
+        self.depth += 1
+        if k == 0:
+            # a point subdivides into itself, and L == 1
+            return
         n_old = self.V.shape[0]
         chains = self.cells[:, self.perms]
-        scale = (self.L // np.arange(1, k1 + 1))[:, None]
-        points = np.cumsum(self.V[chains], axis=2) * scale
-        rows = np.concatenate([self.V * self.L, points.reshape(-1, k1)])
-        unique, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                           return_inverse=True)
-        # re-rank the sorted rows by first appearance: old vertices keep
-        # their ids and new ones are numbered in traversal order
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        self.V = unique[order]
-        self.cells = rank[inverse.reshape(-1)[n_old:]].reshape(-1, k1)
-        self.D *= self.L
-        self.depth += 1
+        n_cells, n_perms = chains.shape[:2]
+        # chain point m of (c, sigma) for m = 2..k: the barycenter of a proper
+        # face, shared with the neighbouring cells, so only these can repeat
+        faces = np.empty((n_cells, n_perms, k - 1, k1), dtype=np.int64)
+        acc = self.V[chains[:, :, 0]]
+        for m in range(2, k1):
+            acc = acc + self.V[chains[:, :, m - 1]]
+            faces[:, :, m - 2] = acc * (L // m)
+        faces = faces.reshape(-1, k1)
+        # point k + 1: the cell's barycenter, new and first seen at (c, 0, k)
+        centers = (acc[:, 0] + self.V[chains[:, 0, k]]) * (L // k1)
+        # every row sums to D * L, so its first k entries fix it; a stable
+        # sort puts the first occurrence of each face first
+        keys = faces[:, :k]
+        order = np.lexsort(keys.T)
+        ordered = keys[order]
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        group = np.empty_like(order)
+        group[order] = np.cumsum(head) - 1
+        first = order[head]
+        # number new vertices by first position in (c, sigma, m) order
+        pos = np.arange(n_cells * n_perms * k1).reshape(n_cells, n_perms, k1)
+        seen = np.concatenate([pos[:, :, 1:k].reshape(-1)[first], pos[:, 0, k]])
+        rank = np.argsort(seen)
+        ids = np.empty_like(rank)
+        ids[rank] = np.arange(n_old, n_old + rank.size)
+        cells = np.empty_like(chains)
+        cells[:, :, 0] = chains[:, :, 0]
+        cells[:, :, 1:k] = ids[group].reshape(n_cells, n_perms, k - 1)
+        cells[:, :, k] = ids[first.size:, None]
+        self.V = np.concatenate([self.V * L,
+                                 np.concatenate([faces[first], centers])[rank]])
+        self.cells = cells.reshape(-1, k1)
+        self.D *= L
 
 
 @dataclass

@@ -154,17 +154,44 @@ def fraction_subdivisions(k):
     cells = [tuple(range(k + 1))]
     while True:
         yield tuple(vertices), cells
+        # each face's barycenter is computed once per level, and its id is
+        # still found in ``index`` by its coordinates
+        face_ids = {}
         new_cells = []
         for cell in cells:
             for perm in itertools.permutations(cell):
-                acc = [Fraction(0)] * (k + 1)
                 chain = []
-                for m, vid in enumerate(perm, start=1):
-                    acc = [a + c for a, c in zip(acc, vertices[vid])]
-                    bary = tuple(a / m for a in acc)
-                    if bary not in index:
-                        index[bary] = len(vertices)
-                        vertices.append(bary)
-                    chain.append(index[bary])
+                for m in range(1, k + 2):
+                    face = frozenset(perm[:m])
+                    if face not in face_ids:
+                        bary = tuple(sum(coords) / m for coords in
+                                     zip(*(vertices[vid] for vid in face)))
+                        if bary not in index:
+                            index[bary] = len(vertices)
+                            vertices.append(bary)
+                        face_ids[face] = index[bary]
+                    chain.append(face_ids[face])
                 new_cells.append(tuple(chain))
         cells = new_cells
+
+
+def unique_rows_step(exact):
+    """One subdivision step of ``hollowkit.sperner._ExactComplex`` by a full
+    ``np.unique(axis=0)`` of every chain point: the reference for its step."""
+    k1 = exact.k + 1
+    n_old = exact.V.shape[0]
+    chains = exact.cells[:, exact.perms]
+    scale = (exact.L // np.arange(1, k1 + 1))[:, None]
+    points = np.cumsum(exact.V[chains], axis=2) * scale
+    rows = np.concatenate([exact.V * exact.L, points.reshape(-1, k1)])
+    unique, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                       return_inverse=True)
+    # re-rank the sorted rows by first appearance: old vertices keep
+    # their ids and new ones are numbered in traversal order
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    exact.V = unique[order]
+    exact.cells = rank[inverse.reshape(-1)[n_old:]].reshape(-1, k1)
+    exact.D *= exact.L
+    exact.depth += 1

@@ -15,7 +15,7 @@ from hollowkit import (HPolytope, Ball, ConvergenceError, IntersectionBody,
                        kkm_verify, klee_solve, load_scene, rainbow_cells,
                        random_legal_coloring, sperner_color, subdivide)
 
-from helpers import fraction_subdivisions
+from helpers import fraction_subdivisions, unique_rows_step
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 UNIT_TRIANGLE = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -76,6 +76,33 @@ def test_subdivision_matches_fraction_reference():
                 frozenset(i for i, f in enumerate(v) if f) for v in vertices)
             if len(cells) * math.factorial(k + 1) > 15000:
                 break
+
+
+def test_exact_step_matches_the_unique_rows_reference():
+    """V, cells and D agree bit for bit with a full ``np.unique(axis=0)`` of
+    every chain point, at depths past the Fraction reference's reach; every
+    vertex sums to D and no two vertices coincide."""
+    for k, depth in ((1, 16), (2, 6), (3, 4)):
+        exact, ref = sperner._ExactComplex(k), sperner._ExactComplex(k)
+        for _ in range(depth):
+            exact.step()
+            unique_rows_step(ref)
+            assert exact.D == ref.D
+            assert exact.V.dtype == ref.V.dtype
+            assert exact.V.shape == ref.V.shape
+            assert exact.V.tobytes() == ref.V.tobytes()
+            assert exact.cells.dtype == ref.cells.dtype
+            assert exact.cells.shape == ref.cells.shape
+            assert exact.cells.tobytes() == ref.cells.tobytes()
+            assert (exact.V.sum(axis=1) == exact.D).all()
+            assert np.unique(exact.V, axis=0).shape == exact.V.shape
+
+
+def test_a_point_subdivides_into_itself():
+    sub = subdivide(Simplex([[0.5, -1.0]]), 3)
+    assert sub.n_vertices == 1
+    assert sub.n_cells == 1
+    assert sub.coords.tolist() == [[0.5, -1.0]]
 
 
 def test_subdivision_refuses_inexact_depths_up_front(monkeypatch):
