@@ -6,9 +6,11 @@ plane.  Their hollow is one-dimensional: the segment between them.  The
 certificate for such a flat hollow is a pair of complementary affine
 flats through a common point:
 
-  W carries the hollow direction and holds every witness;
+  W carries the hollow direction and holds every witness, and witness j
+  lies in every body but j;
   V is transversal, clears every body, and its crossing point must sit
-  in a bounded uncovered component of the union's trace on W.
+  inside the simplex the witnesses span on W (here the segment between
+  them), whose facet opposite witness j lies in body j.
 
 The verifier checks both halves and reports exactly which one failed.
 """
@@ -40,8 +42,9 @@ rejected = verify_stabbing(bad, bodies, witnesses)
 print("transversal through a body:", rejected.ok,
       "-", "; ".join(rejected.reasons))
 
-# Drop the right square: nothing surrounds the crossing point on W, so
-# stage two fails even though stage one is clean.
+# Drop the right square and its witness: one witness spans no segment
+# around the crossing point on W, so stage two fails even though stage one
+# is clean.
 open_report = verify_stabbing(pair, bodies[:1], witnesses[1:])
 print("one body only:", open_report.ok,
       "-", "; ".join(open_report.reasons))

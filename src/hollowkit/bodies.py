@@ -221,6 +221,7 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
     to the gap.  At DEBUG level the scan logs its pass count and the rule
     that decided it, and each LP its pivot count.
     """
+    tol = check_tol(tol)
     if len(bodies) == 0:
         raise ValueError("need at least one body")
     p = support_centroid(bodies)
@@ -654,8 +655,7 @@ class VPolytope(_FacetPolytope):
             facets = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
         else:
             facets = np.zeros((0, 1))
-        eigval, eigvec = np.linalg.eigh(np.eye(self._dim) - flat.basis.T @ flat.basis)
-        complement = eigvec[:, eigval > 0.5].T
+        complement = flat.complement
         self._A = np.vstack([facets[:, :-1] @ flat.basis, complement, -complement])
         self._b = self._A @ flat.base - np.append(facets[:, -1],
                                                   np.zeros(2 * len(complement)))
@@ -777,6 +777,7 @@ class IntersectionBody(ConvexBody):
     _SUPPORT_RADIUS = 1e4
 
     def __init__(self, bodies, witness=None, tol=DEFAULT_TOL):
+        tol = check_tol(tol)
         bodies = tuple(bodies)
         if not bodies:
             raise ValueError("need at least one body")

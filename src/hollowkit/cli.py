@@ -242,8 +242,7 @@ def cmd_stab_verify(args):
         raise SceneError("scene has no stabbing section")
     tol = _opt(args, scene, "tol")
     report = verify_stabbing(scene.stabbing, list(scene.bodies),
-                             scene.stabbing_witnesses, tol=tol,
-                             resolution=_opt(args, scene, "resolution"))
+                             scene.stabbing_witnesses, tol=tol)
     payload = {
         **_result_header("stab-verify", scene, tol),
         "witness_ok": report.witness_ok,
@@ -314,8 +313,7 @@ def build_parser():
         "find a common point when the union is convex", tol=1e-6)
     add("kkm", cmd_kkm, "sampled cover check for a kkm section", samples=64)
     add("stab-verify", cmd_stab_verify,
-        "verify a stabbing pair against the family", tol=1e-6,
-        resolution=None)
+        "verify a stabbing pair against the family", tol=1e-6)
     add("render", cmd_render, "draw the scene as a deterministic SVG",
         resolution=None)
     return parser

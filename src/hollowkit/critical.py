@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import (DEFAULT_TOL, IntersectionBody, check_count,
+from .bodies import (DEFAULT_TOL, IntersectionBody, check_count, check_tol,
                      support_centroid)
 from .errors import (BorderlineCriticalError, EmptyBodyError, NoHollowError,
                      ProjectionError, ToleranceAmbiguityError)
@@ -169,6 +169,7 @@ def check_critical(bodies, tol=DEFAULT_TOL):
     -------
     CriticalFamily or CriticalityFailure
     """
+    tol = check_tol(tol)
     bodies = tuple(bodies)
     if len(bodies) < 2:
         raise ValueError("a critical family needs at least two bodies")

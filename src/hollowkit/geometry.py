@@ -108,6 +108,15 @@ class AffineSubspace:
     def ambient_dim(self):
         return self.base.shape[0]
 
+    @property
+    def complement(self):
+        """Orthonormal rows spanning the directions normal to the subspace,
+        shape (d - k, d): the eigenvectors of eigenvalue 1 of the projector
+        I - basis^T basis."""
+        eigval, eigvec = np.linalg.eigh(np.eye(self.ambient_dim)
+                                        - self.basis.T @ self.basis)
+        return eigvec[:, eigval > 0.5].T
+
     def project(self, p):
         """Orthogonal projection of ``p`` onto the subspace."""
         v = as_point(p, self.ambient_dim) - self.base

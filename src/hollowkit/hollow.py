@@ -4,11 +4,12 @@ A critical family with as many overlap conditions as dimensions traps a
 bounded piece of the complement of its union.  This module rasterizes the
 union on a cell grid around the witness simplex, labels the uncovered
 cells by face adjacency, and certifies the largest bounded component: its
-measure, its convex hull, which bodies form its boundary, and whether a
-given pair of affine flats stabs it the way the construction predicts.
-The stabbing check rasterizes the union's trace on the first flat through
-the same grid and labeling, with the grid laid out in the flat's
-coordinates; a transversal that is a single point (n = d) is accepted.
+measure, its convex hull, and which bodies form its boundary.  It also
+checks, without a grid, whether a given pair of affine flats stabs a
+family the way the construction predicts: witness j lies in every body
+but j, so the facet of the witness simplex opposite witness j lies in
+body j, and an uncovered crossing point inside that simplex sits in a
+bounded component of the complement on the first flat.
 
 A body's mask is its ``contains_batch`` at ``tol = 0`` on the cell centers,
 read from the per-axis coordinates of the centers without listing the
@@ -28,13 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.linalg import null_space
 from scipy.spatial import ConvexHull, QhullError
 
-from .bodies import HPolytope, VPolytope, _grid_points
-from .errors import (GridDimensionError, GridResolutionError,
-                     HollowNotFoundError, NoHollowError)
-from .geometry import AffineSubspace, as_point, as_points
+from .bodies import HPolytope, VPolytope, check_tol
+from .errors import (DegenerateSimplexError, GridDimensionError,
+                     GridResolutionError, HollowNotFoundError, NoHollowError)
+from .geometry import AffineSubspace, Simplex, as_point, as_points
 from .solvers import min_distance
 
 logger = logging.getLogger(__name__)
@@ -48,8 +48,7 @@ class Grid:
     """Axis-aligned cell grid with per-body coverage masks.
 
     ``covered[idx]`` is true when the cell center lies in at least one
-    body; ``body_covers[i]`` is the mask for body i alone.  Coordinates
-    are the bodies' own, or a flat's frame coordinates for a trace grid.
+    body; ``body_covers[i]`` is the mask for body i alone.
     """
 
     lo: np.ndarray
@@ -60,13 +59,6 @@ class Grid:
 
     def centers(self, cells):
         return self.lo + (np.asarray(cells, dtype=float) + 0.5) * self.resolution
-
-    def index_of(self, point):
-        idx = np.floor((as_point(point, self.lo.size) - self.lo)
-                       / self.resolution).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.asarray(self.shape)):
-            return None
-        return tuple(int(i) for i in idx)
 
 
 def check_resolution(resolution):
@@ -79,23 +71,15 @@ def check_resolution(resolution):
     return h
 
 
-def _box_corners(lo, hi):
-    """The 2^d corners of the axis-aligned box [lo, hi], one per row."""
-    bits = (np.arange(2 ** lo.size)[:, None] >> np.arange(lo.size)) & 1
-    return np.where(bits == 0, lo, hi)
-
-
-def _build_grid(bodies, lo, counts, resolution, flat=None):
+def _build_grid(bodies, lo, counts, resolution):
     """Rasterize the union of ``bodies`` at the centers of a cell grid.
 
     The grid has ``counts[i]`` cells of side ``resolution`` along axis i,
     starting at ``lo``, and at least ``MIN_CELLS_PER_AXIS`` on every axis
-    (else :class:`GridResolutionError`).  Each body's mask is its
-    ``contains_batch`` at ``tol = 0`` on the cell centers.  Without ``flat``
-    it is the body's grid cover, read from the centers' coordinates on
-    each axis (see the module docstring for why that is exact).  With
-    ``flat`` the grid lives in that affine subspace's coordinates, and its
-    centers are lifted onto the flat for membership tests.
+    (else :class:`GridResolutionError`).  Each body's mask is its grid
+    cover, its ``contains_batch`` at ``tol = 0`` on the cell centers, read
+    from the centers' coordinates on each axis (see the module docstring
+    for why that is exact).
     """
     if counts.min() < MIN_CELLS_PER_AXIS:
         raise GridResolutionError(
@@ -104,12 +88,7 @@ def _build_grid(bodies, lo, counts, resolution, flat=None):
     shape = tuple(int(c) for c in counts)
     axes = [lo[i] + (np.arange(shape[i]) + 0.5) * resolution
             for i in range(lo.size)]
-    if flat is None:
-        body_covers = [b._grid_cover(axes) for b in bodies]
-    else:
-        points = _grid_points(axes) @ flat.basis + flat.base
-        body_covers = [b.contains_batch(points, tol=0.0).reshape(shape)
-                       for b in bodies]
+    body_covers = [b._grid_cover(axes) for b in bodies]
     covered = np.zeros(shape, dtype=bool)
     for mask in body_covers:
         covered |= mask
@@ -417,10 +396,10 @@ class StabbingReport:
     """Two-part verdict on a stabbing pair.
 
     ``witness_ok`` records that every witness lies on the first flat and
-    that the second flat clears every body; ``surround_ok`` that the
-    crossing point sits in a bounded uncovered component of the union's
-    trace on the first flat.  ``surround_ok`` is None when the first stage
-    already failed.
+    in every body but its own, and that the second flat clears every body;
+    ``surround_ok`` that the crossing point lies strictly inside the
+    simplex of the witnesses on the first flat.  ``surround_ok`` is None
+    when the first stage already failed.
     """
 
     witness_ok: bool
@@ -446,22 +425,25 @@ def _family_box(bodies, extra_points):
     return lo - pad, hi + pad
 
 
-def verify_stabbing(pair, bodies, witnesses, tol=1e-6, resolution=None):
+def verify_stabbing(pair, bodies, witnesses, tol=1e-6):
     """Check that a pair of flats stabs a family the way a hollow demands.
 
-    Stage one: every witness must lie on ``pair.w`` (within ``tol``) and
+    Stage one: every witness must lie on ``pair.w`` (within ``tol``),
+    witness j must pass ``membership(., tol)`` in every body but j, and
     ``pair.v`` must keep a clearance above ``tol`` from every body.  The
     clearances are measured to the part of ``pair.v`` inside the family's
     padded bounding box, an H-polytope; ``pair.v`` may be a single point,
-    as for n = d.  Stage two, only if stage one passes: the union's trace
-    on ``pair.w`` is rasterized on the certificate's grid, laid out in the
-    coordinates of ``pair.w`` (cell size ``resolution``, by default 1/256
-    of the trace box's widest side), and the crossing point must fall in a
-    bounded uncovered component of that trace.  A ``resolution`` that is
-    not a positive finite number raises :class:`GridResolutionError`.
+    as for n = d.  Stage two, only if stage one passes: with n the
+    dimension of ``pair.w``, the n + 1 witnesses of n + 1 bodies must span
+    an n-simplex on ``pair.w``, and the crossing point must have positive
+    barycentric coordinates in it.  That is exact in any n: the facet
+    opposite witness j lies in body j, so the union covers the simplex's
+    boundary, and the crossing point, on ``pair.v`` and so clear of every
+    body, lies in a bounded component of the complement on ``pair.w``.
+    A wrong count or a degenerate simplex is a stage-two reason.  A
+    ``tol`` that is not a positive finite number raises ``ValueError``.
     """
-    if resolution is not None:
-        resolution = check_resolution(resolution)
+    tol = check_tol(tol)
     bodies = list(bodies)
     witnesses = as_points(witnesses)
     reasons = []
@@ -473,11 +455,18 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6, resolution=None):
                 f"witness {j} is {offsets[j]:.3e} off the stabbing flat")
         return StabbingReport(False, None, tuple(reasons),
                               witness_offsets=offsets)
+    for j, a in enumerate(witnesses):
+        for i, body in enumerate(bodies):
+            if i != j and not body.membership(a, tol):
+                reasons.append(f"witness {j} misses body {i}")
+    if reasons:
+        return StabbingReport(False, None, tuple(reasons),
+                              witness_offsets=offsets)
     lo, hi = _family_box(bodies, np.vstack([witnesses, pair.point[None, :]]))
     # The transversal inside the box: the box rows plus both signs of the
     # rows spanning the flat's normal space.
     d = lo.size
-    normals = null_space(pair.v.basis).T
+    normals = pair.v.complement
     v_offsets = normals @ pair.v.base
     transversal = HPolytope(
         np.vstack([np.eye(d), -np.eye(d), normals, -normals]),
@@ -492,24 +481,21 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6, resolution=None):
     if reasons:
         return StabbingReport(False, None, tuple(reasons),
                               witness_offsets=offsets, clearances=clearances)
-    # stage two: trace of the union on the flat w
-    tcorners = np.array([pair.w.coords(c) for c in _box_corners(lo, hi)])
-    tlo = tcorners.min(axis=0)
-    thi = tcorners.max(axis=0)
-    span = float((thi - tlo).max())
-    h = resolution if resolution is not None else span / 256.0
-    counts = np.ceil((thi - tlo + 4 * h) / h - 1e-12)
-    grid = _build_grid(bodies, tlo - 2 * h, counts, h, flat=pair.w)
-    pidx = grid.index_of(pair.w.coords(pair.point))
-    if pidx is None:
-        reason = "crossing point falls outside the trace grid"
-    elif grid.covered[pidx]:
-        reason = "crossing point lies inside the union's trace"
+    # stage two: the crossing point inside the witness simplex on w
+    n = pair.w.dim
+    if len(bodies) != n + 1 or len(witnesses) != n + 1:
+        reason = (f"a {n}-dimensional stabbing flat needs {n + 1} bodies and "
+                  f"{n + 1} witnesses, got {len(bodies)} and {len(witnesses)}")
     else:
-        labels, border = _uncovered_components(grid)
-        if labels[pidx] not in border:
-            return StabbingReport(True, True, (), witness_offsets=offsets,
-                                  clearances=clearances)
-        reason = "crossing point's uncovered trace component reaches the border"
+        try:
+            simplex = Simplex([pair.w.coords(a) for a in witnesses])
+        except DegenerateSimplexError as exc:
+            reason = f"witnesses span no {n}-simplex on the stabbing flat: {exc}"
+        else:
+            bary = simplex.barycentrics(pair.w.coords(pair.point)[None, :])[0]
+            if bary.min() > 0.0:
+                return StabbingReport(True, True, (), witness_offsets=offsets,
+                                      clearances=clearances)
+            reason = "crossing point lies outside the witness simplex"
     return StabbingReport(True, False, (reason,), witness_offsets=offsets,
                           clearances=clearances)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, IntersectionBody, decided_scan
+from .bodies import DEFAULT_TOL, IntersectionBody, check_tol, decided_scan
 from .errors import ConvergenceError, EmptyBodyError, NotSeparableError
 from .geometry import Hyperplane, as_point
 
@@ -207,6 +207,7 @@ def intersect_witness(bodies, tol=DEFAULT_TOL):
         When a scan's pass budget runs out undecided, or that of
         :func:`min_distance` while the certificate is built.
     """
+    tol = check_tol(tol)
     bodies = list(bodies)
     if not bodies:
         raise ValueError("need at least one body")

@@ -31,8 +31,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bodies import (DEFAULT_TOL, check_count, decided_scan, feasibility_scan,
-                     project_intersection)
+from .bodies import (DEFAULT_TOL, check_count, check_tol, decided_scan,
+                     feasibility_scan, project_intersection)
 from .errors import (
     KleeSolveError,
     ProjectionError,
@@ -401,6 +401,7 @@ def klee_solve(bodies, witnesses, tol=1e-6):
         barycentrics, is exhausted first; carries the vertex array of the
         smallest all-colors cell seen.
     """
+    tol = check_tol(tol)
     bodies = list(bodies)
     n = len(bodies) - 1
     witnesses = as_points(witnesses)
@@ -550,6 +551,7 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
     at 12 points (4095 subsets); ``samples`` must pass :func:`check_samples`.
     """
     samples = check_samples(samples)
+    tol = check_tol(tol)
     pts = instance.points
     m = pts.shape[0]
     if m > 12:

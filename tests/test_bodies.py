@@ -8,12 +8,14 @@ from scipy.optimize import linprog, nnls
 from scipy.spatial import Delaunay
 
 import hollowkit.bodies
-from hollowkit import (Ball, EmptyBodyError, HPolytope, IntersectionBody,
-                       PolytopeSizeError, ProjectionError, UnboundedBodyError,
-                       VPolytope, dykstra, feasibility_scan, intersect_witness,
-                       klee_solve)
+from hollowkit import (AffineSubspace, Ball, EmptyBodyError, HPolytope,
+                       IntersectionBody, KkmInstance, PolytopeSizeError,
+                       ProjectionError, StabbingPair, UnboundedBodyError,
+                       VPolytope, check_critical, dykstra, feasibility_scan,
+                       intersect_witness, kkm_verify, klee_solve,
+                       verify_stabbing)
 from hollowkit.bodies import _cut_lp, _grid_points, project_intersection
-from conftest import side_rectangle
+from conftest import disk_centers, side_rectangle
 
 IDEMPOTENT_TOL = 1e-9
 SUPPORT_TOL = 1e-7
@@ -825,3 +827,44 @@ def test_intersection_oracles_run_no_dykstra(monkeypatch, squares_union):
     assert intersect_witness(squares_union).feasible
     x = klee_solve(squares_union, [[1.5, 2.5], [0.5, 1.5], [2.5, 0.5]])
     assert all(b.membership(x, 1e-6) for b in squares_union)
+
+
+def _boxes():
+    return [HPolytope.box([0.0, 0.0], [2.0, 2.0]),
+            HPolytope.box([1.0, 0.0], [3.0, 2.0]),
+            HPolytope.box([1.5, 1.0], [2.5, 3.0])]
+
+
+def _stab_verify(tol):
+    bodies = [HPolytope.box([0.0, 0.0], [1.0, 1.0]),
+              HPolytope.box([2.0, 0.0], [3.0, 1.0])]
+    pair = StabbingPair(AffineSubspace([0.0, 0.5], [[1.0, 0.0]]),
+                        AffineSubspace([1.5, 0.0], [[0.0, 1.0]]), [1.5, 0.5])
+    return verify_stabbing(pair, bodies, [[2.0, 0.5], [1.0, 0.5]], tol=tol)
+
+
+# each library entry point that takes a numerical tolerance
+TOL_ENTRY_POINTS = {
+    "check_critical": lambda tol: check_critical(
+        [Ball(c, 1.0) for c in disk_centers(1.9)], tol=tol),
+    "intersect_witness": lambda tol: intersect_witness(_boxes(), tol=tol),
+    "feasibility_scan": lambda tol: feasibility_scan(_boxes(), tol=tol),
+    "IntersectionBody": lambda tol: IntersectionBody(_boxes(), tol=tol),
+    "klee_solve": lambda tol: klee_solve(
+        _boxes(), [[2.0, 1.5], [2.0, 1.5], [1.5, 1.0]], tol=tol),
+    "kkm_verify": lambda tol: kkm_verify(
+        KkmInstance([[0.0], [1.0]], (HPolytope.box([0.0], [0.6]),
+                                     HPolytope.box([0.4], [1.0]))), tol=tol),
+    "verify_stabbing": _stab_verify,
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(TOL_ENTRY_POINTS))
+def test_entry_points_refuse_a_bad_tolerance(name, tol):
+    """A tolerance of 0, below 0, nan or inf is refused on entry: at nan,
+    ``klee_solve``'s closing membership check could never fail, and
+    ``check_critical`` ended deep in scipy or numpy."""
+    with pytest.raises(ValueError,
+                       match="tolerance must be a positive finite number"):
+        TOL_ENTRY_POINTS[name](tol)

@@ -304,16 +304,17 @@ def test_stab_verify_accepts(tmp_path, capsys):
 
 
 def test_stab_verify_accepts_a_transversal_near_tangent_to_a_disk(tmp_path, capsys):
-    """The transversal x = 1.01 passes 0.01 from a unit disk, with its
-    clipped segment's anchor far along the line from the contact point;
-    measuring that clearance takes about 900 alternating projections."""
+    """The transversal x = 1.01 passes 0.01 from each of two unit disks,
+    with its clipped segment's anchor far along the line from the contact
+    points; measuring such a clearance takes about 900 alternating
+    projections."""
     out = str(tmp_path)
     code = main(["stab-verify", scene_path("stab_near_tangent.json"), "--out", out])
     assert code == 0
     assert "verified" in capsys.readouterr().out
     res = result_of(out)
     assert res["surround_ok"] is True
-    assert res["clearances"][0] == pytest.approx(0.01, abs=1e-6)
+    assert res["clearances"] == pytest.approx([0.01, 0.01], abs=1e-6)
 
 def test_stab_verify_rejects(tmp_path, capsys):
     out = str(tmp_path)
@@ -351,13 +352,13 @@ def test_thincore_kkm_witness_lies_in_every_image(tmp_path):
     ("noncrit", "solve-klee", 0), ("goodkkm", "kkm", 0), ("gapkkm", "kkm", 2),
     ("disks", "certify", 0), ("vpoly", "certify", 0), ("balls3", "certify", 0),
     ("squares", "check", 2),
-    ("stab", "stab-verify", 0)])
+    ("stab", "stab-verify", 0), ("stab3", "stab-verify", 0)])
 def test_deep_core_results_match_fixture(scene, command, code, tmp_path):
     """The Klee and cover results are pinned byte for byte; the coloring of
     the thin-core scene goes six levels deep.  The grid certificates, the
-    full-intersection check and the stabbing check pin the contains rules
+    full-intersection check and the stabbing checks pin the contains rules
     of balls, both polytope kinds and intersections; balls3 pins the 3-D
-    grid."""
+    grid, and stab3 a stabbing pair whose first flat is a plane in 3-D."""
     assert main([command, scene_path(f"{scene}.json"), "--out", str(tmp_path)]) == code
     expected = scene_path(os.path.join("expected", f"{scene}.{command}.result.json"))
     assert read(os.path.join(tmp_path, "result.json"), "rb") == read(expected, "rb")
@@ -546,8 +547,7 @@ def test_certify_line_family_is_a_structured_error(tmp_path, capsys):
         capsys.readouterr().err
 
 
-GRID_COMMANDS = [("certify", "disks.json"), ("render", "disks.json"),
-                 ("stab-verify", "stab.json")]
+GRID_COMMANDS = [("certify", "disks.json"), ("render", "disks.json")]
 BAD_RESOLUTIONS = ["0", "-1", "-0.01", "nan", "inf"]
 
 
@@ -566,8 +566,21 @@ def test_bad_resolution_option_is_a_one_line_error(command, scene, value,
                       f"got {float(value):g}"]
 
 
+def test_stab_verify_has_no_resolution_flag(tmp_path, capsys):
+    """The stabbing check uses no grid, so the flag is unknown to it."""
+    with pytest.raises(SystemExit) as info:
+        main(["stab-verify", scene_path("stab.json"), "--out", str(tmp_path),
+              "--resolution", "0.01"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "hollowkit: error: unrecognized arguments: --resolution 0.01"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-@pytest.mark.parametrize("command,scene", GRID_COMMANDS)
+@pytest.mark.parametrize("command,scene",
+                         GRID_COMMANDS + [("stab-verify", "stab.json")])
 def test_bad_resolution_scene_option_is_a_scene_error(command, scene, value,
                                                       tmp_path, capsys):
     raw = json.loads(read(scene_path(scene)))

@@ -111,12 +111,6 @@ def test_ball_grid_builds_no_point_list(balls_family, monkeypatch):
     assert sum(counted) == 0
 
 
-def test_grid_index_roundtrip(disks_cert):
-    grid = disks_cert.grid
-    for cell in disks_cert.cells[::500]:
-        assert np.array_equal(grid.index_of(grid.centers([cell])[0]), cell)
-
-
 def test_no_hollow_when_conditions_below_dimension():
     fam = check_critical([HPolytope.box([0.0, 0.0], [1.0, 1.0]),
                           HPolytope.box([2.0, 0.0], [3.0, 1.0])])
@@ -171,14 +165,6 @@ def test_grid_is_retried_once_at_half_the_cell_size(side, found, caplog):
     if found:
         assert cert.resolution == h / 2.0
         assert cert.bounded and cert.cell_count >= 1
-
-
-@pytest.mark.parametrize("resolution", [0.0, -0.01, np.nan])
-def test_stabbing_rejects_bad_resolution(gap_pair, resolution):
-    bodies, w, v, witnesses = gap_pair
-    pair = StabbingPair(w, v, [1.5, 0.5])
-    with pytest.raises(GridResolutionError, match="positive finite"):
-        verify_stabbing(pair, bodies, witnesses, resolution=resolution)
 
 
 def test_hausdorff_convex_closed_forms():
@@ -255,7 +241,105 @@ def test_stabbing_rejects_open_gap(gap_pair):
     report = verify_stabbing(pair, bodies[:1], [[1.0, 0.5]])
     assert report.witness_ok
     assert report.surround_ok is False
-    assert any("border" in r for r in report.reasons)
+    assert report.reasons == ("a 1-dimensional stabbing flat needs 2 bodies "
+                              "and 2 witnesses, got 1 and 1",)
+
+
+def test_stabbing_rejects_a_witness_outside_another_body(gap_pair):
+    """Witness j must lie in every body but j; the same point twice lies
+    in body 1 only, so witness 1 misses body 0."""
+    bodies, w, v, _ = gap_pair
+    pair = StabbingPair(w, v, [1.5, 0.5])
+    report = verify_stabbing(pair, bodies, [[2.0, 0.5], [2.0, 0.5]])
+    assert not report.witness_ok
+    assert report.surround_ok is None
+    assert report.reasons == ("witness 1 misses body 0",)
+    assert report.clearances is None
+
+
+@pytest.mark.parametrize("keep, witnesses", [
+    (2, [[2.0, 0.5]]), (1, [[2.0, 0.5], [1.0, 0.5]])])
+def test_stabbing_rejects_a_wrong_count(gap_pair, keep, witnesses):
+    """A 1-dimensional first flat needs 2 bodies and 2 witnesses."""
+    bodies, w, v, _ = gap_pair
+    pair = StabbingPair(w, v, [1.5, 0.5])
+    report = verify_stabbing(pair, bodies[:keep], witnesses)
+    assert report.witness_ok
+    assert report.surround_ok is False
+    assert report.reasons == (
+        "a 1-dimensional stabbing flat needs 2 bodies and 2 witnesses, "
+        f"got {keep} and {len(witnesses)}",)
+
+
+def _boxes_on_a_line(x_ranges):
+    return [HPolytope.box([lo, 0.0], [hi, 1.0]) for lo, hi in x_ranges]
+
+
+def test_stabbing_degenerate_witnesses_are_a_reason():
+    """Overlapping boxes share the point (1.5, 0.5), so it is a valid
+    witness for both, and the two witnesses span no segment."""
+    bodies = _boxes_on_a_line([(0.0, 2.0), (1.0, 3.0)])
+    w = AffineSubspace([0.0, 0.5], [[1.0, 0.0]])
+    pair = StabbingPair(w, AffineSubspace([4.0, 0.0], [[0.0, 1.0]]),
+                        [4.0, 0.5])
+    report = verify_stabbing(pair, bodies, [[1.5, 0.5], [1.5, 0.5]])
+    assert report.witness_ok
+    assert report.surround_ok is False
+    assert len(report.reasons) == 1
+    assert report.reasons[0].startswith(
+        "witnesses span no 1-simplex on the stabbing flat: simplex is degenerate")
+
+
+def test_stabbing_rejects_a_crossing_point_outside_the_witness_simplex():
+    """The transversal x = 6 clears both boxes, but beyond the witness
+    segment [0.5, 3.5] it crosses the unbounded part of the complement."""
+    bodies = _boxes_on_a_line([(0.0, 2.0), (3.0, 5.0)])
+    w = AffineSubspace([0.0, 0.5], [[1.0, 0.0]])
+    pair = StabbingPair(w, AffineSubspace([6.0, 0.0], [[0.0, 1.0]]),
+                        [6.0, 0.5])
+    report = verify_stabbing(pair, bodies, [[3.5, 0.5], [0.5, 0.5]])
+    assert report.witness_ok
+    assert np.allclose(report.clearances, [4.0, 1.0])
+    assert report.surround_ok is False
+    assert report.reasons == ("crossing point lies outside the witness simplex",)
+    inside = StabbingPair(w, AffineSubspace([2.5, 0.0], [[0.0, 1.0]]),
+                          [2.5, 0.5])
+    assert verify_stabbing(inside, bodies, [[3.5, 0.5], [0.5, 0.5]]).ok
+
+
+def test_stabbing_thin_hollow_in_three_dimensions(disks_family):
+    """n = 2 in R^3: three unit balls on the side-1.9 triangle in z = 0,
+    the first flat that plane, the transversal its normal line through the
+    centroid, and the disks' witnesses lifted to z = 0."""
+    centers = np.hstack([disk_centers(1.9), np.zeros((3, 1))])
+    balls = [Ball(c, 1.0) for c in centers]
+    centroid = centers.mean(axis=0)
+    w = AffineSubspace(np.zeros(3), np.eye(3)[:2])
+    v = AffineSubspace(centroid, np.eye(3)[2:])
+    witnesses = np.hstack([disks_family.witnesses, np.zeros((3, 1))])
+    report = verify_stabbing(StabbingPair(w, v, centroid), balls, witnesses)
+    assert report.ok
+    assert report.reasons == ()
+    assert np.allclose(report.clearances, 1.9 / np.sqrt(3.0) - 1.0, atol=1e-7)
+
+
+def test_stabbing_point_transversal_in_four_dimensions():
+    """n = d = 4: five unit balls on a regular 4-simplex of edge 1.6 leave a
+    hollow around the centroid, at clearance 1.6 sqrt(2/5) - 1 ~ 0.0119."""
+    corners = np.eye(5) * (1.6 / np.sqrt(2.0))
+    corners -= corners.mean(axis=0)
+    frame = np.linalg.svd(corners)[2][:4]
+    centers = corners @ frame.T
+    balls = [Ball(c, 1.0) for c in centers]
+    family = check_critical(balls)
+    assert family.n == family.d == 4
+    centroid = centers.mean(axis=0)
+    pair = StabbingPair(AffineSubspace(centroid, np.eye(4)),
+                        AffineSubspace(centroid, np.zeros((0, 4))), centroid)
+    report = verify_stabbing(pair, balls, family.witnesses)
+    assert report.ok
+    assert report.reasons == ()
+    assert np.allclose(report.clearances, 1.6 * np.sqrt(0.4) - 1.0, atol=1e-7)
 
 
 def test_stabbing_point_transversal_for_disks(three_disks, disks_family):
