@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_ERROR)
 
+    def parse_args(self, args=None, namespace=None):
+        """As argparse, but when the leftover words hold an unknown option,
+        only the unknown options are named: the word after one may have
+        been taken for the scene, leaving the scene's path among them."""
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            unknown = [word for word in extras if word.startswith("-")]
+            self.error("unrecognized arguments: "
+                       + " ".join(unknown or extras))
+        return args
+
 
 def _checked_arg(check):
     """Argument type from a check that raises on a bad value."""

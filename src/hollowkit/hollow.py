@@ -11,20 +11,33 @@ but j, so the facet of the witness simplex opposite witness j lies in
 body j, and an uncovered crossing point inside that simplex sits in a
 bounded component of the complement on the first flat.
 
-A body's mask is its ``contains_batch`` at ``tol = 0`` on the cell centers,
-read from the per-axis coordinates of the centers without listing the
-grid's points (1.8M of them for a 128-cell 3-D grid).  A ball adds the
-squared offsets along each axis as arrays that broadcast over the grid,
-left to right, which is the same arithmetic as its ``contains_batch`` on a
-point; an intersection ANDs its members' masks, since at ``tol = 0`` its
-boundary band is empty.  So both masks are exact.  A polytope lifts the
-centers to a point list: its row slacks come from a BLAS product, whose
-sums agree with per-axis sums in only 70-85% of slacks on random points
-in 2-D and 3-D, so a broadcast form would change which cells it holds.
+The grid keeps one mask, ``covered``: a cell is covered when its center
+passes some body's ``contains_batch`` at ``tol = 0``.  The mask is filled,
+and the sizes of the uncovered components are counted, in slabs along
+axis 0 of at most ``SLAB_CELLS`` cells, so no float or 64-bit array spans
+the grid (a 128-cell 3-D grid has 2.1M cells, 16.8M at the retry's half
+cell size); what does is byte masks and the int32 labels of
+``ndimage.label``, about 6 bytes a cell at the peak.  A body's slab mask
+is read from the per-axis coordinates of the slab's centers.  A ball adds
+the squared offsets along each axis as arrays that broadcast over the
+slab, left to right, which is the same arithmetic as its
+``contains_batch`` on a point; an intersection ANDs its members' masks,
+since at ``tol = 0`` its boundary band is empty.  So both masks are exact.
+A polytope lifts the slab's centers to a point list: its row slacks come
+from a BLAS product, whose sums agree with per-axis sums in only 70-85% of
+slacks on random points in 2-D and 3-D, so a broadcast form would change
+which cells it holds.  Slabs change no bit: a center's coordinates are
+the same numbers in whichever slab it falls, and each cell's test reads
+only its own center (a polytope slack is one point row times one body
+row, d products summed whatever the number of rows; the tests compare
+slabbed and whole-grid masks bit for bit).  Which body covers a cell is
+not stored: :func:`boundary_attribution` applies the same
+``contains_batch`` rule to the few cells it asks about.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,24 +54,34 @@ logger = logging.getLogger(__name__)
 
 MIN_CELLS_PER_AXIS = 20
 BOX_EXPAND = 1.1
+# Most cells one slab of the grid holds; a slab is at least one layer.
+SLAB_CELLS = 2 ** 15
 
 
 @dataclass
 class Grid:
-    """Axis-aligned cell grid with per-body coverage masks.
+    """Axis-aligned cell grid and the mask of the union of ``bodies``.
 
-    ``covered[idx]`` is true when the cell center lies in at least one
-    body; ``body_covers[i]`` is the mask for body i alone.
+    ``covered[idx]`` is true when the cell center lies in at least one of
+    ``bodies``, by its ``contains_batch`` at ``tol = 0``.  No per-body mask
+    is kept; ask a body about a cell by that rule on :meth:`centers`.
     """
 
     lo: np.ndarray
     resolution: float
     shape: tuple
     covered: np.ndarray = field(repr=False)
-    body_covers: list = field(repr=False)
+    bodies: tuple = field(repr=False)
 
     def centers(self, cells):
         return self.lo + (np.asarray(cells, dtype=float) + 0.5) * self.resolution
+
+
+def _slabs(shape):
+    """Slices of axis 0 of a grid of ``shape`` into runs of layers holding
+    at most ``SLAB_CELLS`` cells each, or one layer when a layer holds more."""
+    step = max(1, SLAB_CELLS // math.prod(shape[1:]))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
 def check_resolution(resolution):
@@ -76,10 +99,10 @@ def _build_grid(bodies, lo, counts, resolution):
 
     The grid has ``counts[i]`` cells of side ``resolution`` along axis i,
     starting at ``lo``, and at least ``MIN_CELLS_PER_AXIS`` on every axis
-    (else :class:`GridResolutionError`).  Each body's mask is its grid
-    cover, its ``contains_batch`` at ``tol = 0`` on the cell centers, read
-    from the centers' coordinates on each axis (see the module docstring
-    for why that is exact).
+    (else :class:`GridResolutionError`).  Slab by slab, each body's grid
+    cover, its ``contains_batch`` at ``tol = 0`` on the cell centers read
+    from the centers' coordinates on each axis, is ORed into the mask (see
+    the module docstring for why that is exact).
     """
     if counts.min() < MIN_CELLS_PER_AXIS:
         raise GridResolutionError(
@@ -88,21 +111,24 @@ def _build_grid(bodies, lo, counts, resolution):
     shape = tuple(int(c) for c in counts)
     axes = [lo[i] + (np.arange(shape[i]) + 0.5) * resolution
             for i in range(lo.size)]
-    body_covers = [b._grid_cover(axes) for b in bodies]
     covered = np.zeros(shape, dtype=bool)
-    for mask in body_covers:
-        covered |= mask
-    return Grid(lo, float(resolution), shape, covered, body_covers)
+    for rows in _slabs(shape):
+        slab_axes = [axes[0][rows]] + axes[1:]
+        for body in bodies:
+            covered[rows] |= body._grid_cover(slab_axes)
+    return Grid(lo, float(resolution), shape, covered, tuple(bodies))
 
 
 def _uncovered_components(grid):
-    """Face-adjacency labels of the uncovered cells, and the border labels.
+    """Face-adjacency labels of the uncovered cells, their count, and the
+    border labels.
 
-    Label 0 marks covered cells; the returned set holds every label that
-    reaches a face of the grid box, i.e. the unbounded components.
+    Label 0 marks covered cells and the others run from 1 to the count;
+    the returned set holds every label that reaches a face of the grid box,
+    i.e. the unbounded components.
     """
     d = len(grid.shape)
-    labels, _ = ndimage.label(
+    labels, count = ndimage.label(
         ~grid.covered, structure=ndimage.generate_binary_structure(d, 1))
     border = set()
     for axis in range(d):
@@ -111,7 +137,7 @@ def _uncovered_components(grid):
             sl[axis] = face
             border.update(np.unique(labels[tuple(sl)]).tolist())
     border.discard(0)
-    return labels, border
+    return labels, count, border
 
 
 @dataclass
@@ -194,9 +220,11 @@ def certify_hollow(family, resolution=None):
     for resolution in (resolution, resolution / 2.0):
         counts = np.ceil((hi - lo) / resolution - 1e-12)
         grid = _build_grid(family.bodies, lo, counts, resolution)
-        labels, unbounded = _uncovered_components(grid)
-        sizes = np.bincount(labels.ravel())
-        bounded = [(int(sizes[l]), l) for l in range(1, sizes.size)
+        labels, count, unbounded = _uncovered_components(grid)
+        sizes = np.zeros(count + 1, dtype=np.intp)
+        for rows in _slabs(grid.shape):
+            sizes += np.bincount(labels[rows].ravel(), minlength=count + 1)
+        bounded = [(int(sizes[l]), l) for l in range(1, count + 1)
                    if l not in unbounded]
         if bounded:
             break
@@ -239,6 +267,8 @@ class BoundaryAttribution:
 def boundary_attribution(certificate):
     """Attribute each boundary cell of the component to covering bodies.
 
+    Each covered face neighbour of a component cell is asked of every body
+    by the grid's rule, ``contains_batch`` at ``tol = 0`` on its center.
     The attribution is complete when every body of the grid shows up.
     """
     grid = certificate.grid
@@ -256,10 +286,9 @@ def boundary_attribution(certificate):
             rows = np.flatnonzero(ok)[covered]
             if rows.size == 0:
                 continue
-            sub = tuple(nbr[rows].T)
-            for i, mask in enumerate(grid.body_covers):
-                hits = rows[mask[sub]]
-                for r in hits:
+            centers = grid.centers(nbr[rows])
+            for i, body in enumerate(grid.bodies):
+                for r in rows[body.contains_batch(centers, tol=0.0)]:
                     per_cell[r].add(i)
     keep = [k for k, s in enumerate(per_cell) if s]
     bcells = cells[keep]
@@ -270,7 +299,7 @@ def boundary_attribution(certificate):
         centers=grid.centers(bcells),
         bodies_by_cell=by_cell,
         bodies_present=present,
-        complete=(len(present) == len(grid.body_covers)),
+        complete=(len(present) == len(grid.bodies)),
     )
 
 
@@ -432,14 +461,15 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6):
     witness j must pass ``membership(., tol)`` in every body but j, and
     ``pair.v`` must keep a clearance above ``tol`` from every body.  The
     clearances are measured to the part of ``pair.v`` inside the family's
-    padded bounding box, an H-polytope; ``pair.v`` may be a single point,
-    as for n = d.  Stage two, only if stage one passes: with n the
-    dimension of ``pair.w``, the n + 1 witnesses of n + 1 bodies must span
-    an n-simplex on ``pair.w``, and the crossing point must have positive
-    barycentric coordinates in it.  That is exact in any n: the facet
-    opposite witness j lies in body j, so the union covers the simplex's
-    boundary, and the crossing point, on ``pair.v`` and so clear of every
-    body, lies in a bounded component of the complement on ``pair.w``.
+    padded bounding box, an H-polytope, or, when ``pair.v`` is a single
+    point (n = d), are each body's distance to that point.  Stage two, only
+    if stage one passes: with n the dimension of ``pair.w``, the n + 1
+    witnesses of n + 1 bodies must span an n-simplex on ``pair.w``, and
+    the crossing point must have positive barycentric coordinates in it.
+    That is exact in any n: the facet opposite witness j lies in body j,
+    so the union covers the simplex's boundary, and the crossing point, on
+    ``pair.v`` and so clear of every body, lies in a bounded component of
+    the complement on ``pair.w``.
     A wrong count or a degenerate simplex is a stage-two reason.  A
     ``tol`` that is not a positive finite number raises ``ValueError``.
     """
@@ -462,22 +492,24 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6):
     if reasons:
         return StabbingReport(False, None, tuple(reasons),
                               witness_offsets=offsets)
-    lo, hi = _family_box(bodies, np.vstack([witnesses, pair.point[None, :]]))
-    # The transversal inside the box: the box rows plus both signs of the
-    # rows spanning the flat's normal space.
-    d = lo.size
-    normals = pair.v.complement
-    v_offsets = normals @ pair.v.base
-    transversal = HPolytope(
-        np.vstack([np.eye(d), -np.eye(d), normals, -normals]),
-        np.concatenate([hi, -lo, v_offsets, -v_offsets]))
-    clearances = np.empty(len(bodies))
-    for i, body in enumerate(bodies):
-        clearances[i] = min_distance(transversal, body).distance
-        if clearances[i] <= tol:
-            reasons.append(
-                f"transversal flat meets body {i} "
-                f"(clearance {clearances[i]:.3e})")
+    if pair.v.dim:
+        lo, hi = _family_box(bodies,
+                             np.vstack([witnesses, pair.point[None, :]]))
+        # The transversal inside the box: the box rows plus both signs of
+        # the rows spanning the flat's normal space.
+        d = lo.size
+        normals = pair.v.complement
+        v_offsets = normals @ pair.v.base
+        transversal = HPolytope(
+            np.vstack([np.eye(d), -np.eye(d), normals, -normals]),
+            np.concatenate([hi, -lo, v_offsets, -v_offsets]))
+        clearances = np.array([min_distance(transversal, body).distance
+                               for body in bodies])
+    else:
+        clearances = np.array([body.distance(pair.point) for body in bodies])
+    for i in np.flatnonzero(clearances <= tol):
+        reasons.append(f"transversal flat meets body {i} "
+                       f"(clearance {clearances[i]:.3e})")
     if reasons:
         return StabbingReport(False, None, tuple(reasons),
                               witness_offsets=offsets, clearances=clearances)

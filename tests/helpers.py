@@ -195,3 +195,36 @@ def unique_rows_step(exact):
     exact.cells = rank[inverse.reshape(-1)[n_old:]].reshape(-1, k1)
     exact.D *= exact.L
     exact.depth += 1
+
+
+def whole_grid_cover(bodies, lo, shape, resolution):
+    """The union mask of a cell grid as the OR of each body's grid cover of
+    the whole grid at once: the reference for the slabbed
+    ``hollow._build_grid``."""
+    axes = [lo[i] + (np.arange(n) + 0.5) * resolution
+            for i, n in enumerate(shape)]
+    covered = np.zeros(shape, dtype=bool)
+    for body in bodies:
+        covered |= body._grid_cover(axes)
+    return covered
+
+
+def whole_mask_attribution(certificate):
+    """The boundary cells of a certificate and the bodies covering each
+    one's face neighbours, looked up cell by cell in one whole-grid cover
+    per body: the reference for ``hollow.boundary_attribution``."""
+    grid = certificate.grid
+    masks = [whole_grid_cover([body], grid.lo, grid.shape, grid.resolution)
+             for body in grid.bodies]
+    cells = certificate.cells
+    per_cell = [set() for _ in range(cells.shape[0])]
+    for r, cell in enumerate(cells):
+        for axis in range(len(grid.shape)):
+            for step in (-1, 1):
+                nbr = cell.copy()
+                nbr[axis] += step
+                if 0 <= nbr[axis] < grid.shape[axis]:
+                    per_cell[r].update(i for i, mask in enumerate(masks)
+                                       if mask[tuple(nbr)])
+    keep = [r for r, bodies in enumerate(per_cell) if bodies]
+    return cells[keep], tuple(tuple(sorted(per_cell[r])) for r in keep)

@@ -567,15 +567,19 @@ def test_bad_resolution_option_is_a_one_line_error(command, scene, value,
 
 
 def test_stab_verify_has_no_resolution_flag(tmp_path, capsys):
-    """The stabbing check uses no grid, so the flag is unknown to it."""
-    with pytest.raises(SystemExit) as info:
-        main(["stab-verify", scene_path("stab.json"), "--out", str(tmp_path),
-              "--resolution", "0.01"])
-    assert info.value.code == 1
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if "error:" in line] == [
-        "hollowkit: error: unrecognized arguments: --resolution 0.01"]
-    assert "Traceback" not in err
+    """The stabbing check uses no grid, so the flag is unknown to it.  The
+    error names the flag alone, also when its value was taken for the
+    scene and the scene's path is left over."""
+    flag = ["--resolution", "0"]
+    scene = [scene_path("stab3.json"), "--out", str(tmp_path)]
+    for words in (scene + flag, flag + scene):
+        with pytest.raises(SystemExit) as info:
+            main(["stab-verify"] + words)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "hollowkit: error: unrecognized arguments: --resolution"]
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])

@@ -1,18 +1,26 @@
 """Grid certification of hollows and stabbing-pair verification."""
 import logging
+import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hollowkit import (AffineSubspace, Ball, GridResolutionError, HPolytope,
-                       HollowNotFoundError, NoHollowError, StabbingPair,
-                       boundary_attribution, certify_hollow, check_critical,
-                       enclosure_check,
+                       HollowNotFoundError, IntersectionBody, NoHollowError,
+                       StabbingPair, VPolytope, boundary_attribution,
+                       certify_hollow, check_critical, enclosure_check,
                        hausdorff_convex, hollow_simplex, hull_vs_simplex,
                        nearest_boundary_distance, perimeter_estimate,
                        simplex_containment, verify_stabbing)
-from hollowkit.hollow import BOX_EXPAND
+from hollowkit import hollow
+from hollowkit.hollow import BOX_EXPAND, _build_grid, _slabs
+from hollowkit.scenes import load_scene
 from conftest import disk_centers
+from helpers import whole_grid_cover, whole_mask_attribution
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 DISK_RES = 0.005
 RECT_RES = 0.01
@@ -109,6 +117,74 @@ def test_ball_grid_builds_no_point_list(balls_family, monkeypatch):
     cert = certify_hollow(balls_family, span / 40)
     assert cert.bounded and len(cert.grid.shape) == 3
     assert sum(counted) == 0
+
+
+def slab_bodies(d):
+    """A ball, a rotated H-polytope, a V-polytope and an intersection of a
+    ball and a box, each covering part of the cube [-1.2, 1.2]^d."""
+    turn = np.eye(d)
+    turn[:2, :2] = [[0.8, -0.6], [0.6, 0.8]]
+    rows = np.vstack([turn, -turn])
+    ring = np.array([[np.cos(t), np.sin(t)] for t in np.arange(7) * 0.9])
+    points = np.hstack([ring, np.resize([0.4, -0.4], (7, d - 2))])
+    return [Ball(np.full(d, 0.3), 0.7),
+            HPolytope(rows, np.full(2 * d, 0.5) + 0.1 * np.arange(2 * d)),
+            VPolytope(0.6 * points - 0.2),
+            IntersectionBody([Ball(np.full(d, -0.3), 0.8),
+                              HPolytope.box(np.full(d, -0.9),
+                                            np.full(d, 0.1))])]
+
+
+@pytest.mark.parametrize("shape", [(23, 21), (22, 20, 21)])
+def test_slabbed_cover_is_the_whole_grid_cover(shape, monkeypatch):
+    """With slabs of 4 layers and a partial last slab, and with slabs
+    smaller than a layer, the slabbed mask of each body kind, alone and in
+    the union, equals the OR of whole-grid covers bit for bit."""
+    d = len(shape)
+    lo = np.full(d, -1.2)
+    resolution = 2.4 / min(shape)
+    bodies = slab_bodies(d)
+    layer = math.prod(shape[1:])
+    assert shape[0] % 4
+    for slab_cells, step in ((4 * layer + 3, 4), (layer - 1, 1)):
+        monkeypatch.setattr(hollow, "SLAB_CELLS", slab_cells)
+        assert _slabs(shape) == [slice(i, i + step)
+                                 for i in range(0, shape[0], step)]
+        for group in [[b] for b in bodies] + [bodies]:
+            grid = _build_grid(group, lo, np.array(shape, dtype=float),
+                               resolution)
+            reference = whole_grid_cover(group, lo, shape, resolution)
+            assert 0 < reference.sum() < reference.size
+            assert np.array_equal(grid.covered, reference)
+
+
+@pytest.mark.parametrize("scene", ["disks.json", "vpoly.json", "balls3.json"])
+def test_boundary_attribution_matches_whole_grid_masks(scene):
+    """The attribution asks each body about the covered neighbours only,
+    and finds what one whole-grid mask per body gives."""
+    family = check_critical(list(load_scene(os.path.join(DATA, scene)).bodies))
+    cert = certify_hollow(family)
+    attr = boundary_attribution(cert)
+    cells, by_cell = whole_mask_attribution(cert)
+    assert cells.shape[0] > 0
+    assert np.array_equal(attr.cells, cells)
+    assert attr.bodies_by_cell == by_cell
+    assert attr.complete
+
+
+def test_certify_hollow_memory_is_a_few_bytes_per_cell():
+    """The traced peak of certifying the 3-D balls scene stays within 8
+    bytes per grid cell: the mask, the labels and no full-grid temporary
+    wider than a byte."""
+    family = check_critical(
+        list(load_scene(os.path.join(DATA, "balls3.json")).bodies))
+    tracemalloc.start()
+    try:
+        cert = certify_hollow(family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * math.prod(cert.grid.shape)
 
 
 def test_no_hollow_when_conditions_below_dimension():
@@ -323,23 +399,41 @@ def test_stabbing_thin_hollow_in_three_dimensions(disks_family):
     assert np.allclose(report.clearances, 1.9 / np.sqrt(3.0) - 1.0, atol=1e-7)
 
 
-def test_stabbing_point_transversal_in_four_dimensions():
-    """n = d = 4: five unit balls on a regular 4-simplex of edge 1.6 leave a
-    hollow around the centroid, at clearance 1.6 sqrt(2/5) - 1 ~ 0.0119."""
-    corners = np.eye(5) * (1.6 / np.sqrt(2.0))
+def _point_transversal_report(d, edge):
+    """d + 1 unit balls on a regular d-simplex of the given edge, checked
+    with the centroid as a point transversal and witnesses from
+    ``check_critical``."""
+    corners = np.eye(d + 1) * (edge / np.sqrt(2.0))
     corners -= corners.mean(axis=0)
-    frame = np.linalg.svd(corners)[2][:4]
+    frame = np.linalg.svd(corners)[2][:d]
     centers = corners @ frame.T
     balls = [Ball(c, 1.0) for c in centers]
     family = check_critical(balls)
-    assert family.n == family.d == 4
+    assert family.n == family.d == d
     centroid = centers.mean(axis=0)
-    pair = StabbingPair(AffineSubspace(centroid, np.eye(4)),
-                        AffineSubspace(centroid, np.zeros((0, 4))), centroid)
-    report = verify_stabbing(pair, balls, family.witnesses)
+    pair = StabbingPair(AffineSubspace(centroid, np.eye(d)),
+                        AffineSubspace(centroid, np.zeros((0, d))), centroid)
+    return verify_stabbing(pair, balls, family.witnesses)
+
+
+def test_stabbing_point_transversal_in_four_dimensions():
+    """n = d = 4: five unit balls on a regular 4-simplex of edge 1.6 leave a
+    hollow around the centroid, at clearance 1.6 sqrt(2/5) - 1 ~ 0.0119."""
+    report = _point_transversal_report(4, 1.6)
     assert report.ok
     assert report.reasons == ()
     assert np.allclose(report.clearances, 1.6 * np.sqrt(0.4) - 1.0, atol=1e-7)
+
+
+def test_stabbing_point_transversal_in_six_dimensions():
+    """n = d = 6: seven unit balls on a regular 6-simplex of edge 1.54, at
+    clearance 1.54 sqrt(3/7) - 1 ~ 0.00817.  A point transversal needs no
+    clipping polytope, whose vertex list would be too long in 6-D."""
+    report = _point_transversal_report(6, 1.54)
+    assert report.ok
+    assert report.reasons == ()
+    assert np.allclose(report.clearances, 1.54 * np.sqrt(3.0 / 7.0) - 1.0,
+                       atol=1e-7)
 
 
 def test_stabbing_point_transversal_for_disks(three_disks, disks_family):
