@@ -209,7 +209,7 @@ def hollow_simplex(family, starts=None):
     """Vertices of the hollow enclosed by a d-critical family.
 
     For each j the vertex ``p_j`` is the nearest point of the intersection
-    of the other bodies to body j, found by alternating projections; the
+    of the other bodies to body j, found by :func:`min_distance`; the
     gaps are the realized distances.  Raises :class:`NoHollowError` when
     n < d (the family encloses nothing in that dimension) and
     :class:`DegenerateSimplexError` when the vertices are numerically

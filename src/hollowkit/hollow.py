@@ -461,7 +461,8 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6):
     witness j must pass ``membership(., tol)`` in every body but j, and
     ``pair.v`` must keep a clearance above ``tol`` from every body.  The
     clearances are measured to the part of ``pair.v`` inside the family's
-    padded bounding box, an H-polytope, or, when ``pair.v`` is a single
+    padded bounding box, a polytope clipped in the flat's own frame (2d
+    rows in dimension d - n), or, when ``pair.v`` is a single
     point (n = d), are each body's distance to that point.  Stage two, only
     if stage one passes: with n the dimension of ``pair.w``, the n + 1
     witnesses of n + 1 bodies must span an n-simplex on ``pair.w``, and
@@ -495,14 +496,13 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6):
     if pair.v.dim:
         lo, hi = _family_box(bodies,
                              np.vstack([witnesses, pair.point[None, :]]))
-        # The transversal inside the box: the box rows plus both signs of
-        # the rows spanning the flat's normal space.
-        d = lo.size
-        normals = pair.v.complement
-        v_offsets = normals @ pair.v.base
-        transversal = HPolytope(
-            np.vstack([np.eye(d), -np.eye(d), normals, -normals]),
-            np.concatenate([hi, -lo, v_offsets, -v_offsets]))
+        # The transversal inside the box, clipped in the flat's own frame:
+        # base + t B lies in the box iff B^T t <= hi - base and
+        # -B^T t <= base - lo, 2d rows in R^k.
+        base, B = pair.v.base, pair.v.basis
+        frame = HPolytope(np.vstack([B.T, -B.T]),
+                          np.concatenate([hi - base, base - lo]))
+        transversal = VPolytope(base + frame.vertices @ B)
         clearances = np.array([min_distance(transversal, body).distance
                                for body in bodies])
     else:

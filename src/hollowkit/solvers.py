@@ -1,7 +1,7 @@
 """Distance, feasibility, and separation solvers over convex-body oracles.
 
-``min_distance`` alternates nearest-point projections between two bodies and
-polishes the pair with midpoint re-projections.  ``intersect_witness`` runs
+``min_distance`` finds a nearest pair of two bodies as a fixed point of the
+composed projections, stepped by Anderson mixing.  ``intersect_witness`` runs
 the cutting-plane feasibility scan over the whole family and returns either
 a common point or an emptiness certificate: a hyperplane strictly
 separating the first body whose later bodies share a point from their
@@ -14,19 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bodies import DEFAULT_TOL, IntersectionBody, check_tol, decided_scan
+from .bodies import (CUT_MAX_PASSES, CUT_RTOL, DEFAULT_TOL, IntersectionBody,
+                     check_tol, decided_scan)
 from .errors import ConvergenceError, EmptyBodyError, NotSeparableError
 from .geometry import Hyperplane, as_point
 
-# Alternating projections stop once the distance estimate changes by less
-# than this between consecutive iterations, or than 8 ulps of the pair's
-# largest coordinate, below which the change is rounding.  Between smooth
-# bodies of radius r a gap g apart, each iteration shrinks the change only
-# by a factor of about 1/(1 + g/r): a unit disk 1e-3 from a segment takes
-# some 7000 iterations, so this budget is not the cut loops' CUT_MAX_PASSES.
-DISTANCE_STOP = 1e-12
-DISTANCE_MAX_ITER = 100000
-POLISH_STEPS = 5
+# Anderson mixing combines the residuals of this many earlier iterates of
+# min_distance with the current one (Walker & Ni, SIAM J. Numer. Anal. 2011).
+ANDERSON_MEMORY = 3
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,8 @@ class DistanceResult:
     """Minimum distance between two bodies and a realizing pair.
 
     ``point_a`` lies in the first body, ``point_b`` in the second, and
-    ``distance == |point_a - point_b|``.
+    ``distance == |point_a - point_b|``.  ``residual`` is the fixed-point
+    residual |T(b) - b| of :func:`min_distance` at the pair.
     """
 
     distance: float
@@ -85,11 +81,14 @@ class FeasibilityReport:
 def min_distance(body_a, body_b, start=None):
     """Minimum Euclidean distance between two compact convex bodies.
 
-    Alternating nearest-point projections from ``start`` (default: midpoint
-    of the bodies' anchor points) until the distance estimate changes by
-    less than ``max(DISTANCE_STOP, 8 eps max(|a|_inf, |b|_inf))``, then
-    up to ``POLISH_STEPS`` rounds of midpoint re-projection, fewer once a
-    round gives back the pair it started from.
+    Seeks a fixed point b of T = P_B o P_A, the nearest point of B to A,
+    from b = T(start) (default start: midpoint of the bodies' anchor
+    points).  Each step mixes the residuals T(b) - b of the current and
+    the last ``ANDERSON_MEMORY`` iterates (Anderson mixing) and projects
+    the result back onto B; when the residual did not fall it takes the
+    plain step T(b) instead and drops the history.  It stops once
+    ``|T(b) - b| <= CUT_RTOL * (1 + |b|_inf)``, the cut loops' scale, and
+    returns the pair (P_A(b), T(b)) with that fixed-point residual.
 
     Returns
     -------
@@ -98,44 +97,37 @@ def min_distance(body_a, body_b, start=None):
     Raises
     ------
     ConvergenceError
-        If ``DISTANCE_MAX_ITER`` iterations run out; carries the best pair.
+        If ``CUT_MAX_PASSES`` iterations run out; carries the pair of least
+        residual.
     """
     if body_a.dim != body_b.dim:
         raise ValueError("bodies live in different dimensions")
     if start is None:
         start = 0.5 * (body_a.anchor + body_b.anchor)
-    x = as_point(start, body_a.dim)
-    a = body_a.project(x)
-    b = body_b.project(a)
-    v = a - b
-    m_prev = math.sqrt(v @ v)
-    converged = False
-    for iterations in range(2, DISTANCE_MAX_ITER + 1):
+    b = body_b.project(body_a.project(as_point(start, body_a.dim)))
+    fs, gs, last, best = [], [], math.inf, None
+    for iterations in range(1, CUT_MAX_PASSES + 1):
         a = body_a.project(b)
-        b = body_b.project(a)
-        v = a - b
-        m = math.sqrt(v @ v)
-        residual = abs(m - m_prev)
-        m_prev = m
-        floor = 8.0 * np.finfo(float).eps * max(np.abs(a).max(), np.abs(b).max())
-        if residual < max(DISTANCE_STOP, floor):
-            converged = True
-            break
-    for _ in range(POLISH_STEPS):
-        mid = 0.5 * (a + b)
-        step = body_a.project(mid), body_b.project(mid)
-        # projections are deterministic, so a step that returns its own
-        # pair bit for bit would be repeated by every later one
-        if step[0].tobytes() == a.tobytes() and step[1].tobytes() == b.tobytes():
-            break
-        a, b = step
-    v = a - b
-    result = DistanceResult(math.sqrt(v @ v), a, b, iterations, residual)
-    if not converged:
-        raise ConvergenceError(
-            f"alternating projections did not settle after {DISTANCE_MAX_ITER} "
-            f"iterations (last change {residual:.3e})", best=result)
-    return result
+        g = body_b.project(a)
+        f, v = g - b, a - g
+        res = DistanceResult(math.sqrt(v @ v), a, g, iterations, math.sqrt(f @ f))
+        if res.residual <= CUT_RTOL * (1.0 + float(np.abs(b).max())):
+            return res
+        if res.residual >= last:
+            fs, gs = [], []
+        if best is None or res.residual < best.residual:
+            best = res
+        last = res.residual
+        fs, gs = fs[-ANDERSON_MEMORY:] + [f], gs[-ANDERSON_MEMORY:] + [g]
+        if len(fs) == 1:
+            b = g
+        else:
+            gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, f, rcond=None)[0]
+            b = body_b.project(g - gamma @ np.diff(gs, axis=0))
+    raise ConvergenceError(
+        f"composed projections did not settle after {CUT_MAX_PASSES} "
+        f"iterations (residual {best.residual:.3e})",
+        best=replace(best, iterations=CUT_MAX_PASSES))
 
 
 def separating_hyperplane(body_a, body_b, tol=DEFAULT_TOL):

@@ -34,12 +34,13 @@ import numpy as np
 from .bodies import (DEFAULT_TOL, check_count, check_tol, decided_scan,
                      feasibility_scan, project_intersection)
 from .errors import (
+    DegenerateSimplexError,
     KleeSolveError,
     ProjectionError,
     SpernerLegalityError,
     SubdivisionSizeError,
 )
-from .geometry import Simplex, affine_hull, as_points
+from .geometry import Simplex, as_points
 
 logger = logging.getLogger(__name__)
 
@@ -387,9 +388,9 @@ def klee_solve(bodies, witnesses, tol=1e-6):
     ``tol / 2``; the candidate is polished by projection onto the
     intersection and must pass membership in every body at ``tol``.
 
-    Degenerate witness configurations fall back to the direct feasibility
-    scan, which succeeds whenever fewer than d + 1 sets are involved or the
-    union hypothesis holds.
+    Witnesses that :class:`Simplex` refuses as degenerate fall back to the
+    direct feasibility scan, which succeeds whenever fewer than d + 1 sets
+    are involved or the union hypothesis holds.
 
     Each level is logged at DEBUG (depth, cells, vertices, all-colors cells,
     best diameter), and the rule that ended the search at INFO.
@@ -410,7 +411,9 @@ def klee_solve(bodies, witnesses, tol=1e-6):
     if n == 0:
         logger.info("klee_solve: one body, its witness is the candidate")
         return _polish_common_point(witnesses[0], bodies, tol)
-    if affine_hull(witnesses).dim < n:
+    try:
+        ambient = Simplex(witnesses)
+    except DegenerateSimplexError:
         logger.info("klee_solve: degenerate witnesses, deciding by the "
                     "feasibility scan")
         status, witness, *_ = decided_scan(bodies, tol=min(tol, DEFAULT_TOL))
@@ -418,7 +421,6 @@ def klee_solve(bodies, witnesses, tol=1e-6):
             return _polish_common_point(witness, bodies, tol)
         raise KleeSolveError(
             "degenerate witnesses and no common point: union cannot be convex")
-    ambient = Simplex(witnesses)
     exact = _ExactComplex(n)
     best_cell = None
     best_diam = np.inf

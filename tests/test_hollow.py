@@ -399,10 +399,9 @@ def test_stabbing_thin_hollow_in_three_dimensions(disks_family):
     assert np.allclose(report.clearances, 1.9 / np.sqrt(3.0) - 1.0, atol=1e-7)
 
 
-def _point_transversal_report(d, edge):
-    """d + 1 unit balls on a regular d-simplex of the given edge, checked
-    with the centroid as a point transversal and witnesses from
-    ``check_critical``."""
+def _simplex_balls(d, edge):
+    """d + 1 unit balls on a regular d-simplex of the given edge, centered
+    at the origin, and their critical family from ``check_critical``."""
     corners = np.eye(d + 1) * (edge / np.sqrt(2.0))
     corners -= corners.mean(axis=0)
     frame = np.linalg.svd(corners)[2][:d]
@@ -410,6 +409,13 @@ def _point_transversal_report(d, edge):
     balls = [Ball(c, 1.0) for c in centers]
     family = check_critical(balls)
     assert family.n == family.d == d
+    return centers, balls, family
+
+
+def _point_transversal_report(d, edge):
+    """The balls of ``_simplex_balls`` checked with the centroid as a point
+    transversal and the family's witnesses."""
+    centers, balls, family = _simplex_balls(d, edge)
     centroid = centers.mean(axis=0)
     pair = StabbingPair(AffineSubspace(centroid, np.eye(d)),
                         AffineSubspace(centroid, np.zeros((0, d))), centroid)
@@ -428,8 +434,26 @@ def test_stabbing_point_transversal_in_four_dimensions():
 def test_stabbing_point_transversal_in_six_dimensions():
     """n = d = 6: seven unit balls on a regular 6-simplex of edge 1.54, at
     clearance 1.54 sqrt(3/7) - 1 ~ 0.00817.  A point transversal needs no
-    clipping polytope, whose vertex list would be too long in 6-D."""
+    clipping polytope."""
     report = _point_transversal_report(6, 1.54)
+    assert report.ok
+    assert report.reasons == ()
+    assert np.allclose(report.clearances, 1.54 * np.sqrt(3.0 / 7.0) - 1.0,
+                       atol=1e-7)
+
+
+def test_stabbing_line_transversal_in_seven_dimensions():
+    """n = 6 in R^7: the balls of the regular 6-simplex of edge 1.54 in
+    x7 = 0, the transversal the x7 axis.  The line is clipped in its own
+    frame, 14 rows on R^1; the box's 26 rows in R^7 would give 657800
+    vertex candidates.  Each clearance is 1.54 sqrt(3/7) - 1 ~ 0.00817."""
+    centers, _, family = _simplex_balls(6, 1.54)
+    lift = np.zeros((7, 1))
+    balls = [Ball(c, 1.0) for c in np.hstack([centers, lift])]
+    origin = np.zeros(7)
+    pair = StabbingPair(AffineSubspace(origin, np.eye(7)[:6]),
+                        AffineSubspace(origin, np.eye(7)[6:]), origin)
+    report = verify_stabbing(pair, balls, np.hstack([family.witnesses, lift]))
     assert report.ok
     assert report.reasons == ()
     assert np.allclose(report.clearances, 1.54 * np.sqrt(3.0 / 7.0) - 1.0,

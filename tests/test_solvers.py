@@ -6,6 +6,7 @@ from hollowkit import (Ball, ConvergenceError, CriticalFamily, HPolytope,
                        IntersectionBody, NotSeparableError,
                        ToleranceAmbiguityError, VPolytope, check_critical,
                        intersect_witness, min_distance, separating_hyperplane)
+from hollowkit.bodies import CUT_MAX_PASSES
 from helpers import (ball_ball_distance, box_box_distance,
                      segment_point_distance)
 
@@ -246,11 +247,11 @@ def test_scan_out_of_rounds_is_a_convergence_error(monkeypatch):
 
 
 def test_min_distance_out_of_iterations_carries_its_best_pair(monkeypatch):
-    """A disk and a skew segment take about 30 alternating projections; with
-    a budget of 5 the error carries the pair reached so far."""
+    """A disk and a skew segment take 9 iterations; with the shared budget
+    cut to 5 the error carries the pair of least residual reached so far."""
     disk, seg = Ball([0.0, 0.0], 1.0), VPolytope([[1.5, -2.0], [1.6, 3.0]])
     exact = min_distance(disk, seg).distance
-    monkeypatch.setattr("hollowkit.solvers.DISTANCE_MAX_ITER", 5)
+    monkeypatch.setattr("hollowkit.solvers.CUT_MAX_PASSES", 5)
     with pytest.raises(ConvergenceError, match="after 5 iterations") as info:
         min_distance(disk, seg)
     best = info.value.best
@@ -258,53 +259,61 @@ def test_min_distance_out_of_iterations_carries_its_best_pair(monkeypatch):
     assert best.distance == pytest.approx(
         np.linalg.norm(best.point_a - best.point_b))
     assert exact <= best.distance < exact + 1e-3
+    assert best.residual > 0.0
 
+
+@pytest.mark.parametrize("start", [[1.0, 3.0], [1.0, -3.0]])
+def test_min_distance_points_at_a_smooth_contact(start):
+    """Two unit disks 1e-4 apart: the composed projections contract the
+    slide along the contact only by about 1/(1 + g/r) a step, yet the
+    mixed steps put both points on the exact pair from either side."""
+    gap = 1e-4
+    res = min_distance(Ball([0.0, 0.0], 1.0), Ball([2.0 + gap, 0.0], 1.0),
+                       start=start)
+    assert np.abs(res.point_a - [1.0, 0.0]).max() <= 1e-12
+    assert np.abs(res.point_b - [1.0 + gap, 0.0]).max() <= 1e-12
+    assert res.distance == pytest.approx(gap, abs=1e-15)
+    assert res.iterations <= 30
+
+
+def test_min_distance_safeguard_lands_on_vertices():
+    """A segment and a triangle whose nearest points are the vertices
+    (0, -6) and (1, -5).  From (-3, 8) plain alternation takes 12 steps
+    down the segment; a mixed step overshoots and raises the residual, so
+    the plain step is taken and the history dropped: 4 iterations, where
+    mixing through the overshoot takes 16."""
+    seg = VPolytope([[-4.0, -2.0], [0.0, -6.0]])
+    tri = VPolytope([[-2.0, 0.0], [2.0, -5.0], [1.0, -5.0]])
+    res = min_distance(seg, tri, start=[-3.0, 8.0])
+    assert np.abs(res.point_a - [0.0, -6.0]).max() <= 1e-12
+    assert np.abs(res.point_b - [1.0, -5.0]).max() <= 1e-12
+    assert res.distance == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert res.iterations <= 6
 
 
 def test_near_tangent_smooth_pairs_settle():
-    """Between smooth bodies a gap g apart the alternating projections
-    converge only linearly, at a rate of about 1/(1 + g/r): a unit disk
-    1e-3 from a segment whose anchor sits 1.5 along it takes about 7200
-    iterations, and two unit disks 1e-3 apart from an offset start about
-    3800, far past the cut loops' 500 passes."""
+    """Between smooth bodies a gap g apart plain alternating projections
+    converge only linearly, at a rate of about 1/(1 + g/r), and took
+    thousands of iterations at g = 1e-3; mixed steps settle well within
+    the cut loops' budget, on the exact pair."""
     segment = HPolytope.box([1.001, -1.0], [1.001, 4.0])
+    res = min_distance(Ball([0.0, 0.0], 1.0), segment)
+    assert res.iterations <= CUT_MAX_PASSES
+    assert np.abs(res.point_a - [1.0, 0.0]).max() <= 1e-10
+    assert np.abs(res.point_b - [1.001, 0.0]).max() <= 1e-10
     plane = separating_hyperplane(Ball([0.0, 0.0], 1.0), segment)
-    assert np.allclose(plane.normal, [1.0, 0.0], atol=1e-3)
-    assert plane.offset == pytest.approx(1.0005, abs=1e-6)
+    assert np.allclose(plane.normal, [1.0, 0.0], atol=1e-9)
+    assert plane.offset == pytest.approx(1.0005, abs=1e-12)
     res = min_distance(Ball([0.0, 0.0], 1.0), Ball([2.001, 0.0], 1.0),
                        start=[1.0, 3.0])
-    assert res.distance == pytest.approx(1e-3, abs=1e-6)
-    assert res.iterations > 500
-
-
-def test_polish_stop_at_a_fixed_point_changes_no_bit(disks_family, balls_family,
-                                                    monkeypatch):
-    """The polish stops once a step gives back the pair it started from;
-    the result is still that of the five midpoint steps written out, on
-    each leave-one-out lens of the disks and of balls3 and its body.  Some
-    disk step does repeat its pair."""
-    repeats = 0
-    for family in (disks_family, balls_family):
-        for j in range(family.n + 1):
-            lens, body = family.leave_one_out(j), family.bodies[j]
-            res = min_distance(lens, body, start=family.witnesses[j])
-            with monkeypatch.context() as m:
-                m.setattr("hollowkit.solvers.POLISH_STEPS", 0)
-                raw = min_distance(lens, body, start=family.witnesses[j])
-            a, b = raw.point_a, raw.point_b
-            for _ in range(5):
-                mid = 0.5 * (a + b)
-                step = lens.project(mid), body.project(mid)
-                repeats += np.array_equal(step[0], a) and np.array_equal(step[1], b)
-                a, b = step
-            assert np.array_equal(res.point_a, a) and np.array_equal(res.point_b, b)
-            assert res.distance == float(np.linalg.norm(a - b))
-    assert repeats > 0
+    assert res.distance == pytest.approx(1e-3, abs=1e-15)
+    assert np.abs(res.point_a - [1.0, 0.0]).max() <= 1e-12
+    assert res.iterations <= CUT_MAX_PASSES
 
 
 def test_critical_verdict_survives_a_far_translation():
-    """Far from the origin a distance changes by rounding only, and the
-    alternating projections still stop."""
+    """Far from the origin the fixed-point residual of min_distance is
+    rounding only, and its stop rule scales with |b|_inf, so it stops."""
     side = 1.9
     centers = np.array([[0.0, 0.0], [side, 0.0],
                         [side / 2.0, side * np.sqrt(3.0) / 2.0]])

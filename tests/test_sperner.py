@@ -241,6 +241,18 @@ def test_klee_solve_degenerate_witnesses_fall_back(squares_union):
         assert b.membership(x, 1e-6)
 
 
+@pytest.mark.parametrize("height", [5e-9, 5e-11])
+def test_klee_solve_falls_back_on_the_simplex_gate(height, caplog):
+    """Witnesses too flat for Simplex's DEGENERACY_RTOL take the scan
+    fallback, whether or not affine_hull's finer rank cutoff sees them as
+    flat."""
+    disks = [Ball([0.5, 0.0], r) for r in (1.0, 2.0, 3.0)]
+    with caplog.at_level(logging.INFO, logger="hollowkit.sperner"):
+        x = klee_solve(disks, [[0.0, 0.0], [1.0, 0.0], [0.5, height]])
+    assert np.array_equal(x, [0.5, 0.0])
+    assert "degenerate witnesses" in caplog.text
+
+
 def test_klee_solve_degenerate_and_empty_raises():
     bodies = [HPolytope.box([0.0], [1.0]), HPolytope.box([2.0], [3.0])]
     with pytest.raises(KleeSolveError):
