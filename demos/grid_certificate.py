@@ -2,8 +2,9 @@
 
 The three sides of a triangle, thickened into thin rectangles, leave the
 triangle's interior uncovered: a bounded component of the complement.
-A membership grid over the witness box finds that component, measures
-it, and lets us check the enclosure from several independent angles.
+A membership grid over the witness box finds it as the uncovered cells
+inside the witness simplex, measures it, and lets us check the enclosure
+from several independent angles.
 """
 import numpy as np
 
@@ -34,7 +35,10 @@ hs = hollow_simplex(family)
 h = 0.02
 cert = certify_hollow(family, resolution=h)
 print(f"grid {cert.grid.shape} at h = {cert.resolution}")
-print("bounded components:", cert.component_count)
+# the witness simplex cages the hollow: each facet lies in the body whose
+# witness it leaves out, and a critical family leaves exactly one bounded
+# complement component, so the uncovered cells inside it are the hollow
+print("bounded components (always 1):", cert.component_count)
 print("cells in the hollow:", cert.cell_count)
 print("measure estimate:", cert.measure)
 # the uncovered interior is the triangle shrunk by the half width, so the

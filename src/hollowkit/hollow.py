@@ -1,38 +1,37 @@
-"""Grid certification of the bounded complement component.
+"""Grid certification of the hollow.
 
 A critical family with as many overlap conditions as dimensions traps a
-bounded piece of the complement of its union.  This module rasterizes the
-union on a cell grid around the witness simplex, labels the uncovered
-cells by face adjacency, and certifies the largest bounded component: its
-measure, its convex hull, and which bodies form its boundary.  It also
-checks, without a grid, whether a given pair of affine flats stabs a
-family the way the construction predicts: witness j lies in every body
-but j, so the facet of the witness simplex opposite witness j lies in
-body j, and an uncovered crossing point inside that simplex sits in a
-bounded component of the complement on the first flat.
+bounded piece of the complement of its union, the hollow.  The union has
+the homotopy type of S^{d-1} (nerve theorem), so by Alexander duality the
+hollow is the one bounded complement component.  The witness simplex
+cages it: witness j lies in every body but j, so the facet opposite it
+lies in body j and the hollow is the uncovered part of the simplex.  This
+module certifies the hollow's cells on a grid (uncovered centers, all
+barycentrics positive): their measure, hull and bounding bodies.  It also
+checks, without a grid, whether a pair of affine flats stabs a family:
+by the same cage, an uncovered crossing point inside the witness simplex
+on the first flat is enclosed there.
 
 The grid keeps one mask, ``covered``: a cell is covered when its center
 passes some body's ``contains_batch`` at ``tol = 0``.  The mask is filled,
-and the sizes of the uncovered components are counted, in slabs along
-axis 0 of at most ``SLAB_CELLS`` cells, so no float or 64-bit array spans
-the grid (a 128-cell 3-D grid has 2.1M cells, 16.8M at the retry's half
-cell size); what does is byte masks and the int32 labels of
-``ndimage.label``, about 6 bytes a cell at the peak.  A body's slab mask
-is read from the per-axis coordinates of the slab's centers.  A ball adds
-the squared offsets along each axis as arrays that broadcast over the
-slab, left to right, which is the same arithmetic as its
+and the hollow's cells are read from it, in slabs along axis 0 of at most
+``SLAB_CELLS`` cells, so no array wider than the byte mask spans the grid
+(a 128-cell 3-D grid has 2.1M cells, 16.8M at the retry's half cell size).
+A body's slab mask is read from the per-axis coordinates of its centers.
+A ball adds the squared offsets along each axis as arrays that broadcast
+over the slab, left to right, which is the same arithmetic as its
 ``contains_batch`` on a point; an intersection ANDs its members' masks,
 since at ``tol = 0`` its boundary band is empty.  So both masks are exact.
 A polytope lifts the slab's centers to a point list: its row slacks come
 from a BLAS product, whose sums agree with per-axis sums in only 70-85% of
 slacks on random points in 2-D and 3-D, so a broadcast form would change
-which cells it holds.  Slabs change no bit: a center's coordinates are
-the same numbers in whichever slab it falls, and each cell's test reads
-only its own center (a polytope slack is one point row times one body
-row, d products summed whatever the number of rows; the tests compare
-slabbed and whole-grid masks bit for bit).  Which body covers a cell is
-not stored: :func:`boundary_attribution` applies the same
-``contains_batch`` rule to the few cells it asks about.
+which cells it holds.  Slabs change no bit: a center's coordinates are the
+same numbers in whichever slab it falls, and each cell's test reads only
+its own center (a polytope slack is one point row times one body row, d
+products summed whatever the number of rows; the tests compare slabbed and
+whole-grid masks bit for bit).  Which body covers a cell is not stored:
+:func:`boundary_attribution` applies the same ``contains_batch`` rule to
+the few cells it asks about.
 """
 from __future__ import annotations
 
@@ -41,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import HPolytope, VPolytope, check_tol
@@ -53,6 +51,8 @@ from .solvers import min_distance
 logger = logging.getLogger(__name__)
 
 MIN_CELLS_PER_AXIS = 20
+# Most cells a grid may hold, above the 16.8M of the 3-D retry.
+MAX_GRID_CELLS = 2 ** 25
 BOX_EXPAND = 1.1
 # Most cells one slab of the grid holds; a slab is at least one layer.
 SLAB_CELLS = 2 ** 15
@@ -63,8 +63,9 @@ class Grid:
     """Axis-aligned cell grid and the mask of the union of ``bodies``.
 
     ``covered[idx]`` is true when the cell center lies in at least one of
-    ``bodies``, by its ``contains_batch`` at ``tol = 0``.  No per-body mask
-    is kept; ask a body about a cell by that rule on :meth:`centers`.
+    ``bodies``, by its ``contains_batch`` at ``tol = 0``.  This byte mask is
+    all the grid stores; ask a body about a cell by that rule on
+    :meth:`centers`.
     """
 
     lo: np.ndarray
@@ -108,6 +109,10 @@ def _build_grid(bodies, lo, counts, resolution):
         raise GridResolutionError(
             f"resolution {resolution:g} gives only {int(counts.min())} cells "
             f"on the narrowest axis; at least {MIN_CELLS_PER_AXIS} required")
+    if counts.prod() > MAX_GRID_CELLS:
+        raise GridResolutionError(
+            f"resolution {resolution:g} gives {counts.prod():.0f} cells; "
+            f"at most {MAX_GRID_CELLS} allowed")
     shape = tuple(int(c) for c in counts)
     axes = [lo[i] + (np.arange(shape[i]) + 0.5) * resolution
             for i in range(lo.size)]
@@ -119,45 +124,26 @@ def _build_grid(bodies, lo, counts, resolution):
     return Grid(lo, float(resolution), shape, covered, tuple(bodies))
 
 
-def _uncovered_components(grid):
-    """Face-adjacency labels of the uncovered cells, their count, and the
-    border labels.
-
-    Label 0 marks covered cells and the others run from 1 to the count;
-    the returned set holds every label that reaches a face of the grid box,
-    i.e. the unbounded components.
-    """
-    d = len(grid.shape)
-    labels, count = ndimage.label(
-        ~grid.covered, structure=ndimage.generate_binary_structure(d, 1))
-    border = set()
-    for axis in range(d):
-        for face in (0, -1):
-            sl = [slice(None)] * d
-            sl[axis] = face
-            border.update(np.unique(labels[tuple(sl)]).tolist())
-    border.discard(0)
-    return labels, count, border
-
-
 @dataclass
 class HollowCertificate:
-    """One bounded uncovered component, certified on a grid.
+    """The hollow's cells on a grid.
 
-    ``cells`` are multi-indices into the grid, ``measure`` is the covered
-    volume estimate (cell count times cell volume), ``hull_vertices`` the
-    convex hull of the cell centers.  ``component_count`` reports how many
-    bounded components the grid found in total; the certificate describes
-    the largest.
+    ``cells`` are the multi-indices, in C order, of the grid cells whose
+    centers are uncovered and strictly inside the witness simplex,
+    ``measure`` is their count times the cell volume, ``hull_vertices``
+    the convex hull of their centers.  The hollow is the one bounded
+    complement component (see the module docstring), so
+    ``component_count`` is 1 and ``bounded`` is true.
     """
 
     grid: Grid
     cells: np.ndarray = field(repr=False)
     measure: float
     hull_vertices: np.ndarray
-    bounded: bool
-    component_count: int
     resolution: float
+
+    component_count = property(lambda self: 1)
+    bounded = property(lambda self: True)
 
     @property
     def cell_count(self):
@@ -178,15 +164,16 @@ def _component_hull(centers):
 
 
 def certify_hollow(family, resolution=None):
-    """Locate and certify the bounded complement component of a family.
+    """Certify the hollow of a family on a grid.
 
     The grid box is the witness bounding box scaled by ``BOX_EXPAND`` about
     its center; ``resolution`` is its cell size, by default 1/128 of the
-    box's widest side.  Cell centers are classified by body membership,
-    uncovered cells are labeled by face adjacency, and components touching
-    the grid border are discarded as unbounded.  If no bounded component
-    shows up the grid is retried once at half the cell size; each grid that
-    finds none is logged at INFO.
+    box's widest side.  The hollow's cells are the uncovered cells whose
+    centers lie strictly inside the witness simplex, by
+    :meth:`Simplex.barycentrics`; the module docstring says why they are
+    exactly the bounded complement component.  If there are none the grid
+    is retried once at half the cell size; each grid that finds none is
+    logged at INFO.
 
     Raises
     ------
@@ -197,9 +184,11 @@ def certify_hollow(family, resolution=None):
         If the family does not live in dimension 2 or 3.
     GridResolutionError
         If the resolution is not a positive finite number, or gives fewer
-        than 20 cells per axis.
+        than 20 cells per axis or more than ``MAX_GRID_CELLS`` cells.
+    DegenerateSimplexError
+        If the witnesses are numerically affinely dependent.
     HollowNotFoundError
-        If no bounded component exists even after the retry.
+        If no hollow cell shows up even after the retry.
     """
     if family.n != family.d:
         raise NoHollowError(
@@ -214,44 +203,42 @@ def certify_hollow(family, resolution=None):
     if resolution is None:
         resolution = BOX_EXPAND * float((hi0 - lo0).max()) / 128.0
     resolution = check_resolution(resolution)
+    cage = Simplex(W)
     center = 0.5 * (lo0 + hi0)
     half = 0.5 * BOX_EXPAND * (hi0 - lo0)
     lo, hi = center - half, center + half
     for resolution in (resolution, resolution / 2.0):
         counts = np.ceil((hi - lo) / resolution - 1e-12)
         grid = _build_grid(family.bodies, lo, counts, resolution)
-        labels, count, unbounded = _uncovered_components(grid)
-        sizes = np.zeros(count + 1, dtype=np.intp)
+        cells = [np.empty((0, d), dtype=np.intp)]
         for rows in _slabs(grid.shape):
-            sizes += np.bincount(labels[rows].ravel(), minlength=count + 1)
-        bounded = [(int(sizes[l]), l) for l in range(1, count + 1)
-                   if l not in unbounded]
-        if bounded:
+            free = np.argwhere(~grid.covered[rows])
+            if free.size:
+                free[:, 0] += rows.start
+                bary = cage.barycentrics(grid.centers(free))
+                cells.append(free[bary.min(axis=1) > 0.0])
+        cells = np.concatenate(cells)
+        if cells.size:
             break
         logger.info("no bounded component at resolution %g", resolution)
     else:
         raise HollowNotFoundError(
             f"no bounded uncovered component at resolution {resolution:g} "
             "or its refinement")
-    _, lab = max(bounded)
-    cells = np.argwhere(labels == lab)
-    centers = grid.centers(cells)
     return HollowCertificate(
         grid=grid,
         cells=cells,
         measure=float(cells.shape[0]) * resolution ** d,
-        hull_vertices=_component_hull(centers),
-        bounded=True,
-        component_count=len(bounded),
+        hull_vertices=_component_hull(grid.centers(cells)),
         resolution=grid.resolution,
     )
 
 
 @dataclass
 class BoundaryAttribution:
-    """Which bodies close off the component, cell by cell.
+    """Which bodies close off the hollow, cell by cell.
 
-    ``cells`` are the component cells with at least one covered face
+    ``cells`` are the hollow's cells with at least one covered face
     neighbor; ``bodies_by_cell[k]`` lists the bodies covering those
     neighbors.  ``complete`` is true when every family member shows up
     somewhere on the boundary.
@@ -265,9 +252,9 @@ class BoundaryAttribution:
 
 
 def boundary_attribution(certificate):
-    """Attribute each boundary cell of the component to covering bodies.
+    """Attribute each boundary cell of the hollow to covering bodies.
 
-    Each covered face neighbour of a component cell is asked of every body
+    Each covered face neighbour of a certified cell is asked of every body
     by the grid's rule, ``contains_batch`` at ``tol = 0`` on its center.
     The attribution is complete when every body of the grid shows up.
     """
@@ -312,9 +299,9 @@ def nearest_boundary_distance(attribution, points):
 
 
 def enclosure_check(certificate, n_points=100, n_dirs=64, seed=0):
-    """Ray test: every sampled escape from the component crosses the union.
+    """Ray test: every sampled escape from the hollow crosses the union.
 
-    From sampled component cell centers, rays in random directions are
+    From sampled hollow cell centers, rays in random directions are
     marched in half-cell steps; each must hit a covered cell before leaving
     the grid box.  Returns the fraction of rays that did.
     """
@@ -346,7 +333,7 @@ def enclosure_check(certificate, n_points=100, n_dirs=64, seed=0):
 
 
 def simplex_containment(certificate, simplex):
-    """Worst distance from a component cell center to the simplex.
+    """Worst distance from a hollow cell center to the simplex.
 
     Zero when every center lies inside; a sound certificate stays within
     one cell diagonal of zero.

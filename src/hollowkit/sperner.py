@@ -49,6 +49,9 @@ MAX_CELLS = 10_000_000
 # Largest common denominator of exact barycentrics: float64 holds every
 # integer up to it, and int64 cannot overflow below it.
 MAX_DENOMINATOR = 2 ** 53
+# Most hull samples per subset of a cover check: at 12 points the Sobol
+# weights then take 13 MB.
+MAX_SAMPLES = 2 ** 16
 
 
 class _ExactComplex:
@@ -493,8 +496,12 @@ class KkmReport:
 
 
 def check_samples(samples):
-    """``samples`` as an int; :class:`ValueError` unless it is a positive integer."""
-    return check_count(samples, "samples", least=1)
+    """``samples`` as an int; :class:`ValueError` unless it is a positive
+    integer of at most ``MAX_SAMPLES``."""
+    n = check_count(samples, "samples", least=1)
+    if n > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    return n
 
 
 @lru_cache(maxsize=32)

@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from scipy import ndimage
 from scipy.optimize import linprog
 
 from hollowkit import Ball, HPolytope, VPolytope
@@ -228,3 +229,17 @@ def whole_mask_attribution(certificate):
                                        if mask[tuple(nbr)])
     keep = [r for r, bodies in enumerate(per_cell) if bodies]
     return cells[keep], tuple(tuple(sorted(per_cell[r])) for r in keep)
+
+
+def bounded_component_cells(grid):
+    """Cells, in C order, of every uncovered component of a grid that
+    reaches no face of the grid box, labeled by face adjacency with
+    ``scipy.ndimage``: the reference for the cage cells of
+    ``hollow.certify_hollow``."""
+    d = len(grid.shape)
+    labels, _ = ndimage.label(
+        ~grid.covered, structure=ndimage.generate_binary_structure(d, 1))
+    border = {0}
+    for axis in range(d):
+        border.update(np.unique(np.take(labels, [0, -1], axis=axis)).tolist())
+    return np.argwhere(~np.isin(labels, sorted(border)))

@@ -17,8 +17,10 @@ from hollowkit import (AffineSubspace, Ball, HPolytope, IntersectionBody,
                        body_from_json, body_to_json, dumps, parse_scene,
                        render_svg, serialize_scene)
 from hollowkit.cli import main
+from hollowkit.hollow import MAX_GRID_CELLS
 from hollowkit.render import _body_elements, _Frame, _hull_ring, _polygon
 from hollowkit.scenes import OPTIONS
+from hollowkit.sperner import MAX_SAMPLES
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -566,6 +568,19 @@ def test_bad_resolution_option_is_a_one_line_error(command, scene, value,
                       f"got {float(value):g}"]
 
 
+@pytest.mark.parametrize("command,scene", GRID_COMMANDS)
+def test_grid_over_budget_is_a_structured_error(command, scene, tmp_path,
+                                                capsys):
+    """A cell size whose grid would hold about 9.5e9 cells is refused with
+    the count and the budget, not a failed allocation."""
+    assert main([command, scene_path(scene), "--out", str(tmp_path),
+                 "--resolution", "1e-5"]) == 1
+    err = capsys.readouterr().err
+    assert ("error: resolution 1e-05 gives 9457340500 cells; at most "
+            f"{MAX_GRID_CELLS} allowed") in err
+    assert not os.listdir(tmp_path)
+
+
 def test_stab_verify_has_no_resolution_flag(tmp_path, capsys):
     """The stabbing check uses no grid, so the flag is unknown to it.  The
     error names the flag alone, also when its value was taken for the
@@ -638,6 +653,18 @@ def test_bad_samples_option_is_a_one_line_error(value, tmp_path, capsys):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert errors == ["hollowkit kkm: error: argument --samples: samples "
                       f"must be a positive integer, got {value}"]
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_samples_over_budget_is_a_one_line_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["kkm", scene_path("goodkkm.json"), "--out", str(tmp_path),
+              "--samples", "300000000"])
+    assert info.value.code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == ["hollowkit kkm: error: argument --samples: samples "
+                      f"must be at most {MAX_SAMPLES}, got 300000000"]
     assert not (tmp_path / "result.json").exists()
 
 
@@ -735,6 +762,16 @@ def test_timings_go_to_stderr_only(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[time]" in captured.err
     assert "[time]" not in captured.out
+
+
+def test_cli_import_leaves_out_grid_labeling():
+    """The hollow's cells come from the witness simplex, so importing the
+    CLI loads no ``scipy.ndimage``."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hollowkit.cli; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_module_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 """Grid certification of hollows and stabbing-pair verification."""
+import itertools
 import logging
 import math
 import os
@@ -7,18 +8,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hollowkit import (AffineSubspace, Ball, GridResolutionError, HPolytope,
-                       HollowNotFoundError, IntersectionBody, NoHollowError,
+from hollowkit import (AffineSubspace, Ball, CriticalFamily,
+                       GridResolutionError, HPolytope, HollowNotFoundError,
+                       IntersectionBody, NoHollowError,
                        StabbingPair, VPolytope, boundary_attribution,
                        certify_hollow, check_critical, enclosure_check,
                        hausdorff_convex, hollow_simplex, hull_vs_simplex,
                        nearest_boundary_distance, perimeter_estimate,
                        simplex_containment, verify_stabbing)
 from hollowkit import hollow
-from hollowkit.hollow import BOX_EXPAND, _build_grid, _slabs
+from hollowkit.hollow import BOX_EXPAND, MAX_GRID_CELLS, _build_grid, _slabs
 from hollowkit.scenes import load_scene
 from conftest import disk_centers
-from helpers import whole_grid_cover, whole_mask_attribution
+from helpers import (bounded_component_cells, whole_grid_cover,
+                     whole_mask_attribution)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -158,12 +161,15 @@ def test_slabbed_cover_is_the_whole_grid_cover(shape, monkeypatch):
             assert np.array_equal(grid.covered, reference)
 
 
+def scene_family(scene):
+    return check_critical(list(load_scene(os.path.join(DATA, scene)).bodies))
+
+
 @pytest.mark.parametrize("scene", ["disks.json", "vpoly.json", "balls3.json"])
 def test_boundary_attribution_matches_whole_grid_masks(scene):
     """The attribution asks each body about the covered neighbours only,
     and finds what one whole-grid mask per body gives."""
-    family = check_critical(list(load_scene(os.path.join(DATA, scene)).bodies))
-    cert = certify_hollow(family)
+    cert = certify_hollow(scene_family(scene))
     attr = boundary_attribution(cert)
     cells, by_cell = whole_mask_attribution(cert)
     assert cells.shape[0] > 0
@@ -173,18 +179,78 @@ def test_boundary_attribution_matches_whole_grid_masks(scene):
 
 
 def test_certify_hollow_memory_is_a_few_bytes_per_cell():
-    """The traced peak of certifying the 3-D balls scene stays within 8
-    bytes per grid cell: the mask, the labels and no full-grid temporary
-    wider than a byte."""
-    family = check_critical(
-        list(load_scene(os.path.join(DATA, "balls3.json")).bodies))
+    """The traced peak of certifying the 3-D balls scene stays within 2
+    bytes per grid cell: the mask and no full-grid temporary wider than a
+    byte."""
+    family = scene_family("balls3.json")
     tracemalloc.start()
     try:
         cert = certify_hollow(family)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * math.prod(cert.grid.shape)
+    assert peak <= 2 * math.prod(cert.grid.shape)
+
+
+@pytest.fixture(scope="module",
+                params=["disks.json", "vpoly.json", "balls3.json", "rects"])
+def certified(request, rects_family):
+    """A critical family and its certificate at the default resolution."""
+    family = (rects_family if request.param == "rects"
+              else scene_family(request.param))
+    return family, certify_hollow(family)
+
+
+def test_cage_cells_are_every_bounded_grid_component(certified):
+    """The uncovered cells inside the witness simplex are exactly the cells
+    of all the uncovered components that face adjacency keeps off the grid
+    box's faces, not only the largest."""
+    _, cert = certified
+    assert cert.cell_count > 0
+    assert cert.component_count == 1 and cert.bounded
+    assert np.array_equal(cert.cells, bounded_component_cells(cert.grid))
+
+
+def test_every_cell_rechecks_from_the_oracles(certified):
+    """Each reported center misses every body at ``tol = 0`` and, solved on
+    its own, has all barycentric coordinates positive in the witness
+    simplex."""
+    family, cert = certified
+    centers = cert.centers
+    for body in family.bodies:
+        assert not body.contains_batch(centers, tol=0.0).any()
+    W = family.witnesses
+    system = np.vstack([W.T, np.ones(W.shape[0])])
+    for c in centers:
+        assert np.linalg.solve(system, np.append(c, 1.0)).min() > 0.0
+
+
+@pytest.mark.parametrize("scene", ["disks.json", "balls3.json"])
+def test_cells_do_not_depend_on_the_body_order(scene):
+    """Bodies and witnesses permuted together, in every order, give the
+    same cells; the certificate is passed along unread."""
+    family = scene_family(scene)
+    cells = certify_hollow(family).cells
+    for perm in itertools.permutations(range(len(family.bodies))):
+        permuted = CriticalFamily([family.bodies[i] for i in perm],
+                                  family.witnesses[list(perm)],
+                                  family.certificate, family.tol)
+        assert np.array_equal(certify_hollow(permuted).cells, cells)
+
+
+def test_grid_budget_is_refused_before_allocating(disks_family):
+    """A cell size that would give more than ``MAX_GRID_CELLS`` cells (here
+    about 9.5e9, 8.8 GiB of mask) is refused with the count and the budget,
+    before any grid array is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridResolutionError,
+                           match=f"cells; at most {MAX_GRID_CELLS} allowed"):
+            certify_hollow(disks_family, 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_no_hollow_when_conditions_below_dimension():

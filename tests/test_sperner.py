@@ -2,6 +2,7 @@
 import logging
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,22 @@ def test_kkm_verify_refuses_bad_sample_counts(samples):
     instance = KkmInstance([[0.0], [1.0]], (HPolytope.box([0.0], [1.0]),) * 2)
     with pytest.raises(ValueError, match="samples must be a positive integer"):
         kkm_verify(instance, samples=samples)
+
+
+def test_kkm_verify_refuses_sample_counts_above_the_budget():
+    """3e8 samples would draw 2**29 Sobol rows (8 GiB); the count is
+    refused before any is drawn, and the budget itself is accepted."""
+    instance = KkmInstance([[0.0], [1.0]], (HPolytope.box([0.0], [1.0]),) * 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"samples must be at most "
+                                             f"{sperner.MAX_SAMPLES}, got 300000000"):
+            kkm_verify(instance, samples=300000000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert sperner.check_samples(sperner.MAX_SAMPLES) == sperner.MAX_SAMPLES
 
 
 def test_sobol_weights_are_drawn_once_per_size_and_count():
