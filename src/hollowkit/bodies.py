@@ -14,16 +14,22 @@ Each body kind has one contains rule, its ``contains_batch``; the scalar
 ``membership`` is that rule on one point, so the two cannot disagree at
 the boundary (the weak-membership oracle of Grötschel, Lovász & Schrijver,
 *Geometric Algorithms and Combinatorial Optimization*, 1988).
-Projection onto an H-polytope is exact: one least-distance program solved
-by a single nonnegative least-squares call (Lawson & Hanson, ch. 23); a
-V-polytope projects by one NNLS over its generators' weights, exact on
-thin hulls too.
+Projection onto an H-polytope is exact: one least-distance program,
+min |x - p| s.t. A x <= b, solved by :class:`_LeastDistance`, Goldfarb &
+Idnani's dual active-set method (Math. Programming 27, 1983) with the
+active rows kept orthogonally factored; rows that share no point are
+decided by a contradicting combination of them, not by a residual's sign.
+A V-polytope projects through the least-distance dual over its
+generators (Lawson & Hanson, ch. 23), whose active rows are the face,
+exact on thin hulls too.  The solver is numpy and Python alone: scipy is
+imported only where Quickhull builds a V-polytope's facets.
 Families run on one cutting-plane engine (Kelley, J. SIAM 1960): the
 members' projections supply cuts.  :func:`project_intersection` projects
-onto the cuts by the same least-distance solve until the iterate lies in
-every member; :func:`feasibility_scan` decides emptiness by an LP lower
-bound over the cuts, solved by a dense-tableau primal simplex under
-Bland's rule (Math. Oper. Res. 1977).  Every cut holds its body, so a cut
+onto the cuts by the same least-distance solver, resumed pass after pass
+as cuts join, until the iterate lies in every member;
+:func:`feasibility_scan` decides emptiness by an LP lower bound over the
+cuts, solved by a dense-tableau primal simplex under Bland's rule
+(Math. Oper. Res. 1977).  Every cut holds its body, so a cut
 stays valid for any later query: an :class:`IntersectionBody` keeps a
 pool of the cuts that were tight at its last projection and starts the
 next one from them, so that a run of nearby queries, as in alternating
@@ -37,10 +43,9 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.spatial import ConvexHull
 
 from .errors import (
     ConvergenceError,
@@ -67,6 +72,14 @@ DYKSTRA_MAX_ROUNDS = 100000
 # stops once it misses none; every loop gets CUT_MAX_PASSES passes.
 CUT_RTOL = 1e-13
 CUT_MAX_PASSES = 500
+
+# Least distance over unit rows: a solve ends when no row is violated by
+# more than _LDP_RTOL * (1 + |x|_inf), a few rounding units of a slack at
+# x; a violated row whose part off the active rows' span has norm at most
+# _SPAN_RTOL counts as in that span, about a hundred times the
+# Gram-Schmidt rounding floor.
+_LDP_RTOL = 4e-15
+_SPAN_RTOL = 1e-13
 
 # The cut LP's simplex treats tableau entries up to this as zero when it
 # picks the entering column and the rows of the ratio test; its rows are
@@ -170,13 +183,17 @@ def _pooled_projection(bodies, p, pool):
     the pool's nearest point to p lies within stop of every member, but on
     a smooth arc that bounds its distance from the answer only by about
     sqrt(2 stop dist(p)), while the fresh cut at P_i(p) makes the answer
-    exact.  A cut is tight when its slack at the answer is at most stop.
-    Raises :class:`ProjectionError`, carrying the last iterate, when
-    ``CUT_MAX_PASSES`` passes run out.
+    exact.  The solves of one call share a :class:`_LeastDistance`, each
+    resuming from the last.  A cut is tight when its slack at the answer is
+    at most stop.  Raises :class:`ProjectionError`, carrying the last
+    iterate and its residual, when ``CUT_MAX_PASSES`` passes run out or the
+    cuts share no point: cuts hold their bodies, so only rounding in cuts
+    taken near a single shared point (tangent bodies) makes them disagree.
     """
     p = as_point(p, bodies[0].dim)
     stop = CUT_RTOL * (1.0 + float(np.abs(p).max()))
     normals, offsets = list(pool[0]), list(pool[1])
+    solver = _LeastDistance(p)
     x = p
     for _ in range(CUT_MAX_PASSES):
         residual = float(_cut_pass(bodies, x, stop, normals, offsets).max())
@@ -185,7 +202,14 @@ def _pooled_projection(bodies, p, pool):
             h = np.array(offsets)
             tight = h - A @ x <= stop
             return x.copy(), (A[tight], h[tight])
-        x = _least_distance(np.array(normals), np.array(offsets), p)
+        try:
+            x = solver.solve(np.array(normals), np.array(offsets))
+        except ProjectionError as exc:
+            # cuts of bodies that share a point, inconsistent by rounding:
+            # near a single shared point the loop can go no further
+            raise ProjectionError(
+                f"intersection projection stalled: {exc} (residual "
+                f"{residual:.3e})", last_iterate=x, residual=residual) from exc
     raise ProjectionError(
         f"intersection projection undecided after {CUT_MAX_PASSES} "
         f"passes (residual {residual:.3e})",
@@ -228,6 +252,7 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
     # <= tol / 10, so an undecided pass (gap >= tol / 10) cuts its farthest body
     stop = min(CUT_RTOL * (1.0 + float(np.abs(p).max())), tol / 10.0)
     normals, offsets = [], []
+    solver = _LeastDistance(p)
     x = p
     for passes in range(1, CUT_MAX_PASSES + 1):
         dists = _cut_pass(bodies, x, stop, normals, offsets)
@@ -238,7 +263,7 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
             return "witness", x, gap, dists, passes
         A, h = np.array(normals), np.array(offsets)
         try:
-            y = _least_distance(A, h, p)
+            y = solver.solve(A, h)
         except ProjectionError:
             y = x  # the cuts share no point; x misses its own by the gap
         if (A @ y - h).max() < tol / 10.0:
@@ -338,27 +363,203 @@ def support_centroid(bodies):
 
 
 def _least_distance(A, b, p):
-    """Nearest point to ``p`` of the nonempty polyhedron {x : A x <= b}.
+    """Nearest point to ``p`` of the nonempty polyhedron {x : A x <= b} of
+    unit rows, by one :class:`_LeastDistance` solve.  A feasible ``p``
+    comes back as a copy; rows that share no point, or a NaN or infinity
+    among the rows or in ``p``, raise :class:`ProjectionError`."""
+    return _LeastDistance(p).solve(A, b)
 
-    A feasible ``p`` comes back as a copy.  Otherwise the least-distance
-    program for y = x - p, min |y| s.t. -A y >= s with s = A p - b
-    (Lawson & Hanson, ch. 23), is solved through its dual: one NNLS on
-    E = [-A^T; s^T / sigma], f = e_{d+1}, where sigma = max s.  Dividing
-    by sigma makes the solve independent of how far p lies outside.  With
-    r = E u - f, r[d] = -|r|^2 is nonzero when the polyhedron is nonempty;
-    r = 0 raises :class:`ProjectionError`, carrying ``p``.
+
+class _LeastDistance:
+    """Nearest points to one point p of a system of unit rows
+    {x : A x <= b} that grows between solves: Goldfarb & Idnani's dual
+    active-set method (Math. Programming 27, 1983) for min |x - p|^2 / 2.
+
+    From x = p, a violated row is added to the active set: x moves along
+    z, the part of its normal a off the active rows' span, while the
+    active multipliers u move along -r, the coefficients of a over the
+    active rows.  The step ends where the row is met, and it joins the
+    set, or where a multiplier reaches 0, and that row leaves first.  So
+    every iterate is the nearest point to p of the rows active at it, with
+    u >= 0, and a solve ends when no row is violated by more than
+    ``_LDP_RTOL * (1 + |x|_inf)``.  The active normals are kept as Q^T R,
+    Q's rows orthonormal and R triangular: a row joins by Gram-Schmidt,
+    with a second pass when the first leaves less than half of |a|^2
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976), and leaves by
+    Givens rotations, so no k x k normal equations square the conditioning.
+
+    A violated row with |z| at most ``_SPAN_RTOL`` (z is 0 once d rows
+    are active) and r <= 0 is, to that relative precision, a nonpositive
+    combination of active rows that it contradicts: a Farkas certificate
+    that the rows share no point, if it is violated by more than the
+    rounding of the active slacks that the combination adds up, the stop
+    tolerance times 1 + sum |r|.  Within that margin the row holds, to
+    rounding, wherever the active rows do (more than d rows through one
+    vertex), and the solve sets it aside.  A certificate raises
+    :class:`ProjectionError`, carrying p, and so do a NaN or infinity in
+    p, in a row or among the slacks at p, and a spent budget of 10 (m + d)
+    steps for m rows in R^d.  A solver that raised stays spent.
+
+    Rows only ever join: each solve passes the rows of the last one first,
+    unchanged.  The last answer is still optimal for them, so the next
+    solve starts there and checks only the new rows; a cut loop, whose p
+    stays fixed while cuts are appended, resumes each pass from the last.
     """
-    slacks = A @ p - b
-    sigma = float(slacks.max())
-    if sigma <= 0.0:
-        return p.copy()
-    E = np.vstack([-A.T, slacks / sigma])
-    f = np.eye(p.shape[0] + 1)[-1]
-    u, _ = nnls(E, f)
-    r = E @ u - f
-    if r[-1] >= 0.0:
-        raise ProjectionError("the rows share no point", last_iterate=p)
-    return p - (sigma / r[-1]) * r[:-1]
+
+    __slots__ = ("_p", "_x", "_rows", "_active", "_u", "_Q", "_R", "_spent")
+
+    def __init__(self, p):
+        self._p = p
+        self._x = p.tolist()
+        self._rows = 0
+        self._active = []   # row indices, in the order of Q's rows
+        self._u = []        # their multipliers
+        self._Q = []        # orthonormal rows spanning the active normals
+        self._R = []        # upper triangular rows: normals = Q^T R
+        self._spent = None
+
+    @property
+    def face(self):
+        """Ascending indices of the active rows with positive multipliers."""
+        return sorted(k for k, uk in zip(self._active, self._u) if uk > 0.0)
+
+    def _fail(self, message):
+        self._spent = message
+        raise ProjectionError(message, last_iterate=self._p)
+
+    def solve(self, A, b):
+        """Nearest point to p of {x : A x <= b}; the first rows must be
+        those of the last solve."""
+        if self._spent is not None:
+            raise ProjectionError(self._spent, last_iterate=self._p)
+        m, d = A.shape
+        first, self._rows = self._rows, m
+        xl = self._x
+        if first:
+            # the last answer meets the old rows: check the new ones there
+            rows = range(first, m)
+        else:
+            # every row at p, once; a resumed solve checks each new row as
+            # it reads it
+            if not math.isfinite(sum(xl)):
+                self._fail("least-distance rows or point not finite")
+            slack = A.dot(self._p)
+            slack -= b
+            if not math.isfinite(slack.sum()):
+                self._fail("least-distance rows or point not finite")
+            k = int(slack.argmax())
+            if slack.item(k) <= 0.0:
+                return self._p.copy()
+            rows = (k,)
+        active, u, Q, R = self._active, self._u, self._Q, self._R
+        aside = []  # rows set aside: the active ones hold them, to rounding
+        steps = 10 * (m + d)
+        # after every move, the most violated row of all
+        while True:
+            tol = _LDP_RTOL * (1.0 + max(map(abs, xl)))
+            moved = False
+            for k in rows:
+                a = A[k].tolist()
+                viol = sum(map(mul, a, xl)) - b.item(k)
+                if not math.isfinite(viol):
+                    self._fail("least-distance rows or point not finite")
+                if viol <= tol or k in active or k in aside:
+                    continue
+                uk = 0.0
+                c = [sum(map(mul, row, a)) for row in Q]
+                if len(Q) == d:
+                    z, zz = None, 0.0
+                else:
+                    z = a
+                    for ci, row in zip(c, Q):
+                        z = [zj - ci * qj for zj, qj in zip(z, row)]
+                    zz = sum(map(mul, z, z))
+                    if Q and zz < 0.5:
+                        for i, row in enumerate(Q):
+                            ci = sum(map(mul, row, z))
+                            c[i] += ci
+                            z = [zj - ci * qj for zj, qj in zip(z, row)]
+                        zz = sum(map(mul, z, z))
+                while True:
+                    steps -= 1
+                    if steps < 0:
+                        self._fail(f"least-distance solve undecided after "
+                                   f"{10 * (m + d)} steps")
+                    # r = R^-1 c; the step that zeroes the first multiplier
+                    q = len(c)
+                    r = c[:]
+                    t, leave = math.inf, -1
+                    for i in range(q - 1, -1, -1):
+                        Ri = R[i]
+                        s = r[i]
+                        for j in range(i + 1, q):
+                            s -= Ri[j] * r[j]
+                        ri = r[i] = s / Ri[i]
+                        if ri > 0.0 and u[i] < t * ri:
+                            t, leave = u[i] / ri, i
+                    if zz <= _SPAN_RTOL * _SPAN_RTOL:
+                        if leave < 0:
+                            # a Farkas certificate, unless a met the active
+                            # rows' combination within its rounding
+                            if uk or viol > tol * (1.0 + sum(map(abs, r))):
+                                self._fail("the rows share no point")
+                            aside.append(k)
+                            break
+                        joins = False
+                    else:
+                        joins = viol <= t * zz
+                        if joins:
+                            t = viol / zz
+                        xl = [xj - t * zj for xj, zj in zip(xl, z)]
+                        viol -= t * zz
+                    for i, ri in enumerate(r):
+                        u[i] -= t * ri
+                    uk += t
+                    moved = True
+                    if joins:
+                        nz = math.sqrt(zz)
+                        for Ri, ci in zip(R, c):
+                            Ri.append(ci)
+                        R.append([0.0] * q + [nz])
+                        Q.append([zj / nz for zj in z])
+                        active.append(k)
+                        u.append(uk)
+                        break
+                    # the row leaves: rotate R back to triangular, with the
+                    # same rotations on Q and c; Q's last row then leaves
+                    # the span, and a's part along it joins z
+                    del active[leave], u[leave]
+                    for row in R:
+                        del row[leave]
+                    for i in range(leave, q - 1):
+                        Ri, Rn = R[i], R[i + 1]
+                        h = math.hypot(Ri[i], Rn[i])
+                        cs, sn = Ri[i] / h, Rn[i] / h
+                        for j in range(i, q - 1):
+                            Ri[j], Rn[j] = cs * Ri[j] + sn * Rn[j], cs * Rn[j] - sn * Ri[j]
+                        Qi, Qn = Q[i], Q[i + 1]
+                        Q[i] = [cs * qa + sn * qb for qa, qb in zip(Qi, Qn)]
+                        Q[i + 1] = [cs * qb - sn * qa for qa, qb in zip(Qi, Qn)]
+                        c[i], c[i + 1] = cs * c[i] + sn * c[i + 1], cs * c[i + 1] - sn * c[i]
+                    del R[-1]
+                    cl, ql = c.pop(), Q.pop()
+                    z = [cl * qj for qj in ql] if z is None else [
+                        zj + cl * qj for zj, qj in zip(z, ql)]
+                    zz += cl * cl
+            if not moved:
+                break
+            slack = A.dot(xl)
+            slack -= b
+            k = int(slack.argmax())
+            if k in active or k in aside:
+                # they hold with equality, up to rounding
+                slack[active + aside] = 0.0
+                k = int(slack.argmax())
+            if slack.item(k) <= tol:
+                break
+            rows = (k,)
+        self._x = xl
+        return np.array(xl)
 
 
 class ConvexBody(abc.ABC):
@@ -650,6 +851,10 @@ class VPolytope(_FacetPolytope):
         coords = (self._V - flat.base) @ flat.basis.T
         # rows [normal, -offset] in frame coordinates
         if flat.dim >= 2:
+            # scipy.spatial costs more than the rest of the package import,
+            # and only hulls need it
+            from scipy.spatial import ConvexHull
+
             facets = ConvexHull(coords).equations
         elif flat.dim == 1:
             facets = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
@@ -667,24 +872,38 @@ class VPolytope(_FacetPolytope):
     def project(self, p):
         """Nearest point of the hull; ``p`` itself if it violates no row.
 
-        One NNLS picks the face: with the columns of W the generators minus
-        p (scaled to max norm 1), min |W u|^2 + (sum u - 1)^2 over u >= 0
-        has u / sum(u) = the simplex weights of the nearest point, since for
-        fixed weights it is m / (1 + m), m their squared distance.  The
-        generators with positive weight lie on the supporting hyperplane
-        there, so the answer is p projected onto their affine hull, solved
-        on edge vectors: exact at acute vertices of thin hulls, where rows
-        lose about eps / angle, and with an error that does not grow with
-        the distance of p.
+        One least-distance solve picks the face: min |y| s.t.
+        (v_i - p) . y >= 1 over the generators v_i, its rows scaled to unit
+        norm, is the least-distance dual of the projection (Lawson & Hanson,
+        ch. 23).  y points from p to the nearest point, and the generators
+        whose rows end active with positive multipliers lie on the
+        supporting hyperplane there.  The answer is p projected onto their
+        affine hull, solved on edge vectors (in closed form for a vertex or
+        an edge): exact at acute vertices of thin hulls, where rows lose
+        about eps / angle, and with an error that does not grow with the
+        distance of p.  Rows that share no point mean that no hyperplane
+        separates p from the hull: p lies in it up to rounding and comes
+        back as a copy, as it does when it is a generator.
         """
         p = as_point(p, self._dim)
         if (self._A @ p - self._b).max() <= 0.0:
             return p.copy()
-        W = (self._V - p).T
-        W /= np.sqrt((W * W).sum(axis=0).max())
-        u, _ = nnls(np.vstack([W, np.ones(W.shape[1])]), np.eye(self._dim + 1)[-1])
-        face = self._V[u > 0.0]
+        W = p - self._V
+        norms = np.sqrt((W * W).sum(axis=1))
+        if norms.min() == 0.0:
+            return p.copy()
+        solver = _LeastDistance(np.zeros(self._dim))
+        try:
+            solver.solve(W / norms[:, None], -1.0 / norms)
+        except ProjectionError:
+            return p.copy()
+        face = self._V[solver.face]
+        if face.shape[0] == 1:
+            return face[0] + 0.0  # + 0.0, as the sums below, leaves no -0.0
         edges = face[1:] - face[0]
+        if edges.shape[0] == 1:
+            e = edges[0]
+            return face[0] + ((p - face[0]) @ e / (e @ e)) * e
         t = np.linalg.lstsq(edges.T, p - face[0], rcond=None)[0]
         return face[0] + t @ edges
 

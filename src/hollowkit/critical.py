@@ -19,9 +19,10 @@ import numpy as np
 from .bodies import (DEFAULT_TOL, IntersectionBody, check_count, check_tol,
                      support_centroid)
 from .errors import (BorderlineCriticalError, EmptyBodyError, NoHollowError,
-                     ProjectionError, ToleranceAmbiguityError)
+                     ProjectionError)
 from .geometry import Simplex, as_points
-from .solvers import SeparationCertificate, intersect_witness, min_distance
+from .solvers import (SeparationCertificate, intersect_witness, min_distance,
+                      stall_ambiguity)
 
 logger = logging.getLogger(__name__)
 
@@ -143,13 +144,10 @@ def recentered_witness(bodies, tol=DEFAULT_TOL):
     try:
         return inter.project(support_centroid([inter]))
     except ProjectionError as exc:
-        if exc.residual is None or exc.residual > tol:
+        ambiguity = stall_ambiguity(exc, tol)
+        if ambiguity is None:
             raise
-        raise ToleranceAmbiguityError(
-            f"projection onto the intersection stalled {exc.residual:.3e} from "
-            f"its members, within tol {tol:.1e}: the intersection may be a "
-            "single point; adjust the tolerance",
-            gap=exc.residual, tol=tol) from exc
+        raise ambiguity from exc
 
 
 def _borderline(distance, tol):

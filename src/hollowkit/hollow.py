@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .bodies import HPolytope, VPolytope, check_tol
 from .errors import (DegenerateSimplexError, GridDimensionError,
@@ -155,6 +154,10 @@ class HollowCertificate:
 
 
 def _component_hull(centers):
+    # scipy.spatial is imported here, so that only a certified hull pays
+    # for it
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = as_points(centers)
     try:
         hull = ConvexHull(pts)

@@ -576,7 +576,7 @@ def test_grid_over_budget_is_a_structured_error(command, scene, tmp_path,
     assert main([command, scene_path(scene), "--out", str(tmp_path),
                  "--resolution", "1e-5"]) == 1
     err = capsys.readouterr().err
-    assert ("error: resolution 1e-05 gives 9457340500 cells; at most "
+    assert ("error: resolution 1e-05 gives 9457250000 cells; at most "
             f"{MAX_GRID_CELLS} allowed") in err
     assert not os.listdir(tmp_path)
 
@@ -764,14 +764,49 @@ def test_timings_go_to_stderr_only(tmp_path, capsys):
     assert "[time]" not in captured.out
 
 
-def test_cli_import_leaves_out_grid_labeling():
-    """The hollow's cells come from the witness simplex, so importing the
-    CLI loads no ``scipy.ndimage``."""
+def test_cli_import_loads_no_scipy():
+    """Projections run on the package's own solver and scipy's hulls and
+    samplers are imported where they are used, so importing the CLI loads
+    numpy and no scipy module."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hollowkit.cli; print('scipy.ndimage' in sys.modules)"],
+         "import sys, hollowkit.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
         capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+# Runs hollowkit.cli.main on its arguments in a fresh interpreter and prints,
+# as the last line of stdout, the scipy modules loaded by then.
+SCIPY_PROBE = """import json, sys, hollowkit.cli
+try:
+    code = hollowkit.cli.main(sys.argv[1:])
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+def scipy_loaded_by(command, scene, outdir):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, command, scene_path(scene),
+         "--out", str(outdir)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command,scene", [
+    ("check", "disks.json"), ("hollow", "pair.json"),
+    ("stab-verify", "stab.json"), ("solve-klee", "squares.json")])
+def test_scenes_without_hulls_load_no_scipy(command, scene, tmp_path):
+    assert scipy_loaded_by(command, scene, tmp_path) == []
+
+
+def test_certify_loads_scipy_spatial_alone(tmp_path):
+    """A certified hull needs Quickhull, and nothing else from scipy."""
+    loaded = scipy_loaded_by("certify", "disks.json", tmp_path)
+    assert "scipy.spatial" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.stats"))]
 
 
 def test_module_entry_point(tmp_path):

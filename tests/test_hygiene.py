@@ -118,15 +118,26 @@ def test_all_lists_each_imported_name_once():
     assert set(hollowkit.__all__) == imported
 
 
+def uses_of(name):
+    """``module:line`` for each import of ``name`` into a package module and
+    each attribute access spelled ``.name``."""
+    return [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text()))
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and any(a.name.split(".")[-1] == name for a in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == name)]
+
+
 def test_no_module_imports_linprog():
     """The scan's cut LP is the package's own simplex: scipy's LP solver
     stays a test-side reference."""
-    found = [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
-             for node in ast.walk(ast.parse(p.read_text()))
-             if (isinstance(node, (ast.Import, ast.ImportFrom))
-                 and any(a.name.split(".")[-1] == "linprog" for a in node.names))
-             or (isinstance(node, ast.Attribute) and node.attr == "linprog")]
-    assert found == []
+    assert uses_of("linprog") == []
+
+
+def test_no_module_imports_nnls():
+    """Projections run on the package's own least-distance solver: scipy's
+    NNLS stays a test-side reference."""
+    assert uses_of("nnls") == []
 
 
 def test_no_handler_swallows_its_error():
