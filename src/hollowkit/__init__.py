@@ -25,11 +25,9 @@ from .errors import (BorderlineCriticalError, ConvergenceError,
                      UnboundedBodyError)
 from .geometry import (AffineSubspace, Hyperplane, RadonPartition, Simplex,
                        affine_hull, barycentric, radon_partition)
-from .hollow import (BoundaryAttribution, Grid, HollowCertificate,
-                     StabbingPair, StabbingReport, boundary_attribution,
-                     certify_hollow, enclosure_check, hausdorff_convex,
-                     hull_vs_simplex, nearest_boundary_distance,
-                     perimeter_estimate, simplex_containment, verify_stabbing)
+from .hollow import (Grid, HollowCertificate, StabbingPair, StabbingReport,
+                     boundary_attribution, certify_hollow, hausdorff_convex,
+                     hull_vs_simplex, verify_stabbing)
 from .render import render_svg
 from .scenes import (SCHEMA, Scene, body_from_json, body_to_json, dumps,
                      load_scene, parse_scene, serialize_scene)
@@ -44,11 +42,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineSubspace", "BORDERLINE_FACTOR", "Ball", "BorderlineCriticalError",
-    "BoundaryAttribution", "ConvergenceError", "ConvexBody", "CriticalFamily",
-    "CriticalityFailure", "DEFAULT_TOL", "DegenerateConfigurationError",
-    "DegenerateSimplexError", "DistanceResult", "EmptyBodyError",
-    "FeasibilityReport", "Grid", "GridDimensionError", "GridResolutionError",
-    "HPolytope", "HollowCertificate", "HollowNotFoundError", "HollowSimplex",
+    "ConvergenceError", "ConvexBody", "CriticalFamily", "CriticalityFailure",
+    "DEFAULT_TOL", "DegenerateConfigurationError", "DegenerateSimplexError",
+    "DistanceResult", "EmptyBodyError", "FeasibilityReport", "Grid",
+    "GridDimensionError", "GridResolutionError", "HPolytope",
+    "HollowCertificate", "HollowNotFoundError", "HollowSimplex",
     "HollowkitError", "Hyperplane", "IntersectionBody", "KkmInstance",
     "KkmReport", "KleeSolveError", "NoHollowError", "NotSeparableError",
     "PolytopeSizeError", "ProjectionError", "RadonPartition", "SCHEMA",
@@ -58,13 +56,12 @@ __all__ = [
     "ToleranceAmbiguityError", "UnboundedBodyError", "UniquenessReport",
     "VPolytope", "affine_hull", "barycentric", "body_from_json",
     "body_to_json", "boundary_attribution", "cage_margin", "certify_hollow",
-    "check_critical", "dumps", "dykstra", "enclosure_check",
-    "family_kkm_instance", "feasibility_scan", "find_rainbow",
-    "hausdorff_convex", "helly_guard", "hollow_simplex", "hull_vs_simplex",
-    "intersect_witness", "kkm_verify", "klee_solve", "load_scene",
-    "min_distance", "nearest_boundary_distance", "parse_scene",
-    "perimeter_estimate", "radon_partition", "rainbow_cells",
-    "random_legal_coloring", "recentered_witness", "render_svg",
-    "separating_hyperplane", "serialize_scene", "simplex_containment",
-    "sperner_color", "subdivide", "uniqueness_probe", "verify_stabbing",
+    "check_critical", "dumps", "dykstra", "family_kkm_instance",
+    "feasibility_scan", "find_rainbow", "hausdorff_convex", "helly_guard",
+    "hollow_simplex", "hull_vs_simplex", "intersect_witness", "kkm_verify",
+    "klee_solve", "load_scene", "min_distance", "parse_scene",
+    "radon_partition", "rainbow_cells", "random_legal_coloring",
+    "recentered_witness", "render_svg", "separating_hyperplane",
+    "serialize_scene", "sperner_color", "subdivide", "uniqueness_probe",
+    "verify_stabbing",
 ]

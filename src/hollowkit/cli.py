@@ -173,7 +173,7 @@ def cmd_certify(args):
     hs = hollow_simplex(family)
     payload["hollow_simplex"] = {"vertices": hs.vertices, "gaps": hs.gaps}
     cert = certify_hollow(family, _opt(args, scene, "resolution"))
-    attribution = boundary_attribution(cert)
+    boundary = boundary_attribution(cert)
     distance = hull_vs_simplex(cert, hs)
     payload["grid_certificate"] = {
         "resolution": cert.resolution,
@@ -182,8 +182,8 @@ def cmd_certify(args):
         "component_count": cert.component_count,
         "bounded": cert.bounded,
         "hull_vertices": cert.hull_vertices,
-        "boundary_bodies": sorted(attribution.bodies_present),
-        "boundary_complete": attribution.complete,
+        "boundary_bodies": sorted(boundary),
+        "boundary_complete": len(boundary) == len(family.bodies),
     }
     payload["hull_vs_simplex"] = distance
     _write_result(args, payload)

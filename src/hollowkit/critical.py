@@ -254,7 +254,10 @@ def uniqueness_probe(family, restarts=10, seed=0):
     with ``ok == False`` (a deviation above ``UNIQUENESS_THRESHOLD``) flags
     a (numerically) non-unique nearest point; the probe never silently
     discards a bad spread.  ``restarts`` and ``seed`` must pass
-    :func:`check_count`; zero restarts give zero deviations.
+    :func:`check_count`; zero restarts give zero deviations.  Where two
+    boundaries of radius r nearly touch at gap g, a solved point b carries
+    about ``CUT_RTOL (1 + |b|_inf) r / g`` of slack (1.4e-8 for unit disks
+    at gap 1e-6), so the spread there is solver slack, below the threshold.
     """
     restarts = check_count(restarts, "restarts")
     rng = np.random.default_rng(check_count(seed, "seed"))

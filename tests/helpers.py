@@ -211,24 +211,22 @@ def whole_grid_cover(bodies, lo, shape, resolution):
 
 
 def whole_mask_attribution(certificate):
-    """The boundary cells of a certificate and the bodies covering each
-    one's face neighbours, looked up cell by cell in one whole-grid cover
-    per body: the reference for ``hollow.boundary_attribution``."""
+    """The bodies covering a face neighbour of some hollow cell, looked up
+    cell by cell in one whole-grid cover per body: the reference for
+    ``hollow.boundary_attribution``."""
     grid = certificate.grid
     masks = [whole_grid_cover([body], grid.lo, grid.shape, grid.resolution)
              for body in grid.bodies]
-    cells = certificate.cells
-    per_cell = [set() for _ in range(cells.shape[0])]
-    for r, cell in enumerate(cells):
+    found = set()
+    for cell in certificate.cells:
         for axis in range(len(grid.shape)):
             for step in (-1, 1):
                 nbr = cell.copy()
                 nbr[axis] += step
                 if 0 <= nbr[axis] < grid.shape[axis]:
-                    per_cell[r].update(i for i, mask in enumerate(masks)
-                                       if mask[tuple(nbr)])
-    keep = [r for r, bodies in enumerate(per_cell) if bodies]
-    return cells[keep], tuple(tuple(sorted(per_cell[r])) for r in keep)
+                    found.update(i for i, mask in enumerate(masks)
+                                 if mask[tuple(nbr)])
+    return found
 
 
 def bounded_component_cells(grid):

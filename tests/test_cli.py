@@ -21,6 +21,7 @@ from hollowkit.hollow import MAX_GRID_CELLS
 from hollowkit.render import _body_elements, _Frame, _hull_ring, _polygon
 from hollowkit.scenes import OPTIONS
 from hollowkit.sperner import MAX_SAMPLES
+from conftest import side_rectangle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -257,6 +258,42 @@ def test_certify_vpoly_scene(tmp_path, capsys):
     assert grid["bounded"] is True
     assert grid["component_count"] == 1
     assert grid["boundary_bodies"] == [0, 1, 2]
+
+
+def write_scene(tmp_path, bodies):
+    path = tmp_path / "scene.json"
+    path.write_text(serialize_scene(Scene(dimension=2, bodies=tuple(bodies))),
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_certify_segments_scene_has_no_boundary_bodies(tmp_path):
+    """The sides of a triangle as segments cover no cell center, so no body
+    is found on the hollow's boundary and the attribution is incomplete."""
+    corners = [[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]]
+    scene = write_scene(tmp_path, [VPolytope([corners[i], corners[(i + 1) % 3]])
+                                   for i in range(3)])
+    out = str(tmp_path / "out")
+    assert main(["certify", scene, "--out", out, "--resolution", "0.05"]) == 0
+    grid = result_of(out)["grid_certificate"]
+    assert grid["cell_count"] == 2400
+    assert grid["boundary_bodies"] == []
+    assert grid["boundary_complete"] is False
+
+
+def test_certify_flat_triangle_at_the_default_resolution(tmp_path):
+    """A critical family 4 wide and 0.5 high is certified without a
+    resolution: the default keeps 20 cells across its height.  The bottom
+    side, 0.01 thick, holds no center of those 0.027-wide cells, so the
+    grid finds only the other two sides on the boundary."""
+    corners = [[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]]
+    rects = [side_rectangle(corners[i], corners[(i + 1) % 3], 0.005)
+             for i in range(3)]
+    out = str(tmp_path / "out")
+    assert main(["certify", write_scene(tmp_path, rects), "--out", out]) == 0
+    grid = result_of(out)["grid_certificate"]
+    assert grid["bounded"] is True and grid["cell_count"] == 1296
+    assert grid["boundary_bodies"] == [1, 2]
 
 
 def test_solve_klee_command(tmp_path, capsys):

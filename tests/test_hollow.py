@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from hollowkit import (AffineSubspace, Ball, CriticalFamily,
-                       GridResolutionError, HPolytope, HollowNotFoundError,
-                       IntersectionBody, NoHollowError,
+                       DegenerateSimplexError, GridResolutionError, HPolytope,
+                       HollowNotFoundError, IntersectionBody, NoHollowError,
                        StabbingPair, VPolytope, boundary_attribution,
-                       certify_hollow, check_critical, enclosure_check,
-                       hausdorff_convex, hollow_simplex, hull_vs_simplex,
-                       nearest_boundary_distance, perimeter_estimate,
-                       simplex_containment, verify_stabbing)
+                       certify_hollow, check_critical, hausdorff_convex,
+                       hollow_simplex, hull_vs_simplex, verify_stabbing)
 from hollowkit import hollow
-from hollowkit.hollow import BOX_EXPAND, MAX_GRID_CELLS, _build_grid, _slabs
+from hollowkit.hollow import (BOX_EXPAND, MAX_GRID_CELLS, MIN_CELLS_PER_AXIS,
+                              _build_grid, _slabs)
 from hollowkit.scenes import load_scene
-from conftest import disk_centers
+from conftest import disk_centers, side_rectangle
 from helpers import (bounded_component_cells, whole_grid_cover,
                      whole_mask_attribution)
 
@@ -68,26 +67,17 @@ def test_disks_hull_close_to_simplex(disks_cert, disks_hollow):
     assert hull_vs_simplex(disks_cert, disks_hollow) < 0.015
 
 
-def test_disks_boundary_attribution(disks_cert, disks_hollow):
-    attr = boundary_attribution(disks_cert)
-    assert attr.complete
-    assert attr.bodies_present == frozenset({0, 1, 2})
-    assert all(len(s) >= 1 for s in attr.bodies_by_cell)
-    assert all(set(s) <= {0, 1, 2} for s in attr.bodies_by_cell)
-    dists = nearest_boundary_distance(attr, disks_hollow.vertices)
-    # each simplex vertex touches the boundary within about a cell diagonal
-    assert np.all(dists < 2.0 * np.sqrt(2.0) * DISK_RES)
+def test_disks_boundary_attribution(disks_cert):
+    assert boundary_attribution(disks_cert) == frozenset({0, 1, 2})
 
 
-def test_disks_enclosure_and_containment(disks_cert, disks_hollow):
-    assert enclosure_check(disks_cert) == 1.0
-    assert simplex_containment(disks_cert, disks_hollow.simplex) \
-        <= np.sqrt(2.0) * DISK_RES
-
-
-def test_disks_perimeter_scale(disks_cert):
-    per = perimeter_estimate(disks_cert)
-    assert 0.9 < per < 1.3
+def test_segments_cover_no_neighbour_of_the_hollow(segments_family):
+    """Segments hold no cell center, so no face neighbour of the 2400
+    hollow cells is covered and no body is attributed."""
+    cert = certify_hollow(segments_family, 0.05)
+    assert cert.cell_count == 2400
+    assert not cert.grid.covered.any()
+    assert boundary_attribution(cert) == frozenset()
 
 
 def test_disks_measure_stable_under_refinement(disks_family, disks_cert):
@@ -100,8 +90,7 @@ def test_rects_component(rects_cert, rects_family):
     assert 5.0 <= rects_cert.measure <= 6.0
     hs = hollow_simplex(rects_family)
     assert hull_vs_simplex(rects_cert, hs) < 0.05
-    attr = boundary_attribution(rects_cert)
-    assert attr.complete
+    assert boundary_attribution(rects_cert) == frozenset({0, 1, 2})
 
 
 def test_ball_grid_builds_no_point_list(balls_family, monkeypatch):
@@ -168,14 +157,12 @@ def scene_family(scene):
 @pytest.mark.parametrize("scene", ["disks.json", "vpoly.json", "balls3.json"])
 def test_boundary_attribution_matches_whole_grid_masks(scene):
     """The attribution asks each body about the covered neighbours only,
-    and finds what one whole-grid mask per body gives."""
+    and finds the bodies that one whole-grid mask per body gives: all of
+    them."""
     cert = certify_hollow(scene_family(scene))
-    attr = boundary_attribution(cert)
-    cells, by_cell = whole_mask_attribution(cert)
-    assert cells.shape[0] > 0
-    assert np.array_equal(attr.cells, cells)
-    assert attr.bodies_by_cell == by_cell
-    assert attr.complete
+    bodies = whole_mask_attribution(cert)
+    assert bodies == set(range(len(cert.grid.bodies)))
+    assert boundary_attribution(cert) == bodies
 
 
 def test_certify_hollow_memory_is_a_few_bytes_per_cell():
@@ -223,6 +210,15 @@ def test_every_cell_rechecks_from_the_oracles(certified):
     system = np.vstack([W.T, np.ones(W.shape[0])])
     for c in centers:
         assert np.linalg.solve(system, np.append(c, 1.0)).min() > 0.0
+
+
+def test_hollow_cells_lie_inside_the_hollow_simplex(certified):
+    """The "⊆" half of the theorem that the hollow's closed convex hull is
+    the hollow simplex: every hollow cell center has all barycentric
+    coordinates positive in it (the smallest is 0.0015 on rects)."""
+    family, cert = certified
+    bary = hollow_simplex(family).simplex.barycentrics(cert.centers)
+    assert bary.min() > 0.0
 
 
 @pytest.mark.parametrize("scene", ["disks.json", "balls3.json"])
@@ -284,6 +280,35 @@ def test_default_resolution_is_128_cells_across_the_grid_box(disks_family):
     assert max(cert.grid.shape) == 128
     again = certify_hollow(disks_family, cert.resolution)
     assert np.array_equal(again.cells, cert.cells)
+
+
+@pytest.mark.parametrize("apex, shape", [(0.5, (160, 20)), (0.3, (267, 20))])
+def test_default_resolution_keeps_20_cells_across_a_flat_family(apex, shape):
+    """The sides of a flat triangle, thickened by 0.005, are critical; 128
+    cells across its width would leave 17 (apex 0.5) or 10 (apex 0.3)
+    cells across its height, so the default cell size shrinks to give
+    ``MIN_CELLS_PER_AXIS`` there."""
+    corners = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, apex]])
+    family = check_critical([side_rectangle(corners[i], corners[(i + 1) % 3],
+                                            0.005) for i in range(3)])
+    W = family.witnesses
+    span = W.max(axis=0) - W.min(axis=0)
+    cert = certify_hollow(family)
+    assert cert.resolution == BOX_EXPAND * span.min() / MIN_CELLS_PER_AXIS
+    assert cert.grid.shape == shape
+    assert cert.bounded and cert.cell_count > 0
+
+
+def test_default_resolution_names_collinear_witnesses(disks_family):
+    """Witnesses on one line span no triangle.  The simplex is built before
+    the default resolution, which would be zero across the line, so the
+    error names the simplex, not the resolution."""
+    W = disks_family.witnesses.copy()
+    W[:, 1] = 0.0
+    flat = CriticalFamily(disks_family.bodies, W, disks_family.certificate,
+                          disks_family.tol)
+    with pytest.raises(DegenerateSimplexError):
+        certify_hollow(flat)
 
 
 @pytest.mark.parametrize("side, found", [(1.74, True), (1.735, False)])
