@@ -141,7 +141,7 @@ def cmd_check(args):
         return EXIT_REJECTED
     _write_result(args, payload)
     print(f"critical family: n={family.n} d={family.d} "
-          f"margin={family.certificate.distance:.6g}")
+          f"distance={family.certificate.distance:.6g}")
     return EXIT_OK
 
 

@@ -26,8 +26,9 @@ from .solvers import (SeparationCertificate, intersect_witness, min_distance,
 
 logger = logging.getLogger(__name__)
 
-# Families whose emptiness margin or hollow gaps are not above this multiple
-# of the working tolerance are rejected as borderline rather than certified.
+# Families whose emptiness distance (the certificate's body-to-rest distance)
+# or hollow gaps are not above this multiple of the working tolerance are
+# rejected as borderline rather than certified.
 BORDERLINE_FACTOR = 10.0
 
 UNIQUENESS_THRESHOLD = 1e-5
@@ -42,8 +43,8 @@ class CriticalityFailure:
 
     ``reason`` is one of ``"helly"`` (n > d), ``"leave-one-out-empty"``
     (with ``index`` the failing j), ``"full-intersection-nonempty"`` (with
-    ``witness`` a common point), or ``"borderline"`` (empty, but with margin
-    below the certification floor).
+    ``witness`` a common point), or ``"borderline"`` (empty, but with the
+    certificate's distance not above the certification floor).
     """
 
     reason: str
@@ -151,7 +152,7 @@ def recentered_witness(bodies, tol=DEFAULT_TOL):
 
 
 def _borderline(distance, tol):
-    """Whether a body-to-rest distance is not above the borderline margin."""
+    """Whether a body-to-rest distance is not above the borderline floor."""
     return distance <= BORDERLINE_FACTOR * tol
 
 
@@ -160,8 +161,9 @@ def check_critical(bodies, tol=DEFAULT_TOL):
 
     Verifies that every leave-one-out intersection has a point (collecting a
     recentered witness for each) and that the full intersection is empty
-    with margin above ``10 * tol``.  A leave-one-out scan that decides
-    nothing raises as :func:`~hollowkit.bodies.decided_scan` does.
+    with the certificate's distance above ``10 * tol``.  A leave-one-out
+    scan that decides nothing raises as
+    :func:`~hollowkit.bodies.decided_scan` does.
 
     Returns
     -------
@@ -198,7 +200,7 @@ def check_critical(bodies, tol=DEFAULT_TOL):
     if _borderline(cert.distance, tol):
         return CriticalityFailure(
             "borderline",
-            detail=f"emptiness margin {cert.distance:.3e} not above "
+            detail=f"emptiness distance {cert.distance:.3e} not above "
                    f"{BORDERLINE_FACTOR:.0f} x tol")
     return CriticalFamily(bodies, witnesses, cert, tol=tol)
 

@@ -19,7 +19,9 @@ barycenters of proper faces of dimension 1..k-1, which neighbouring cells
 share, need one lexicographic sort of their integer rows.  Carrier faces are
 kept as a boolean mask (the support of the integer barycentrics); the
 frozenset ``carriers`` and the ``mesh`` are computed on first read, so the
-coloring loop pays for neither.
+coloring loop pays for neither.  A complex is valid by construction, so
+nothing re-checks its tiling or carriers in floating point at run time; the
+tests named in :class:`SubdivisionComplex` check them instead.
 """
 from __future__ import annotations
 
@@ -131,15 +133,21 @@ class _ExactComplex:
 
 @dataclass
 class SubdivisionComplex:
-    """A simplicial subdivision of an ambient simplex.
+    """A simplicial subdivision of an ambient simplex, as :func:`subdivide`
+    returns it.
 
     ``bary[v]`` are barycentric coordinates of vertex v with respect to the
-    ambient vertices, ``carrier_mask[v, i]`` says that ambient vertex i spans
-    the minimal ambient face containing v, and ``cells`` indexes ``coords``
-    row-wise.  Construction validates that the cells tile the ambient
-    simplex and that every vertex lies on its carrier face.  ``carriers``
-    (the faces as frozensets of ambient vertex indices) and ``mesh`` are
-    computed on first read.
+    ambient vertices, ``coords`` is ``bary @ ambient.vertices``,
+    ``carrier_mask[v, i]`` says that ambient vertex i spans the minimal
+    ambient face containing v, and ``cells`` indexes ``coords`` row-wise.
+    The complex is valid by construction and nothing re-checks it at run
+    time: it is made only from the exact integer barycentrics of an
+    iterated barycentric subdivision, so its cells tile the ambient simplex
+    and every vertex lies on its carrier face.  The tests
+    ``test_subdivision_tiles_the_simplex_on_carrier_faces`` and
+    ``test_subdivision_matches_fraction_reference`` check this.
+    ``carriers`` (the faces as frozensets of ambient vertex indices) and
+    ``mesh`` are computed on first read.
     """
 
     ambient: Simplex
@@ -147,66 +155,7 @@ class SubdivisionComplex:
     bary: np.ndarray
     carrier_mask: np.ndarray
     cells: np.ndarray
-    depth: int = None
-
-    def __post_init__(self):
-        self.coords = as_points(self.coords)
-        self.bary = np.asarray(self.bary, dtype=float)
-        self.carrier_mask = np.asarray(self.carrier_mask, dtype=bool)
-        self.cells = np.asarray(self.cells, dtype=int)
-        self._validate()
-
-    @classmethod
-    def build(cls, ambient, coords, cells, carriers=None, depth=None):
-        """Construct from explicit vertex coordinates and cells.
-
-        Barycentrics are recovered by a least-squares solve against the
-        ambient vertices; carriers default to the support of the
-        barycentrics, and given carriers must be faces of ambient vertex
-        indices 0..k.
-        """
-        coords = as_points(coords, ambient.ambient_dim)
-        k = ambient.dim
-        bary = ambient.barycentrics(coords)
-        if carriers is None:
-            mask = bary > 1e-9
-        else:
-            mask = np.zeros((len(carriers), k + 1), dtype=bool)
-            for v, face in enumerate(carriers):
-                for i in face:
-                    if not 0 <= i <= k:
-                        raise ValueError(
-                            f"vertex {v} has carrier index {i} outside 0..{k}")
-                    mask[v, i] = True
-        return cls(ambient, coords, bary, mask, cells, depth=depth)
-
-    def _validate(self):
-        k = self.ambient.dim
-        if self.bary.shape != (self.coords.shape[0], k + 1):
-            raise ValueError("barycentric array shape mismatch")
-        if self.cells.ndim != 2 or self.cells.shape[1] != k + 1:
-            raise ValueError(f"cells must be (C, {k + 1}) vertex-index rows")
-        if self.carrier_mask.shape != self.bary.shape:
-            raise ValueError("one carrier face required per vertex")
-        # vertices sit on their carrier faces
-        recon = self.bary @ self.ambient.vertices
-        err = np.linalg.norm(recon - self.coords, axis=1)
-        scale = max(1.0, self.ambient.diameter)
-        if err.max() > 1e-9 * scale:
-            raise ValueError("vertex coordinates disagree with barycentrics")
-        off_face = np.where(self.carrier_mask, 0.0, np.abs(self.bary)).sum(axis=1)
-        bad = np.flatnonzero(off_face > 1e-9)
-        if bad.size:
-            v = int(bad[0])
-            raise ValueError(
-                f"vertex {v} has weight {off_face[v]:.2e} outside its carrier face")
-        # cells tile the ambient simplex (relative volume sums to one)
-        rel = 0.0
-        for chunk in range(0, self.cells.shape[0], 100000):
-            cell_bary = self.bary[self.cells[chunk:chunk + 100000]]
-            rel += np.abs(np.linalg.det(cell_bary)).sum()
-        if abs(rel - 1.0) > 1e-6:
-            raise ValueError(f"cells cover relative volume {rel:.8f}, expected 1")
+    depth: int
 
     @cached_property
     def carriers(self):

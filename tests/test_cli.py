@@ -199,6 +199,17 @@ def test_check_critical_scene(tmp_path, capsys):
     assert len(res["witnesses"]) == 3
 
 
+def test_check_prints_the_certificate_distance(tmp_path, capsys):
+    """The printed number is the certificate's distance and is labelled so;
+    the certificate's margin is half of it."""
+    out = str(tmp_path)
+    assert main(["check", scene_path("disks.json"), "--out", out]) == 0
+    line = capsys.readouterr().out.strip()
+    cert = result_of(out)["certificate"]
+    assert line == f"critical family: n=2 d=2 distance={cert['distance']:.6g}"
+    assert cert["margin"] == pytest.approx(cert["distance"] / 2.0)
+
+
 def test_check_rejects_noncritical(tmp_path, capsys):
     out = str(tmp_path)
     code = main(["check", scene_path("noncrit.json"), "--out", out])

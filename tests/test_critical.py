@@ -162,7 +162,7 @@ def test_borderline_margin_failure():
 
 @pytest.mark.parametrize("ulps, certified", [(0, False), (1, True)])
 def test_ten_tol_is_borderline_and_the_next_float_is_not(ulps, certified):
-    """The emptiness margin and the hollow gaps, both distances from a body
+    """The emptiness distance and the hollow gaps, both distances from a body
     to the intersection of the others, certify only above 10 tol.  Two 1-D
     balls of radius 2^-18 at gap g give every projection exactly, so both
     distances are exactly g: 10 tol for tol = 2^-20, or the next float."""
@@ -178,6 +178,8 @@ def test_ten_tol_is_borderline_and_the_next_float_is_not(ulps, certified):
         assert np.all(hollow_simplex(family).gaps == gap)
     else:
         assert res.reason == "borderline"
+        assert res.detail == (f"emptiness distance {gap:.3e} not above "
+                              "10 x tol")
         with pytest.raises(BorderlineCriticalError):
             hollow_simplex(family)
 

@@ -154,7 +154,7 @@ def test_intersect_witness_empty_disks_certificate(three_disks):
     report = intersect_witness(three_disks)
     assert report.status == "empty"
     cert = report.certificate
-    # the emptiness margin is the height of the lens corner over the third
+    # the emptiness distance is the height of the lens corner over the third
     # disk: t - 1 for t = 0.95 sqrt(3) - sqrt(0.0975)
     expected = 0.95 * np.sqrt(3.0) - np.sqrt(0.0975) - 1.0
     assert cert.distance == pytest.approx(expected, abs=1e-7)

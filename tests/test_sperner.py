@@ -127,42 +127,31 @@ def test_subdivision_vertex_invariants():
     assert pts.shape == (3, 2)
 
 
-def test_build_rejects_partial_tilings():
-    fan_coords = np.vstack([UNIT_TRIANGLE.vertices,
-                            UNIT_TRIANGLE.vertices.mean(axis=0)])
-    good = SubdivisionComplex.build(UNIT_TRIANGLE, fan_coords,
-                                    [[0, 1, 3], [1, 2, 3], [2, 0, 3]])
-    assert good.n_cells == 3
-    with pytest.raises(ValueError):
-        SubdivisionComplex.build(UNIT_TRIANGLE, fan_coords,
-                                 [[0, 1, 3], [1, 2, 3]])
-
-
-def test_build_rejects_carrier_violations():
-    fan_coords = np.vstack([UNIT_TRIANGLE.vertices,
-                            UNIT_TRIANGLE.vertices.mean(axis=0)])
-    with pytest.raises(ValueError):
-        SubdivisionComplex.build(UNIT_TRIANGLE, fan_coords,
-                                 [[0, 1, 3], [1, 2, 3], [2, 0, 3]],
-                                 carriers=[{0}, {1}, {2}, {0}])
-
-
-def test_build_rejects_carrier_indices_outside_the_simplex():
-    fan_coords = np.vstack([UNIT_TRIANGLE.vertices,
-                            UNIT_TRIANGLE.vertices.mean(axis=0)])
-    fan = [[0, 1, 3], [1, 2, 3], [2, 0, 3]]
-    for bad in (5, -1):
-        with pytest.raises(ValueError,
-                           match=rf"^vertex 0 has carrier index {bad} outside 0\.\.2$"):
-            SubdivisionComplex.build(UNIT_TRIANGLE, fan_coords, fan,
-                                     carriers=[{0, bad}, {1}, {2}, {0, 1, 2}])
+def test_subdivision_tiles_the_simplex_on_carrier_faces(monkeypatch):
+    """What a complex holds by construction, at every depth the (patched)
+    cell budget allows: the cells tile the ambient simplex, the vertices are
+    their barycentrics' points, and they lie on their carrier faces."""
+    monkeypatch.setattr(sperner, "MAX_CELLS", 15000)
+    for k in (1, 2, 3):
+        skew = np.diag(np.arange(2.0, k + 2)) + np.triu(np.full((k, k), 0.5), 1)
+        ambient = Simplex(np.vstack([np.zeros(k), skew]))
+        depth = 0
+        while sperner._depth_limit(k, depth) is None:
+            sub = subdivide(ambient, depth)
+            det = np.linalg.det(sub.bary[sub.cells])
+            assert abs(np.abs(det).sum() - 1.0) <= 1e-9
+            assert np.array_equal(sub.coords, sub.bary @ ambient.vertices)
+            assert not sub.bary[~sub.carrier_mask].any()
+            assert (sub.bary[sub.carrier_mask] > 0).all()
+            depth += 1
+        assert depth == {1: 14, 2: 6, 3: 4}[k]
 
 
 def test_fan_coloring_has_one_rainbow():
-    fan_coords = np.vstack([UNIT_TRIANGLE.vertices,
-                            UNIT_TRIANGLE.vertices.mean(axis=0)])
-    fan = SubdivisionComplex.build(UNIT_TRIANGLE, fan_coords,
-                                   [[0, 1, 3], [1, 2, 3], [2, 0, 3]])
+    bary = np.vstack([np.eye(3), np.full((1, 3), 1.0 / 3.0)])
+    cells = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]])
+    fan = SubdivisionComplex(UNIT_TRIANGLE, bary @ UNIT_TRIANGLE.vertices,
+                             bary, bary > 0, cells, depth=None)
     coloring = SpernerColoring([0, 1, 2, 0])
     hits = rainbow_cells(fan, coloring)
     assert list(hits) == [1]
@@ -284,13 +273,19 @@ def test_klee_solve_stops_at_the_exact_denominator_limit(monkeypatch):
 
 def test_klee_solve_reads_neither_mesh_nor_carriers(monkeypatch):
     # the coloring loop needs the carrier mask and the rainbow cells'
-    # diameters only; the per-level complexes must not build the rest
+    # diameters only; the per-level complexes must not build the rest, nor
+    # re-check in floating point the tiling their exact construction gives
     def unread(self):
         raise AssertionError("read in the coloring loop")
 
+    def no_det(*args, **kwargs):
+        raise AssertionError("a determinant in the coloring loop")
+
+    # building the scene's H-polytopes takes determinants; solving must not
+    scene = load_scene(os.path.join(DATA, "thincore.json"))
     monkeypatch.setattr(SubdivisionComplex, "mesh", property(unread))
     monkeypatch.setattr(SubdivisionComplex, "carriers", property(unread))
-    scene = load_scene(os.path.join(DATA, "thincore.json"))
+    monkeypatch.setattr(np.linalg, "det", no_det)
     x = klee_solve(scene.bodies, scene.kkm.points)
     for b in scene.bodies:
         assert b.membership(x, 1e-6)
