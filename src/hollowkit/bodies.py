@@ -870,42 +870,48 @@ class VPolytope(_FacetPolytope):
         return self._V.mean(axis=0)
 
     def project(self, p):
-        """Nearest point of the hull; ``p`` itself if it violates no row.
-
-        One least-distance solve picks the face: min |y| s.t.
-        (v_i - p) . y >= 1 over the generators v_i, its rows scaled to unit
-        norm, is the least-distance dual of the projection (Lawson & Hanson,
-        ch. 23).  y points from p to the nearest point, and the generators
-        whose rows end active with positive multipliers lie on the
-        supporting hyperplane there.  The answer is p projected onto their
-        affine hull, solved on edge vectors (in closed form for a vertex or
-        an edge): exact at acute vertices of thin hulls, where rows lose
-        about eps / angle, and with an error that does not grow with the
-        distance of p.  Rows that share no point mean that no hyperplane
-        separates p from the hull: p lies in it up to rounding and comes
-        back as a copy, as it does when it is a generator.
-        """
+        """Nearest point of the hull: ``p`` itself if it violates no row,
+        else :func:`_hull_projection` on the generators."""
         p = as_point(p, self._dim)
         if (self._A @ p - self._b).max() <= 0.0:
             return p.copy()
-        W = p - self._V
-        norms = np.sqrt((W * W).sum(axis=1))
-        if norms.min() == 0.0:
-            return p.copy()
-        solver = _LeastDistance(np.zeros(self._dim))
-        try:
-            solver.solve(W / norms[:, None], -1.0 / norms)
-        except ProjectionError:
-            return p.copy()
-        face = self._V[solver.face]
-        if face.shape[0] == 1:
-            return face[0] + 0.0  # + 0.0, as the sums below, leaves no -0.0
-        edges = face[1:] - face[0]
-        if edges.shape[0] == 1:
-            e = edges[0]
-            return face[0] + ((p - face[0]) @ e / (e @ e)) * e
-        t = np.linalg.lstsq(edges.T, p - face[0], rcond=None)[0]
-        return face[0] + t @ edges
+        return _hull_projection(self._V, p)
+
+
+def _hull_projection(V, p):
+    """Nearest point to ``p`` of the convex hull of the rows of ``V``.
+
+    One least-distance solve picks the face: min |y| s.t. (v_i - p) . y >= 1
+    over the generators v_i, its rows scaled to unit norm, is the
+    least-distance dual of the projection (Lawson & Hanson, ch. 23).  y
+    points from p to the nearest point, and the generators whose rows end
+    active with positive multipliers lie on the supporting hyperplane
+    there.  The answer is p projected onto their affine hull, solved on
+    edge vectors (in closed form for a vertex or an edge): exact at acute
+    vertices of thin hulls, where rows lose about eps / angle, and with an
+    error that does not grow with the distance of p.  Rows that share no
+    point mean that no hyperplane separates p from the hull: p lies in it
+    up to rounding and comes back as a copy, as it does when it is a
+    generator.
+    """
+    W = p - V
+    norms = np.sqrt((W * W).sum(axis=1))
+    if norms.min() == 0.0:
+        return p.copy()
+    solver = _LeastDistance(np.zeros(p.size))
+    try:
+        solver.solve(W / norms[:, None], -1.0 / norms)
+    except ProjectionError:
+        return p.copy()
+    face = V[solver.face]
+    if face.shape[0] == 1:
+        return face[0] + 0.0  # + 0.0, as the sums below, leaves no -0.0
+    edges = face[1:] - face[0]
+    if edges.shape[0] == 1:
+        e = edges[0]
+        return face[0] + ((p - face[0]) @ e / (e @ e)) * e
+    t = np.linalg.lstsq(edges.T, p - face[0], rcond=None)[0]
+    return face[0] + t @ edges
 
 
 class Ball(ConvexBody):

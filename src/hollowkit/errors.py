@@ -119,7 +119,7 @@ class GridDimensionError(HollowkitError, ValueError):
 
 
 class HollowNotFoundError(HollowkitError):
-    """No bounded uncovered component appeared where one was expected."""
+    """No hollow cell appeared on a grid where a hollow was expected."""
 
 
 class SceneError(HollowkitError):

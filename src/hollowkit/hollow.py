@@ -12,26 +12,24 @@ checks, without a grid, whether a pair of affine flats stabs a family:
 by the same cage, an uncovered crossing point inside the witness simplex
 on the first flat is enclosed there.
 
-The grid keeps one mask, ``covered``: a cell is covered when its center
-passes some body's ``contains_batch`` at ``tol = 0``.  The mask is filled,
-and the hollow's cells are read from it, in slabs along axis 0 of at most
-``SLAB_CELLS`` cells, so no array wider than the byte mask spans the grid
-(a 128-cell 3-D grid has 2.1M cells, 16.8M at the retry's half cell size).
-A body's slab mask is read from the per-axis coordinates of its centers.
-A ball adds the squared offsets along each axis as arrays that broadcast
-over the slab, left to right, which is the same arithmetic as its
-``contains_batch`` on a point; an intersection ANDs its members' masks,
-since at ``tol = 0`` its boundary band is empty.  So both masks are exact.
-A polytope lifts the slab's centers to a point list: its row slacks come
-from a BLAS product, whose sums agree with per-axis sums in only 70-85% of
-slacks on random points in 2-D and 3-D, so a broadcast form would change
-which cells it holds.  Slabs change no bit: a center's coordinates are the
-same numbers in whichever slab it falls, and each cell's test reads only
-its own center (a polytope slack is one point row times one body row, d
-products summed whatever the number of rows; the tests compare slabbed and
-whole-grid masks bit for bit).  Which body covers a cell is not stored:
-:func:`boundary_attribution` applies the same rule to the hollow's covered
-face neighbours and returns only the set of bodies it finds.
+The grid stores no mask.  One pass, in slabs along axis 0 of at most
+``SLAB_CELLS`` cells, ORs the bodies' covers of a slab, keeps its
+uncovered cells strictly inside the cage and drops the rest, so no array
+spans the grid (a 128-cell 3-D grid has 2.1M cells, 16.8M at the retry's
+half cell size).  A cell is covered when its center passes some body's
+``contains_batch`` at ``tol = 0``, read from the per-axis coordinates of
+the centers.  A ball adds the squared offsets along each axis as arrays
+that broadcast over the slab, left to right, the same arithmetic as its
+``contains_batch`` on a point; an intersection ANDs its members' covers,
+since at ``tol = 0`` its boundary band is empty.  A polytope lifts the
+slab's centers to a point list: its row slacks come from a BLAS product,
+whose sums agree with per-axis sums in only 70-85% of slacks on random
+points in 2-D and 3-D, so a broadcast form would change which cells it
+holds.  Slabs change no bit: each cell's test reads only its own center,
+the same numbers in whichever slab it falls (a polytope slack is one
+point row times one body row; the tests compare slabbed cells with a
+whole-grid cover bit for bit).  :func:`boundary_attribution` asks the
+bodies about the hollow's face neighbours by the same rule.
 """
 from __future__ import annotations
 
@@ -42,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import HPolytope, VPolytope, check_tol
+from .bodies import HPolytope, VPolytope, _hull_projection, check_tol
 from .errors import (DegenerateSimplexError, GridDimensionError,
                      GridResolutionError, HollowNotFoundError, NoHollowError)
 from .geometry import AffineSubspace, Simplex, as_point, as_points
@@ -51,7 +49,8 @@ from .solvers import min_distance
 logger = logging.getLogger(__name__)
 
 MIN_CELLS_PER_AXIS = 20
-# Most cells a grid may hold, above the 16.8M of the 3-D retry.
+# Most cells a grid may hold, above the 16.8M of the 3-D retry.  No array
+# spans the grid, so this bounds the run time of one pass, not memory.
 MAX_GRID_CELLS = 2 ** 25
 BOX_EXPAND = 1.1
 # Most cells one slab of the grid holds; a slab is at least one layer.
@@ -60,18 +59,17 @@ SLAB_CELLS = 2 ** 15
 
 @dataclass
 class Grid:
-    """Axis-aligned cell grid and the mask of the union of ``bodies``.
+    """Axis-aligned cell lattice over which ``bodies`` were certified.
 
-    ``covered[idx]`` is true when the cell center lies in at least one of
-    ``bodies``, by its ``contains_batch`` at ``tol = 0``.  This byte mask is
-    all the grid stores; ask a body about a cell by that rule on
-    :meth:`centers`.
+    Cell ``idx`` has its center at ``lo + (idx + 0.5) * resolution``; a
+    cell is covered when its center lies in one of ``bodies`` by its
+    ``contains_batch`` at ``tol = 0``.  The lattice stores no cell: ask a
+    body about cells by that rule on :meth:`centers`.
     """
 
     lo: np.ndarray
     resolution: float
     shape: tuple
-    covered: np.ndarray = field(repr=False)
     bodies: tuple = field(repr=False)
 
     def centers(self, cells):
@@ -95,33 +93,28 @@ def check_resolution(resolution):
     return h
 
 
-def _build_grid(bodies, lo, counts, resolution):
-    """Rasterize the union of ``bodies`` at the centers of a cell grid.
+def _hollow_cells(grid, cage):
+    """The multi-indices, in C order, of the cells of ``grid`` that no body
+    covers and whose centers have all barycentrics in ``cage`` positive.
 
-    The grid has ``counts[i]`` cells of side ``resolution`` along axis i,
-    starting at ``lo``, and at least ``MIN_CELLS_PER_AXIS`` on every axis
-    (else :class:`GridResolutionError`).  Slab by slab, each body's grid
-    cover, its ``contains_batch`` at ``tol = 0`` on the cell centers read
-    from the centers' coordinates on each axis, is ORed into the mask (see
-    the module docstring for why that is exact).
+    One pass, slab by slab: each body's grid cover of the slab is ORed in,
+    the slab's uncovered cells inside the cage are kept, and its cover is
+    dropped (see the module docstring for why that is exact).
     """
-    if counts.min() < MIN_CELLS_PER_AXIS:
-        raise GridResolutionError(
-            f"resolution {resolution:g} gives only {int(counts.min())} cells "
-            f"on the narrowest axis; at least {MIN_CELLS_PER_AXIS} required")
-    if counts.prod() > MAX_GRID_CELLS:
-        raise GridResolutionError(
-            f"resolution {resolution:g} gives {counts.prod():.0f} cells; "
-            f"at most {MAX_GRID_CELLS} allowed")
-    shape = tuple(int(c) for c in counts)
-    axes = [lo[i] + (np.arange(shape[i]) + 0.5) * resolution
-            for i in range(lo.size)]
-    covered = np.zeros(shape, dtype=bool)
-    for rows in _slabs(shape):
+    axes = [grid.lo[i] + (np.arange(n) + 0.5) * grid.resolution
+            for i, n in enumerate(grid.shape)]
+    cells = [np.empty((0, len(grid.shape)), dtype=np.intp)]
+    for rows in _slabs(grid.shape):
         slab_axes = [axes[0][rows]] + axes[1:]
-        for body in bodies:
-            covered[rows] |= body._grid_cover(slab_axes)
-    return Grid(lo, float(resolution), shape, covered, tuple(bodies))
+        covered = np.zeros([a.size for a in slab_axes], dtype=bool)
+        for body in grid.bodies:
+            covered |= body._grid_cover(slab_axes)
+        free = np.argwhere(~covered)
+        if free.size:
+            free[:, 0] += rows.start
+            bary = cage.barycentrics(grid.centers(free))
+            cells.append(free[bary.min(axis=1) > 0.0])
+    return np.concatenate(cells)
 
 
 @dataclass
@@ -217,28 +210,30 @@ def certify_hollow(family, resolution=None):
     center = 0.5 * (lo0 + hi0)
     half = 0.5 * BOX_EXPAND * (hi0 - lo0)
     lo, hi = center - half, center + half
-    for resolution in (resolution, resolution / 2.0):
-        counts = np.ceil((hi - lo) / resolution - 1e-12)
-        grid = _build_grid(family.bodies, lo, counts, resolution)
-        cells = [np.empty((0, d), dtype=np.intp)]
-        for rows in _slabs(grid.shape):
-            free = np.argwhere(~grid.covered[rows])
-            if free.size:
-                free[:, 0] += rows.start
-                bary = cage.barycentrics(grid.centers(free))
-                cells.append(free[bary.min(axis=1) > 0.0])
-        cells = np.concatenate(cells)
+    for size in (resolution, resolution / 2.0):
+        counts = np.ceil((hi - lo) / size - 1e-12)
+        if counts.min() < MIN_CELLS_PER_AXIS:
+            raise GridResolutionError(
+                f"resolution {size:g} gives only {int(counts.min())} cells "
+                f"on the narrowest axis; at least {MIN_CELLS_PER_AXIS} required")
+        if counts.prod() > MAX_GRID_CELLS:
+            raise GridResolutionError(
+                f"resolution {size:g} gives {counts.prod():.0f} cells; "
+                f"at most {MAX_GRID_CELLS} allowed")
+        grid = Grid(lo, float(size), tuple(int(c) for c in counts),
+                    tuple(family.bodies))
+        cells = _hollow_cells(grid, cage)
         if cells.size:
             break
-        logger.info("no bounded component at resolution %g", resolution)
+        logger.info("no hollow cell at resolution %g", size)
     else:
         raise HollowNotFoundError(
-            f"no bounded uncovered component at resolution {resolution:g} "
-            "or its refinement")
+            f"no hollow cell at resolution {resolution:g} "
+            f"or at half of it, {resolution / 2.0:g}")
     return HollowCertificate(
         grid=grid,
         cells=cells,
-        measure=float(cells.shape[0]) * resolution ** d,
+        measure=float(cells.shape[0]) * grid.resolution ** d,
         hull_vertices=_component_hull(grid.centers(cells)),
         resolution=grid.resolution,
     )
@@ -247,20 +242,19 @@ def certify_hollow(family, resolution=None):
 def boundary_attribution(certificate):
     """The indices of the bodies covering a face neighbour of a hollow cell.
 
-    Each covered face neighbour is asked of every body by the grid's rule,
-    ``contains_batch`` at ``tol = 0`` on its center.  With no neighbour
-    covered, as for bodies too thin to hold a cell center, the set is empty.
+    Every face neighbour inside the grid is asked of every body by the
+    grid's rule, ``contains_batch`` at ``tol = 0`` on its center; an
+    uncovered neighbour is held by no body, so asking about all of them
+    finds the bodies that cover one.  With no neighbour covered, as for
+    bodies too thin to hold a cell center, the set is empty.
     """
     grid = certificate.grid
     nbrs = []
     for axis, step in itertools.product(range(len(grid.shape)), (-1, 1)):
         nbr = certificate.cells.copy()
         nbr[:, axis] += step
-        nbr = nbr[(nbr[:, axis] >= 0) & (nbr[:, axis] < grid.shape[axis])]
-        nbrs.append(nbr[grid.covered[tuple(nbr.T)]])
+        nbrs.append(nbr[(nbr[:, axis] >= 0) & (nbr[:, axis] < grid.shape[axis])])
     centers = grid.centers(np.concatenate(nbrs))
-    if centers.shape[0] == 0:
-        return frozenset()
     return frozenset(i for i, body in enumerate(grid.bodies)
                      if body.contains_batch(centers, tol=0.0).any())
 
@@ -270,15 +264,11 @@ def hausdorff_convex(vertices_a, vertices_b):
 
     The supremum over a convex hull of the distance to another convex set
     is attained at a vertex, so both directed distances reduce to vertex
-    projections.
+    projections, each one least-distance solve on the other point list.
     """
-    A = as_points(vertices_a)
-    B = as_points(vertices_b)
-    hull_a = VPolytope(A)
-    hull_b = VPolytope(B)
-    d_ab = max(float(hull_b.distance(v)) for v in A)
-    d_ba = max(float(hull_a.distance(v)) for v in B)
-    return max(d_ab, d_ba)
+    A, B = as_points(vertices_a), as_points(vertices_b)
+    gaps = [p - _hull_projection(V, p) for P, V in ((A, B), (B, A)) for p in P]
+    return max(math.sqrt(g @ g) for g in gaps)
 
 
 def hull_vs_simplex(certificate, hollow):

@@ -11,7 +11,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import linprog
 
-from hollowkit import Ball, HPolytope, VPolytope
+from hollowkit import (Ball, HPolytope, VPolytope, certify_hollow,
+                       hollow_simplex, hull_vs_simplex)
 
 
 def hulls_intersect(P, Q):
@@ -200,14 +201,27 @@ def unique_rows_step(exact):
 
 def whole_grid_cover(bodies, lo, shape, resolution):
     """The union mask of a cell grid as the OR of each body's grid cover of
-    the whole grid at once: the reference for the slabbed
-    ``hollow._build_grid``."""
+    the whole grid at once: the reference for the slabbed covers of
+    ``hollow._hollow_cells``."""
     axes = [lo[i] + (np.arange(n) + 0.5) * resolution
             for i, n in enumerate(shape)]
     covered = np.zeros(shape, dtype=bool)
     for body in bodies:
         covered |= body._grid_cover(axes)
     return covered
+
+
+def grid_mask(grid):
+    """The union mask of a certificate's grid, rebuilt from its lattice."""
+    return whole_grid_cover(grid.bodies, grid.lo, grid.shape, grid.resolution)
+
+
+def whole_grid_cells(grid, cage):
+    """The uncovered cells of the whole-grid mask whose centers have all
+    barycentrics in ``cage`` positive, in C order: the reference for
+    ``hollow._hollow_cells``."""
+    free = np.argwhere(~grid_mask(grid))
+    return free[cage.barycentrics(grid.centers(free)).min(axis=1) > 0.0]
 
 
 def whole_mask_attribution(certificate):
@@ -232,12 +246,21 @@ def whole_mask_attribution(certificate):
 def bounded_component_cells(grid):
     """Cells, in C order, of every uncovered component of a grid that
     reaches no face of the grid box, labeled by face adjacency with
-    ``scipy.ndimage``: the reference for the cage cells of
-    ``hollow.certify_hollow``."""
+    ``scipy.ndimage`` on the mask rebuilt by :func:`grid_mask`: the
+    reference for the cage cells of ``hollow.certify_hollow``."""
     d = len(grid.shape)
     labels, _ = ndimage.label(
-        ~grid.covered, structure=ndimage.generate_binary_structure(d, 1))
+        ~grid_mask(grid), structure=ndimage.generate_binary_structure(d, 1))
     border = {0}
     for axis in range(d):
         border.update(np.unique(np.take(labels, [0, -1], axis=axis)).tolist())
     return np.argwhere(~np.isin(labels, sorted(border)))
+
+
+def grid_hull_ratios(family, halvings):
+    """``hull_vs_simplex`` over the cell size, from ``certify_hollow``'s
+    default cell size h down to h / 2**halvings, halving each time."""
+    hs = hollow_simplex(family)
+    h = certify_hollow(family).resolution
+    return [hull_vs_simplex(certify_hollow(family, size), hs) / size
+            for size in h / 2.0 ** np.arange(halvings + 1)]

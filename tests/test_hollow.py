@@ -15,12 +15,13 @@ from hollowkit import (AffineSubspace, Ball, CriticalFamily,
                        certify_hollow, check_critical, hausdorff_convex,
                        hollow_simplex, hull_vs_simplex, verify_stabbing)
 from hollowkit import hollow
+from hollowkit.geometry import Simplex
 from hollowkit.hollow import (BOX_EXPAND, MAX_GRID_CELLS, MIN_CELLS_PER_AXIS,
-                              _build_grid, _slabs)
+                              Grid, _hollow_cells, _slabs)
 from hollowkit.scenes import load_scene
 from conftest import disk_centers, side_rectangle
-from helpers import (bounded_component_cells, whole_grid_cover,
-                     whole_mask_attribution)
+from helpers import (bounded_component_cells, grid_hull_ratios, grid_mask,
+                     whole_grid_cells, whole_mask_attribution)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -60,7 +61,7 @@ def test_disks_component(disks_cert):
 
 def test_disks_cells_are_uncovered(disks_cert):
     idx = tuple(disks_cert.cells.T)
-    assert not disks_cert.grid.covered[idx].any()
+    assert not grid_mask(disks_cert.grid)[idx].any()
 
 
 def test_disks_hull_close_to_simplex(disks_cert, disks_hollow):
@@ -76,7 +77,7 @@ def test_segments_cover_no_neighbour_of_the_hollow(segments_family):
     hollow cells is covered and no body is attributed."""
     cert = certify_hollow(segments_family, 0.05)
     assert cert.cell_count == 2400
-    assert not cert.grid.covered.any()
+    assert not grid_mask(cert.grid).any()
     assert boundary_attribution(cert) == frozenset()
 
 
@@ -127,15 +128,23 @@ def slab_bodies(d):
                                             np.full(d, 0.1))])]
 
 
+def slab_cage(d):
+    """A simplex reaching into every corner region of [-1.2, 1.2]^d."""
+    return Simplex(np.vstack([np.eye(d), -np.ones(d)]) * 1.15)
+
+
 @pytest.mark.parametrize("shape", [(23, 21), (22, 20, 21)])
 def test_slabbed_cover_is_the_whole_grid_cover(shape, monkeypatch):
     """With slabs of 4 layers and a partial last slab, and with slabs
-    smaller than a layer, the slabbed mask of each body kind, alone and in
-    the union, equals the OR of whole-grid covers bit for bit."""
+    smaller than a layer, the hollow cells read slab by slab for each body
+    kind, alone and in the union, equal the uncovered cells inside the cage
+    of one whole-grid cover bit for bit."""
     d = len(shape)
     lo = np.full(d, -1.2)
     resolution = 2.4 / min(shape)
     bodies = slab_bodies(d)
+    cage = slab_cage(d)
+    inside = whole_grid_cells(Grid(lo, resolution, shape, ()), cage)
     layer = math.prod(shape[1:])
     assert shape[0] % 4
     for slab_cells, step in ((4 * layer + 3, 4), (layer - 1, 1)):
@@ -143,11 +152,10 @@ def test_slabbed_cover_is_the_whole_grid_cover(shape, monkeypatch):
         assert _slabs(shape) == [slice(i, i + step)
                                  for i in range(0, shape[0], step)]
         for group in [[b] for b in bodies] + [bodies]:
-            grid = _build_grid(group, lo, np.array(shape, dtype=float),
-                               resolution)
-            reference = whole_grid_cover(group, lo, shape, resolution)
-            assert 0 < reference.sum() < reference.size
-            assert np.array_equal(grid.covered, reference)
+            grid = Grid(lo, resolution, shape, tuple(group))
+            reference = whole_grid_cells(grid, cage)
+            assert 0 < reference.shape[0] < inside.shape[0]
+            assert np.array_equal(_hollow_cells(grid, cage), reference)
 
 
 def scene_family(scene):
@@ -165,10 +173,12 @@ def test_boundary_attribution_matches_whole_grid_masks(scene):
     assert boundary_attribution(cert) == bodies
 
 
-def test_certify_hollow_memory_is_a_few_bytes_per_cell():
-    """The traced peak of certifying the 3-D balls scene stays within 2
-    bytes per grid cell: the mask and no full-grid temporary wider than a
-    byte."""
+def test_certify_hollow_peak_does_not_grow_with_the_grid():
+    """The traced peak of certifying the 3-D balls scene stays under 1 MB,
+    a bound that does not grow with the grid's 2.1M cells: one slab's
+    cover is alive at a time, and no array spans the grid."""
+    from scipy.spatial import ConvexHull  # noqa: F401 -- load before tracing
+
     family = scene_family("balls3.json")
     tracemalloc.start()
     try:
@@ -176,7 +186,21 @@ def test_certify_hollow_memory_is_a_few_bytes_per_cell():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * math.prod(cert.grid.shape)
+    assert cert.grid.shape == (128, 128, 128)
+    assert peak < 2 ** 20
+
+
+def test_hull_vs_simplex_builds_no_vpolytope(disks_cert, disks_hollow,
+                                             monkeypatch):
+    """The Hausdorff distance reads the two vertex lists: no hull's facet
+    rows are built for it."""
+    expected = hull_vs_simplex(disks_cert, disks_hollow)
+
+    def refuse(self, vertices):
+        raise AssertionError("VPolytope built")
+
+    monkeypatch.setattr(VPolytope, "__init__", refuse)
+    assert hull_vs_simplex(disks_cert, disks_hollow) == expected
 
 
 @pytest.fixture(scope="module",
@@ -221,17 +245,35 @@ def test_hollow_cells_lie_inside_the_hollow_simplex(certified):
     assert bary.min() > 0.0
 
 
-@pytest.mark.parametrize("scene", ["disks.json", "vpoly.json"])
-def test_grid_hull_approaches_the_hollow_simplex_at_first_order(scene):
-    """The "⊇" half: from certify_hollow's default cell size h down to h/8,
-    the grid hull lies within 3 h of the hollow simplex, so it tends to it
-    as h -> 0 (the measured ratio is at most 2.36 on disks, 1.66 on vpoly)."""
-    family = scene_family(scene)
-    hs = hollow_simplex(family)
-    h = certify_hollow(family).resolution
-    for size in h / 2.0 ** np.arange(4):
-        cert = certify_hollow(family, size)
-        assert hull_vs_simplex(cert, hs) <= 3.0 * size
+def ball_box_family():
+    """Two unit disks and a unit disk clipped by a box, on the side-1.8
+    triangle: the box cuts the first disk 0.8 from its center, on the side
+    away from the centroid, so the clip never reaches the hollow."""
+    c = disk_centers(1.8)
+    u = (c[0] - c.mean(axis=0)) / np.linalg.norm(c[0] - c.mean(axis=0))
+    w = np.array([-u[1], u[0]])
+    clip = HPolytope(np.array([u, -u, w, -w]),
+                     np.array([u @ c[0] + 0.8, -(u @ c[0]) + 1.5,
+                               w @ c[0] + 1.5, -(w @ c[0]) + 1.5]))
+    return check_critical([IntersectionBody([Ball(c[0], 1.0), clip],
+                                            witness=c[0])]
+                          + [Ball(x, 1.0) for x in c[1:]])
+
+
+@pytest.mark.parametrize(
+    "scene", ["disks.json", "vpoly.json", "rects", "ball-box", "balls3.json"])
+def test_grid_hull_approaches_the_hollow_simplex_at_first_order(
+        scene, rects_family):
+    """The "⊇" half: from certify_hollow's default cell size h down to h/8
+    (h/2 for balls3, whose h/4 grid is over ``MAX_GRID_CELLS``), the grid
+    hull lies within 3 h of the hollow simplex, so it tends to it as
+    h -> 0.  The largest measured ratios: 2.36 on disks, 1.66 on vpoly,
+    1.51 on rects, 1.92 on the ball-box intersection, 1.36 on balls3."""
+    family = {"rects": lambda: rects_family,
+              "ball-box": ball_box_family}.get(
+                  scene, lambda: scene_family(scene))()
+    halvings = 1 if scene == "balls3.json" else 3
+    assert max(grid_hull_ratios(family, halvings)) <= 3.0
 
 
 @pytest.mark.parametrize("scene", ["disks.json", "balls3.json"])
@@ -249,8 +291,8 @@ def test_cells_do_not_depend_on_the_body_order(scene):
 
 def test_grid_budget_is_refused_before_allocating(disks_family):
     """A cell size that would give more than ``MAX_GRID_CELLS`` cells (here
-    about 9.5e9, 8.8 GiB of mask) is refused with the count and the budget,
-    before any grid array is built."""
+    about 9.5e9) is refused with the count and the budget, before any cell
+    is tested."""
     tracemalloc.start()
     try:
         with pytest.raises(GridResolutionError,
@@ -328,19 +370,21 @@ def test_default_resolution_names_collinear_witnesses(disks_family):
 def test_grid_is_retried_once_at_half_the_cell_size(side, found, caplog):
     """Unit disks on a wide triangle leave a hollow a little over one cell
     across at 20.2 cells on the narrowest axis: the first grid finds no
-    bounded component, the one at half the cell size does at side 1.74 and
-    does not at side 1.735."""
+    hollow cell, the one at half the cell size does at side 1.74 and does
+    not at side 1.735, and the error names both cell sizes tried."""
     fam = check_critical([Ball(c, 1.0) for c in disk_centers(side)])
     W = fam.witnesses
     h = 1.1 * float((W.max(axis=0) - W.min(axis=0)).min()) / 20.2
-    failed = [f"no bounded component at resolution {h:g}"]
+    failed = [f"no hollow cell at resolution {h:g}"]
     with caplog.at_level(logging.INFO, logger="hollowkit.hollow"):
         if found:
             cert = certify_hollow(fam, h)
         else:
-            with pytest.raises(HollowNotFoundError, match="or its refinement"):
+            with pytest.raises(HollowNotFoundError) as err:
                 certify_hollow(fam, h)
-            failed.append(f"no bounded component at resolution {h / 2.0:g}")
+            assert str(err.value) == (f"no hollow cell at resolution {h:g} "
+                                      f"or at half of it, {h / 2.0:g}")
+            failed.append(f"no hollow cell at resolution {h / 2.0:g}")
     assert [r.getMessage() for r in caplog.records] == failed
     if found:
         assert cert.resolution == h / 2.0
@@ -354,6 +398,34 @@ def test_hausdorff_convex_closed_forms():
     b = [[0.5], [1.5]]
     assert hausdorff_convex(a, b) == pytest.approx(0.5)
     assert hausdorff_convex(b, a) == pytest.approx(0.5)
+
+
+def test_hausdorff_convex_on_degenerate_point_lists():
+    """Points, segments and repeated vertices, whose hulls have no facets:
+    the vertex projections meet them as any other list."""
+    # a point against a segment off it: the far end decides
+    point, segment = [[1.0, 2.0]], [[0.0, 0.0], [4.0, 0.0]]
+    assert hausdorff_convex(point, segment) == pytest.approx(np.hypot(3.0, 2.0))
+    assert hausdorff_convex(segment, point) == pytest.approx(np.hypot(3.0, 2.0))
+    # collinear lists in 3-D, interior points included: the ends decide
+    line = np.array([1.0, 2.0, 2.0]) / 3.0
+    a = np.outer([0.0, 0.5, 2.0, 1.0], line)
+    b = np.outer([-1.0, 0.3, 2.5], line)
+    assert hausdorff_convex(a, b) == pytest.approx(1.0)
+    # a collinear list against a parallel one 1 away, ends 0.5 past
+    lifted = np.array([[0.5, 1.0], [2.0, 1.0], [3.5, 1.0]])
+    assert hausdorff_convex([[0.0, 0.0], [4.0, 0.0]], lifted) == pytest.approx(
+        np.hypot(0.5, 1.0))
+    # duplicated vertices change no hull
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    doubled = np.vstack([tri, tri, tri[:1]])
+    assert hausdorff_convex(doubled, tri + [0.0, 2.0]) == pytest.approx(2.0)
+    assert hausdorff_convex(doubled, tri) == 0.0
+    # a 3-D list against itself, interior points included, is exactly 0
+    rng = np.random.default_rng(3)
+    cloud = rng.normal(size=(12, 3))
+    assert hausdorff_convex(cloud, cloud) == 0.0
+    assert hausdorff_convex(cloud, cloud[::-1]) == 0.0
 
 
 def test_stabbing_pair_validation(gap_pair):
