@@ -600,12 +600,11 @@ class ConvexBody(abc.ABC):
         """Which rows of an (N, d) array lie within ``tol`` of the body: the
         body's one contains rule, stated by each kind."""
 
-    def _grid_cover(self, axes):
-        """``contains_batch(., tol=0)`` at the points of the grid whose
-        coordinates along axis i are the 1-D array ``axes[i]``, shaped like
-        that grid.  This default lifts the grid to its (N, d) point list."""
-        return self.contains_batch(_grid_points(axes), tol=0.0).reshape(
-            [a.size for a in axes])
+    def _cover(self, columns):
+        """``contains_batch(., tol=0)`` at the N points whose coordinates
+        along axis i are ``columns[i]``, d 1-D arrays of length N.  This
+        default stacks them into the (N, d) point list."""
+        return self.contains_batch(np.stack(columns, axis=1), tol=0.0)
 
     def diameter(self):
         lo, hi = self.bounding_box()
@@ -651,16 +650,6 @@ class _FacetPolytope(ConvexBody):
         for idx in np.flatnonzero(~out & (worst <= tol)):
             out[idx] = self.distance(pts[idx]) <= tol
         return out
-
-
-def _grid_points(axes):
-    """The (N, d) list of the points of the grid whose coordinates along
-    axis i are the 1-D array ``axes[i]``, the last axis varying fastest."""
-    d = len(axes)
-    points = np.empty([a.size for a in axes] + [d])
-    for i, a in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-        points[..., i] = a
-    return points.reshape(-1, d)
 
 
 def _least_maximizer(V, u):
@@ -959,12 +948,14 @@ class Ball(ConvexBody):
 
     def distance(self, p):
         v = as_point(p, self.dim) - self._c
-        return max(0.0, math.sqrt(v @ v) - self._r)
+        # a finite point far enough out overflows v @ v to inf, its distance
+        with np.errstate(over="ignore"):
+            return max(0.0, math.sqrt(v @ v) - self._r)
 
     def _within(self, coords, tol):
-        """The contains rule on per-axis coordinate arrays that broadcast:
-        the squared offsets summed left to right, so that a row of a point
-        list and a cell of a grid give the same bits."""
+        """The contains rule on per-axis coordinate arrays: the squared
+        offsets summed left to right, so that a point list and its columns
+        give the same bits."""
         squares = [(x - c) * (x - c) for x, c in zip(coords, self._c)]
         # sum(rest, first) adds ((first + s1) + s2) + ...
         return np.sqrt(sum(squares[1:], squares[0])) <= self._r + tol
@@ -972,10 +963,10 @@ class Ball(ConvexBody):
     def contains_batch(self, points, tol=DEFAULT_TOL):
         return self._within(as_points(points, self.dim).T, tol)
 
-    def _grid_cover(self, axes):
-        """:meth:`_within` on each axis laid along its own dimension: the
-        same sums as on the point list, without building it."""
-        return self._within(np.meshgrid(*axes, indexing="ij", sparse=True), 0.0)
+    def _cover(self, columns):
+        """:meth:`_within` on the columns: the same sums as on the point
+        list, without building it."""
+        return self._within(columns, 0.0)
 
 
 class IntersectionBody(ConvexBody):
@@ -1024,6 +1015,7 @@ class IntersectionBody(ConvexBody):
                     raise ValueError(f"witness fails membership in member {i}")
         self._witness = witness
         self._cuts = _NO_CUTS
+        self._radius = None   # support's far-point distance, set on first use
 
     @property
     def dim(self):
@@ -1053,16 +1045,19 @@ class IntersectionBody(ConvexBody):
 
         With R = ``_SUPPORT_RADIUS * (1 + diam)`` the returned member's inner
         product with u falls short of the support value by at most
-        diam^2 / (2 R).  The far point is projected with fresh cuts, by
-        :func:`project_intersection`, so the answer depends on u alone and
-        the pool takes in no cut from R away.
+        diam^2 / (2 R).  R is worked out at the first call and kept, since
+        the members do not change.  The far point is projected with fresh
+        cuts, by :func:`project_intersection`, so the answer depends on u
+        alone and the pool takes in no cut from R away.
         """
         u = as_point(direction, self._dim)
         norm = math.sqrt(u @ u)
         if norm == 0:
             raise ValueError("support direction must be nonzero")
-        radius = self._SUPPORT_RADIUS * (1.0 + self.diameter())
-        return project_intersection(self._bodies, self._witness + (radius / norm) * u)
+        if self._radius is None:
+            self._radius = self._SUPPORT_RADIUS * (1.0 + self.diameter())
+        return project_intersection(self._bodies,
+                                    self._witness + (self._radius / norm) * u)
 
     def contains_batch(self, points, tol=DEFAULT_TOL):
         """In when every member holds the point exactly, out when some
@@ -1079,10 +1074,10 @@ class IntersectionBody(ConvexBody):
             out[idx] = self.distance(pts[idx]) <= tol
         return out
 
-    def _grid_cover(self, axes):
-        """The AND of the members' grid covers: at tol = 0 the band of
+    def _cover(self, columns):
+        """The AND of the members' covers: at tol = 0 the band of
         :meth:`contains_batch` is empty, so this is that rule exactly."""
-        cover = self._bodies[0]._grid_cover(axes)
+        cover = self._bodies[0]._cover(columns)
         for b in self._bodies[1:]:
-            cover &= b._grid_cover(axes)
+            cover &= b._cover(columns)
         return cover

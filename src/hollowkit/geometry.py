@@ -5,6 +5,7 @@ objects here are immutable value types and all functions are pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,19 @@ HULL_RANK_RTOL = 1e-9
 
 
 def as_point(x, dim=None):
-    """Validate and return a finite 1-D float array."""
+    """Validate and return a finite 1-D float array.
+
+    A point is finite when the Python sum of its coordinates is: a NaN or
+    an infinity makes that sum NaN or infinite.  Only a sum that overflows
+    is checked again coordinate by coordinate, so a finite point is never
+    refused, and the sum, unlike numpy's, warns of no overflow.
+    """
     p = np.asarray(x, dtype=float)
     if p.ndim == 0:
         p = p.reshape(1)
     if p.ndim != 1:
         raise ValueError(f"point must be 1-D, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    if not (math.isfinite(sum(p.tolist())) or np.isfinite(p).all()):
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"point has dimension {p.shape[0]}, expected {dim}")

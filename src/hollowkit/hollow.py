@@ -12,24 +12,33 @@ checks, without a grid, whether a pair of affine flats stabs a family:
 by the same cage, an uncovered crossing point inside the witness simplex
 on the first flat is enclosed there.
 
-The grid stores no mask.  One pass, in slabs along axis 0 of at most
-``SLAB_CELLS`` cells, ORs the bodies' covers of a slab, keeps its
-uncovered cells strictly inside the cage and drops the rest, so no array
-spans the grid (a 128-cell 3-D grid has 2.1M cells, 16.8M at the retry's
-half cell size).  A cell is covered when its center passes some body's
-``contains_batch`` at ``tol = 0``, read from the per-axis coordinates of
-the centers.  A ball adds the squared offsets along each axis as arrays
-that broadcast over the slab, left to right, the same arithmetic as its
-``contains_batch`` on a point; an intersection ANDs its members' covers,
-since at ``tol = 0`` its boundary band is empty.  A polytope lifts the
-slab's centers to a point list: its row slacks come from a BLAS product,
-whose sums agree with per-axis sums in only 70-85% of slacks on random
-points in 2-D and 3-D, so a broadcast form would change which cells it
-holds.  Slabs change no bit: each cell's test reads only its own center,
-the same numbers in whichever slab it falls (a polytope slack is one
-point row times one body row; the tests compare slabbed cells with a
-whole-grid cover bit for bit).  :func:`boundary_attribution` asks the
-bodies about the hollow's face neighbours by the same rule.
+The grid stores no mask, and the bodies are asked only about the
+cage's rows.  One pass, in slabs along axis 0 of at most ``SLAB_CELLS``
+cells, takes each line of cells along the last axis and, from the
+cage's affine barycentric functions, the range of cells on it that can
+lie strictly inside the cage, widened by one cell at each end.  Only
+those cells, ``CHUNK_CELLS`` at a time, are asked of the bodies, each
+body about the cells the ones before it left uncovered, so no array
+spans the grid (a 128-cell 3-D grid has 2.1M cells, 16.8M at the
+retry's half cell size).  The exact test, all of
+:meth:`Simplex.barycentrics` positive, still decides which uncovered
+cells count; the range is a conservative filter, so a cell outside it is
+one that test would drop.
+
+A cell is covered when its center passes some body's ``contains_batch``
+at ``tol = 0``, read from the coordinate columns of the centers.  A ball
+adds the squared offsets along each axis left to right, the same
+arithmetic as its ``contains_batch`` on a point; an intersection ANDs
+its members' covers, since at ``tol = 0`` its boundary band is empty.  A
+polytope stacks the columns into a point list: its row slacks come from
+a BLAS product, whose sums agree with per-axis sums in only 70-85% of
+slacks on random points in 2-D and 3-D, so a broadcast form would change
+which cells it holds.  Neither the rows nor the chunks change a bit:
+each cell's test reads only its own center, the same numbers in
+whichever chunk it falls (a polytope slack is one point row times one
+body row, a cell's barycentrics one column of the least-squares solve;
+the tests compare these cells with a whole-grid cover bit for bit).  :func:`boundary_attribution` asks the bodies about the hollow's
+face neighbours by the same rule.
 """
 from __future__ import annotations
 
@@ -49,12 +58,16 @@ from .solvers import min_distance
 logger = logging.getLogger(__name__)
 
 MIN_CELLS_PER_AXIS = 20
-# Most cells a grid may hold, above the 16.8M of the 3-D retry.  No array
-# spans the grid, so this bounds the run time of one pass, not memory.
+# Most cells a grid may hold, above the 16.8M of the 3-D retry.  It
+# counts the whole box, though the bodies are asked only about the cage's
+# rows; no array spans the grid, so it bounds the run time of one pass,
+# not memory.
 MAX_GRID_CELLS = 2 ** 25
 BOX_EXPAND = 1.1
 # Most cells one slab of the grid holds; a slab is at least one layer.
 SLAB_CELLS = 2 ** 15
+# Most cells asked of the bodies at once.
+CHUNK_CELLS = 2 ** 12
 
 
 @dataclass
@@ -93,28 +106,89 @@ def check_resolution(resolution):
     return h
 
 
+def _cage_rows(grid, cage):
+    """For each slab of ``grid``: the multi-indices of its lines of cells
+    along the last axis, as a (d - 1, L) array in C order, with the first
+    last-axis index and the count of the cells of each line whose centers
+    can have all barycentrics in ``cage`` positive.
+
+    Along a line each barycentric is an affine function a + b k of the
+    cell index k: lin x + const, solved in the frame of the first vertex,
+    where the system is as well conditioned as the cage.  The range keeps
+    every k where all of them exceed -eta, and one more cell at each end.
+    eta is 1e-12 times the condition number of M = [V^T; 1] times the
+    size of the terms of a barycentric on the grid box: thousands of times
+    what rounding moves the least-squares coordinates that
+    :meth:`Simplex.barycentrics` solves from M, so the range holds every
+    cell that test passes.  Past a condition number of 1e12, as far
+    enough from the origin, eta exceeds every barycentric and the range
+    is the whole line.
+    """
+    d, h, n = len(grid.shape), grid.resolution, grid.shape[-1]
+    V = cage.vertices
+    form = np.linalg.inv(np.vstack([(V - V[0]).T, np.ones(d + 1)]))
+    lin, const = form[:, :d], form[:, d] - form[:, :d] @ V[0]
+    cond = (max(np.abs(V).sum(axis=0).max(), d + 1.0)
+            * (np.abs(lin).sum(axis=1) + np.abs(const)).max())
+    reach = np.maximum(np.abs(grid.lo), np.abs(grid.lo + h * np.array(grid.shape)))
+    eta = 1e-12 * cond * (1.0 + np.abs(lin) @ reach + np.abs(const))
+    # barycentric j of cell k of a line is lin[j] @ (index * h + lo + h / 2)
+    # + const[j]: a[j] + b[j] k, with eta added to a
+    shift = (lin[:, :-1] @ (grid.lo[:-1] + 0.5 * h) + const + eta
+             + lin[:, -1] * (grid.lo[-1] + 0.5 * h))
+    b = lin[:, -1] * h
+    slope = lin[:, :-1] * h
+    # k > -a / b where b > 0, k < -a / b where b < 0
+    up, down, flat = b > 0.0, b < 0.0, b == 0.0
+    for rows in _slabs(grid.shape):
+        layers = min(rows.stop, grid.shape[0]) - rows.start
+        lines = np.indices((layers,) + grid.shape[1:-1]).reshape(d - 1, -1)
+        lines[0] += rows.start
+        a = slope @ lines + shift[:, None]
+        start = np.floor(np.max(-a[up] / b[up, None], axis=0, initial=-np.inf))
+        stop = np.ceil(np.min(-a[down] / b[down, None], axis=0,
+                              initial=np.inf)) + 1.0
+        start, stop = np.clip(start, 0, n), np.clip(stop, 0, n)
+        stop[(a[flat] <= 0.0).any(axis=0)] = 0.0
+        yield (lines, start.astype(np.intp),
+               np.maximum(stop - start, 0.0).astype(np.intp))
+
+
 def _hollow_cells(grid, cage):
     """The multi-indices, in C order, of the cells of ``grid`` that no body
     covers and whose centers have all barycentrics in ``cage`` positive.
 
-    One pass, slab by slab: each body's grid cover of the slab is ORed in,
-    the slab's uncovered cells inside the cage are kept, and its cover is
-    dropped (see the module docstring for why that is exact).
+    One pass, slab by slab, over the cells of the slab's lines that
+    :func:`_cage_rows` keeps, ``CHUNK_CELLS`` at a time: each body is
+    asked only about the cells that the bodies before it left uncovered.
+    The cells none covers, the hollow's and a few of the margin's, get
+    their barycentrics in one solve (see the module docstring for why
+    that is exact).
     """
-    axes = [grid.lo[i] + (np.arange(n) + 0.5) * grid.resolution
-            for i, n in enumerate(grid.shape)]
-    cells = [np.empty((0, len(grid.shape)), dtype=np.intp)]
-    for rows in _slabs(grid.shape):
-        slab_axes = [axes[0][rows]] + axes[1:]
-        covered = np.zeros([a.size for a in slab_axes], dtype=bool)
-        for body in grid.bodies:
-            covered |= body._grid_cover(slab_axes)
-        free = np.argwhere(~covered)
-        if free.size:
-            free[:, 0] += rows.start
-            bary = cage.barycentrics(grid.centers(free))
-            cells.append(free[bary.min(axis=1) > 0.0])
-    return np.concatenate(cells)
+    d, h = len(grid.shape), grid.resolution
+    last = grid.lo[-1] + (np.arange(grid.shape[-1]) + 0.5) * h
+    cells, centers = [np.empty((0, d), dtype=np.intp)], [np.empty((0, d))]
+    for lines, start, length in _cage_rows(grid, cage):
+        heads = grid.lo[:-1, None] + (lines + 0.5) * h
+        line_of = np.repeat(np.arange(lines.shape[1]), length)
+        k_of = np.arange(line_of.size) - np.repeat(
+            np.cumsum(length) - length - start, length)
+        for first in range(0, line_of.size, CHUNK_CELLS):
+            line = line_of[first:first + CHUNK_CELLS]
+            k = k_of[first:first + CHUNK_CELLS]
+            columns = [x[line] for x in heads] + [last[k]]
+            for body in grid.bodies:
+                if not k.size:
+                    break
+                free = ~body._cover(columns)
+                columns = [x[free] for x in columns]
+                line, k = line[free], k[free]
+            cells.append(np.column_stack([*lines[:, line], k]))
+            centers.append(np.stack(columns, axis=1))
+    cells = np.concatenate(cells)
+    if not cells.size:
+        return cells
+    return cells[cage.barycentrics(np.concatenate(centers)).min(axis=1) > 0.0]
 
 
 @dataclass

@@ -199,16 +199,24 @@ def unique_rows_step(exact):
     exact.depth += 1
 
 
+def grid_points(axes):
+    """The (N, d) list of the points of the grid whose coordinates along
+    axis i are the 1-D array ``axes[i]``, the last axis varying fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, len(axes))
+
+
 def whole_grid_cover(bodies, lo, shape, resolution):
-    """The union mask of a cell grid as the OR of each body's grid cover of
-    the whole grid at once: the reference for the slabbed covers of
-    ``hollow._hollow_cells``."""
-    axes = [lo[i] + (np.arange(n) + 0.5) * resolution
-            for i, n in enumerate(shape)]
-    covered = np.zeros(shape, dtype=bool)
+    """The union mask of a cell grid as the OR of each body's
+    ``contains_batch`` at ``tol = 0`` on all the grid's centers at once:
+    the reference for the covers that ``hollow._hollow_cells`` asks of the
+    bodies on the cage's rows."""
+    points = grid_points([lo[i] + (np.arange(n) + 0.5) * resolution
+                          for i, n in enumerate(shape)])
+    covered = np.zeros(points.shape[0], dtype=bool)
     for body in bodies:
-        covered |= body._grid_cover(axes)
-    return covered
+        covered |= body.contains_batch(points, tol=0.0)
+    return covered.reshape(shape)
 
 
 def grid_mask(grid):
@@ -257,10 +265,12 @@ def bounded_component_cells(grid):
     return np.argwhere(~np.isin(labels, sorted(border)))
 
 
-def grid_hull_ratios(family, halvings):
-    """``hull_vs_simplex`` over the cell size, from ``certify_hollow``'s
-    default cell size h down to h / 2**halvings, halving each time."""
+def grid_hull_ratios(family, scales):
+    """``hull_vs_simplex`` over the cell size, at ``certify_hollow``'s
+    default cell size h times each of ``scales``."""
     hs = hollow_simplex(family)
-    h = certify_hollow(family).resolution
-    return [hull_vs_simplex(certify_hollow(family, size), hs) / size
-            for size in h / 2.0 ** np.arange(halvings + 1)]
+    default = certify_hollow(family)
+    h = default.resolution
+    return [hull_vs_simplex(default if scale == 1.0
+                            else certify_hollow(family, h * scale), hs)
+            / (h * scale) for scale in scales]

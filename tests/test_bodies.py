@@ -1,6 +1,7 @@
 """Oracle contracts shared by every body: project, support, contains."""
 import logging
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from hollowkit import (AffineSubspace, Ball, EmptyBodyError, HPolytope,
                        VPolytope, check_critical, dykstra, feasibility_scan,
                        intersect_witness, kkm_verify, klee_solve,
                        verify_stabbing)
-from hollowkit.bodies import _cut_lp, _grid_points, project_intersection
+from hollowkit.bodies import ConvexBody, _cut_lp, project_intersection
+from hollowkit.geometry import as_point
 from conftest import disk_centers, side_rectangle
+from helpers import grid_points
 
 IDEMPOTENT_TOL = 1e-9
 SUPPORT_TOL = 1e-7
@@ -186,6 +189,30 @@ def test_contains_batch_matches_membership(name, body):
         assert flag == body.membership(p, 1e-7), name
 
 
+class UserBox(ConvexBody):
+    """An axis-aligned box written against the oracle interface alone, as a
+    user would: it keeps the base class's cover."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+
+    dim = property(lambda self: self.lo.size)
+    anchor = property(lambda self: 0.5 * (self.lo + self.hi))
+
+    def project(self, p):
+        return np.clip(p, self.lo, self.hi)
+
+    def support(self, direction):
+        return np.where(np.asarray(direction) >= 0.0, self.hi, self.lo)
+
+    def bounding_box(self):
+        return self.lo.copy(), self.hi.copy()
+
+    def contains_batch(self, points, tol=1e-7):
+        pts = np.asarray(points, dtype=float)
+        return ((pts >= self.lo - tol) & (pts <= self.hi + tol)).all(axis=1)
+
+
 def moved(body, scale, shift):
     """The image of ``body`` under x -> scale x + shift."""
     if isinstance(body, Ball):
@@ -194,6 +221,8 @@ def moved(body, scale, shift):
         return HPolytope(body.A, scale * body.b + body.A @ shift)
     if isinstance(body, VPolytope):
         return VPolytope(scale * body.vertices + shift)
+    if isinstance(body, UserBox):
+        return UserBox(scale * body.lo + shift, scale * body.hi + shift)
     return IntersectionBody([moved(b, scale, shift) for b in body.bodies],
                             witness=scale * body.anchor + shift, tol=1e-6 * scale)
 
@@ -203,15 +232,19 @@ def grid_cover_bodies():
     return sample_bodies() + [
         ("ball-3d", ball3),
         ("ball-box-3d", IntersectionBody(
-            [ball3, HPolytope.box([-0.5, -1.0, 0.0], [1.0, 0.4, 1.5])]))]
+            [ball3, HPolytope.box([-0.5, -1.0, 0.0], [1.0, 0.4, 1.5])])),
+        ("user-box", UserBox([-0.3, 0.2], [0.9, 0.7])),
+        ("ball-user-box", IntersectionBody(
+            [Ball([0.5, 0.5], 0.75), UserBox([-0.3, 0.2], [0.9, 0.7])]))]
 
 
 @pytest.mark.parametrize("name,body", grid_cover_bodies())
 def test_grid_cover_is_contains_batch_on_the_grid(name, body):
-    """Every point of a body's grid cover equals ``contains_batch`` at tol 0
-    on the lifted points, with no tolerance, at every scale and far from
-    the origin.  Each axis also holds the body's bounds and anchor and
-    their neighbouring floats, so that some points lie on the boundary."""
+    """A body's cover of coordinate columns, as certification asks it,
+    equals ``contains_batch`` at tol 0 on the same points, with no
+    tolerance, at every scale and far from the origin.  The points are a
+    grid whose axes also hold the body's bounds and anchor and their
+    neighbouring floats, so that some lie on the boundary."""
     rng = np.random.default_rng(31)
     for scale in (1e-3, 0.37, 1.0, 1e3):
         for shift in (0.0, 1e3, 1e6):
@@ -221,14 +254,13 @@ def test_grid_cover_is_contains_batch_on_the_grid(name, body):
             marks = np.concatenate([lo, hi, image.anchor])
             marks = np.concatenate([np.nextafter(marks, -np.inf), marks,
                                     np.nextafter(marks, np.inf)]).reshape(3, 3, -1)
-            axes = [np.unique(np.concatenate([
+            points = grid_points([np.unique(np.concatenate([
                 a - 0.2 * span + (np.arange(int(rng.integers(20, 30))) + 0.5)
                 * (1.4 * span / 24), marks[..., i].ravel()]))
-                for i, a in enumerate(lo)]
-            cover = image._grid_cover(axes)
-            lifted = image.contains_batch(_grid_points(axes), tol=0.0)
-            assert cover.shape == tuple(a.size for a in axes), name
-            assert np.array_equal(cover.ravel(), lifted), (name, scale, shift)
+                for i, a in enumerate(lo)])
+            cover = image._cover([points[:, i].copy() for i in range(body.dim)])
+            lifted = image.contains_batch(points, tol=0.0)
+            assert np.array_equal(cover, lifted), (name, scale, shift)
 
 
 def test_box_support_and_project_closed_form():
@@ -868,3 +900,44 @@ def test_entry_points_refuse_a_bad_tolerance(name, tol):
     with pytest.raises(ValueError,
                        match="tolerance must be a positive finite number"):
         TOL_ENTRY_POINTS[name](tol)
+
+
+def boundary_bodies():
+    """One 2-D body of each kind."""
+    return {"ball": Ball([0.0, 0.0], 1.0),
+            "hpoly": HPolytope.box([-1.0, -1.0], [1.0, 1.0]),
+            "vpoly": VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            "intersection": IntersectionBody(
+                [Ball([0.0, 0.0], 1.0), HPolytope.box([-1.0, -1.0], [0.5, 0.5])])}
+
+
+ORACLES = {
+    "project": lambda body, q: body.project(q),
+    "support": lambda body, q: body.support(q),
+    "distance": lambda body, q: body.distance(q),
+    "membership": lambda body, q: body.membership(q),
+    "contains_batch": lambda body, q: body.contains_batch([q]),
+}
+
+
+@pytest.mark.parametrize("query", [[np.nan, 0.0], [np.inf, 0.0],
+                                   [np.inf, -np.inf], [0.0, 0.0, 0.0]],
+                         ids=["nan", "inf", "mixed-inf", "wrong-length"])
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+@pytest.mark.parametrize("kind", sorted(boundary_bodies()))
+def test_public_oracles_refuse_a_bad_query(kind, oracle, query):
+    """Every public oracle of every kind refuses a NaN, an infinity, both
+    infinities at once or a point of the wrong length with ``ValueError``
+    at its boundary."""
+    with pytest.raises(ValueError):
+        ORACLES[oracle](boundary_bodies()[kind], query)
+
+
+def test_a_finite_point_whose_sum_overflows_is_accepted():
+    """The finiteness check adds the coordinates, so it must not refuse a
+    finite point whose sum overflows: [1e308, 1e308] is validated, and its
+    distance to a ball is infinite, with no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(as_point([1e308, 1e308], 2), [1e308, 1e308])
+        assert Ball([0.0, 0.0], 1.0).distance([1e308, 1e308]) == np.inf
