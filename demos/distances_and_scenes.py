@@ -1,14 +1,13 @@
-"""Distance solvers, Radon partitions, and the scene file format.
+"""Distance solvers and the scene file format.
 
 The low-level toolbox behind the certificates: nearest pairs between
-bodies, separating hyperplanes with margins, the pigeonhole partition of
-d + 2 points, and the JSON scene format the command line speaks.
+bodies, separating hyperplanes with margins, and the JSON scene format
+the command line speaks.
 """
 import numpy as np
 
 from hollowkit import (Ball, HPolytope, Scene, VPolytope, min_distance,
-                       parse_scene, radon_partition, separating_hyperplane,
-                       serialize_scene)
+                       parse_scene, separating_hyperplane, serialize_scene)
 
 # Nearest pair between a point and a segment, closed form 12 / sqrt(13).
 point = VPolytope([[0.0, 0.0]])
@@ -27,12 +26,6 @@ print("ball-ball distance:", min_distance(a, b).distance, " exact:", 2.5)
 hp = separating_hyperplane(a, b)
 print("separator normal:", hp.normal, " offset:", hp.offset)
 print("  sides:", hp.side(a.center), hp.side(b.center))
-
-# Any 4 points in the plane split into two parts whose hulls meet.
-pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [1.0, 0.5]])
-part = radon_partition(pts)
-print("radon parts:", sorted(part.part1), sorted(part.part2),
-      " crossing:", part.crossing_point)
 
 # Scenes round-trip through a canonical text form: parse(serialize(s))
 # is the identity and serialization is byte-stable.

@@ -16,15 +16,14 @@ from .critical import (BORDERLINE_FACTOR, CriticalFamily, CriticalityFailure,
                        check_critical, helly_guard, hollow_simplex,
                        recentered_witness, uniqueness_probe)
 from .errors import (BorderlineCriticalError, ConvergenceError,
-                     DegenerateConfigurationError, DegenerateSimplexError,
-                     EmptyBodyError, GridDimensionError, GridResolutionError,
+                     DegenerateSimplexError, EmptyBodyError,
+                     GridDimensionError, GridResolutionError,
                      HollowNotFoundError, HollowkitError, KleeSolveError,
                      NoHollowError, NotSeparableError, PolytopeSizeError,
                      ProjectionError, SceneError, SpernerLegalityError,
                      SubdivisionSizeError, ToleranceAmbiguityError,
                      UnboundedBodyError)
-from .geometry import (AffineSubspace, Hyperplane, RadonPartition, Simplex,
-                       affine_hull, barycentric, radon_partition)
+from .geometry import AffineSubspace, Hyperplane, Simplex, affine_hull
 from .hollow import (Grid, HollowCertificate, StabbingPair, StabbingReport,
                      boundary_attribution, certify_hollow, hausdorff_convex,
                      hull_vs_simplex, verify_stabbing)
@@ -43,24 +42,23 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineSubspace", "BORDERLINE_FACTOR", "Ball", "BorderlineCriticalError",
     "ConvergenceError", "ConvexBody", "CriticalFamily", "CriticalityFailure",
-    "DEFAULT_TOL", "DegenerateConfigurationError", "DegenerateSimplexError",
-    "DistanceResult", "EmptyBodyError", "FeasibilityReport", "Grid",
-    "GridDimensionError", "GridResolutionError", "HPolytope",
-    "HollowCertificate", "HollowNotFoundError", "HollowSimplex",
-    "HollowkitError", "Hyperplane", "IntersectionBody", "KkmInstance",
-    "KkmReport", "KleeSolveError", "NoHollowError", "NotSeparableError",
-    "PolytopeSizeError", "ProjectionError", "RadonPartition", "SCHEMA",
-    "Scene", "SceneError", "SeparationCertificate", "Simplex",
-    "SpernerColoring", "SpernerLegalityError", "StabbingPair",
-    "StabbingReport", "SubdivisionComplex", "SubdivisionSizeError",
-    "ToleranceAmbiguityError", "UnboundedBodyError", "UniquenessReport",
-    "VPolytope", "affine_hull", "barycentric", "body_from_json",
-    "body_to_json", "boundary_attribution", "cage_margin", "certify_hollow",
-    "check_critical", "dumps", "dykstra", "family_kkm_instance",
-    "feasibility_scan", "find_rainbow", "hausdorff_convex", "helly_guard",
-    "hollow_simplex", "hull_vs_simplex", "intersect_witness", "kkm_verify",
-    "klee_solve", "load_scene", "min_distance", "parse_scene",
-    "radon_partition", "rainbow_cells", "random_legal_coloring",
+    "DEFAULT_TOL", "DegenerateSimplexError", "DistanceResult",
+    "EmptyBodyError", "FeasibilityReport", "Grid", "GridDimensionError",
+    "GridResolutionError", "HPolytope", "HollowCertificate",
+    "HollowNotFoundError", "HollowSimplex", "HollowkitError", "Hyperplane",
+    "IntersectionBody", "KkmInstance", "KkmReport", "KleeSolveError",
+    "NoHollowError", "NotSeparableError", "PolytopeSizeError",
+    "ProjectionError", "SCHEMA", "Scene", "SceneError",
+    "SeparationCertificate", "Simplex", "SpernerColoring",
+    "SpernerLegalityError", "StabbingPair", "StabbingReport",
+    "SubdivisionComplex", "SubdivisionSizeError", "ToleranceAmbiguityError",
+    "UnboundedBodyError", "UniquenessReport", "VPolytope", "affine_hull",
+    "body_from_json", "body_to_json", "boundary_attribution", "cage_margin",
+    "certify_hollow", "check_critical", "dumps", "dykstra",
+    "family_kkm_instance", "feasibility_scan", "find_rainbow",
+    "hausdorff_convex", "helly_guard", "hollow_simplex", "hull_vs_simplex",
+    "intersect_witness", "kkm_verify", "klee_solve", "load_scene",
+    "min_distance", "parse_scene", "rainbow_cells", "random_legal_coloring",
     "recentered_witness", "render_svg", "separating_hyperplane",
     "serialize_scene", "sperner_color", "subdivide", "uniqueness_probe",
     "verify_stabbing",

@@ -903,8 +903,25 @@ def _hull_projection(V, p):
     return face[0] + t @ edges
 
 
+def _norm(v):
+    """``math.sqrt(v @ v)``, bit for bit, from ``np.vdot``, which, unlike
+    ``@``, warns of no overflow: a finite ``v`` whose squares overflow gets
+    norm inf."""
+    return math.sqrt(np.vdot(v, v))
+
+
+def _shrunk(v):
+    """``v`` over its largest |coordinate|, and its norm: the direction of
+    a vector whose squares overflow."""
+    v = v / np.abs(v).max()
+    return v, _norm(v)
+
+
 class Ball(ConvexBody):
-    """Closed Euclidean ball with positive radius."""
+    """Closed Euclidean ball with positive radius.
+
+    A point whose offset from the center has overflowing squares is
+    infinitely far: outside the ball, and projected along its offset."""
 
     def __init__(self, center, radius):
         self._c = as_point(center)
@@ -933,32 +950,34 @@ class Ball(ConvexBody):
 
     def support(self, direction):
         u = as_point(direction, self.dim)
-        norm = math.sqrt(u @ u)
+        norm = _norm(u)
         if norm == 0:
             raise ValueError("support direction must be nonzero")
+        if norm == math.inf:
+            u, norm = _shrunk(u)
         return self._c + self._r * u / norm
 
     def project(self, p):
         p = as_point(p, self.dim)
         v = p - self._c
-        norm = math.sqrt(v @ v)
+        norm = _norm(v)
         if norm <= self._r:
             return p.copy()
+        if norm == math.inf:
+            v, norm = _shrunk(v)
         return self._c + v * (self._r / norm)
 
     def distance(self, p):
-        v = as_point(p, self.dim) - self._c
-        # a finite point far enough out overflows v @ v to inf, its distance
-        with np.errstate(over="ignore"):
-            return max(0.0, math.sqrt(v @ v) - self._r)
+        return max(0.0, _norm(as_point(p, self.dim) - self._c) - self._r)
 
     def _within(self, coords, tol):
         """The contains rule on per-axis coordinate arrays: the squared
         offsets summed left to right, so that a point list and its columns
         give the same bits."""
-        squares = [(x - c) * (x - c) for x, c in zip(coords, self._c)]
-        # sum(rest, first) adds ((first + s1) + s2) + ...
-        return np.sqrt(sum(squares[1:], squares[0])) <= self._r + tol
+        with np.errstate(over="ignore"):
+            squares = [(x - c) * (x - c) for x, c in zip(coords, self._c)]
+            # sum(rest, first) adds ((first + s1) + s2) + ...
+            return np.sqrt(sum(squares[1:], squares[0])) <= self._r + tol
 
     def contains_batch(self, points, tol=DEFAULT_TOL):
         return self._within(as_points(points, self.dim).T, tol)

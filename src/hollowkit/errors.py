@@ -10,10 +10,6 @@ class HollowkitError(Exception):
     """Base class for all hollowkit errors."""
 
 
-class DegenerateConfigurationError(HollowkitError):
-    """A point configuration is too degenerate for the requested operation."""
-
-
 class DegenerateSimplexError(HollowkitError):
     """Simplex vertices are affinely dependent beyond the degeneracy gate."""
 

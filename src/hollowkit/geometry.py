@@ -1,4 +1,4 @@
-"""Affine and simplicial primitives: hulls, Radon partitions, barycentrics.
+"""Affine and simplicial primitives: hulls, subspaces, simplices, barycentrics.
 
 Points are plain 1-D numpy arrays and point sets are (n, d) arrays; all
 objects here are immutable value types and all functions are pure.
@@ -10,15 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, DegenerateSimplexError
+from .errors import DegenerateSimplexError
 
 # A simplex counts as degenerate when the smallest singular value of its edge
 # matrix drops below this fraction of its diameter.  Every degeneracy fallback
 # in the package gates on this single constant.
 DEGENERACY_RTOL = 1e-8
-
-# Default absolute tolerance for exact-in-principle geometric identities.
-ATOL = 1e-9
 
 # Relative singular-value cutoff that decides the dimension of affine_hull.
 HULL_RANK_RTOL = 1e-9
@@ -177,114 +174,6 @@ def affine_hull(points):
 
 
 @dataclass(frozen=True)
-class RadonPartition:
-    """Two disjoint index sets covering the input, plus a point in both hulls."""
-
-    part1: frozenset
-    part2: frozenset
-    crossing_point: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "part1", frozenset(int(i) for i in self.part1))
-        object.__setattr__(self, "part2", frozenset(int(i) for i in self.part2))
-        object.__setattr__(self, "crossing_point", as_point(self.crossing_point))
-
-    def as_sets(self):
-        """Unordered pair of parts, convenient for comparisons."""
-        return {self.part1, self.part2}
-
-
-def _best_null_vector(null_basis):
-    """Pick a unit null-space vector maximizing the minimum |coefficient|.
-
-    For a one-dimensional null space this is just the basis vector.  For
-    degenerate inputs with a larger null space a deterministic seeded search
-    over unit combinations is used.
-    """
-    k = null_basis.shape[0]
-    if k == 1:
-        return null_basis[0]
-    rng = np.random.default_rng(0)
-    best = None
-    best_score = -1.0
-    candidates = [np.eye(k)[i] for i in range(k)]
-    candidates.extend(rng.standard_normal((512, k)))
-    for c in candidates:
-        norm = np.linalg.norm(c)
-        if norm == 0:
-            continue
-        lam = (c / norm) @ null_basis
-        score = float(np.min(np.abs(lam)))
-        if score > best_score:
-            best_score = score
-            best = lam
-    return best
-
-
-def radon_partition(points):
-    """Partition d + 2 points in R^d into two parts with intersecting hulls.
-
-    The affine dependence is found as a null vector of the lifted coordinate
-    matrix; indices split by coefficient sign, and the crossing point is the
-    convex combination of the positive part.  The null vector is oriented so
-    its last nonzero coefficient is negative, which makes the part assignment
-    deterministic.  Points with zero coefficient go to part2 so the parts
-    cover the input.
-
-    Returns
-    -------
-    RadonPartition
-
-    Raises
-    ------
-    ValueError
-        If the input does not consist of exactly d + 2 points.
-    DegenerateConfigurationError
-        If no null vector yields a numerically consistent partition.
-    """
-    pts = as_points(points)
-    n, d = pts.shape
-    if n != d + 2:
-        raise ValueError(f"need exactly d + 2 = {d + 2} points in R^{d}, got {n}")
-    lifted = np.vstack([pts.T, np.ones(n)])  # (d + 1, d + 2)
-    u, s, vt = np.linalg.svd(lifted)
-    scale = max(1.0, float(s[0]))
-    null_rows = vt[d + 1:]  # guaranteed at least one row
-    extra = vt[:d + 1][s < 1e-12 * scale] if s.size else np.zeros((0, n))
-    null_basis = np.vstack([null_rows, extra]) if extra.size else null_rows
-    lam = _best_null_vector(null_basis)
-
-    nz = np.flatnonzero(np.abs(lam) > 1e-12 * np.max(np.abs(lam)))
-    if nz.size == 0:
-        raise DegenerateConfigurationError("no usable affine dependence found")
-    if lam[nz[-1]] > 0:
-        lam = -lam
-
-    pos = lam > 1e-12 * np.max(np.abs(lam))
-    neg = ~pos
-    if not pos.any() or not neg.any():
-        raise DegenerateConfigurationError("affine dependence has a single sign")
-    part1 = frozenset(int(i) for i in np.flatnonzero(pos))
-    part2 = frozenset(int(i) for i in np.flatnonzero(neg))
-
-    wpos = lam[pos]
-    q1 = (wpos @ pts[pos]) / wpos.sum()
-    mask2 = np.zeros(n, dtype=bool)
-    mask2[list(part2)] = True
-    wneg = -lam[mask2]
-    wneg_sum = wneg.sum()
-    if wneg_sum <= 0:
-        raise DegenerateConfigurationError("negative part has zero total weight")
-    q2 = (wneg @ pts[mask2]) / wneg_sum
-    span = max(1.0, float(np.max(np.abs(pts))))
-    if np.linalg.norm(q1 - q2) > 1e-9 * span:
-        raise DegenerateConfigurationError(
-            f"crossing points from the two parts disagree by {np.linalg.norm(q1 - q2):.3e}"
-        )
-    return RadonPartition(part1, part2, q1)
-
-
-@dataclass(frozen=True)
 class Simplex:
     """A k-simplex in R^d given by k + 1 affinely independent vertices.
 
@@ -342,42 +231,15 @@ class Simplex:
     def barycentrics(self, points):
         """Least-squares barycentric coordinates of each row of ``points``,
         shape (N, k + 1): one solve of [V^T; 1] w = [p; 1] for all rows.
-        Rows off the affine hull get the coordinates of their nearest
-        point of it; nothing is checked."""
+        Nothing is checked.  A row off the affine hull (k < d) gets the
+        coordinates of its orthogonal projection onto the hull only when
+        the hull passes through the origin: otherwise the row of ones is
+        one more equation of the fit, and the coordinates need not sum to
+        one.  Every package caller passes a d-simplex in R^d, where the
+        system is square."""
         v = self.vertices
         pts = as_points(points, v.shape[1])
         system = np.vstack([v.T, np.ones(v.shape[0])])
         rhs = np.vstack([pts.T, np.ones(pts.shape[0])])
         w, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         return w.T
-
-    def contains(self, p, tol=1e-9):
-        """Convex containment via barycentric coordinates (all >= -tol)."""
-        try:
-            w = barycentric(self, p, tol=max(tol, 1e-9))
-        except ValueError:
-            return False
-        return bool(np.all(w >= -tol))
-
-
-def barycentric(simplex, p, tol=ATOL):
-    """Barycentric coordinates of ``p`` with respect to ``simplex``.
-
-    The coordinates sum to one and reconstruct ``p`` within 1e-9 whenever
-    ``p`` lies in the simplex's affine hull; otherwise a ValueError is
-    raised.  Coordinates may be negative for points outside the simplex but
-    inside the hull.
-    """
-    v = simplex.vertices
-    p = as_point(p, v.shape[1])
-    k = v.shape[0] - 1
-    if k == 0:
-        if np.linalg.norm(p - v[0]) > max(tol, 1e-9):
-            raise ValueError("point lies outside the affine hull of the simplex")
-        return np.array([1.0])
-    w = simplex.barycentrics(p[None])[0]
-    recon = w @ v
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if np.linalg.norm(recon - p) > max(tol, 1e-9) * scale:
-        raise ValueError("point lies outside the affine hull of the simplex")
-    return w

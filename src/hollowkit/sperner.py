@@ -403,8 +403,9 @@ def klee_solve(bodies, witnesses, tol=1e-6):
         if spent:
             logger.info("klee_solve: %s is spent at depth %d", spent, exact.depth)
             raise KleeSolveError(
-                f"no common point within {spent}; the union may not be convex",
-                best_cell=best_cell)
+                f"no common point within {spent}: the smallest all-colors "
+                f"cell has diameter {best_diam:.3e}, not below tol/2 = "
+                f"{tol / 2.0:.3e}", best_cell=best_cell)
         exact.step()
 
 

@@ -1,51 +1,17 @@
 """Independent oracles and random instance builders used by the tests.
 
 Everything here is deliberately written against different machinery than
-the package itself (direct LP formulations, closed forms), so agreement
-between the two is evidence rather than tautology.
+the package itself (closed forms, exact fractions, scipy labelling), so
+agreement between the two is evidence rather than tautology.
 """
 import itertools
 from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import linprog
 
 from hollowkit import (Ball, HPolytope, VPolytope, certify_hollow,
                        hollow_simplex, hull_vs_simplex)
-
-
-def hulls_intersect(P, Q):
-    """LP feasibility: do the convex hulls of two point sets meet?
-
-    Solves for mixture weights lam, mu >= 0 with sum 1 each and
-    P^T lam = Q^T mu; feasibility is exactly hull intersection.
-    """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    p, q = P.shape[0], Q.shape[0]
-    d = P.shape[1]
-    A_eq = np.zeros((d + 2, p + q))
-    b_eq = np.zeros(d + 2)
-    A_eq[:d, :p] = P.T
-    A_eq[:d, p:] = -Q.T
-    A_eq[d, :p] = 1.0
-    b_eq[d] = 1.0
-    A_eq[d + 1, p:] = 1.0
-    b_eq[d + 1] = 1.0
-    res = linprog(np.zeros(p + q), A_eq=A_eq, b_eq=b_eq,
-                  bounds=(0.0, None), method="highs")
-    return res.status == 0
-
-
-def is_intersecting_bipartition(points, part1, part2):
-    """Whether two index sets split ``points`` into two nonempty parts whose
-    hulls meet: one LP, in place of listing every such bipartition."""
-    part1, part2 = frozenset(part1), frozenset(part2)
-    points = np.asarray(points, dtype=float)
-    return (bool(part1) and bool(part2) and not part1 & part2
-            and part1 | part2 == frozenset(range(points.shape[0]))
-            and hulls_intersect(points[sorted(part1)], points[sorted(part2)]))
 
 
 def segment_point_distance(p, a, b):

@@ -935,9 +935,20 @@ def test_public_oracles_refuse_a_bad_query(kind, oracle, query):
 
 def test_a_finite_point_whose_sum_overflows_is_accepted():
     """The finiteness check adds the coordinates, so it must not refuse a
-    finite point whose sum overflows: [1e308, 1e308] is validated, and its
-    distance to a ball is infinite, with no overflow warning."""
+    finite point whose sum overflows: [1e308, 1e308] is validated.  A ball
+    takes it as infinitely far, with no overflow warning from any oracle:
+    its distance is infinite, it is not a member, and it projects, as its
+    direction supports, to the boundary point along the diagonal."""
+    far = [1e308, 1e308]
+    ball = Ball([1.0, -2.0], 3.0)
+    diagonal = [1.0 + 3.0 / np.sqrt(2.0), -2.0 + 3.0 / np.sqrt(2.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(as_point([1e308, 1e308], 2), [1e308, 1e308])
-        assert Ball([0.0, 0.0], 1.0).distance([1e308, 1e308]) == np.inf
+        assert np.array_equal(as_point(far, 2), far)
+        assert ball.distance(far) == np.inf
+        assert not ball.membership(far, 1e-7)
+        assert ball.contains_batch([far, [1.0, -2.0]]).tolist() == [False, True]
+        assert np.allclose(ball.project(far), diagonal, rtol=0.0, atol=1e-15)
+        assert np.allclose(ball.support(far), diagonal, rtol=0.0, atol=1e-15)
+        assert np.allclose(ball.support([-1e308, 0.0]), [-2.0, -2.0],
+                           rtol=0.0, atol=0.0)

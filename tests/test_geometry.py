@@ -1,75 +1,9 @@
-"""Exact-arithmetic-free geometry: partitions, hulls, simplices."""
+"""Exact-arithmetic-free geometry: hulls, subspaces, simplices."""
 import numpy as np
 import pytest
 
 from hollowkit import (AffineSubspace, DegenerateSimplexError, Hyperplane,
-                       Simplex, VPolytope, affine_hull, barycentric,
-                       radon_partition)
-from helpers import is_intersecting_bipartition
-
-MEMBER_TOL = 1e-7
-CROSSING_BARY_TOL = 1e-9
-
-# (points per instance, dimension, instance count): always d + 2 points,
-# the smallest count that forces an intersecting bipartition.
-RADON_SWEEP = [(3, 1, 400), (4, 2, 300), (5, 3, 200), (6, 4, 100)]
-
-
-def test_radon_triangle_with_interior_point():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [1.0, 0.5]])
-    part = radon_partition(pts)
-    assert part.part1 == frozenset({0, 1, 2})
-    assert part.part2 == frozenset({3})
-    assert np.allclose(part.crossing_point, [1.0, 0.5], atol=1e-9)
-
-
-def test_radon_crossing_diagonals():
-    pts = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-    part = radon_partition(pts)
-    assert part.as_sets() == {frozenset({0, 1}), frozenset({2, 3})}
-    assert np.allclose(part.crossing_point, [1.0, 1.0], atol=1e-9)
-
-
-def test_radon_three_points_on_line():
-    pts = np.array([[0.0], [1.0], [2.0]])
-    part = radon_partition(pts)
-    assert part.as_sets() == {frozenset({1}), frozenset({0, 2})}
-    assert np.allclose(part.crossing_point, [1.0], atol=1e-9)
-
-
-def test_radon_four_collinear_points():
-    """Four points on a line in the plane: the lifted matrix has rank 2, so
-    the null space has dimension 2 and a null vector is searched for."""
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    part = radon_partition(pts)
-    assert part.as_sets() == {frozenset({1, 2}), frozenset({0, 3})}
-    for side in (part.part1, part.part2):
-        hull = VPolytope(pts[sorted(side)])
-        assert hull.distance(part.crossing_point) <= MEMBER_TOL
-
-
-def test_radon_against_lp_bipartitions():
-    rng = np.random.default_rng(20240817)
-    for count, dim, instances in RADON_SWEEP:
-        for _ in range(instances):
-            pts = rng.normal(size=(count, dim)) * rng.uniform(0.5, 3.0)
-            part = radon_partition(pts)
-            assert is_intersecting_bipartition(pts, part.part1, part.part2), (
-                pts, part.as_sets())
-            # the crossing point is in both hulls
-            for side in (part.part1, part.part2):
-                hull = VPolytope(pts[sorted(side)])
-                assert hull.distance(part.crossing_point) <= MEMBER_TOL
-
-
-def test_radon_partition_is_a_partition():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        pts = rng.normal(size=(4, 2))
-        part = radon_partition(pts)
-        assert part.part1 | part.part2 == frozenset(range(4))
-        assert not part.part1 & part.part2
-        assert part.part1 and part.part2
+                       Simplex, affine_hull)
 
 
 def test_affine_hull_dimensions():
@@ -114,8 +48,8 @@ def test_hyperplane_signed_side():
 def test_simplex_volume_and_membership():
     tri = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert tri.volume == pytest.approx(0.5)
-    assert tri.contains([0.25, 0.25])
-    assert not tri.contains([0.8, 0.8])
+    inside, outside = tri.barycentrics([[0.25, 0.25], [0.8, 0.8]]).min(axis=1)
+    assert inside >= 0.0 > outside
     tet = Simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert tet.volume == pytest.approx(1.0 / 6.0)
     # a 2-simplex embedded in 3-space: area, not volume
@@ -136,16 +70,29 @@ def test_simplex_rejects_degenerate_vertices():
 def test_barycentric_round_trip():
     rng = np.random.default_rng(9)
     verts = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 2.5]])
-    tri = Simplex(verts)
-    for _ in range(200):
-        w = rng.dirichlet(np.ones(3))
-        p = w @ verts
-        back = barycentric(tri, p)
-        assert np.allclose(back, w, atol=1e-9)
-        assert tri.contains(p)
+    w = rng.dirichlet(np.ones(3), size=200)
+    back = Simplex(verts).barycentrics(w @ verts)
+    assert back.shape == (200, 3)
+    assert np.allclose(back, w, atol=1e-9)
+    assert back.min() >= -1e-9
 
 
 def test_barycentric_detects_outside_points():
     tri = Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    w = barycentric(tri, [0.75, 0.75])
+    (w,) = tri.barycentrics([[0.75, 0.75]])
     assert w.min() < -1e-6
+    assert w.sum() == pytest.approx(1.0)
+
+
+def test_barycentric_of_a_point_off_a_plane_through_the_origin():
+    """A 2-simplex in R^3 whose plane holds the origin: a point off the
+    plane gets the coordinates of its orthogonal projection onto it."""
+    rng = np.random.default_rng(4)
+    frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    plane, normal = frame[:, :2].T, frame[:, 2]
+    verts = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 1.5]]) @ plane
+    tri = Simplex(verts)
+    w = rng.dirichlet(np.ones(3), size=50)
+    heights = rng.uniform(-3.0, 3.0, size=(50, 1))
+    assert np.allclose(tri.barycentrics(w @ verts + heights * normal), w,
+                       atol=1e-9)

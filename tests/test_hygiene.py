@@ -3,6 +3,7 @@ import ast
 import pathlib
 
 import hollowkit
+import hollowkit.errors
 from hollowkit.bodies import ConvexBody
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hollowkit"
@@ -110,12 +111,35 @@ def test_cli_does_no_grid_arithmetic():
 
 def test_all_lists_each_imported_name_once():
     """``__all__`` is exactly what ``__init__.py`` imports, so a deleted
-    helper cannot linger in the export list."""
+    helper cannot linger in the export list, and each entry resolves."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(set(hollowkit.__all__)) == len(hollowkit.__all__)
     assert set(hollowkit.__all__) == imported
+    assert [n for n in hollowkit.__all__ if not hasattr(hollowkit, n)] == []
+
+
+def raised_names(path):
+    """The names in ``raise Name`` and ``raise Name(...)`` statements."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+    return found
+
+
+def test_every_error_class_has_a_raiser():
+    """Each ``HollowkitError`` subclass in ``errors.py`` is raised by some
+    package module, so an error class goes when its last raiser does."""
+    errors = {name for name, obj in vars(hollowkit.errors).items()
+              if isinstance(obj, type) and obj is not hollowkit.HollowkitError
+              and issubclass(obj, hollowkit.HollowkitError)}
+    raised = set().union(*map(raised_names, PACKAGE.glob("*.py")))
+    assert errors
+    assert sorted(errors - raised) == []
 
 
 def uses_of(name):

@@ -333,6 +333,12 @@ def test_klee_solve_logs_each_level_and_the_rule_that_stopped_it(
     monkeypatch.setattr(sperner, "MAX_CELLS", 4)
     stops = _solve_log(caplog, gap, [[1.0], [0.0]], tol=1e-12)[1]
     assert stops == ["klee_solve: the 4-cell budget is spent at depth 2"]
+    with pytest.raises(KleeSolveError) as info:
+        klee_solve(gap, [[1.0], [0.0]], tol=1e-12)
+    assert str(info.value) == (
+        "no common point within the 4-cell budget: the smallest all-colors "
+        "cell has diameter 2.500e-01, not below tol/2 = 5.000e-13")
+    assert "convex" not in str(info.value)
     assert capsys.readouterr().out == ""
 
 
