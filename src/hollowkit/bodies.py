@@ -910,6 +910,15 @@ def _norm(v):
     return math.sqrt(np.vdot(v, v))
 
 
+def _offset(p, c):
+    """``p - c`` with no overflow warning: only a ``p`` whose squares
+    overflow can overflow it, and only that pays for ``errstate``."""
+    if np.vdot(p, p) < math.inf:
+        return p - c
+    with np.errstate(over="ignore"):
+        return p - c
+
+
 def _shrunk(v):
     """``v`` over its largest |coordinate|, and its norm: the direction of
     a vector whose squares overflow."""
@@ -920,7 +929,7 @@ def _shrunk(v):
 class Ball(ConvexBody):
     """Closed Euclidean ball with positive radius.
 
-    A point whose offset from the center has overflowing squares is
+    A point whose offset from the center, or its squares, overflows is
     infinitely far: outside the ball, and projected along its offset."""
 
     def __init__(self, center, radius):
@@ -959,16 +968,17 @@ class Ball(ConvexBody):
 
     def project(self, p):
         p = as_point(p, self.dim)
-        v = p - self._c
+        v = _offset(p, self._c)
         norm = _norm(v)
         if norm <= self._r:
             return p.copy()
         if norm == math.inf:
-            v, norm = _shrunk(v)
+            # half the offset has its direction and does not overflow
+            v, norm = _shrunk(0.5 * p - 0.5 * self._c)
         return self._c + v * (self._r / norm)
 
     def distance(self, p):
-        return max(0.0, _norm(as_point(p, self.dim) - self._c) - self._r)
+        return max(0.0, _norm(_offset(as_point(p, self.dim), self._c)) - self._r)
 
     def _within(self, coords, tol):
         """The contains rule on per-axis coordinate arrays: the squared

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -228,18 +229,21 @@ class Simplex:
         det = float(np.linalg.det(gram))
         return float(np.sqrt(max(det, 0.0)) / np.prod([i for i in range(1, k + 1)]))
 
-    def barycentrics(self, points):
-        """Least-squares barycentric coordinates of each row of ``points``,
-        shape (N, k + 1): one solve of [V^T; 1] w = [p; 1] for all rows.
-        Nothing is checked.  A row off the affine hull (k < d) gets the
-        coordinates of its orthogonal projection onto the hull only when
-        the hull passes through the origin: otherwise the row of ones is
-        one more equation of the fit, and the coordinates need not sum to
-        one.  Every package caller passes a d-simplex in R^d, where the
-        system is square."""
+    @cached_property
+    def form(self):
+        """The affine barycentric form ``(lin, const)`` in the frame of
+        vertex 0: the coordinates of x are ``lin @ (x - v0) + const``.
+        With E the edge matrix, the coordinates of vertices 1..k are
+        pinv(E^T) (x - v0), and coordinate 0 is one minus their sum, so a
+        point off the affine hull (k < d) gets the coordinates of its
+        orthogonal projection onto it."""
         v = self.vertices
-        pts = as_points(points, v.shape[1])
-        system = np.vstack([v.T, np.ones(v.shape[0])])
-        rhs = np.vstack([pts.T, np.ones(pts.shape[0])])
-        w, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        return w.T
+        P = np.linalg.pinv((v[1:] - v[0]).T)
+        return np.vstack([-P.sum(axis=0), P]), np.eye(1, v.shape[0])[0]
+
+    def barycentrics(self, points):
+        """Barycentric coordinates of each row of ``points``, shape
+        (N, k + 1), from :attr:`form`.  Nothing is checked."""
+        lin, const = self.form
+        pts = as_points(points, self.ambient_dim)
+        return (pts - self.vertices[0]) @ lin.T + const

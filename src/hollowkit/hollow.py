@@ -13,17 +13,17 @@ by the same cage, an uncovered crossing point inside the witness simplex
 on the first flat is enclosed there.
 
 The grid stores no mask, and the bodies are asked only about the
-cage's rows.  One pass, in slabs along axis 0 of at most ``SLAB_CELLS``
-cells, takes each line of cells along the last axis and, from the
-cage's affine barycentric functions, the range of cells on it that can
-lie strictly inside the cage, widened by one cell at each end.  Only
-those cells, ``CHUNK_CELLS`` at a time, are asked of the bodies, each
-body about the cells the ones before it left uncovered, so no array
-spans the grid (a 128-cell 3-D grid has 2.1M cells, 16.8M at the
-retry's half cell size).  The exact test, all of
-:meth:`Simplex.barycentrics` positive, still decides which uncovered
-cells count; the range is a conservative filter, so a cell outside it is
-one that test would drop.
+cage's rows.  Along a line of cells along the last axis, each
+barycentric in the cage is an affine function a + b k of the cell index
+k, read from :attr:`Simplex.form`, which is relative to the cage's first
+vertex and so as accurate far from the origin as near it.  One pass, in
+slabs along axis 0 of at most ``SLAB_CELLS`` cells, takes each line's
+range of cells where all of them can be positive, one cell wider at
+each end.  Only those cells, ``CHUNK_CELLS`` at a time, are asked of
+the bodies, each body about the cells the ones before it left uncovered,
+so no array spans the grid (a 128-cell 3-D grid has 2.1M cells, 16.8M
+at the retry's half cell size).  An uncovered cell counts when a + b k
+is positive on every row: the range and the test read the same numbers.
 
 A cell is covered when its center passes some body's ``contains_batch``
 at ``tol = 0``, read from the coordinate columns of the centers.  A ball
@@ -34,11 +34,12 @@ polytope stacks the columns into a point list: its row slacks come from
 a BLAS product, whose sums agree with per-axis sums in only 70-85% of
 slacks on random points in 2-D and 3-D, so a broadcast form would change
 which cells it holds.  Neither the rows nor the chunks change a bit:
-each cell's test reads only its own center, the same numbers in
-whichever chunk it falls (a polytope slack is one point row times one
-body row, a cell's barycentrics one column of the least-squares solve;
-the tests compare these cells with a whole-grid cover bit for bit).  :func:`boundary_attribution` asks the bodies about the hollow's
-face neighbours by the same rule.
+each cell's test reads only its own center and its line's terms, the
+same numbers in whichever slab or chunk it falls (a polytope slack is
+one point row times one body row, and a and b are summed term by term;
+the tests compare these cells with a whole-grid cover bit for bit).
+:func:`boundary_attribution` asks the bodies about the hollow's face
+neighbours by the same rule.
 """
 from __future__ import annotations
 
@@ -107,68 +108,50 @@ def check_resolution(resolution):
 
 
 def _cage_rows(grid, cage):
-    """For each slab of ``grid``: the multi-indices of its lines of cells
-    along the last axis, as a (d - 1, L) array in C order, with the first
-    last-axis index and the count of the cells of each line whose centers
-    can have all barycentrics in ``cage`` positive.
-
-    Along a line each barycentric is an affine function a + b k of the
-    cell index k: lin x + const, solved in the frame of the first vertex,
-    where the system is as well conditioned as the cage.  The range keeps
-    every k where all of them exceed -eta, and one more cell at each end.
-    eta is 1e-12 times the condition number of M = [V^T; 1] times the
-    size of the terms of a barycentric on the grid box: thousands of times
-    what rounding moves the least-squares coordinates that
-    :meth:`Simplex.barycentrics` solves from M, so the range holds every
-    cell that test passes.  Past a condition number of 1e12, as far
-    enough from the origin, eta exceeds every barycentric and the range
-    is the whole line.
+    """For each slab of ``grid``: its lines of cells along the last axis,
+    as (d - 1, L) multi-indices in C order; intercepts ``a``, (d + 1, L),
+    and slopes ``b``, (d + 1,), so that barycentric j in ``cage`` of cell
+    k of line l is ``a[j, l] + b[j] * k``, from the first cell's
+    :meth:`Simplex.barycentrics` and the steps of :attr:`Simplex.form`;
+    and the first k and the count of each line's cells where all can be
+    positive.  Those are the k > -a / b where b > 0 and k < -a / b where
+    b < 0, and one more at each end, far more than rounding moves a + b k
+    across zero.
     """
     d, h, n = len(grid.shape), grid.resolution, grid.shape[-1]
-    V = cage.vertices
-    form = np.linalg.inv(np.vstack([(V - V[0]).T, np.ones(d + 1)]))
-    lin, const = form[:, :d], form[:, d] - form[:, :d] @ V[0]
-    cond = (max(np.abs(V).sum(axis=0).max(), d + 1.0)
-            * (np.abs(lin).sum(axis=1) + np.abs(const)).max())
-    reach = np.maximum(np.abs(grid.lo), np.abs(grid.lo + h * np.array(grid.shape)))
-    eta = 1e-12 * cond * (1.0 + np.abs(lin) @ reach + np.abs(const))
-    # barycentric j of cell k of a line is lin[j] @ (index * h + lo + h / 2)
-    # + const[j]: a[j] + b[j] k, with eta added to a
-    shift = (lin[:, :-1] @ (grid.lo[:-1] + 0.5 * h) + const + eta
-             + lin[:, -1] * (grid.lo[-1] + 0.5 * h))
-    b = lin[:, -1] * h
-    slope = lin[:, :-1] * h
-    # k > -a / b where b > 0, k < -a / b where b < 0
+    shift = cage.barycentrics([grid.lo + 0.5 * h])[0]
+    slope = cage.form[0] * h
+    b = slope[:, -1]
     up, down, flat = b > 0.0, b < 0.0, b == 0.0
     for rows in _slabs(grid.shape):
         layers = min(rows.stop, grid.shape[0]) - rows.start
         lines = np.indices((layers,) + grid.shape[1:-1]).reshape(d - 1, -1)
         lines[0] += rows.start
-        a = slope @ lines + shift[:, None]
+        # term by term, so a line's intercepts do not depend on its slab
+        a = sum((slope[:, i, None] * lines[i] for i in range(d - 1)),
+                shift[:, None])
         start = np.floor(np.max(-a[up] / b[up, None], axis=0, initial=-np.inf))
         stop = np.ceil(np.min(-a[down] / b[down, None], axis=0,
                               initial=np.inf)) + 1.0
         start, stop = np.clip(start, 0, n), np.clip(stop, 0, n)
         stop[(a[flat] <= 0.0).any(axis=0)] = 0.0
-        yield (lines, start.astype(np.intp),
+        yield (lines, a, b, start.astype(np.intp),
                np.maximum(stop - start, 0.0).astype(np.intp))
 
 
 def _hollow_cells(grid, cage):
     """The multi-indices, in C order, of the cells of ``grid`` that no body
-    covers and whose centers have all barycentrics in ``cage`` positive.
+    covers and whose barycentrics in ``cage`` are all positive.
 
-    One pass, slab by slab, over the cells of the slab's lines that
-    :func:`_cage_rows` keeps, ``CHUNK_CELLS`` at a time: each body is
-    asked only about the cells that the bodies before it left uncovered.
-    The cells none covers, the hollow's and a few of the margin's, get
-    their barycentrics in one solve (see the module docstring for why
-    that is exact).
+    One pass, slab by slab, over the ranges of :func:`_cage_rows`,
+    ``CHUNK_CELLS`` at a time: each body is asked only about the cells
+    that the bodies before it left uncovered, and an uncovered cell stays
+    when ``a + b * k > 0`` on every row.
     """
     d, h = len(grid.shape), grid.resolution
     last = grid.lo[-1] + (np.arange(grid.shape[-1]) + 0.5) * h
-    cells, centers = [np.empty((0, d), dtype=np.intp)], [np.empty((0, d))]
-    for lines, start, length in _cage_rows(grid, cage):
+    cells = [np.empty((0, d), dtype=np.intp)]
+    for lines, a, b, start, length in _cage_rows(grid, cage):
         heads = grid.lo[:-1, None] + (lines + 0.5) * h
         line_of = np.repeat(np.arange(lines.shape[1]), length)
         k_of = np.arange(line_of.size) - np.repeat(
@@ -183,12 +166,9 @@ def _hollow_cells(grid, cage):
                 free = ~body._cover(columns)
                 columns = [x[free] for x in columns]
                 line, k = line[free], k[free]
-            cells.append(np.column_stack([*lines[:, line], k]))
-            centers.append(np.stack(columns, axis=1))
-    cells = np.concatenate(cells)
-    if not cells.size:
-        return cells
-    return cells[cage.barycentrics(np.concatenate(centers)).min(axis=1) > 0.0]
+            keep = (a[:, line] + b[:, None] * k > 0.0).all(axis=0)
+            cells.append(np.column_stack([*lines[:, line[keep]], k[keep]]))
+    return np.concatenate(cells)
 
 
 @dataclass
@@ -244,7 +224,7 @@ def certify_hollow(family, resolution=None):
     box's widest side, or 1/``MIN_CELLS_PER_AXIS`` of its narrowest side
     when that is smaller, so a flat family still gets a grid.  The
     hollow's cells are the uncovered cells whose centers lie strictly
-    inside the witness simplex, by :meth:`Simplex.barycentrics`; the
+    inside the witness simplex, by :attr:`Simplex.form`; the
     module docstring says why they are exactly the bounded complement
     component.  If there are none the grid is retried once at half the
     cell size; each grid that finds none is logged at INFO.

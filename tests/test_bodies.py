@@ -938,7 +938,10 @@ def test_a_finite_point_whose_sum_overflows_is_accepted():
     finite point whose sum overflows: [1e308, 1e308] is validated.  A ball
     takes it as infinitely far, with no overflow warning from any oracle:
     its distance is infinite, it is not a member, and it projects, as its
-    direction supports, to the boundary point along the diagonal."""
+    direction supports, to the boundary point along the diagonal.  So is
+    a point whose offset from the center itself overflows: seen from a
+    unit ball centered at (-1e308, 0), (1e308, 0) is infinitely far and
+    projects to the ball's right end."""
     far = [1e308, 1e308]
     ball = Ball([1.0, -2.0], 3.0)
     diagonal = [1.0 + 3.0 / np.sqrt(2.0), -2.0 + 3.0 / np.sqrt(2.0)]
@@ -952,3 +955,9 @@ def test_a_finite_point_whose_sum_overflows_is_accepted():
         assert np.allclose(ball.support(far), diagonal, rtol=0.0, atol=1e-15)
         assert np.allclose(ball.support([-1e308, 0.0]), [-2.0, -2.0],
                            rtol=0.0, atol=0.0)
+        left = Ball([-1e308, 0.0], 1.0)
+        assert left.distance([1e308, 0.0]) == np.inf
+        assert np.array_equal(left.project([1e308, 0.0]), [-1e308 + 1.0, 0.0])
+        # the offset (2e308, 1e308) points along (2, 1) / sqrt 5
+        assert np.allclose(left.project([1e308, 1e308]),
+                           [-1e308, 1.0 / np.sqrt(5.0)], rtol=0.0, atol=1e-15)

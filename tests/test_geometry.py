@@ -85,14 +85,16 @@ def test_barycentric_detects_outside_points():
 
 
 def test_barycentric_of_a_point_off_a_plane_through_the_origin():
-    """A 2-simplex in R^3 whose plane holds the origin: a point off the
-    plane gets the coordinates of its orthogonal projection onto it."""
+    """A 2-simplex in R^3: a point off its plane gets the coordinates of
+    its orthogonal projection onto it, summing to one, whether the plane
+    holds the origin or, moved by 3 normal + plane[0], misses it."""
     rng = np.random.default_rng(4)
     frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
     plane, normal = frame[:, :2].T, frame[:, 2]
-    verts = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 1.5]]) @ plane
-    tri = Simplex(verts)
     w = rng.dirichlet(np.ones(3), size=50)
     heights = rng.uniform(-3.0, 3.0, size=(50, 1))
-    assert np.allclose(tri.barycentrics(w @ verts + heights * normal), w,
-                       atol=1e-9)
+    for move in (np.zeros(3), 3.0 * normal + plane[0]):
+        verts = np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 1.5]]) @ plane + move
+        bary = Simplex(verts).barycentrics(w @ verts + heights * normal)
+        assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(bary, w, atol=1e-9)

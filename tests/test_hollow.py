@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hollowkit import (AffineSubspace, Ball, CriticalFamily,
                        DegenerateSimplexError, GridResolutionError, HPolytope,
@@ -172,8 +174,10 @@ def test_certify_asks_the_bodies_only_about_the_cage_rows(monkeypatch):
     cover of the whole box asks each ball about every cell.  No filter
     of the cage's cells asks fewer than the cage's 24.8%: the witnesses
     are a regular tetrahedron, a third of the cube they span, and the box
-    is that cube widened 1.1 times on each axis."""
-    family = scene_family("balls3.json")
+    is that cube widened 1.1 times on each axis.  On disks body 0 is
+    asked about 43% of the cells.  Moved 1e4 or 1e6 along the diagonal,
+    each family keeps its cells and its shares: the rows are read
+    relative to the cage's first vertex."""
     asked = []
     cover = Ball._cover
 
@@ -182,10 +186,32 @@ def test_certify_asks_the_bodies_only_about_the_cage_rows(monkeypatch):
         return cover(self, columns)
 
     monkeypatch.setattr(Ball, "_cover", counting)
-    cells = math.prod(certify_hollow(family).grid.shape)
-    assert cells == 128 ** 3
-    assert sum(n for body, n in asked if body is family.bodies[0]) <= 0.27 * cells
-    assert sum(n for _, n in asked) <= 0.5 * cells
+    for scene, count, share in (("disks.json", 822, 0.45),
+                                ("balls3.json", 380, 0.27)):
+        bodies = load_scene(os.path.join(DATA, scene)).bodies
+        for shift in (0.0, 1e4, 1e6):
+            family = check_critical([Ball(b.center + shift, b.radius)
+                                     for b in bodies])
+            asked.clear()
+            cert = certify_hollow(family)
+            cells = math.prod(cert.grid.shape)
+            assert cert.cell_count == count
+            assert sum(n for body, n in asked
+                       if body is family.bodies[0]) <= share * cells
+            if scene == "balls3.json":
+                assert shift or cells == 128 ** 3
+                assert sum(n for _, n in asked) <= 0.5 * cells
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.floats(0.0, 1e6), st.floats(0.0, 2.0 * math.pi))
+def test_translated_disks_certify_the_same_cells(norm, angle):
+    """A verdict does not move with the scene: the disks translated by any
+    vector of norm up to 1e6 certify 822 cells, as they do in place."""
+    move = norm * np.array([math.cos(angle), math.sin(angle)])
+    bodies = load_scene(os.path.join(DATA, "disks.json")).bodies
+    family = check_critical([Ball(b.center + move, b.radius) for b in bodies])
+    assert certify_hollow(family).cell_count == 822
 
 
 @pytest.mark.parametrize("scene", ["disks.json", "vpoly.json", "balls3.json"])
