@@ -29,12 +29,14 @@ onto the cuts by the same least-distance solver, resumed pass after pass
 as cuts join, until the iterate lies in every member;
 :func:`feasibility_scan` decides emptiness by an LP lower bound over the
 cuts, solved by a dense-tableau primal simplex under Bland's rule
-(Math. Oper. Res. 1977).  Every cut holds its body, so a cut
-stays valid for any later query: an :class:`IntersectionBody` keeps a
-pool of the cuts that were tight at its last projection and starts the
-next one from them, so that a run of nearby queries, as in alternating
-projections, mostly ends in two passes instead of four to six.  Nothing
-in the package runs :func:`dykstra`.
+(Math. Oper. Res. 1977).  Every cut holds its body, so a cut stays valid
+for any later query: an :class:`IntersectionBody` starts each projection
+from the cuts tight at its last, so nearby queries, as in alternating
+projections, mostly end in two passes instead of four to six.  It keeps
+the ``tol`` it was certified at, and under its one stall rule cuts that
+share no point, or passes spent within ``tol`` of every member, end in
+:class:`ToleranceAmbiguityError`.  Nothing in the package runs
+:func:`dykstra`.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 
@@ -186,9 +188,8 @@ def _pooled_projection(bodies, p, pool):
     exact.  The solves of one call share a :class:`_LeastDistance`, each
     resuming from the last.  A cut is tight when its slack at the answer is
     at most stop.  Raises :class:`ProjectionError`, carrying the last
-    iterate and its residual, when ``CUT_MAX_PASSES`` passes run out or the
-    cuts share no point: cuts hold their bodies, so only rounding in cuts
-    taken near a single shared point (tangent bodies) makes them disagree.
+    iterate and its residual, when ``CUT_MAX_PASSES`` passes run out, or,
+    from the solver's error, when the cuts share no point (a stall).
     """
     p = as_point(p, bodies[0].dim)
     stop = CUT_RTOL * (1.0 + float(np.abs(p).max()))
@@ -205,8 +206,7 @@ def _pooled_projection(bodies, p, pool):
         try:
             x = solver.solve(np.array(normals), np.array(offsets))
         except ProjectionError as exc:
-            # cuts of bodies that share a point, inconsistent by rounding:
-            # near a single shared point the loop can go no further
+            # a stall, raised from the solver's error (see IntersectionBody)
             raise ProjectionError(
                 f"intersection projection stalled: {exc} (residual "
                 f"{residual:.3e})", last_iterate=x, residual=residual) from exc
@@ -217,9 +217,8 @@ def _pooled_projection(bodies, p, pool):
 
 
 def project_intersection(bodies, p):
-    """Nearest point to ``p`` of the nonempty intersection of ``bodies``,
-    from no cuts: :func:`_pooled_projection` with an empty pool, so the
-    answer depends on ``bodies`` and ``p`` alone."""
+    """Nearest point to ``p`` of the nonempty intersection of ``bodies``:
+    :func:`_pooled_projection` from no cuts, so it depends on them alone."""
     return _pooled_projection(bodies, p, _NO_CUTS)[0]
 
 
@@ -637,10 +636,7 @@ class _FacetPolytope(ConvexBody):
 
     def support(self, direction):
         """The lexicographically least of the points maximizing ``u . x``."""
-        u = as_point(direction, self._dim)
-        if np.linalg.norm(u) == 0:
-            raise ValueError("support direction must be nonzero")
-        return _least_maximizer(self._V, u)
+        return _least_maximizer(self._V, _direction(direction, self._dim)[0])
 
     def contains_batch(self, points, tol=DEFAULT_TOL):
         pts = as_points(points, self._dim)
@@ -911,12 +907,9 @@ def _norm(v):
 
 
 def _offset(p, c):
-    """``p - c`` with no overflow warning: only a ``p`` whose squares
-    overflow can overflow it, and only that pays for ``errstate``."""
-    if np.vdot(p, p) < math.inf:
-        return p - c
-    with np.errstate(over="ignore"):
-        return p - c
+    """``p - c``, bit for bit, subtracted in Python floats, which overflow
+    to inf with no warning."""
+    return np.array(list(map(sub, p.tolist(), c.tolist())))
 
 
 def _shrunk(v):
@@ -924,6 +917,18 @@ def _shrunk(v):
     a vector whose squares overflow."""
     v = v / np.abs(v).max()
     return v, _norm(v)
+
+
+def _direction(direction, dim):
+    """A support ``direction`` and its norm, :class:`ValueError` if zero:
+    shrunk if its squares overflow, else kept to the bit."""
+    u = as_point(direction, dim)
+    norm = _norm(u)
+    if norm == 0:
+        raise ValueError("support direction must be nonzero")
+    if norm == math.inf:
+        u, norm = _shrunk(u)
+    return u, norm
 
 
 class Ball(ConvexBody):
@@ -958,12 +963,7 @@ class Ball(ConvexBody):
         return self._c - self._r, self._c + self._r
 
     def support(self, direction):
-        u = as_point(direction, self.dim)
-        norm = _norm(u)
-        if norm == 0:
-            raise ValueError("support direction must be nonzero")
-        if norm == math.inf:
-            u, norm = _shrunk(u)
+        u, norm = _direction(direction, self.dim)
         return self._c + self._r * u / norm
 
     def project(self, p):
@@ -1001,21 +1001,28 @@ class Ball(ConvexBody):
 class IntersectionBody(ConvexBody):
     """Intersection of member bodies, kept as oracles.
 
-    Nonemptiness is certified at construction: either a ``witness`` member
-    point is supplied by the caller or a feasibility scan finds one.  An
-    empty intersection raises :class:`EmptyBodyError`, and a scan that
-    decides nothing raises as :func:`decided_scan` does.  ``project`` is
-    an outer approximation by cuts from the members' projections, and
-    ``support`` projects a far point in the requested direction.
+    Nonemptiness is certified at construction, at ``tol``, which the body
+    keeps: either a ``witness`` member point is supplied by the caller or
+    a feasibility scan finds one.  An empty intersection raises
+    :class:`EmptyBodyError`, and a scan that decides nothing raises as
+    :func:`decided_scan` does.  ``project`` is an outer approximation by
+    cuts from the members' projections, and ``support`` projects a far
+    point in the requested direction, both by :meth:`_projection`.
 
-    The body keeps a pool of cuts from one ``project`` call to the next:
-    each call starts from the pool (see :func:`_pooled_projection`) and,
-    on success, leaves in it only the cuts tight at its answer, so the pool
-    stays a handful of rows; a call that raises leaves it as it was.  The
-    answer still moves with the pool, within the cut stop, so ``support``
-    projects with fresh cuts, and its answer depends on the direction
-    alone.  Each restart of :func:`~hollowkit.critical.uniqueness_probe`
-    builds its own leave-one-out bodies, so it too starts from no cuts.
+    Stall rule: cuts hold their members, so cuts that share no point mean
+    members that meet in a single point or miss by less than ``tol``, and
+    raise :class:`ToleranceAmbiguityError`, as does a pass budget spent
+    within ``tol`` of every member; one spent farther out raises
+    :class:`ProjectionError`.  ``distance``, ``membership`` and every
+    solver built on them pass these on.
+
+    ``project`` starts from the body's pool of cuts (see
+    :func:`_pooled_projection`); on success it leaves there only the cuts
+    tight at its answer, and a call that raises leaves the pool as it was.
+    The answer moves with the pool, within the cut stop, so ``support``
+    starts from no cuts and depends on the direction alone, as does each
+    restart of :func:`~hollowkit.critical.uniqueness_probe`, which builds
+    its own leave-one-out bodies.
     """
 
     # Far-point multiplier of ``support``: R = _SUPPORT_RADIUS (1 + diam).
@@ -1043,6 +1050,7 @@ class IntersectionBody(ConvexBody):
                 if not b.membership(witness, tol):
                     raise ValueError(f"witness fails membership in member {i}")
         self._witness = witness
+        self._tol = tol
         self._cuts = _NO_CUTS
         self._radius = None   # support's far-point distance, set on first use
 
@@ -1064,9 +1072,24 @@ class IntersectionBody(ConvexBody):
         hi = np.min(his, axis=0)
         return lo, np.maximum(hi, lo)
 
+    def _projection(self, p, pool):
+        """:func:`_pooled_projection` under the stall rule.  A stall has a
+        cause, the solver's error; a member's error has no residual, and a
+        cut that overflowed an infinite one: those propagate."""
+        try:
+            return _pooled_projection(self._bodies, p, pool)
+        except ProjectionError as exc:
+            r, tol = exc.residual, self._tol
+            if r is None or (r > tol and (exc.__cause__ is None or r == math.inf)):
+                raise
+            raise ToleranceAmbiguityError(
+                f"projection onto the intersection stalled {r:.3e} from its "
+                f"members at tol {tol:.1e}: the intersection may be a single "
+                "point; adjust the tolerance", gap=r, tol=tol) from exc
+
     def project(self, p):
         """Nearest point of the intersection, from the body's pool of cuts."""
-        x, self._cuts = _pooled_projection(self._bodies, p, self._cuts)
+        x, self._cuts = self._projection(p, self._cuts)
         return x
 
     def support(self, direction):
@@ -1075,18 +1098,14 @@ class IntersectionBody(ConvexBody):
         With R = ``_SUPPORT_RADIUS * (1 + diam)`` the returned member's inner
         product with u falls short of the support value by at most
         diam^2 / (2 R).  R is worked out at the first call and kept, since
-        the members do not change.  The far point is projected with fresh
-        cuts, by :func:`project_intersection`, so the answer depends on u
-        alone and the pool takes in no cut from R away.
+        the members do not change.  Fresh cuts leave the pool free of cuts
+        from R away.
         """
-        u = as_point(direction, self._dim)
-        norm = math.sqrt(u @ u)
-        if norm == 0:
-            raise ValueError("support direction must be nonzero")
+        u, norm = _direction(direction, self._dim)
         if self._radius is None:
             self._radius = self._SUPPORT_RADIUS * (1.0 + self.diameter())
-        return project_intersection(self._bodies,
-                                    self._witness + (self._radius / norm) * u)
+        return self._projection(self._witness + (self._radius / norm) * u,
+                                _NO_CUTS)[0]
 
     def contains_batch(self, points, tol=DEFAULT_TOL):
         """In when every member holds the point exactly, out when some

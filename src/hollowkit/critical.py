@@ -18,11 +18,9 @@ import numpy as np
 
 from .bodies import (DEFAULT_TOL, IntersectionBody, check_count, check_tol,
                      support_centroid)
-from .errors import (BorderlineCriticalError, EmptyBodyError, NoHollowError,
-                     ProjectionError)
+from .errors import BorderlineCriticalError, EmptyBodyError, NoHollowError
 from .geometry import Simplex, as_points
-from .solvers import (SeparationCertificate, intersect_witness, min_distance,
-                      stall_ambiguity)
+from .solvers import SeparationCertificate, intersect_witness, min_distance
 
 logger = logging.getLogger(__name__)
 
@@ -130,25 +128,19 @@ def recentered_witness(bodies, tol=DEFAULT_TOL):
     The point is the projection onto the intersection of the average of
     its axis-direction support points, so repeated calls give a stable,
     well-centered witness that passes membership in every body.
-    The :class:`IntersectionBody` constructor scans for a first member
-    point and raises its errors when the scan finds none.  A projection
-    that runs out of passes within ``tol`` of every body, as on the single
-    point shared by tangent bodies, raises :class:`ToleranceAmbiguityError`
-    with that residual as its gap; any other :class:`ProjectionError`
-    propagates.
+
+    Raises
+    ------
+    EmptyBodyError, ToleranceAmbiguityError, ConvergenceError
+        As the :class:`IntersectionBody` constructor's scan decides, or as
+        that body's stall rule does, e.g. on the one point of tangent bodies.
     """
     bodies = list(bodies)
     if len(bodies) == 1:
         lo, hi = bodies[0].bounding_box()
         return bodies[0].project((lo + hi) / 2.0)
     inter = IntersectionBody(bodies, tol=tol)
-    try:
-        return inter.project(support_centroid([inter]))
-    except ProjectionError as exc:
-        ambiguity = stall_ambiguity(exc, tol)
-        if ambiguity is None:
-            raise
-        raise ambiguity from exc
+    return inter.project(support_centroid([inter]))
 
 
 def _borderline(distance, tol):
@@ -161,13 +153,17 @@ def check_critical(bodies, tol=DEFAULT_TOL):
 
     Verifies that every leave-one-out intersection has a point (collecting a
     recentered witness for each) and that the full intersection is empty
-    with the certificate's distance above ``10 * tol``.  A leave-one-out
-    scan that decides nothing raises as
-    :func:`~hollowkit.bodies.decided_scan` does.
+    with the certificate's distance above ``10 * tol``.
 
     Returns
     -------
     CriticalFamily or CriticalityFailure
+
+    Raises
+    ------
+    ToleranceAmbiguityError, ConvergenceError
+        As :func:`recentered_witness` and :func:`intersect_witness` do, for
+        a leave-one-out or the full family.
     """
     tol = check_tol(tol)
     bodies = tuple(bodies)

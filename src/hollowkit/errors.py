@@ -37,8 +37,9 @@ class ProjectionError(HollowkitError):
     """A projection or support oracle failed.
 
     Raised when the projection onto an intersection of bodies runs out of
-    passes, when an H-polytope's rows share no point, or when the simplex
-    solving the cut LP of a feasibility scan runs out of its pivot budget.
+    passes (farther than its tol from a member, for an IntersectionBody),
+    when an H-polytope's rows share no point, or when the simplex solving
+    the cut LP of a feasibility scan runs out of its pivot budget.
 
     Attributes
     ----------
@@ -63,7 +64,8 @@ class ConvergenceError(HollowkitError):
 
 
 class ToleranceAmbiguityError(HollowkitError):
-    """A feasibility gap landed inside the indeterminate band [tol/10, tol]."""
+    """A feasibility gap fell in the band [tol/10, tol], or the cut loop of
+    an IntersectionBody stalled (its stall rule): undecidable at tol."""
 
     def __init__(self, message, gap=None, tol=None):
         super().__init__(message)

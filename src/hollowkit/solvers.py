@@ -16,8 +16,7 @@ import numpy as np
 
 from .bodies import (CUT_MAX_PASSES, CUT_RTOL, DEFAULT_TOL, IntersectionBody,
                      check_tol, decided_scan)
-from .errors import (ConvergenceError, EmptyBodyError, NotSeparableError,
-                     ProjectionError, ToleranceAmbiguityError)
+from .errors import ConvergenceError, EmptyBodyError, NotSeparableError
 from .geometry import Hyperplane, as_point
 
 # Anderson mixing combines the residuals of this many earlier iterates of
@@ -157,18 +156,6 @@ def _plane_through_gap(res, tol):
     return Hyperplane(normal, float(normal @ midpoint))
 
 
-def stall_ambiguity(exc, tol):
-    """The :class:`ToleranceAmbiguityError` for a :class:`ProjectionError`
-    that stalled within ``tol`` of every body, as on the single point
-    shared by tangent bodies, or None for any other."""
-    if exc.residual is None or exc.residual > tol:
-        return None
-    return ToleranceAmbiguityError(
-        f"projection onto the intersection stalled {exc.residual:.3e} from "
-        f"its members, within tol {tol:.1e}: the intersection may be a "
-        "single point; adjust the tolerance", gap=exc.residual, tol=tol)
-
-
 def _empty_certificate(bodies, tol):
     """Separate body 0 from the intersection of the others.
 
@@ -187,13 +174,7 @@ def _empty_certificate(bodies, tol):
         sub = tuple(i + 1 for i in (inner.subfamily or range(len(rest))))
         return replace(inner, separated_index=inner.separated_index + 1,
                        subfamily=sub)
-    try:
-        res = min_distance(bodies[0], rest_body)
-    except ProjectionError as exc:
-        ambiguity = stall_ambiguity(exc, tol)
-        if ambiguity is None:
-            raise
-        raise ambiguity from exc
+    res = min_distance(bodies[0], rest_body)
     plane = _plane_through_gap(res, tol)
     return SeparationCertificate(plane, 0, res.distance, res.distance / 2.0)
 
@@ -214,7 +195,8 @@ def intersect_witness(bodies, tol=DEFAULT_TOL):
     ToleranceAmbiguityError
         When the min-max distance, of the family or of bodies 1.., lies
         inside ``[tol / 10, tol]``: it cannot be decided at this tolerance;
-        or when a projection onto bodies 1.. stalls within ``tol`` of them.
+        or when the projection onto bodies 1.. stalls, under the stall rule
+        of :class:`~hollowkit.bodies.IntersectionBody`.
     ConvergenceError
         When a scan's pass budget runs out undecided, or that of
         :func:`min_distance` while the certificate is built.

@@ -11,11 +11,11 @@ from scipy.spatial import Delaunay
 import hollowkit.bodies
 from hollowkit import (AffineSubspace, Ball, EmptyBodyError, HPolytope,
                        IntersectionBody, KkmInstance, PolytopeSizeError,
-                       ProjectionError, StabbingPair, UnboundedBodyError,
-                       VPolytope, check_critical, dykstra, feasibility_scan,
-                       intersect_witness, kkm_verify, klee_solve,
-                       verify_stabbing)
-from hollowkit.bodies import ConvexBody, _cut_lp, project_intersection
+                       ProjectionError, StabbingPair, ToleranceAmbiguityError,
+                       UnboundedBodyError, VPolytope, check_critical, dykstra,
+                       feasibility_scan, intersect_witness, kkm_verify,
+                       klee_solve, min_distance, verify_stabbing)
+from hollowkit.bodies import ConvexBody, _cut_lp, _offset, project_intersection
 from hollowkit.geometry import as_point
 from conftest import disk_centers, side_rectangle
 from helpers import grid_points
@@ -841,6 +841,52 @@ def test_projection_onto_an_empty_intersection_is_a_projection_error():
                              [1.5, 0.3])
 
 
+# Unit disks 2 + g apart, accepted as an intersection at tol 1e-7 though
+# they share no point: by a witness at g = 5e-8, by a scan at g = 1e-9.
+NEAR_DISJOINT_WITNESS = {5e-8: [1.0 + 2.5e-8, 0.0], 1e-9: None}
+NEAR_DISJOINT_CALLS = {
+    "project": lambda body: body.project([1.0, 1.0]),
+    "distance": lambda body: body.distance([1.0, 0.5]),
+    "support": lambda body: body.support([1.0, 0.0]),
+    "membership": lambda body: body.membership([1.0, 1e-9]),
+    "min_distance": lambda body: min_distance(body, Ball([1.0, 3.0], 1.0)),
+}
+
+
+@pytest.mark.parametrize("gap, call", [
+    (5e-8, "project"), (5e-8, "distance"), (5e-8, "support"),
+    (5e-8, "membership"), (5e-8, "min_distance"), (1e-9, "project"),
+    (1e-9, "distance"), (1e-9, "membership"), (1e-9, "min_distance")])
+def test_near_disjoint_members_end_in_a_tolerance_ambiguity(gap, call):
+    """The cuts of members that miss each other by less than the body's
+    tol share no point, and every oracle, and a solver built on them,
+    ends in the body's structured verdict, carrying its tol and the cut
+    loop's last residual as the gap, not in a bare ProjectionError."""
+    body = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([2.0 + gap, 0.0], 1.0)],
+                            witness=NEAR_DISJOINT_WITNESS[gap])
+    with pytest.raises(ToleranceAmbiguityError) as info:
+        NEAR_DISJOINT_CALLS[call](body)
+    assert info.value.tol == 1e-7 and info.value.gap > 0.0
+    assert isinstance(info.value.__cause__, ProjectionError)
+
+
+def test_a_spent_pass_budget_is_ambiguous_only_within_tol(monkeypatch):
+    """Two passes leave the lens projection of (0.75, 3) 0.13 from a
+    member: a ProjectionError for a body kept at tol 1e-7, the structured
+    verdict for one kept at tol 0.5, where that residual is within tol."""
+    monkeypatch.setattr(hollowkit.bodies, "CUT_MAX_PASSES", 2)
+
+    def lens(tol):
+        return IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)],
+                                witness=[0.75, 0.0], tol=tol)
+
+    with pytest.raises(ProjectionError, match="undecided after 2 passes"):
+        lens(1e-7).project([0.75, 3.0])
+    with pytest.raises(ToleranceAmbiguityError) as info:
+        lens(0.5).project([0.75, 3.0])
+    assert info.value.tol == 0.5 and 0.1 < info.value.gap < 0.5
+
+
 def test_intersection_oracles_run_no_dykstra(monkeypatch, squares_union):
     """Projections, supports, scans and the Klee polish all run on cuts."""
     def refuse(*args, **kwargs):
@@ -961,3 +1007,27 @@ def test_a_finite_point_whose_sum_overflows_is_accepted():
         # the offset (2e308, 1e308) points along (2, 1) / sqrt 5
         assert np.allclose(left.project([1e308, 1e308]),
                            [-1e308, 1.0 / np.sqrt(5.0)], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", sorted(boundary_bodies()))
+def test_an_overflowing_support_direction_is_shrunk(kind):
+    """Every kind supports a direction whose squares overflow where it
+    supports its multiple over its largest |coordinate|, bit for bit and
+    with no overflow warning."""
+    body = boundary_bodies()[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(body.support([1e308, 1e308]),
+                              body.support([1.0, 1.0]))
+
+
+def test_ball_offsets_match_numpy_bit_for_bit():
+    """A ball's offset p - c, subtracted in Python floats so that it can
+    overflow to inf with no warning, has numpy's bits on ordinary
+    vectors, dimensions 1 to 5 and scales from 1e-200 to 1e150."""
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        d = int(rng.integers(1, 6))
+        p, c = (rng.normal(size=d) * 10.0 ** rng.uniform(-200.0, 150.0)
+                for _ in range(2))
+        assert _offset(p, c).tobytes() == (p - c).tobytes()

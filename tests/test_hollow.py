@@ -255,12 +255,22 @@ def test_hull_vs_simplex_builds_no_vpolytope(disks_cert, disks_hollow,
     assert hull_vs_simplex(disks_cert, disks_hollow) == expected
 
 
+def named_family(name, rects_family):
+    """The critical family a test parameter names: a scene file, or one
+    built below."""
+    return {"rects": lambda: rects_family,
+            "ball-box": lambda: check_critical(ball_box_bodies()),
+            "tetra-slabs": tetra_slab_family,
+            "tetra-hslabs": tetra_hslab_family,
+            "mixed": mixed_family}.get(name, lambda: scene_family(name))()
+
+
 @pytest.fixture(scope="module",
-                params=["disks.json", "vpoly.json", "balls3.json", "rects"])
+                params=["disks.json", "vpoly.json", "balls3.json", "rects",
+                        "mixed"])
 def certified(request, rects_family):
     """A critical family and its certificate at the default resolution."""
-    family = (rects_family if request.param == "rects"
-              else scene_family(request.param))
+    family = named_family(request.param, rects_family)
     return family, certify_hollow(family)
 
 
@@ -288,16 +298,21 @@ def test_every_cell_rechecks_from_the_oracles(certified):
         assert np.linalg.solve(system, np.append(c, 1.0)).min() > 0.0
 
 
+@pytest.mark.parametrize("certified", [
+    "disks.json", "vpoly.json", "balls3.json", "rects", "tetra-hslabs",
+    "mixed"], indirect=True)
 def test_hollow_cells_lie_inside_the_hollow_simplex(certified):
     """The "⊆" half of the theorem that the hollow's closed convex hull is
     the hollow simplex: every hollow cell center has all barycentric
-    coordinates positive in it (the smallest is 0.0015 on rects)."""
+    coordinates positive in it (the smallest are 0.0013 on the mixed
+    family, 0.0015 on rects and 0.0041 on the tetrahedron's H-slabs, whose
+    420k cells the other certificate tests would recheck one by one)."""
     family, cert = certified
     bary = hollow_simplex(family).simplex.barycentrics(cert.centers)
     assert bary.min() > 0.0
 
 
-def ball_box_family():
+def ball_box_bodies():
     """Two unit disks and a unit disk clipped by a box, on the side-1.8
     triangle: the box cuts the first disk 0.8 from its center, on the side
     away from the centroid, so the clip never reaches the hollow."""
@@ -307,31 +322,63 @@ def ball_box_family():
     clip = HPolytope(np.array([u, -u, w, -w]),
                      np.array([u @ c[0] + 0.8, -(u @ c[0]) + 1.5,
                                w @ c[0] + 1.5, -(w @ c[0]) + 1.5]))
-    return check_critical([IntersectionBody([Ball(c[0], 1.0), clip],
-                                            witness=c[0])]
-                          + [Ball(x, 1.0) for x in c[1:]])
+    return ([IntersectionBody([Ball(c[0], 1.0), clip], witness=c[0])]
+            + [Ball(x, 1.0) for x in c[1:]])
 
 
-def tetra_slab_family():
+def mixed_family():
+    """A body of each kind: :func:`ball_box_bodies` with the second disk
+    replaced by the regular octagon inscribed in it, a V-polytope whose
+    inradius 0.92 still overlaps each unit disk 1.8 away."""
+    bodies = ball_box_bodies()
+    angles = np.arange(8) * (np.pi / 4.0)
+    bodies[1] = VPolytope(disk_centers(1.8)[1]
+                          + np.column_stack([np.cos(angles), np.sin(angles)]))
+    return check_critical(bodies)
+
+
+def tetra_slabs():
     """The four facets of the regular tetrahedron on (1, 1, 1), (1, -1, -1),
-    (-1, 1, -1) and (-1, -1, 1), each thickened by 0.1 along its normal on
-    either side into a 6-vertex V-polytope: any three share a corner of
-    the tetrahedron, all four share no point, and the hollow is the
-    tetrahedron's interior less the slabs."""
+    (-1, 1, -1) and (-1, -1, 1), each with its outward unit normal."""
     T = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
-    bodies = []
     for j in range(4):
         face = np.delete(T, j, axis=0)
         normal = face.mean(axis=0) - T[j]
-        normal /= np.linalg.norm(normal)
-        bodies.append(VPolytope(np.vstack([face + 0.1 * normal,
-                                           face - 0.1 * normal])))
+        yield face, normal / np.linalg.norm(normal)
+
+
+def tetra_slab_family():
+    """Each facet of :func:`tetra_slabs` thickened by 0.1 along its normal
+    on either side into a 6-vertex V-polytope: any three share a corner of
+    the tetrahedron, all four share no point, and the hollow is the
+    tetrahedron's interior less the slabs."""
+    return check_critical([VPolytope(np.vstack([face + 0.1 * normal,
+                                                face - 0.1 * normal]))
+                           for face, normal in tetra_slabs()])
+
+
+def tetra_hslab_family():
+    """The slabs of :func:`tetra_slab_family` as H-polytopes, their rows
+    built here: the facet's plane shifted 0.1 either way, and, for each
+    edge, the plane through it along the normal, away from the facet's
+    third corner."""
+    bodies = []
+    for face, normal in tetra_slabs():
+        rows = [normal, -normal]
+        offsets = [normal @ face[0] + 0.1, 0.1 - normal @ face[0]]
+        for k in range(3):
+            a, b = np.delete(face, k, axis=0)
+            out = np.cross(normal, b - a)
+            out *= -np.sign(out @ (face[k] - a))
+            rows.append(out)
+            offsets.append(out @ a)
+        bodies.append(HPolytope(rows, offsets))
     return check_critical(bodies)
 
 
 @pytest.mark.parametrize(
     "scene", ["disks.json", "vpoly.json", "rects", "ball-box", "balls3.json",
-              "tetra-slabs"])
+              "tetra-slabs", "tetra-hslabs", "mixed"])
 def test_grid_hull_approaches_the_hollow_simplex_at_first_order(
         scene, rects_family):
     """The "⊇" half: from certify_hollow's default cell size h down to h/8
@@ -340,13 +387,11 @@ def test_grid_hull_approaches_the_hollow_simplex_at_first_order(
     grid hull lies within 3 h of the hollow simplex, so it tends to it as
     h -> 0.  The largest measured ratios: 2.36 on disks, 1.66 on vpoly,
     1.51 on rects, 1.92 on the ball-box intersection, 1.36 on balls3, 1.53
-    on the slabs (0.17 at 4h, 1.20 at 2h)."""
-    family = {"rects": lambda: rects_family,
-              "ball-box": ball_box_family,
-              "tetra-slabs": tetra_slab_family}.get(
-                  scene, lambda: scene_family(scene))()
-    scales = {"balls3.json": (1.0, 0.5),
-              "tetra-slabs": (4.0, 2.0, 1.0)}.get(
+    on the slabs, as V- and as H-polytopes (0.17 at 4h, 1.20 at 2h), and
+    1.56 on the mixed family."""
+    family = named_family(scene, rects_family)
+    scales = {"balls3.json": (1.0, 0.5), "tetra-slabs": (4.0, 2.0, 1.0),
+              "tetra-hslabs": (4.0, 2.0, 1.0)}.get(
                   scene, (1.0, 0.5, 0.25, 0.125))
     assert max(grid_hull_ratios(family, scales)) <= 3.0
 
