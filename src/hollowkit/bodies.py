@@ -83,6 +83,11 @@ CUT_MAX_PASSES = 500
 _LDP_RTOL = 4e-15
 _SPAN_RTOL = 1e-13
 
+# A finite point whose offset from a body has squares that overflow is
+# infinitely far from it: a Ball projects it along the offset, and the
+# projection onto any other kind raises ProjectionError with this message.
+_FAR = "point infinitely far: the squares of its offset overflow"
+
 # The cut LP's simplex treats tableau entries up to this as zero when it
 # picks the entering column and the rows of the ratio test; its rows are
 # unit and its right-hand side is scaled by the gap, so entries are O(1).
@@ -157,12 +162,16 @@ def dykstra(start, projectors):
 def _cut_pass(bodies, x, stop, normals, offsets):
     """Distances from ``x`` to the bodies.  Appends the cut
     {y : n.y <= n.P(x)} of each body missed by ``stop`` or more, with n the
-    unit vector from its projection P(x) to x: it holds the whole body."""
+    unit vector from its projection P(x) to x: it holds the whole body.
+    A distance whose square overflows raises :class:`ProjectionError`:
+    ``x`` is infinitely far."""
     dists = np.empty(len(bodies))
     for i, body in enumerate(bodies):
         y = body.project(x)
         v = x - y
-        dists[i] = math.sqrt(v @ v)
+        dists[i] = _norm(v)
+        if dists[i] == math.inf:
+            raise ProjectionError(_FAR, last_iterate=x)
         if dists[i] >= stop:
             n = v / dists[i]
             normals.append(n)
@@ -192,6 +201,9 @@ def _pooled_projection(bodies, p, pool):
     from the solver's error, when the cuts share no point (a stall).
     """
     p = as_point(p, bodies[0].dim)
+    if _norm(p) == math.inf:
+        # the solver's own check would come after the first pass, as a stall
+        raise ProjectionError(_FAR, last_iterate=p)
     stop = CUT_RTOL * (1.0 + float(np.abs(p).max()))
     normals, offsets = list(pool[0]), list(pool[1])
     solver = _LeastDistance(p)
@@ -396,8 +408,9 @@ class _LeastDistance:
     rounding, wherever the active rows do (more than d rows through one
     vertex), and the solve sets it aside.  A certificate raises
     :class:`ProjectionError`, carrying p, and so do a NaN or infinity in
-    p, in a row or among the slacks at p, and a spent budget of 10 (m + d)
-    steps for m rows in R^d.  A solver that raised stays spent.
+    p, in a row or among the slacks at p, a p whose squares overflow
+    (infinitely far, ``_FAR``), and a spent budget of 10 (m + d) steps for
+    m rows in R^d.  A solver that raised stays spent.
 
     Rows only ever join: each solve passes the rows of the last one first,
     unchanged.  The last answer is still optimal for them, so the next
@@ -440,8 +453,9 @@ class _LeastDistance:
         else:
             # every row at p, once; a resumed solve checks each new row as
             # it reads it
-            if not math.isfinite(sum(xl)):
-                self._fail("least-distance rows or point not finite")
+            if not math.isfinite(sum(map(mul, xl, xl))):
+                self._fail(_FAR if all(map(math.isfinite, xl)) else
+                           "least-distance rows or point not finite")
             slack = A.dot(self._p)
             slack -= b
             if not math.isfinite(slack.sum()):
@@ -586,8 +600,7 @@ class ConvexBody(abc.ABC):
     def distance(self, p):
         """Euclidean distance from ``p`` to the body."""
         p = as_point(p, self.dim)
-        v = p - self.project(p)
-        return math.sqrt(v @ v)
+        return _norm(p - self.project(p))
 
     def membership(self, p, tol=DEFAULT_TOL):
         """True when ``p`` lies within ``tol`` of the body: the body's one
@@ -874,18 +887,24 @@ def _hull_projection(V, p):
     there.  The answer is p projected onto their affine hull, solved on
     edge vectors (in closed form for a vertex or an edge): exact at acute
     vertices of thin hulls, where rows lose about eps / angle, and with an
-    error that does not grow with the distance of p.  Rows that share no
-    point mean that no hyperplane separates p from the hull: p lies in it
-    up to rounding and comes back as a copy, as it does when it is a
-    generator.
+    error that does not grow with the distance of p.  The right-hand sides
+    are scaled by the nearest generator's distance, so the largest is 1 at
+    any distance of p: unscaled, they fall below the solver's stop
+    tolerance once p is about 1e15 away, and no row would join the face.
+    Rows that share no point mean that no hyperplane separates p from the
+    hull: p lies in it up to rounding and comes back as a copy, as it does
+    when it is a generator.
     """
     W = p - V
+    if np.vdot(W, W) == math.inf and any(np.vdot(w, w) == math.inf for w in W):
+        raise ProjectionError(_FAR, last_iterate=p)
     norms = np.sqrt((W * W).sum(axis=1))
-    if norms.min() == 0.0:
+    nearest = norms.min()
+    if nearest == 0.0:
         return p.copy()
     solver = _LeastDistance(np.zeros(p.size))
     try:
-        solver.solve(W / norms[:, None], -1.0 / norms)
+        solver.solve(W / norms[:, None], -nearest / norms)
     except ProjectionError:
         return p.copy()
     face = V[solver.face]

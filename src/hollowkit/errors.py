@@ -38,8 +38,10 @@ class ProjectionError(HollowkitError):
 
     Raised when the projection onto an intersection of bodies runs out of
     passes (farther than its tol from a member, for an IntersectionBody),
-    when an H-polytope's rows share no point, or when the simplex solving
-    the cut LP of a feasibility scan runs out of its pivot budget.
+    when an H-polytope's rows share no point, when the simplex solving
+    the cut LP of a feasibility scan runs out of its pivot budget, or when
+    a point is infinitely far (the squares of its offset overflow) from a
+    body other than a ball, which projects such a point along its offset.
 
     Attributes
     ----------

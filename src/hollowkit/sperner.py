@@ -52,7 +52,7 @@ MAX_CELLS = 10_000_000
 # integer up to it, and int64 cannot overflow below it.
 MAX_DENOMINATOR = 2 ** 53
 # Most hull samples per subset of a cover check: at 12 points the Sobol
-# weights then take 13 MB.
+# weights then take 12.6 MB, and drawing them peaks at 13.2 MB.
 MAX_SAMPLES = 2 ** 16
 
 
@@ -454,18 +454,76 @@ def check_samples(samples):
     return n
 
 
+# Dimensions 2..12 of Joe & Kuo's new-joe-kuo-6.21201 table (S. Joe and
+# F. Y. Kuo, "Constructing Sobol sequences with better two-dimensional
+# projections", SIAM J. Sci. Comput. 30 (2008) 2635-2654): the degree s of
+# the primitive polynomial, its inner coefficients a (a_1 the highest bit)
+# and the initial direction numbers m_1..m_s.  Dimension 1 has every m_i = 1.
+_JOE_KUO = (
+    (1, 0, (1,)),
+    (2, 1, (1, 3)),
+    (3, 1, (1, 3, 1)),
+    (3, 2, (1, 1, 1)),
+    (4, 1, (1, 1, 3, 3)),
+    (4, 4, (1, 3, 5, 13)),
+    (5, 2, (1, 1, 5, 5, 17)),
+    (5, 4, (1, 1, 5, 5, 5)),
+    (5, 7, (1, 1, 7, 11, 19)),
+    (5, 11, (1, 1, 5, 1, 1)),
+    (5, 13, (1, 1, 1, 3, 11)),
+)
+# Bits of each Sobol coordinate; 30 is scipy's default, so its unscrambled
+# sampler draws the same points.
+_SOBOL_BITS = 30
+
+
+@lru_cache(maxsize=1)
+def _sobol_directions():
+    """Direction numbers of every tabled dimension by Bratley & Fox's
+    recurrence (ACM TOMS 14 (1988) 88-100, Algorithm 659): row i, column
+    j holds m_(i+1) / 2**(i + 1) of dimension j + 1 as a _SOBOL_BITS-bit
+    fixed-point fraction.  Read-only, since callers share it."""
+    columns = [[1] * _SOBOL_BITS]
+    for s, a, init in _JOE_KUO:
+        mi = list(init)
+        for i in range(s, _SOBOL_BITS):
+            new = mi[i - s] ^ (mi[i - s] << s)
+            for k in range(1, s):
+                if a >> (s - 1 - k) & 1:
+                    new ^= mi[i - k] << k
+            mi.append(new)
+        columns.append(mi)
+    v = np.array(columns, dtype=np.uint32).T
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)[:, None]
+    v.flags.writeable = False
+    return v
+
+
+def _sobol_points(m, count):
+    """The first ``count`` points of the unscrambled m-dimensional Sobol
+    sequence, starting at the origin, by Gray-code XOR accumulation: bit
+    for bit the points of scipy's unscrambled Sobol sampler at its default
+    30 bits; m is at most 12, the tabled dimensions."""
+    # point n is point n - 1 XOR the direction number of n's lowest set bit
+    n = np.arange(1, count)
+    x = np.zeros((count, m), dtype=np.uint32)
+    x[1:] = _sobol_directions()[np.frexp(n & -n)[1] - 1, :m]
+    np.bitwise_xor.accumulate(x, axis=0, out=x)
+    return x * 2.0 ** -_SOBOL_BITS
+
+
 @lru_cache(maxsize=32)
 def _sobol_weights(m, count):
     """Barycentric weights for ``count`` hull samples of m points, and their
     vertex-biased squares: unscrambled Sobol draws, so every subset of size m
     gets the same ones.  Both arrays are read-only, since callers share them."""
-    # scipy.stats costs a noticeable share of the package import, and only
-    # this sampler needs it.
-    from scipy.stats import qmc
-
-    u = qmc.Sobol(d=m, scramble=False).random(count)
-    u = np.clip(u, 1e-9, 1.0 - 1e-9)
-    w = -np.log1p(-u)
+    # w = -log1p(-u) of the clipped draws u, in place: the largest table
+    # then peaks at about its two outputs
+    w = _sobol_points(m, count)
+    np.clip(w, 1e-9, 1.0 - 1e-9, out=w)
+    np.negative(w, out=w)
+    np.log1p(w, out=w)
+    np.negative(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     biased = w ** 2
     biased /= biased.sum(axis=1, keepdims=True)

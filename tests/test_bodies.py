@@ -1009,6 +1009,38 @@ def test_a_finite_point_whose_sum_overflows_is_accepted():
                            [-1e308, 1.0 / np.sqrt(5.0)], rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["hpoly", "vpoly", "intersection"])
+def test_an_infinitely_far_point_is_one_projection_error(kind):
+    """Every kind but a ball refuses to project a finite point whose
+    squared offset overflows, and so to measure its distance, with one
+    ProjectionError that names it infinitely far: no overflow warning, no
+    IndexError from an empty face, no stall.  The contains rule still
+    answers."""
+    body = boundary_bodies()[kind]
+    far = [1e308, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for oracle in (body.project, body.distance):
+            with pytest.raises(ProjectionError, match="infinitely far"):
+                oracle(far)
+        assert not body.membership(far)
+
+
+@pytest.mark.parametrize("scale", [1e15, 1e16, 1e50, 1e150])
+def test_a_v_polytope_projects_a_distant_point_to_a_member(scale):
+    """The least-distance dual of a far point has right-hand sides of
+    about 1 / distance; scaled by the nearest generator's distance they
+    stay above the solver's stop tolerance, so a face is found and the
+    answer is a member, where it once was an empty face and IndexError."""
+    body = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    p = np.array([1.0, 0.3]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = body.project(p)
+        assert body.membership(x, 1e-12)
+        assert body.distance(p) == pytest.approx(np.linalg.norm(p), rel=1e-12)
+
+
 @pytest.mark.parametrize("kind", sorted(boundary_bodies()))
 def test_an_overflowing_support_direction_is_shrunk(kind):
     """Every kind supports a direction whose squares overflow where it

@@ -813,9 +813,9 @@ def test_timings_go_to_stderr_only(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """Projections run on the package's own solver and scipy's hulls and
-    samplers are imported where they are used, so importing the CLI loads
-    numpy and no scipy module."""
+    """Projections run on the package's own solver and scipy's hulls are
+    imported where they are used, so importing the CLI loads numpy and no
+    scipy module."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, hollowkit.cli; "
@@ -835,19 +835,22 @@ sys.exit(code)
 """
 
 
-def scipy_loaded_by(command, scene, outdir):
+def scipy_loaded_by(command, scene, outdir, code=0):
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, command, scene_path(scene),
          "--out", str(outdir)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("command,scene", [
     ("check", "disks.json"), ("hollow", "pair.json"),
-    ("stab-verify", "stab.json"), ("solve-klee", "squares.json")])
+    ("stab-verify", "stab.json"), ("solve-klee", "squares.json"),
+    ("kkm", "goodkkm.json"), ("kkm", "gapkkm.json")])
 def test_scenes_without_hulls_load_no_scipy(command, scene, tmp_path):
-    assert scipy_loaded_by(command, scene, tmp_path) == []
+    # gapkkm's cover check fails, a rejected claim (exit code 2)
+    code = 2 if scene == "gapkkm.json" else 0
+    assert scipy_loaded_by(command, scene, tmp_path, code) == []
 
 
 def test_certify_loads_scipy_spatial_alone(tmp_path):

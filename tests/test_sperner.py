@@ -489,6 +489,43 @@ def test_sobol_weights_are_drawn_once_per_size_and_count():
     assert np.array_equal(sperner._subset_samples(pts, 8), first)
 
 
+def test_sobol_points_match_scipy_bit_for_bit():
+    """The in-house Gray-code Sobol points are scipy's unscrambled ones,
+    all-zero first point included, for every subset size of a cover check
+    and every power-of-two count up to the sample budget."""
+    from scipy.stats import qmc
+
+    for m in range(2, 13):
+        k = 1
+        while 2 ** k <= sperner.MAX_SAMPLES:
+            ref = qmc.Sobol(d=m, scramble=False).random(2 ** k)
+            assert np.array_equal(sperner._sobol_points(m, 2 ** k), ref), (m, k)
+            k += 1
+
+
+def test_sobol_weights_are_read_only_barycentric_weights():
+    for m, count in [(2, 2), (5, 64), (12, 1024)]:
+        for w in sperner._sobol_weights(m, count):
+            assert w.shape == (count, m) and not w.flags.writeable
+            assert (w > 0.0).all()
+            assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_the_largest_sobol_table_peaks_near_its_outputs():
+    """12 points at the sample budget: the weights are drawn and
+    transformed in place, so the traced peak stays under 1.5 times the
+    two 6.3 MB outputs (scipy's sampler peaked at 1.7 times)."""
+    sperner._sobol_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        w, biased = sperner._sobol_weights(12, sperner.MAX_SAMPLES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sperner._sobol_weights.cache_clear()
+    assert peak < 1.5 * (w.nbytes + biased.nbytes)
+
+
 def test_check_samples_accepts_positive_integers():
     assert [sperner.check_samples(v) for v in (1, "7", np.int64(64))] == [1, 7, 64]
 
