@@ -33,9 +33,9 @@ from .scenes import (SCHEMA, Scene, body_from_json, body_to_json, dumps,
 from .solvers import (DistanceResult, FeasibilityReport, SeparationCertificate,
                       intersect_witness, min_distance, separating_hyperplane)
 from .sperner import (KkmInstance, KkmReport, SpernerColoring,
-                      SubdivisionComplex, family_kkm_instance, find_rainbow,
-                      kkm_verify, klee_solve, rainbow_cells,
-                      random_legal_coloring, sperner_color, subdivide)
+                      SubdivisionComplex, family_kkm_instance, kkm_verify,
+                      klee_solve, rainbow_cells, random_legal_coloring,
+                      sperner_color, subdivide)
 
 __version__ = "0.1.0"
 
@@ -55,11 +55,10 @@ __all__ = [
     "UnboundedBodyError", "UniquenessReport", "VPolytope", "affine_hull",
     "body_from_json", "body_to_json", "boundary_attribution", "cage_margin",
     "certify_hollow", "check_critical", "dumps", "dykstra",
-    "family_kkm_instance", "feasibility_scan", "find_rainbow",
-    "hausdorff_convex", "helly_guard", "hollow_simplex", "hull_vs_simplex",
-    "intersect_witness", "kkm_verify", "klee_solve", "load_scene",
-    "min_distance", "parse_scene", "rainbow_cells", "random_legal_coloring",
-    "recentered_witness", "render_svg", "separating_hyperplane",
-    "serialize_scene", "sperner_color", "subdivide", "uniqueness_probe",
-    "verify_stabbing",
+    "family_kkm_instance", "feasibility_scan", "hausdorff_convex",
+    "helly_guard", "hollow_simplex", "hull_vs_simplex", "intersect_witness",
+    "kkm_verify", "klee_solve", "load_scene", "min_distance", "parse_scene",
+    "rainbow_cells", "random_legal_coloring", "recentered_witness",
+    "render_svg", "separating_hyperplane", "serialize_scene",
+    "sperner_color", "subdivide", "uniqueness_probe", "verify_stabbing",
 ]

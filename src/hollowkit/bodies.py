@@ -45,6 +45,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul, sub
 
 import numpy as np
@@ -198,7 +199,10 @@ def _pooled_projection(bodies, p, pool):
     resuming from the last.  A cut is tight when its slack at the answer is
     at most stop.  Raises :class:`ProjectionError`, carrying the last
     iterate and its residual, when ``CUT_MAX_PASSES`` passes run out, or,
-    from the solver's error, when the cuts share no point (a stall).
+    from the solver's error, when the cuts share no point (a stall).  A
+    stall carries the smallest residual of its passes instead: the solve
+    of nearly parallel contradicting cuts can throw the last iterate far
+    from every member.
     """
     p = as_point(p, bodies[0].dim)
     if _norm(p) == math.inf:
@@ -208,6 +212,7 @@ def _pooled_projection(bodies, p, pool):
     normals, offsets = list(pool[0]), list(pool[1])
     solver = _LeastDistance(p)
     x = p
+    best = math.inf
     for _ in range(CUT_MAX_PASSES):
         residual = float(_cut_pass(bodies, x, stop, normals, offsets).max())
         if residual <= stop:
@@ -215,13 +220,14 @@ def _pooled_projection(bodies, p, pool):
             h = np.array(offsets)
             tight = h - A @ x <= stop
             return x.copy(), (A[tight], h[tight])
+        best = min(best, residual)
         try:
             x = solver.solve(np.array(normals), np.array(offsets))
         except ProjectionError as exc:
             # a stall, raised from the solver's error (see IntersectionBody)
             raise ProjectionError(
                 f"intersection projection stalled: {exc} (residual "
-                f"{residual:.3e})", last_iterate=x, residual=residual) from exc
+                f"{best:.3e})", last_iterate=x, residual=best) from exc
     raise ProjectionError(
         f"intersection projection undecided after {CUT_MAX_PASSES} "
         f"passes (residual {residual:.3e})",
@@ -733,7 +739,7 @@ class HPolytope(_FacetPolytope):
     ray of {A y <= 0} mean :class:`UnboundedBodyError`.  ``support`` and
     ``bounding_box`` read the vertex list, with exact ties broken by the
     lexicographically least vertex; ``anchor`` is the mean of the supports
-    along the +-axis directions.  ``project`` is exact and finite: a point
+    along the +-axis directions, computed on first read.  ``project`` is exact and finite: a point
     outside is mapped to its nearest point by one least-distance solve.
 
     Parameters
@@ -791,7 +797,6 @@ class HPolytope(_FacetPolytope):
             raise UnboundedBodyError(
                 f"polytope is unbounded along axis {i} ({'+' if ray[i] > 0 else '-'})")
         self._V = V
-        self._anchor = support_centroid([self])
 
     @classmethod
     def box(cls, lo, hi):
@@ -813,9 +818,9 @@ class HPolytope(_FacetPolytope):
     def b(self):
         return self._b
 
-    @property
+    @cached_property
     def anchor(self):
-        return self._anchor
+        return support_centroid([self])
 
     def project(self, p):
         return _least_distance(self._A, self._b, as_point(p, self._dim))

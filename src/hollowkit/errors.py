@@ -48,7 +48,9 @@ class ProjectionError(HollowkitError):
     last_iterate : ndarray
         The final iterate when the pass budget ran out, if any.
     residual : float
-        Distance from the final iterate to the farthest member set, if any.
+        Distance from the final iterate to the farthest member set, if any;
+        for a stalled intersection projection, the smallest such distance
+        over its iterates.
     """
 
     def __init__(self, message, last_iterate=None, residual=None):

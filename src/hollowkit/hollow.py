@@ -47,6 +47,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -178,7 +179,7 @@ class HollowCertificate:
     ``cells`` are the multi-indices, in C order, of the grid cells whose
     centers are uncovered and strictly inside the witness simplex,
     ``measure`` is their count times the cell volume, ``hull_vertices``
-    the convex hull of their centers.  The hollow is the one bounded
+    the convex hull of their centers, computed on first read.  The hollow is the one bounded
     complement component (see the module docstring), so
     ``component_count`` is 1 and ``bounded`` is true.  Both are constants,
     kept because ``certify`` writes them to ``result.json`` and the
@@ -188,7 +189,6 @@ class HollowCertificate:
     grid: Grid
     cells: np.ndarray = field(repr=False)
     measure: float
-    hull_vertices: np.ndarray
     resolution: float
 
     component_count = property(lambda self: 1)
@@ -202,18 +202,18 @@ class HollowCertificate:
     def centers(self):
         return self.grid.centers(self.cells)
 
+    @cached_property
+    def hull_vertices(self):
+        # scipy.spatial is imported here, so that only a read hull pays
+        # for it
+        from scipy.spatial import ConvexHull, QhullError
 
-def _component_hull(centers):
-    # scipy.spatial is imported here, so that only a certified hull pays
-    # for it
-    from scipy.spatial import ConvexHull, QhullError
-
-    pts = as_points(centers)
-    try:
-        hull = ConvexHull(pts)
-        return pts[hull.vertices]
-    except QhullError:
-        return np.unique(pts, axis=0)
+        pts = as_points(self.centers)
+        try:
+            hull = ConvexHull(pts)
+            return pts[hull.vertices]
+        except QhullError:
+            return np.unique(pts, axis=0)
 
 
 def certify_hollow(family, resolution=None):
@@ -288,7 +288,6 @@ def certify_hollow(family, resolution=None):
         grid=grid,
         cells=cells,
         measure=float(cells.shape[0]) * grid.resolution ** d,
-        hull_vertices=_component_hull(grid.centers(cells)),
         resolution=grid.resolution,
     )
 

@@ -17,7 +17,7 @@ relative interiors, so two barycenters are equal exactly when their faces
 are.  A cell's own barycenter is therefore always new, and only the
 barycenters of proper faces of dimension 1..k-1, which neighbouring cells
 share, need one lexicographic sort of their integer rows.  Carrier faces are
-kept as a boolean mask (the support of the integer barycentrics); the
+read as a boolean mask (the support of the integer barycentrics); the
 frozenset ``carriers`` and the ``mesh`` are computed on first read, so the
 coloring loop pays for neither.  A complex is valid by construction, so
 nothing re-checks its tiling or carriers in floating point at run time; the
@@ -56,106 +56,45 @@ MAX_DENOMINATOR = 2 ** 53
 MAX_SAMPLES = 2 ** 16
 
 
-class _ExactComplex:
-    """Iterated barycentric subdivision in exact integer barycentrics.
-
-    Row v of the int64 array ``V`` holds the barycentrics of vertex v times
-    one common denominator ``D``, so every row sums to ``D``.  A step
-    multiplies ``D`` by ``L = lcm(1..k+1)``: the m-th point of the vertex
-    chain of cell c under permutation sigma is the chain's partial sum times
-    ``L // m``, an integer again, and the barycenter of the face spanned by
-    the first m vertices.  Point 1 is the old vertex ``cells[c, sigma(0)]``
-    and keeps its id.  Point k + 1 is the cell's barycenter, one new vertex
-    per cell.  Points 2..k are barycenters of proper faces, the only new
-    points that neighbouring cells share; exact rows are equal exactly when
-    their faces are, so one stable lexicographic sort of these rows alone
-    finds every repeat.  Deduplication and carrier faces are thus exact, and
-    coloring legality never depends on floating-point luck.  Vertices are
-    numbered in order of first appearance and cells run cell-major,
-    permutation-minor.  Entries are at most ``D``, and callers step only
-    while ``D <= MAX_DENOMINATOR``.
-    """
-
-    def __init__(self, k):
-        self.k = k
-        self.V = np.eye(k + 1, dtype=np.int64)
-        self.D = 1
-        self.L = math.lcm(*range(1, k + 2))
-        self.perms = np.array(list(itertools.permutations(range(k + 1))))
-        self.cells = np.arange(k + 1).reshape(1, k + 1)
-        self.depth = 0
-
-    def step(self):
-        """One barycentric subdivision pass: cells become vertex-chain cells."""
-        k, k1, L = self.k, self.k + 1, self.L
-        self.depth += 1
-        if k == 0:
-            # a point subdivides into itself, and L == 1
-            return
-        n_old = self.V.shape[0]
-        chains = self.cells[:, self.perms]
-        n_cells, n_perms = chains.shape[:2]
-        # chain point m of (c, sigma) for m = 2..k: the barycenter of a proper
-        # face, shared with the neighbouring cells, so only these can repeat
-        faces = np.empty((n_cells, n_perms, k - 1, k1), dtype=np.int64)
-        acc = self.V[chains[:, :, 0]]
-        for m in range(2, k1):
-            acc = acc + self.V[chains[:, :, m - 1]]
-            faces[:, :, m - 2] = acc * (L // m)
-        faces = faces.reshape(-1, k1)
-        # point k + 1: the cell's barycenter, new and first seen at (c, 0, k)
-        centers = (acc[:, 0] + self.V[chains[:, 0, k]]) * (L // k1)
-        # every row sums to D * L, so its first k entries fix it; a stable
-        # sort puts the first occurrence of each face first
-        keys = faces[:, :k]
-        order = np.lexsort(keys.T)
-        ordered = keys[order]
-        head = np.ones(order.size, dtype=bool)
-        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        group = np.empty_like(order)
-        group[order] = np.cumsum(head) - 1
-        first = order[head]
-        # number new vertices by first position in (c, sigma, m) order
-        pos = np.arange(n_cells * n_perms * k1).reshape(n_cells, n_perms, k1)
-        seen = np.concatenate([pos[:, :, 1:k].reshape(-1)[first], pos[:, 0, k]])
-        rank = np.argsort(seen)
-        ids = np.empty_like(rank)
-        ids[rank] = np.arange(n_old, n_old + rank.size)
-        cells = np.empty_like(chains)
-        cells[:, :, 0] = chains[:, :, 0]
-        cells[:, :, 1:k] = ids[group].reshape(n_cells, n_perms, k - 1)
-        cells[:, :, k] = ids[first.size:, None]
-        self.V = np.concatenate([self.V * L,
-                                 np.concatenate([faces[first], centers])[rank]])
-        self.cells = cells.reshape(-1, k1)
-        self.D *= L
-
-
 @dataclass
 class SubdivisionComplex:
-    """A simplicial subdivision of an ambient simplex, as :func:`subdivide`
-    returns it.
+    """An iterated barycentric subdivision of an ambient simplex, as
+    :func:`subdivide` returns it.
 
-    ``bary[v]`` are barycentric coordinates of vertex v with respect to the
-    ambient vertices, ``coords`` is ``bary @ ambient.vertices``,
-    ``carrier_mask[v, i]`` says that ambient vertex i spans the minimal
-    ambient face containing v, and ``cells`` indexes ``coords`` row-wise.
-    The complex is valid by construction and nothing re-checks it at run
-    time: it is made only from the exact integer barycentrics of an
-    iterated barycentric subdivision, so its cells tile the ambient simplex
-    and every vertex lies on its carrier face.  The tests
+    Row v of the int64 array ``V`` holds the barycentrics of vertex v with
+    respect to the ambient vertices times one common denominator ``D``, so
+    every row sums to ``D``; ``cells`` indexes the rows of ``V``.
+    ``bary`` (``V / D``), ``coords`` (``bary @ ambient.vertices``),
+    ``carrier_mask`` (``carrier_mask[v, i]``: ambient vertex i spans the
+    minimal ambient face containing v), ``carriers`` (those faces as
+    frozensets of ambient vertex indices) and ``mesh`` are computed on
+    first read.  The complex is valid by construction and nothing re-checks
+    it at run time: it is made only by :meth:`refine` from the ambient
+    simplex, so its cells tile the ambient simplex and every vertex lies on
+    its carrier face.  The tests
     ``test_subdivision_tiles_the_simplex_on_carrier_faces`` and
     ``test_subdivision_matches_fraction_reference`` check this.
-    ``carriers`` (the faces as frozensets of ambient vertex indices) and
-    ``mesh`` are computed on first read.
     """
 
     ambient: Simplex
-    coords: np.ndarray
-    bary: np.ndarray
-    carrier_mask: np.ndarray
+    V: np.ndarray
+    D: int
     cells: np.ndarray
     depth: int
+
+    @cached_property
+    def bary(self):
+        # both operands are integers below 2**53, so the one rounding of the
+        # division is the correctly rounded value of the exact barycentric
+        return self.V / self.D
+
+    @cached_property
+    def coords(self):
+        return self.bary @ self.ambient.vertices
+
+    @cached_property
+    def carrier_mask(self):
+        return self.V != 0
 
     @cached_property
     def carriers(self):
@@ -181,22 +120,76 @@ class SubdivisionComplex:
 
     @property
     def n_vertices(self):
-        return self.coords.shape[0]
+        return self.V.shape[0]
 
     @property
     def n_cells(self):
         return self.cells.shape[0]
 
-    def cell_points(self, cell):
-        return self.coords[np.asarray(cell, dtype=int)]
+    def refine(self):
+        """The next barycentric subdivision: cells become vertex-chain cells.
 
-
-def _freeze(exact, ambient):
-    # both operands are integers below 2**53, so the one rounding of the
-    # division is the correctly rounded value of the exact barycentric
-    bary = exact.V / exact.D
-    return SubdivisionComplex(ambient, bary @ ambient.vertices, bary,
-                              exact.V != 0, exact.cells, depth=exact.depth)
+        The denominator is multiplied by ``L = lcm(1..k+1)``: the m-th point
+        of the vertex chain of cell c under permutation sigma is the chain's
+        partial sum times ``L // m``, an integer again, and the barycenter
+        of the face spanned by the first m vertices.  Point 1 is the old
+        vertex ``cells[c, sigma(0)]`` and keeps its id.  Point k + 1 is the
+        cell's barycenter, one new vertex per cell.  Points 2..k are
+        barycenters of proper faces, the only new points that neighbouring
+        cells share; exact rows are equal exactly when their faces are, so
+        one stable lexicographic sort of these rows alone finds every
+        repeat.  Deduplication and carrier faces are thus exact, and
+        coloring legality never depends on floating-point luck.  Vertices
+        are numbered in order of first appearance and cells run cell-major,
+        permutation-minor.  Entries are at most the new denominator, and
+        callers refine only while it is at most ``MAX_DENOMINATOR``.
+        """
+        k = self.ambient.dim
+        k1 = k + 1
+        if k == 0:
+            # a point subdivides into itself, and L == 1
+            return SubdivisionComplex(self.ambient, self.V, self.D,
+                                      self.cells, self.depth + 1)
+        L = math.lcm(*range(1, k1 + 1))
+        perms = np.array(list(itertools.permutations(range(k1))))
+        chains = self.cells[:, perms]
+        n_cells, n_perms = chains.shape[:2]
+        # chain point m of (c, sigma) for m = 2..k: the barycenter of a proper
+        # face, shared with the neighbouring cells, so only these can repeat
+        faces = np.empty((n_cells, n_perms, k - 1, k1), dtype=np.int64)
+        acc = self.V[chains[:, :, 0]]
+        for m in range(2, k1):
+            acc = acc + self.V[chains[:, :, m - 1]]
+            faces[:, :, m - 2] = acc * (L // m)
+        faces = faces.reshape(-1, k1)
+        # point k + 1: the cell's barycenter, new and first seen at (c, 0, k)
+        centers = (acc[:, 0] + self.V[chains[:, 0, k]]) * (L // k1)
+        # every row sums to D * L, so its first k entries fix it; a stable
+        # sort puts the first occurrence of each face first
+        keys = faces[:, :k]
+        order = np.lexsort(keys.T)
+        ordered = keys[order]
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        group = np.empty_like(order)
+        group[order] = np.cumsum(head) - 1
+        first = order[head]
+        # number new vertices by first position in (c, sigma, m) order: face
+        # row f is chain point f % (k - 1) + 2 of chain f // (k - 1)
+        seen = np.concatenate([first // (k - 1) * k1 + first % (k - 1) + 1,
+                               np.arange(n_cells) * (n_perms * k1) + k])
+        rank = np.argsort(seen)
+        n_old = self.V.shape[0]
+        ids = np.empty_like(rank)
+        ids[rank] = np.arange(n_old, n_old + rank.size)
+        cells = np.empty_like(chains)
+        cells[:, :, 0] = chains[:, :, 0]
+        cells[:, :, 1:k] = ids[group].reshape(n_cells, n_perms, k - 1)
+        cells[:, :, k] = ids[first.size:, None]
+        V = np.concatenate([self.V * L,
+                            np.concatenate([faces[first], centers])[rank]])
+        return SubdivisionComplex(self.ambient, V, self.D * L,
+                                  cells.reshape(-1, k1), self.depth + 1)
 
 
 def _depth_limit(k, depth):
@@ -225,10 +218,12 @@ def subdivide(simplex, depth):
     limit = _depth_limit(simplex.dim, depth)
     if limit:
         raise SubdivisionSizeError(f"depth {depth} exceeds {limit}")
-    exact = _ExactComplex(simplex.dim)
+    k = simplex.dim
+    complex_ = SubdivisionComplex(simplex, np.eye(k + 1, dtype=np.int64), 1,
+                                  np.arange(k + 1).reshape(1, k + 1), 0)
     for _ in range(depth):
-        exact.step()
-    return _freeze(exact, simplex)
+        complex_ = complex_.refine()
+    return complex_
 
 
 @dataclass(frozen=True)
@@ -291,19 +286,6 @@ def rainbow_cells(complex_, coloring):
     sorted_colors = np.sort(cell_colors, axis=1)
     target = np.arange(complex_.cells.shape[1])
     return np.flatnonzero((sorted_colors == target).all(axis=1))
-
-
-def find_rainbow(complex_, coloring):
-    """First cell carrying all colors; its existence is guaranteed.
-
-    Raises :class:`SpernerLegalityError` if none exists, which would mean
-    the coloring was not legal after all.
-    """
-    hits = rainbow_cells(complex_, coloring)
-    if hits.size == 0:
-        raise SpernerLegalityError(
-            "no all-colors cell in a legally colored complex")
-    return complex_.cells[int(hits[0])]
 
 
 def random_legal_coloring(complex_, rng=None):
@@ -373,15 +355,14 @@ def klee_solve(bodies, witnesses, tol=1e-6):
             return _polish_common_point(witness, bodies, tol)
         raise KleeSolveError(
             "degenerate witnesses and no common point: union cannot be convex")
-    exact = _ExactComplex(n)
+    complex_ = subdivide(ambient, 0)
     best_cell = None
     best_diam = np.inf
     while True:
-        complex_ = _freeze(exact, ambient)
         outcome = sperner_color(complex_, bodies, tol=tol)
         if isinstance(outcome, np.ndarray):
             logger.info("klee_solve: a depth-%d vertex lies in every body",
-                        exact.depth)
+                        complex_.depth)
             return _polish_common_point(outcome, bodies, tol)
         hits = rainbow_cells(complex_, outcome)
         if hits.size == 0:
@@ -391,22 +372,22 @@ def klee_solve(bodies, witnesses, tol=1e-6):
         first = int(np.argmin(diams))
         if diams[first] < best_diam:
             best_diam = float(diams[first])
-            best_cell = complex_.cell_points(complex_.cells[hits[first]])
+            best_cell = complex_.coords[complex_.cells[hits[first]]]
         logger.debug("klee_solve depth %d: %d cells, %d vertices, %d "
-                     "all-colors cells, best diameter %.3e", exact.depth,
+                     "all-colors cells, best diameter %.3e", complex_.depth,
                      complex_.n_cells, complex_.n_vertices, hits.size, best_diam)
         if best_diam < tol / 2.0:
             logger.info("klee_solve: an all-colors cell of diameter %.3e is "
-                        "below tol/2 at depth %d", best_diam, exact.depth)
+                        "below tol/2 at depth %d", best_diam, complex_.depth)
             return _polish_common_point(best_cell.mean(axis=0), bodies, tol)
-        spent = _depth_limit(n, exact.depth + 1)
+        spent = _depth_limit(n, complex_.depth + 1)
         if spent:
-            logger.info("klee_solve: %s is spent at depth %d", spent, exact.depth)
+            logger.info("klee_solve: %s is spent at depth %d", spent, complex_.depth)
             raise KleeSolveError(
                 f"no common point within {spent}: the smallest all-colors "
                 f"cell has diameter {best_diam:.3e}, not below tol/2 = "
                 f"{tol / 2.0:.3e}", best_cell=best_cell)
-        exact.step()
+        complex_ = complex_.refine()
 
 
 @dataclass(frozen=True)

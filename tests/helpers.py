@@ -5,13 +5,14 @@ the package itself (closed forms, exact fractions, scipy labelling), so
 agreement between the two is evidence rather than tautology.
 """
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
 
-from hollowkit import (Ball, HPolytope, VPolytope, certify_hollow,
-                       hollow_simplex, hull_vs_simplex)
+from hollowkit import (Ball, HPolytope, SubdivisionComplex, VPolytope,
+                       certify_hollow, hollow_simplex, hull_vs_simplex)
 
 
 def segment_point_distance(p, a, b):
@@ -143,15 +144,17 @@ def fraction_subdivisions(k):
         cells = new_cells
 
 
-def unique_rows_step(exact):
-    """One subdivision step of ``hollowkit.sperner._ExactComplex`` by a full
-    ``np.unique(axis=0)`` of every chain point: the reference for its step."""
-    k1 = exact.k + 1
-    n_old = exact.V.shape[0]
-    chains = exact.cells[:, exact.perms]
-    scale = (exact.L // np.arange(1, k1 + 1))[:, None]
-    points = np.cumsum(exact.V[chains], axis=2) * scale
-    rows = np.concatenate([exact.V * exact.L, points.reshape(-1, k1)])
+def unique_rows_step(complex_):
+    """The next subdivision of a :class:`hollowkit.SubdivisionComplex` by a
+    full ``np.unique(axis=0)`` of every chain point: the reference for its
+    ``refine``."""
+    k1 = complex_.ambient.dim + 1
+    L = math.lcm(*range(1, k1 + 1))
+    n_old = complex_.n_vertices
+    chains = complex_.cells[:, np.array(list(itertools.permutations(range(k1))))]
+    scale = (L // np.arange(1, k1 + 1))[:, None]
+    points = np.cumsum(complex_.V[chains], axis=2) * scale
+    rows = np.concatenate([complex_.V * L, points.reshape(-1, k1)])
     unique, first, inverse = np.unique(rows, axis=0, return_index=True,
                                        return_inverse=True)
     # re-rank the sorted rows by first appearance: old vertices keep
@@ -159,10 +162,9 @@ def unique_rows_step(exact):
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    exact.V = unique[order]
-    exact.cells = rank[inverse.reshape(-1)[n_old:]].reshape(-1, k1)
-    exact.D *= exact.L
-    exact.depth += 1
+    return SubdivisionComplex(
+        complex_.ambient, unique[order], complex_.D * L,
+        rank[inverse.reshape(-1)[n_old:]].reshape(-1, k1), complex_.depth + 1)
 
 
 def grid_points(axes):

@@ -355,6 +355,20 @@ def test_box_support_breaks_ties_by_the_least_vertex():
         assert all(np.array_equal(x, y) for x, y in zip(box.bounding_box(), (lo, hi)))
 
 
+def test_building_an_h_polytope_asks_no_support(monkeypatch):
+    """The anchor is computed on first read, so a polytope that is never
+    asked for it pays for none of its 2d support calls."""
+    calls = []
+    support = HPolytope.support
+    monkeypatch.setattr(HPolytope, "support",
+                        lambda self, u: calls.append(u) or support(self, u))
+    poly = HPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [1.0, 1.0],
+                      [-1.0, 0.5]], [1.0, 1.0, 0.5, 1.5, 1.0])
+    assert calls == []
+    assert poly.anchor is poly.anchor
+    assert len(calls) == 4
+
+
 def test_supports_and_anchor_ignore_row_and_generator_order():
     """Integer data, so that exact ties are common: permuting the rows of an
     H-polytope or the generators of a V-polytope changes no support and no
@@ -861,12 +875,13 @@ def test_near_disjoint_members_end_in_a_tolerance_ambiguity(gap, call):
     """The cuts of members that miss each other by less than the body's
     tol share no point, and every oracle, and a solver built on them,
     ends in the body's structured verdict, carrying its tol and the cut
-    loop's last residual as the gap, not in a bare ProjectionError."""
+    loop's smallest residual as the gap, not in a bare ProjectionError.
+    That gap measures the members' gap: it is within tol."""
     body = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([2.0 + gap, 0.0], 1.0)],
                             witness=NEAR_DISJOINT_WITNESS[gap])
     with pytest.raises(ToleranceAmbiguityError) as info:
         NEAR_DISJOINT_CALLS[call](body)
-    assert info.value.tol == 1e-7 and info.value.gap > 0.0
+    assert info.value.tol == 1e-7 and 0.0 < info.value.gap <= info.value.tol
     assert isinstance(info.value.__cause__, ProjectionError)
 
 

@@ -846,7 +846,8 @@ def scipy_loaded_by(command, scene, outdir, code=0):
 @pytest.mark.parametrize("command,scene", [
     ("check", "disks.json"), ("hollow", "pair.json"),
     ("stab-verify", "stab.json"), ("solve-klee", "squares.json"),
-    ("kkm", "goodkkm.json"), ("kkm", "gapkkm.json")])
+    ("kkm", "goodkkm.json"), ("kkm", "gapkkm.json"),
+    ("render", "disks.json")])
 def test_scenes_without_hulls_load_no_scipy(command, scene, tmp_path):
     # gapkkm's cover check fails, a rejected claim (exit code 2)
     code = 2 if scene == "gapkkm.json" else 0

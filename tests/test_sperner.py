@@ -1,4 +1,5 @@
 """Subdivision complexes, Sperner colorings, and the cover machinery."""
+import itertools
 import logging
 import math
 import os
@@ -12,8 +13,8 @@ from hollowkit import (HPolytope, Ball, ConvergenceError, IntersectionBody,
                        KkmInstance, KleeSolveError, Simplex, SpernerColoring,
                        SpernerLegalityError, SubdivisionComplex,
                        SubdivisionSizeError, ToleranceAmbiguityError, VPolytope,
-                       family_kkm_instance, find_rainbow, intersect_witness,
-                       kkm_verify, klee_solve, load_scene, rainbow_cells,
+                       family_kkm_instance, intersect_witness, kkm_verify,
+                       klee_solve, load_scene, rainbow_cells,
                        random_legal_coloring, sperner_color, subdivide)
 
 from helpers import fraction_subdivisions, unique_rows_step
@@ -80,14 +81,14 @@ def test_subdivision_matches_fraction_reference():
 
 
 def test_exact_step_matches_the_unique_rows_reference():
-    """V, cells and D agree bit for bit with a full ``np.unique(axis=0)`` of
-    every chain point, at depths past the Fraction reference's reach; every
-    vertex sums to D and no two vertices coincide."""
+    """V, cells and D of ``refine`` agree bit for bit with a full
+    ``np.unique(axis=0)`` of every chain point, at depths past the Fraction
+    reference's reach; every vertex sums to D and no two vertices coincide."""
     for k, depth in ((1, 16), (2, 6), (3, 4)):
-        exact, ref = sperner._ExactComplex(k), sperner._ExactComplex(k)
+        exact = ref = subdivide(unit_simplex(k), 0)
         for _ in range(depth):
-            exact.step()
-            unique_rows_step(ref)
+            exact, ref = exact.refine(), unique_rows_step(ref)
+            assert exact.depth == ref.depth
             assert exact.D == ref.D
             assert exact.V.dtype == ref.V.dtype
             assert exact.V.shape == ref.V.shape
@@ -107,13 +108,30 @@ def test_a_point_subdivides_into_itself():
 
 
 def test_subdivision_refuses_inexact_depths_up_front(monkeypatch):
-    def no_build(k):
+    def no_build(*args):
         raise AssertionError("a complex was built")
 
-    monkeypatch.setattr(sperner, "_ExactComplex", no_build)
+    monkeypatch.setattr(sperner, "SubdivisionComplex", no_build)
     monkeypatch.setattr(sperner, "MAX_CELLS", 2 ** 62)
     with pytest.raises(SubdivisionSizeError, match="denominator"):
         subdivide(SEGMENT, 60)
+
+
+def test_a_depth_zero_complex_builds_no_orderings_table(monkeypatch):
+    """The (k + 1)! vertex orderings are built only when a complex is
+    refined: 39.9M of them for a 10-simplex, which ``MAX_CELLS`` refuses to
+    refine, so neither its depth-0 complex nor a Klee solve that ends at
+    depth 0 builds them."""
+    def refuse(*args):
+        raise AssertionError("an orderings table was built")
+
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    ambient = unit_simplex(10)
+    sub = subdivide(ambient, 0)
+    assert (sub.n_cells, sub.n_vertices, sub.D) == (1, 11, 1)
+    # every witness lies in every body, so the first one is the answer
+    bodies = [Ball(np.full(10, 0.1), 2.0)] * 11
+    assert klee_solve(bodies, ambient.vertices).tolist() == [0.0] * 10
 
 
 def test_subdivision_vertex_invariants():
@@ -123,8 +141,7 @@ def test_subdivision_vertex_invariants():
     singleton = sum(1 for c in sub.carriers if len(c) == 1)
     assert singleton == 3
     assert any(len(c) == 3 for c in sub.carriers)
-    pts = sub.cell_points(sub.cells[0])
-    assert pts.shape == (3, 2)
+    assert sub.coords[sub.cells[0]].shape == (3, 2)
 
 
 def test_subdivision_tiles_the_simplex_on_carrier_faces(monkeypatch):
@@ -148,14 +165,14 @@ def test_subdivision_tiles_the_simplex_on_carrier_faces(monkeypatch):
 
 
 def test_fan_coloring_has_one_rainbow():
-    bary = np.vstack([np.eye(3), np.full((1, 3), 1.0 / 3.0)])
+    # the corners and the center, in barycentrics over the denominator 3
+    V = np.vstack([3 * np.eye(3, dtype=np.int64), np.ones((1, 3), np.int64)])
     cells = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]])
-    fan = SubdivisionComplex(UNIT_TRIANGLE, bary @ UNIT_TRIANGLE.vertices,
-                             bary, bary > 0, cells, depth=None)
+    fan = SubdivisionComplex(UNIT_TRIANGLE, V, 3, cells, depth=None)
     coloring = SpernerColoring([0, 1, 2, 0])
     hits = rainbow_cells(fan, coloring)
     assert list(hits) == [1]
-    assert sorted(find_rainbow(fan, coloring)) == [1, 2, 3]
+    assert sorted(fan.cells[hits[0]]) == [1, 2, 3]
 
 
 def test_coloring_on_touching_intervals():
@@ -165,7 +182,7 @@ def test_coloring_on_touching_intervals():
     assert isinstance(outcome, SpernerColoring)
     hits = rainbow_cells(sub, outcome)
     assert hits.size == 1
-    pts = sub.cell_points(sub.cells[int(hits[0])])
+    pts = sub.coords[sub.cells[int(hits[0])]]
     assert sorted(float(p) for p in pts.ravel()) == pytest.approx([0.0, 0.5])
 
 
