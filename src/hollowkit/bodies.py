@@ -45,7 +45,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul, sub
 
 import numpy as np
@@ -583,8 +582,8 @@ class _LeastDistance:
 
 class ConvexBody(abc.ABC):
     """Oracle interface for a compact convex set in R^d.  Each kind states
-    its projection, support, bounding box, one contains rule
-    (``contains_batch``) and a member ``anchor``; the rest derive from them."""
+    its projection, support, bounding box and one contains rule
+    (``contains_batch``); the rest derive from them."""
 
     @property
     @abc.abstractmethod
@@ -623,15 +622,6 @@ class ConvexBody(abc.ABC):
         along axis i are ``columns[i]``, d 1-D arrays of length N.  This
         default stacks them into the (N, d) point list."""
         return self.contains_batch(np.stack(columns, axis=1), tol=0.0)
-
-    def diameter(self):
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
-
-    @property
-    @abc.abstractmethod
-    def anchor(self):
-        """Some member point, used as a default start for iterations."""
 
 
 class _FacetPolytope(ConvexBody):
@@ -738,8 +728,7 @@ class HPolytope(_FacetPolytope):
     rank below d (whose trace on the row space has a vertex) or an extreme
     ray of {A y <= 0} mean :class:`UnboundedBodyError`.  ``support`` and
     ``bounding_box`` read the vertex list, with exact ties broken by the
-    lexicographically least vertex; ``anchor`` is the mean of the supports
-    along the +-axis directions, computed on first read.  ``project`` is exact and finite: a point
+    lexicographically least vertex.  ``project`` is exact and finite: a point
     outside is mapped to its nearest point by one least-distance solve.
 
     Parameters
@@ -818,10 +807,6 @@ class HPolytope(_FacetPolytope):
     def b(self):
         return self._b
 
-    @cached_property
-    def anchor(self):
-        return support_centroid([self])
-
     def project(self, p):
         return _least_distance(self._A, self._b, as_point(p, self._dim))
 
@@ -867,10 +852,6 @@ class VPolytope(_FacetPolytope):
         self._A = np.vstack([facets[:, :-1] @ flat.basis, complement, -complement])
         self._b = self._A @ flat.base - np.append(facets[:, -1],
                                                   np.zeros(2 * len(complement)))
-
-    @property
-    def anchor(self):
-        return self._V.mean(axis=0)
 
     def project(self, p):
         """Nearest point of the hull: ``p`` itself if it violates no row,
@@ -979,10 +960,6 @@ class Ball(ConvexBody):
     def radius(self):
         return self._r
 
-    @property
-    def anchor(self):
-        return self._c.copy()
-
     def bounding_box(self):
         return self._c - self._r, self._c + self._r
 
@@ -1026,12 +1003,13 @@ class IntersectionBody(ConvexBody):
     """Intersection of member bodies, kept as oracles.
 
     Nonemptiness is certified at construction, at ``tol``, which the body
-    keeps: either a ``witness`` member point is supplied by the caller or
-    a feasibility scan finds one.  An empty intersection raises
-    :class:`EmptyBodyError`, and a scan that decides nothing raises as
-    :func:`decided_scan` does.  ``project`` is an outer approximation by
-    cuts from the members' projections, and ``support`` projects a far
-    point in the requested direction, both by :meth:`_projection`.
+    keeps: either a member point is supplied by the caller or a
+    feasibility scan finds one, and the body keeps it as its ``witness``.
+    An empty intersection raises :class:`EmptyBodyError`, and a scan that
+    decides nothing raises as :func:`decided_scan` does.  ``project`` is
+    an outer approximation by cuts from the members' projections, and
+    ``support`` projects a far point in the requested direction, both by
+    :meth:`_projection`.
 
     Stall rule: cuts hold their members, so cuts that share no point mean
     members that meet in a single point or miss by less than ``tol``, and
@@ -1049,7 +1027,8 @@ class IntersectionBody(ConvexBody):
     its own leave-one-out bodies.
     """
 
-    # Far-point multiplier of ``support``: R = _SUPPORT_RADIUS (1 + diam).
+    # Far-point multiplier of ``support``: R = _SUPPORT_RADIUS (1 + diam),
+    # with diam the diagonal of the bounding box.
     _SUPPORT_RADIUS = 1e4
 
     def __init__(self, bodies, witness=None, tol=DEFAULT_TOL):
@@ -1087,7 +1066,8 @@ class IntersectionBody(ConvexBody):
         return self._bodies
 
     @property
-    def anchor(self):
+    def witness(self):
+        """The member point certified at construction."""
         return self._witness.copy()
 
     def bounding_box(self):
@@ -1127,7 +1107,9 @@ class IntersectionBody(ConvexBody):
         """
         u, norm = _direction(direction, self._dim)
         if self._radius is None:
-            self._radius = self._SUPPORT_RADIUS * (1.0 + self.diameter())
+            lo, hi = self.bounding_box()
+            diam = float(np.linalg.norm(hi - lo))
+            self._radius = self._SUPPORT_RADIUS * (1.0 + diam)
         return self._projection(self._witness + (self._radius / norm) * u,
                                 _NO_CUTS)[0]
 

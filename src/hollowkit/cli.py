@@ -103,11 +103,21 @@ def _certificate_json(cert):
     return out
 
 
+def _family(args, command, scene):
+    """The scene's bodies as a family; a single body is no family, and is
+    refused as a scene error."""
+    if len(scene.bodies) < 2:
+        raise SceneError(f"{args.scene}: {command} needs at least two bodies, "
+                         f"the scene has {len(scene.bodies)}")
+    return list(scene.bodies)
+
+
 def _run_check(args, command, scene):
     """``check_critical`` at the subcommand's tolerance: the outcome, and the
     result so far, which holds the family or the reason it is refused."""
+    bodies = _family(args, command, scene)
     tol = _opt(args, scene, "tol")
-    outcome = check_critical(list(scene.bodies), tol=tol)
+    outcome = check_critical(bodies, tol=tol)
     payload = _result_header(command, scene, tol)
     if isinstance(outcome, CriticalFamily):
         payload.update(critical=True, n=outcome.n, d=outcome.d,
@@ -194,8 +204,8 @@ def cmd_certify(args):
 
 def cmd_solve_klee(args):
     scene = load_scene(args.scene)
+    bodies = _family(args, "solve-klee", scene)
     tol = _opt(args, scene, "tol")
-    bodies = list(scene.bodies)
     witnesses = np.array([
         recentered_witness([b for i, b in enumerate(bodies) if i != j],
                            tol=min(tol, DEFAULT_TOL))

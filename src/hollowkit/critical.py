@@ -77,9 +77,9 @@ class CriticalFamily:
         return self.bodies[0].dim
 
     def leave_one_out(self, j):
-        """Intersection of every body except j, anchored at ``witnesses[j]``;
-        of two or more bodies it is built anew, with no pooled cuts, on
-        every call."""
+        """Intersection of every body except j, with ``witnesses[j]`` as its
+        witness; of two or more bodies it is built anew, with no pooled
+        cuts, on every call."""
         rest = [b for i, b in enumerate(self.bodies) if i != j]
         if len(rest) == 1:
             return rest[0]

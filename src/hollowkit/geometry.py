@@ -195,10 +195,12 @@ class Simplex:
         if k >= 1:
             edges = v[1:] - v[0]
             s = np.linalg.svd(edges, compute_uv=False)
-            if s[-1] < DEGENERACY_RTOL * max(self.diameter, 1e-300):
+            diffs = v[:, None, :] - v[None, :, :]
+            diameter = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
+            if s[-1] < DEGENERACY_RTOL * max(diameter, 1e-300):
                 raise DegenerateSimplexError(
                     f"simplex is degenerate: smallest edge singular value {s[-1]:.3e} "
-                    f"below gate {DEGENERACY_RTOL:.0e} x diameter {self.diameter:.3e}"
+                    f"below gate {DEGENERACY_RTOL:.0e} x diameter {diameter:.3e}"
                 )
 
     @property
@@ -209,14 +211,6 @@ class Simplex:
     @property
     def ambient_dim(self):
         return self.vertices.shape[1]
-
-    @property
-    def diameter(self):
-        v = self.vertices
-        if v.shape[0] == 1:
-            return 0.0
-        diffs = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(axis=2).max()))
 
     @property
     def volume(self):

@@ -93,7 +93,7 @@ def body_to_json(body):
     if isinstance(body, IntersectionBody):
         return {"kind": "intersection",
                 "parts": [body_to_json(b) for b in body.bodies],
-                "witness": _listify(body.anchor)}
+                "witness": _listify(body.witness)}
     raise SceneError(f"cannot serialize body of type {type(body).__name__}")
 
 

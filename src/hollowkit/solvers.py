@@ -82,11 +82,11 @@ def min_distance(body_a, body_b, start=None):
     """Minimum Euclidean distance between two compact convex bodies.
 
     Seeks a fixed point b of T = P_B o P_A, the nearest point of B to A,
-    from b = T(start) (default start: midpoint of the bodies' anchor
-    points).  Each step mixes the residuals T(b) - b of the current and
-    the last ``ANDERSON_MEMORY`` iterates (Anderson mixing) and projects
-    the result back onto B; when the residual did not fall it takes the
-    plain step T(b) instead and drops the history.  It stops once
+    from b = T(start) (default start: midpoint of the centres of the
+    bodies' bounding boxes).  Each step mixes the residuals T(b) - b of
+    the current and the last ``ANDERSON_MEMORY`` iterates (Anderson
+    mixing) and projects the result back onto B; when the residual did
+    not fall it takes the plain step T(b) instead and drops the history.  It stops once
     ``|T(b) - b| <= CUT_RTOL * (1 + |b|_inf)``, the cut loops' scale, and
     returns the pair (P_A(b), T(b)) with that fixed-point residual.
 
@@ -103,7 +103,8 @@ def min_distance(body_a, body_b, start=None):
     if body_a.dim != body_b.dim:
         raise ValueError("bodies live in different dimensions")
     if start is None:
-        start = 0.5 * (body_a.anchor + body_b.anchor)
+        (lo_a, hi_a), (lo_b, hi_b) = body_a.bounding_box(), body_b.bounding_box()
+        start = 0.5 * ((lo_a + hi_a) / 2.0 + (lo_b + hi_b) / 2.0)
     b = body_b.project(body_a.project(as_point(start, body_a.dim)))
     fs, gs, last, best = [], [], math.inf, None
     for iterations in range(1, CUT_MAX_PASSES + 1):

@@ -392,7 +392,8 @@ def klee_solve(bodies, witnesses, tol=1e-6):
 
 @dataclass(frozen=True)
 class KkmInstance:
-    """Finite point set with one closed convex image set per point."""
+    """Finite point set with one closed convex image set per point.  At most
+    12 points, since a cover check enumerates every subset of them."""
 
     points: np.ndarray
     images: tuple
@@ -400,7 +401,10 @@ class KkmInstance:
     def __post_init__(self):
         object.__setattr__(self, "points", as_points(self.points))
         object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.points.shape[0]:
+        m = self.points.shape[0]
+        if m > 12:
+            raise ValueError(f"subset enumeration capped at 12 points, got {m}")
+        if len(self.images) != m:
             raise ValueError("need exactly one image body per point")
         for g in self.images:
             if g.dim != self.points.shape[1]:
@@ -545,15 +549,14 @@ def kkm_verify(instance, samples=64, tol=DEFAULT_TOL):
 
     Each image is tested in one ``contains_batch`` call, over the subset's
     samples that no earlier image holds; the counterexample is the first
-    sample, in sampling order, that none holds.  The point budget is capped
-    at 12 points (4095 subsets); ``samples`` must pass :func:`check_samples`.
+    sample, in sampling order, that none holds.  :class:`KkmInstance` caps
+    the points at 12 (4095 subsets); ``samples`` must pass
+    :func:`check_samples`.
     """
     samples = check_samples(samples)
     tol = check_tol(tol)
     pts = instance.points
     m = pts.shape[0]
-    if m > 12:
-        raise ValueError(f"subset enumeration capped at 12 points, got {m}")
     checked = 0
     for mask in range(1, 2 ** m):
         subset = tuple(i for i in range(m) if mask >> i & 1)

@@ -15,7 +15,8 @@ from hollowkit import (AffineSubspace, Ball, EmptyBodyError, HPolytope,
                        UnboundedBodyError, VPolytope, check_critical, dykstra,
                        feasibility_scan, intersect_witness, kkm_verify,
                        klee_solve, min_distance, verify_stabbing)
-from hollowkit.bodies import ConvexBody, _cut_lp, _offset, project_intersection
+from hollowkit.bodies import (ConvexBody, _cut_lp, _offset, project_intersection,
+                             support_centroid)
 from hollowkit.geometry import as_point
 from conftest import disk_centers, side_rectangle
 from helpers import grid_points
@@ -197,7 +198,6 @@ class UserBox(ConvexBody):
         self.lo, self.hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     dim = property(lambda self: self.lo.size)
-    anchor = property(lambda self: 0.5 * (self.lo + self.hi))
 
     def project(self, p):
         return np.clip(p, self.lo, self.hi)
@@ -224,7 +224,7 @@ def moved(body, scale, shift):
     if isinstance(body, UserBox):
         return UserBox(scale * body.lo + shift, scale * body.hi + shift)
     return IntersectionBody([moved(b, scale, shift) for b in body.bodies],
-                            witness=scale * body.anchor + shift, tol=1e-6 * scale)
+                            witness=scale * body.witness + shift, tol=1e-6 * scale)
 
 
 def grid_cover_bodies():
@@ -243,7 +243,7 @@ def test_grid_cover_is_contains_batch_on_the_grid(name, body):
     """A body's cover of coordinate columns, as certification asks it,
     equals ``contains_batch`` at tol 0 on the same points, with no
     tolerance, at every scale and far from the origin.  The points are a
-    grid whose axes also hold the body's bounds and anchor and their
+    grid whose axes also hold the body's bounds and box centre and their
     neighbouring floats, so that some lie on the boundary."""
     rng = np.random.default_rng(31)
     for scale in (1e-3, 0.37, 1.0, 1e3):
@@ -251,7 +251,7 @@ def test_grid_cover_is_contains_batch_on_the_grid(name, body):
             image = moved(body, scale, rng.uniform(-shift, shift, size=body.dim))
             lo, hi = image.bounding_box()
             span = float((hi - lo).max())
-            marks = np.concatenate([lo, hi, image.anchor])
+            marks = np.concatenate([lo, hi, 0.5 * (lo + hi)])
             marks = np.concatenate([np.nextafter(marks, -np.inf), marks,
                                     np.nextafter(marks, np.inf)]).reshape(3, 3, -1)
             points = grid_points([np.unique(np.concatenate([
@@ -294,7 +294,7 @@ def test_hpolytope_projection_satisfies_kkt():
         shift = 10.0 ** rng.uniform(0.0, 6.0)
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         poly = random_hpolytope(rng, shift, scale)
-        center = poly.anchor
+        center = poly.vertices.mean(axis=0)
         for _ in range(5):
             p = center + 3.0 * scale * rng.normal(size=poly.dim)
             x = poly.project(p)
@@ -351,13 +351,14 @@ def test_box_support_breaks_ties_by_the_least_vertex():
             assert np.array_equal(box.support(np.eye(d)[i]), expect)
             assert np.array_equal(box.support(-np.eye(d)[i]), lo)
         # each coordinate of the 2d supports is hi once, lo otherwise
-        assert np.allclose(box.anchor, lo + (hi - lo) / (2 * d), rtol=1e-15, atol=0.0)
+        assert np.allclose(support_centroid([box]), lo + (hi - lo) / (2 * d),
+                           rtol=1e-15, atol=0.0)
         assert all(np.array_equal(x, y) for x, y in zip(box.bounding_box(), (lo, hi)))
 
 
 def test_building_an_h_polytope_asks_no_support(monkeypatch):
-    """The anchor is computed on first read, so a polytope that is never
-    asked for it pays for none of its 2d support calls."""
+    """Construction lists the vertices from the rows alone: no support is
+    asked for."""
     calls = []
     support = HPolytope.support
     monkeypatch.setattr(HPolytope, "support",
@@ -365,14 +366,12 @@ def test_building_an_h_polytope_asks_no_support(monkeypatch):
     poly = HPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [1.0, 1.0],
                       [-1.0, 0.5]], [1.0, 1.0, 0.5, 1.5, 1.0])
     assert calls == []
-    assert poly.anchor is poly.anchor
-    assert len(calls) == 4
 
 
-def test_supports_and_anchor_ignore_row_and_generator_order():
+def test_supports_ignore_row_and_generator_order():
     """Integer data, so that exact ties are common: permuting the rows of an
-    H-polytope or the generators of a V-polytope changes no support and no
-    anchor, to the last bit."""
+    H-polytope or the generators of a V-polytope changes no support, to the
+    last bit."""
     rng = np.random.default_rng(31)
     for _ in range(30):
         d = int(rng.integers(1, 4))
@@ -391,7 +390,6 @@ def test_supports_and_anchor_ignore_row_and_generator_order():
         dirs = np.vstack([np.eye(d), -np.eye(d),
                           rng.integers(-2, 3, size=(6, d))])
         for one, other in shuffled:
-            assert np.array_equal(one.anchor, other.anchor)
             for u in dirs[np.abs(dirs).sum(axis=1) > 0]:
                 assert np.array_equal(one.support(u), other.support(u))
 
@@ -405,7 +403,7 @@ def test_hpolytope_oracles_run_no_lp(monkeypatch):
     for poly in (HPolytope.box([0.0, 1.0, -2.0], [1.0, 3.0, 0.5]),
                  random_hpolytope(rng, 10.0, 1.0)):
         lo, hi = poly.bounding_box()
-        assert poly.membership(poly.anchor)
+        assert poly.membership(poly.vertices.mean(axis=0))
         assert poly.membership(poly.support(np.ones(poly.dim)))
         far = hi + (hi - lo)
         x = poly.project(far)
@@ -695,10 +693,11 @@ def test_lens_projection_and_support_match_closed_form(D, scale, shift):
     # support(u) is the projection of the far point witness + R u / |u|:
     # along +-x it is the far point's projection onto the disk whose arc
     # faces it, along +-y the corner on that side
-    radius = IntersectionBody._SUPPORT_RADIUS * (1.0 + lens.diameter())
+    lo, hi = lens.bounding_box()
+    radius = IntersectionBody._SUPPORT_RADIUS * (1.0 + float(np.linalg.norm(hi - lo)))
     for u in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
         u = np.array(u)
-        far = lens.anchor + radius * u
+        far = lens.witness + radius * u
         if u[0] != 0.0:
             center = a if u[0] > 0 else b
             expect = center + scale * (far - center) / np.linalg.norm(far - center)
@@ -732,7 +731,7 @@ def warm_lens(D, scale, shift, queries=200):
     few radii of it."""
     lens = lens_body(D, scale, shift)
     rng = np.random.default_rng(7)
-    for q in lens.anchor + 3.0 * scale * rng.normal(size=(queries, 2)):
+    for q in lens.witness + 3.0 * scale * rng.normal(size=(queries, 2)):
         lens.project(q)
     return lens
 
@@ -823,7 +822,7 @@ def test_intersection_projection_is_the_nearest_member(d):
                  for i in range(2 + trial % 3)]
         inter = IntersectionBody(parts, witness=center)
         lo, hi = inter.bounding_box()
-        diam = inter.diameter()
+        diam = float(np.linalg.norm(hi - lo))
 
         def members(cloud):
             for part in parts:
@@ -916,7 +915,7 @@ def test_intersection_oracles_run_no_dykstra(monkeypatch, squares_union):
     assert lens.membership(lens.project([0.75, 3.0]), 1e-12)
     assert lens.membership(lens.support([1.0, 1.0]), 1e-8)
     scanned = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)])
-    assert lens.membership(scanned.anchor, 1e-7)
+    assert lens.membership(scanned.witness, 1e-7)
     assert intersect_witness(squares_union).feasible
     x = klee_solve(squares_union, [[1.5, 2.5], [0.5, 1.5], [2.5, 0.5]])
     assert all(b.membership(x, 1e-6) for b in squares_union)

@@ -80,7 +80,7 @@ def test_body_json_round_trip_keeps_kind_and_data():
     assert np.array_equal(hpoly.A, bodies["hpoly"].A)
     assert np.array_equal(hpoly.b, bodies["hpoly"].b)
     inter = body_from_json(body_to_json(bodies["intersection"]), 2)
-    assert np.array_equal(inter.anchor, [0.7, 0.4])
+    assert np.array_equal(inter.witness, [0.7, 0.4])
     assert [type(b) for b in inter.bodies] == [HPolytope, VPolytope, Ball]
     assert np.array_equal(inter.bodies[1].vertices, V)
 
@@ -147,7 +147,7 @@ def test_scene_tol_reaches_intersection_witness():
     raw = {"schema": "hollowkit/1", "dimension": 2, "bodies": [lens],
            "options": {"tol": 1e-4}}
     scene = parse_scene(json.dumps(raw))
-    assert np.array_equal(scene.bodies[0].anchor, [1.00001, 0.0])
+    assert np.array_equal(scene.bodies[0].witness, [1.00001, 0.0])
     # the witness misses the first disk by 1e-5, above the default tol
     del raw["options"]
     with pytest.raises(SceneError) as info:
@@ -892,3 +892,29 @@ def test_dumps_normalizes_numpy_tuples_sets_and_negative_zero():
         '  "j": 0.10000000149011612,\n  "k": [1, 2],\n  "7": [1, 2]\n}\n')
     with pytest.raises(SceneError, match="non-finite"):
         dumps({"x": np.array([np.nan])})
+
+
+@pytest.mark.parametrize("command", ["check", "hollow", "certify", "render",
+                                     "solve-klee"])
+def test_a_one_body_scene_is_one_scene_error(command, tmp_path, capsys):
+    """One body is no family: the scene is refused, naming the subcommand,
+    before any certificate or witness is sought."""
+    code = main([command, scene_path("one_body.json"), "--out", str(tmp_path)])
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error" in line]
+    assert errors == [f"scene error: {scene_path('one_body.json')}: {command} "
+                      "needs at least two bodies, the scene has 1"]
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_a_kkm_section_of_thirteen_points_is_one_scene_error(tmp_path, capsys):
+    """A cover check enumerates every subset of the points, so the reader
+    refuses more than 12, before the scene is accepted."""
+    code = main(["kkm", scene_path("kkm_thirteen.json"), "--out", str(tmp_path)])
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error" in line]
+    assert errors == [f"scene error: {scene_path('kkm_thirteen.json')}: kkm: "
+                      "subset enumeration capped at 12 points, got 13"]
+    assert not (tmp_path / "result.json").exists()

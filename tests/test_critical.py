@@ -8,11 +8,12 @@ import pytest
 
 from conftest import DISK_SIDE_CRITICAL, TRIANGLE, disk_centers
 from helpers import random_base_points
-from hollowkit import (Ball, BorderlineCriticalError, CriticalFamily,
-                       CriticalityFailure, HPolytope, NoHollowError,
-                       Simplex, ToleranceAmbiguityError,
-                       cage_margin, check_critical, helly_guard,
-                       hollow_simplex, intersect_witness, recentered_witness,
+from hollowkit import (Ball, BorderlineCriticalError, ConvexBody,
+                       CriticalFamily, CriticalityFailure, HPolytope,
+                       NoHollowError, Simplex, ToleranceAmbiguityError,
+                       cage_margin, certify_hollow, check_critical,
+                       helly_guard, hollow_simplex, intersect_witness,
+                       recentered_witness, separating_hyperplane,
                        uniqueness_probe)
 from hollowkit.scenes import load_scene
 
@@ -298,3 +299,49 @@ def test_leave_one_out_body_membership(disks_family):
         for i, b in enumerate(disks_family.bodies):
             if i != j:
                 assert b.membership(p, 1e-6)
+
+
+class UserDisk(ConvexBody):
+    """A disk written as a user would, against the oracle interface alone:
+    it states the five abstract methods, each by asking a ball, and no
+    member point."""
+
+    def __init__(self, center, radius):
+        self._ball = Ball(center, radius)
+
+    dim = property(lambda self: self._ball.dim)
+
+    def project(self, p):
+        return self._ball.project(p)
+
+    def support(self, direction):
+        return self._ball.support(direction)
+
+    def bounding_box(self):
+        return self._ball.bounding_box()
+
+    def contains_batch(self, points, tol=1e-7):
+        return self._ball.contains_batch(points, tol)
+
+
+def test_a_body_stating_only_its_oracles_runs_the_pipeline():
+    """Three user disks are certified critical, get their hollow simplex
+    and their grid hollow, as the same three balls do; two of them are
+    separated from the default start of ``min_distance``."""
+    centers = disk_centers(DISK_SIDE_CRITICAL)
+    family = check_critical([UserDisk(c, 1.0) for c in centers])
+    balls = check_critical([Ball(c, 1.0) for c in centers])
+    assert isinstance(family, CriticalFamily)
+    assert family.certificate.distance == pytest.approx(
+        balls.certificate.distance, rel=1e-9)
+    hs = hollow_simplex(family)
+    assert np.allclose(hs.vertices, hollow_simplex(balls).vertices, atol=1e-9)
+    cert = certify_hollow(family)
+    assert cert.bounded
+    assert cert.cell_count == certify_hollow(balls).cell_count
+    plane = separating_hyperplane(UserDisk([0.0, 0.0], 1.0),
+                                  UserDisk([3.0, 1.0], 1.0))
+    assert np.allclose(plane.normal, np.array([3.0, 1.0]) / np.sqrt(10.0))
+    assert plane.offset == pytest.approx(np.sqrt(10.0) / 2.0)
+    assert ConvexBody.__abstractmethods__ == {
+        "dim", "project", "support", "bounding_box", "contains_batch"}

@@ -95,10 +95,10 @@ def test_one_scene_error_reader():
     assert len(catch_alls(reader)) == 1
 
 
-def test_every_body_kind_states_its_contains_rule_and_anchor():
-    """The oracle base class has no fallback for either: each kind writes its
-    own, so no body is tested point by point or anchored by a projection."""
-    assert {"contains_batch", "anchor"} <= ConvexBody.__abstractmethods__
+def test_every_body_kind_states_its_contains_rule():
+    """The oracle base class has no fallback for it: each kind writes its
+    own, so no body is tested point by point."""
+    assert "contains_batch" in ConvexBody.__abstractmethods__
 
 
 def test_cli_does_no_grid_arithmetic():

@@ -47,7 +47,8 @@ def test_subdivision_mesh_bound():
             if math.factorial(k + 1) ** depth > 1000:
                 continue
             sub = subdivide(S, depth)
-            bound = (k / (k + 1.0)) ** depth * S.diameter
+            # the unit simplex's longest edge is sqrt(2) for k >= 2
+            bound = (k / (k + 1.0)) ** depth * (math.sqrt(2.0) if k > 1 else 1.0)
             assert sub.mesh <= bound + 1e-9
 
 
@@ -55,7 +56,7 @@ def test_subdivision_depth_zero_is_identity():
     sub = subdivide(UNIT_TRIANGLE, 0)
     assert sub.n_cells == 1
     assert sub.n_vertices == 3
-    assert sub.mesh == pytest.approx(UNIT_TRIANGLE.diameter)
+    assert sub.mesh == pytest.approx(math.sqrt(2.0))
 
 
 def test_subdivision_budget_refusal(monkeypatch):
@@ -559,5 +560,5 @@ def test_kkm_instance_validation():
 def test_kkm_point_budget_cap():
     pts = np.linspace(0.0, 1.0, 13)[:, None]
     images = tuple(HPolytope.box([0.0], [1.0]) for _ in range(13))
-    with pytest.raises(ValueError):
-        kkm_verify(KkmInstance(pts, images))
+    with pytest.raises(ValueError, match="capped at 12 points, got 13"):
+        KkmInstance(pts, images)
