@@ -7,22 +7,24 @@ polytope kind builds its other description once, at construction: an
 H-polytope lists its vertices by solving every nonsingular d-row subset
 (C(m, d) solves for m rows, refused above ``MAX_VERTEX_CANDIDATES``), a
 V-polytope gets the facet rows of its hull from Quickhull (Barber, Dobkin
-& Huhdanpaa, ACM TOMS 1996).  So both answer distance and containment from
-the same row slacks, and support and bounds from the same point list,
-exact ties going to the lexicographically least point; no LP runs.
+& Huhdanpaa, ACM TOMS 1996).  So both kinds answer containment from the
+same row slacks, and support, bounds and projection from the same point
+list, exact ties going to the lexicographically least point; no LP runs.
 Each body kind has one contains rule, its ``contains_batch``; the scalar
 ``membership`` is that rule on one point, so the two cannot disagree at
 the boundary (the weak-membership oracle of Grötschel, Lovász & Schrijver,
 *Geometric Algorithms and Combinatorial Optimization*, 1988).
-Projection onto an H-polytope is exact: one least-distance program,
-min |x - p| s.t. A x <= b, solved by :class:`_LeastDistance`, Goldfarb &
-Idnani's dual active-set method (Math. Programming 27, 1983) with the
-active rows kept orthogonally factored; rows that share no point are
-decided by a contradicting combination of them, not by a residual's sign.
-A V-polytope projects through the least-distance dual over its
-generators (Lawson & Hanson, ch. 23), whose active rows are the face,
-exact on thin hulls too.  The solver is numpy and Python alone: scipy is
-imported only where Quickhull builds a V-polytope's facets.
+A polytope projects by one rule, however it was written down: a point
+that violates no row is its own projection, and any other goes to the
+face that the least-distance dual over the point list picks (Lawson &
+Hanson, *Solving Least Squares Problems*, 1974, ch. 23), exact at acute
+vertices and on thin hulls, and a member at any finite distance.  Least
+distance is solved by :class:`_LeastDistance`, Goldfarb & Idnani's dual
+active-set method (Math. Programming 27, 1983) with the active rows kept
+orthogonally factored; rows that share no point are decided by a
+contradicting combination of them, not by a residual's sign.  The solver
+is numpy and Python alone: scipy is imported only where Quickhull builds
+a V-polytope's facets.
 Families run on one cutting-plane engine (Kelley, J. SIAM 1960): the
 members' projections supply cuts.  :func:`project_intersection` projects
 onto the cuts by the same least-distance solver, resumed pass after pass
@@ -378,14 +380,6 @@ def support_centroid(bodies):
     return np.mean([body.support(u) for body in bodies for u in axes], axis=0)
 
 
-def _least_distance(A, b, p):
-    """Nearest point to ``p`` of the nonempty polyhedron {x : A x <= b} of
-    unit rows, by one :class:`_LeastDistance` solve.  A feasible ``p``
-    comes back as a copy; rows that share no point, or a NaN or infinity
-    among the rows or in ``p``, raise :class:`ProjectionError`."""
-    return _LeastDistance(p).solve(A, b)
-
-
 class _LeastDistance:
     """Nearest points to one point p of a system of unit rows
     {x : A x <= b} that grows between solves: Goldfarb & Idnani's dual
@@ -627,10 +621,10 @@ class ConvexBody(abc.ABC):
 class _FacetPolytope(ConvexBody):
     """Polytope held twice: as unit rows {x : A x <= b} and as a point list
     ``_V`` whose hull it is.  Subclasses set ``_A``, ``_b``, ``_V`` and
-    ``_dim`` and supply ``project``, which returns a point that violates no
-    row as a copy.  Containment reads the rows: only points within ``tol``
-    of them need a projection, since the worst slack bounds the distance.
-    Support and the bounding box read the points."""
+    ``_dim``, and no oracle differs between them.  Containment reads the
+    rows: only points within ``tol`` of them need a projection, since the
+    worst slack bounds the distance.  Support, the bounding box and the
+    projection read the points."""
 
     @property
     def dim(self):
@@ -642,6 +636,14 @@ class _FacetPolytope(ConvexBody):
 
     def bounding_box(self):
         return self._V.min(axis=0), self._V.max(axis=0)
+
+    def project(self, p):
+        """Nearest point: ``p`` itself if it violates no row, else
+        :func:`_hull_projection` on the point list."""
+        p = as_point(p, self._dim)
+        if (self._A @ p - self._b).max() <= 0.0:
+            return p.copy()
+        return _hull_projection(self._V, p)
 
     def support(self, direction):
         """The lexicographically least of the points maximizing ``u . x``."""
@@ -726,10 +728,11 @@ class HPolytope(_FacetPolytope):
     ``MAX_VERTEX_CANDIDATES`` subsets raises :class:`PolytopeSizeError`
     before any solve.  No vertex means :class:`EmptyBodyError`; rows of
     rank below d (whose trace on the row space has a vertex) or an extreme
-    ray of {A y <= 0} mean :class:`UnboundedBodyError`.  ``support`` and
-    ``bounding_box`` read the vertex list, with exact ties broken by the
-    lexicographically least vertex.  ``project`` is exact and finite: a point
-    outside is mapped to its nearest point by one least-distance solve.
+    ray of {A y <= 0} mean :class:`UnboundedBodyError`.  ``support``,
+    ``bounding_box`` and ``project`` read the vertex list, as those of the
+    :class:`VPolytope` of the vertices do: exact ties go to the
+    lexicographically least vertex, and a point outside goes to its
+    nearest point on the face that :func:`_hull_projection` picks.
 
     Parameters
     ----------
@@ -807,9 +810,6 @@ class HPolytope(_FacetPolytope):
     def b(self):
         return self._b
 
-    def project(self, p):
-        return _least_distance(self._A, self._b, as_point(p, self._dim))
-
 
 class VPolytope(_FacetPolytope):
     """Convex hull of a finite generator set, screened through its facets.
@@ -818,11 +818,11 @@ class VPolytope(_FacetPolytope):
     :func:`~hollowkit.geometry.affine_hull`: Quickhull
     (``scipy.spatial.ConvexHull``) when the hull has dimension 2 or more,
     the two end rows of a segment, none for a point, plus both signs of
-    the flat's orthonormal complement.  So ``distance`` and
-    ``contains_batch`` are the H-polytope slack screens in every
-    dimension, and ``support`` and ``bounding_box`` read the generators,
-    which are its ``vertices``; a hull of its generators is nonempty and
-    bounded, so nothing is screened.  A hull thinner than the rank cutoff
+    the flat's orthonormal complement.  So ``contains_batch`` is the
+    H-polytope slack screen in every dimension, and ``support``,
+    ``bounding_box`` and ``project`` read the generators, which are its
+    ``vertices``; a hull of its generators is nonempty and bounded, so
+    nothing is screened.  A hull thinner than the rank cutoff
     of ``affine_hull`` is flat to the rows: a generator that far off the
     flat violates them by as much.
 
@@ -853,17 +853,10 @@ class VPolytope(_FacetPolytope):
         self._b = self._A @ flat.base - np.append(facets[:, -1],
                                                   np.zeros(2 * len(complement)))
 
-    def project(self, p):
-        """Nearest point of the hull: ``p`` itself if it violates no row,
-        else :func:`_hull_projection` on the generators."""
-        p = as_point(p, self._dim)
-        if (self._A @ p - self._b).max() <= 0.0:
-            return p.copy()
-        return _hull_projection(self._V, p)
-
 
 def _hull_projection(V, p):
-    """Nearest point to ``p`` of the convex hull of the rows of ``V``.
+    """Nearest point to ``p`` of the convex hull of the rows of ``V``: the
+    projection of every polytope, from its point list.
 
     One least-distance solve picks the face: min |y| s.t. (v_i - p) . y >= 1
     over the generators v_i, its rows scaled to unit norm, is the

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import (DEFAULT_TOL, IntersectionBody, check_count, check_tol,
-                     support_centroid)
+                     decided_scan, support_centroid)
 from .errors import BorderlineCriticalError, EmptyBodyError, NoHollowError
 from .geometry import Simplex, as_points
-from .solvers import SeparationCertificate, intersect_witness, min_distance
+from .solvers import SeparationCertificate, _empty_certificate, min_distance
 
 logger = logging.getLogger(__name__)
 
@@ -188,11 +188,12 @@ def check_critical(bodies, tol=DEFAULT_TOL):
                 "leave-one-out-empty", index=j,
                 detail=f"bodies other than {j} share no point (gap {exc.gap:.3e})")
 
-    full = intersect_witness(bodies, tol=tol)
-    if full.status == "witness":
-        return CriticalityFailure("full-intersection-nonempty", witness=full.witness,
+    status, point, _, _, _ = decided_scan(bodies, tol=tol)
+    if status == "witness":
+        return CriticalityFailure("full-intersection-nonempty", witness=point,
                                   detail="all bodies share a point")
-    cert = full.certificate
+    # witnesses[0] lies in bodies 1..: the rest needs no second scan
+    cert = _empty_certificate(bodies, tol, rest_witness=witnesses[0])
     if _borderline(cert.distance, tol):
         return CriticalityFailure(
             "borderline",

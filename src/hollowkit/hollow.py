@@ -317,7 +317,7 @@ def hausdorff_convex(vertices_a, vertices_b):
 
     The supremum over a convex hull of the distance to another convex set
     is attained at a vertex, so both directed distances reduce to vertex
-    projections, each one least-distance solve on the other point list.
+    projections, each onto the hull of the other point list.
     """
     A, B = as_points(vertices_a), as_points(vertices_b)
     gaps = [p - _hull_projection(V, p) for P, V in ((A, B), (B, A)) for p in P]

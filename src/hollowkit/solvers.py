@@ -157,19 +157,21 @@ def _plane_through_gap(res, tol):
     return Hyperplane(normal, float(normal @ midpoint))
 
 
-def _empty_certificate(bodies, tol):
+def _empty_certificate(bodies, tol, rest_witness=None):
     """Separate body 0 from the intersection of the others.
 
     Called once the scan's LP bound t* exceeds ``tol``.  As t* <=
     max_i dist(x, C_i) for every x, the midpoint of a nearest pair of C_0
     and the rest, delta apart, gives delta >= 2 t* > 2 tol (> 1.8 tol if
     the rest's scan accepted it within tol / 10): ``_plane_through_gap``
-    never refuses, so no other body need be tried.  An empty rest is
-    certified in turn, and named as the ``subfamily``.
+    never refuses, so no other body need be tried.  The rest is scanned
+    for a point unless ``rest_witness`` is one, checked by membership; an
+    empty rest is certified in turn, and named as the ``subfamily``.
     """
     rest = bodies[1:]
     try:
-        rest_body = rest[0] if len(rest) == 1 else IntersectionBody(rest, tol=tol)
+        rest_body = rest[0] if len(rest) == 1 else IntersectionBody(
+            rest, witness=rest_witness, tol=tol)
     except EmptyBodyError:
         inner = _empty_certificate(rest, tol)
         sub = tuple(i + 1 for i in (inner.subfamily or range(len(rest))))

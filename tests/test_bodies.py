@@ -1040,19 +1040,33 @@ def test_an_infinitely_far_point_is_one_projection_error(kind):
         assert not body.membership(far)
 
 
-@pytest.mark.parametrize("scale", [1e15, 1e16, 1e50, 1e150])
-def test_a_v_polytope_projects_a_distant_point_to_a_member(scale):
+@pytest.mark.parametrize("kind, scale", [
+    pytest.param(kind, scale, id=str(scale) if kind == "vpoly" else f"{kind}-{scale}")
+    for kind in ("vpoly", "hpoly") for scale in (1e15, 1e16, 1e50, 1e150)])
+def test_a_v_polytope_projects_a_distant_point_to_a_member(kind, scale):
     """The least-distance dual of a far point has right-hand sides of
     about 1 / distance; scaled by the nearest generator's distance they
     stay above the solver's stop tolerance, so a face is found and the
-    answer is a member, where it once was an empty face and IndexError."""
-    body = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    p = np.array([1.0, 0.3]) * scale
+    answer is a member, where it once was an empty face and IndexError.
+    The unit square written as rows projects by the same rule, onto its
+    vertices: least distance on the rows took the point at 1e16 to
+    (2, 1), off the square."""
+    body = (VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+            if kind == "vpoly" else HPolytope.box([0.0, 0.0], [1.0, 1.0]))
+    p = np.array([1.0, 0.3]) / np.hypot(1.0, 0.3) * scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x = body.project(p)
         assert body.membership(x, 1e-12)
         assert body.distance(p) == pytest.approx(np.linalg.norm(p), rel=1e-12)
+
+
+@pytest.mark.parametrize("angle", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_a_thin_wedge_projects_onto_its_apex_exactly(angle):
+    """(-1, 0.5) lies in the normal cone of the apex of every thin wedge,
+    whose rows there are nearly parallel and lose about eps / angle; the
+    projection picks the apex from the vertex list, to the bit."""
+    assert thin_wedge(angle).project([-1.0, 0.5]).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("kind", sorted(boundary_bodies()))

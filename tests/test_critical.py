@@ -5,13 +5,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DISK_SIDE_CRITICAL, TRIANGLE, disk_centers
 from helpers import random_base_points
-from hollowkit import (Ball, BorderlineCriticalError, ConvexBody,
+from hollowkit import (DEFAULT_TOL, Ball, BorderlineCriticalError, ConvexBody,
                        CriticalFamily, CriticalityFailure, HPolytope,
                        NoHollowError, Simplex, ToleranceAmbiguityError,
-                       cage_margin, certify_hollow, check_critical,
+                       VPolytope, cage_margin, certify_hollow, check_critical,
                        helly_guard, hollow_simplex, intersect_witness,
                        recentered_witness, separating_hyperplane,
                        uniqueness_probe)
@@ -243,6 +245,57 @@ def test_hollow_vertices_permute_with_the_bodies():
             for got, want in ((permuted.witnesses, fam.witnesses),
                               (phs.vertices, hs.vertices), (phs.gaps, hs.gaps)):
                 assert np.allclose(got, want[list(perm)], rtol=0.0, atol=1e-12)
+
+
+def moved_body(body, Q, scale):
+    """``body`` under the similarity x -> scale Q x, Q orthogonal."""
+    if isinstance(body, Ball):
+        return Ball(scale * (Q @ body.center), scale * body.radius)
+    if isinstance(body, VPolytope):
+        return VPolytope(scale * body.vertices @ Q.T)
+    return HPolytope(body.A @ Q.T, scale * body.b)
+
+
+def critical_outcome(bodies, tol):
+    """The verdict of ``check_critical``, and for a critical family its
+    hollow vertices, gaps and emptiness distance."""
+    family = check_critical(bodies, tol=tol)
+    if isinstance(family, CriticalityFailure):
+        return family.reason, None
+    hs = hollow_simplex(family)
+    return "critical", (hs.vertices, hs.gaps, family.certificate.distance)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("scene", ["disks", "balls3", "vpoly", "pair",
+                                   "noncrit", "squares"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=3)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rotated_and_scaled_families_keep_their_verdict(scene, scale, seed):
+    """The rotation and scaling cases of the metamorphic suite: under a
+    random orthogonal map and a uniform scaling, with tol scaled too, a
+    family keeps its verdict, and its hollow vertices (mapped back), gaps
+    and emptiness distance move by at most 1e-8 of the family's size, the
+    diagonal of its bounding box (2.3e-11 at most when measured, on
+    balls3 over ten maps per scale)."""
+    loaded = load_scene(os.path.join(DATA, f"{scene}.json"))
+    bodies = loaded.bodies
+    tol = loaded.options.get("tol", DEFAULT_TOL)
+    d = loaded.dimension
+    Q, R = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))
+    Q *= np.sign(np.diag(R))
+    verdict, solved = critical_outcome(bodies, tol)
+    moved_verdict, moved = critical_outcome(
+        [moved_body(b, Q, scale) for b in bodies], scale * tol)
+    assert moved_verdict == verdict
+    if solved is None:
+        return
+    lo, hi = zip(*(b.bounding_box() for b in bodies))
+    bound = 1e-8 * float(np.linalg.norm(np.max(hi, axis=0) - np.min(lo, axis=0)))
+    vertices, gaps, distance = solved
+    assert np.abs(moved[0] @ Q / scale - vertices).max() <= bound
+    assert np.abs(moved[1] / scale - gaps).max() <= bound
+    assert abs(moved[2] / scale - distance) <= bound
 
 
 def test_uniqueness_probe_small_deviations(disks_family):

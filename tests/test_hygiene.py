@@ -4,7 +4,8 @@ import pathlib
 
 import hollowkit
 import hollowkit.errors
-from hollowkit.bodies import ConvexBody
+from hollowkit import HPolytope, VPolytope
+from hollowkit.bodies import ConvexBody, _FacetPolytope
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hollowkit"
 
@@ -99,6 +100,13 @@ def test_every_body_kind_states_its_contains_rule():
     """The oracle base class has no fallback for it: each kind writes its
     own, so no body is tested point by point."""
     assert "contains_batch" in ConvexBody.__abstractmethods__
+
+
+def test_one_projection_rule_per_polytope():
+    """Both polytope kinds project by the rule their base class states,
+    onto the point list past the row screen: how a polytope was written
+    down does not change its projections."""
+    assert HPolytope.project is VPolytope.project is _FacetPolytope.project
 
 
 def test_cli_does_no_grid_arithmetic():

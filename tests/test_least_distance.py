@@ -1,4 +1,5 @@
-"""The least-distance solver behind every polytope and cut projection."""
+"""The least-distance solver behind every cut projection and every polytope
+projection's choice of face."""
 import json
 import os
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, nnls
 
-from hollowkit import ProjectionError, VPolytope, body_from_json
-from hollowkit.bodies import _least_distance, _LeastDistance
+from hollowkit import HPolytope, ProjectionError, VPolytope, body_from_json
+from hollowkit.bodies import _LeastDistance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -22,7 +23,7 @@ DEGENERATE_RTOL = 1e-12
 WEDGE_BOUNDS = [(1e-3, 1e-12), (1e-6, 1e-9), (1e-8, 1e-7)]
 
 
-def nnls_least_distance(A, b, p):
+def nnls_nearest_point(A, b, p):
     """Nearest point to p of {A x <= b} by Lawson & Hanson's least-distance
     dual, one NNLS; None when its residual says the rows share no point."""
     slacks = A @ p - b
@@ -76,7 +77,7 @@ def test_contradicting_pair_raises(p):
     """{y >= 1, y <= -1} has no point, from either side."""
     A, b = np.array([[-1.0], [1.0]]), np.array([-1.0, -1.0])
     with pytest.raises(ProjectionError, match="share no point"):
-        _least_distance(A, b, np.array([p]))
+        _LeastDistance(np.array([p])).solve(A, b)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -89,7 +90,7 @@ def test_seeded_infeasible_systems_raise(d):
         for _ in range(3):
             p = rng.uniform(-10.0, 10.0, size=d)
             with pytest.raises(ProjectionError, match="share no point"):
-                _least_distance(A, b, p)
+                _LeastDistance(p).solve(A, b)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -111,7 +112,7 @@ def test_degenerate_feasible_systems_never_raise(d):
             b = A @ c
         for _ in range(3):
             p = c + scale * rng.choice([0.1, 1.0, 10.0]) * rng.normal(size=d)
-            x = _least_distance(A, b, p)
+            x = _LeastDistance(p).solve(A, b)
             bound = DEGENERATE_RTOL * (1.0 + np.abs(p).max())
             assert (A @ x - b).max() <= bound
             assert np.linalg.norm(x - p) <= np.linalg.norm(c - p) + bound
@@ -124,7 +125,7 @@ def test_non_finite_input_is_a_projection_error(where, value):
     b, p = np.ones(4), np.array([3.0, 0.5])
     {"A": A[1], "b": b[1:2], "p": p[1:]}[where][0] = value
     with pytest.raises(ProjectionError, match="not finite"):
-        _least_distance(A, b, p)
+        _LeastDistance(p).solve(A, b)
 
 
 def test_non_finite_appended_row_is_a_projection_error():
@@ -138,12 +139,17 @@ def test_non_finite_appended_row_is_a_projection_error():
         solver.solve(A, b)
 
 
+def wedge_rows(angle):
+    """{y >= 0, y <= x tan(angle), x <= 1} as unit rows (A, b)."""
+    A = np.array([[0.0, -1.0], [-np.sin(angle), np.cos(angle)], [1.0, 0.0]])
+    return A, np.array([0.0, 0.0, 1.0])
+
+
 @pytest.mark.parametrize("angle,bound", WEDGE_BOUNDS)
 def test_acute_wedge_apex_is_exact(angle, bound):
-    """{y >= 0, y <= x tan(angle), x <= 1}: (-1, 0.5) projects to the apex."""
-    A = np.array([[0.0, -1.0], [-np.sin(angle), np.cos(angle)], [1.0, 0.0]])
-    b = np.array([0.0, 0.0, 1.0])
-    x = _least_distance(A, b, np.array([-1.0, 0.5]))
+    """The rows of the wedge: (-1, 0.5) projects to the apex."""
+    A, b = wedge_rows(angle)
+    x = _LeastDistance(np.array([-1.0, 0.5])).solve(A, b)
     assert np.abs(x).max() <= bound
 
 
@@ -157,19 +163,20 @@ def test_matches_nnls_call_for_call(d):
         A, b, center = cut_system(rng, d, int(rng.integers(1, 33)))
         for _ in range(4):
             p = center + rng.normal(size=d) * rng.choice([0.5, 5.0, 50.0])
-            ref = nnls_least_distance(A, b, p)
+            ref = nnls_nearest_point(A, b, p)
             bound = NNLS_RTOL * (1.0 + np.abs(p).max())
             resumed = _LeastDistance(p)
             for m in sorted({int(rng.integers(1, A.shape[0] + 1)), A.shape[0]}):
                 x_resumed = resumed.solve(A[:m], b[:m])
-            for x in (_least_distance(A, b, p), x_resumed):
+            for x in (_LeastDistance(p).solve(A, b), x_resumed):
                 assert (A @ x - b).max() <= bound
                 assert (A @ ref - b).max() <= bound
                 assert abs(np.linalg.norm(x - p) - np.linalg.norm(ref - p)) <= bound
 
 
 def nnls_hull_projection(body, p):
-    """VPolytope.project with the face picked by NNLS over simplex weights."""
+    """A polytope's project with the face picked by NNLS over simplex
+    weights on its vertices."""
     if (body._A @ p - body._b).max() <= 0.0:
         return p.copy()
     W = (body.vertices - p).T
@@ -188,12 +195,17 @@ def hull_cases():
         yield f"vpoly.json-{i}", body_from_json(spec, scene["dimension"])
     rng = np.random.default_rng(40)
     yield "40-vertex-3d", VPolytope(rng.normal(size=(40, 3)))
+    # rows project by the same rule, onto their vertices
+    yield "box-3d", HPolytope.box([-1.0, 0.0, 2.0], [0.5, 3.0, 2.5])
+    yield "12-row-3d", HPolytope(unit_rows(rng, 12, 3), rng.uniform(0.5, 2.0, 12))
+    yield "wedge-1e-6", HPolytope(*wedge_rows(1e-6))
 
 
 @pytest.mark.parametrize("name,body", list(hull_cases()))
 def test_vpolytope_picks_the_nnls_face(name, body):
     """The same face, so the same projection onto its affine hull up to
-    rounding, from far and near."""
+    rounding, from far and near, whether the polytope was given by its
+    vertices or by its rows."""
     rng = np.random.default_rng(11)
     lo, hi = body.bounding_box()
     span = float((hi - lo).max())
