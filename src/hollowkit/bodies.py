@@ -6,8 +6,10 @@ Concrete types: :class:`HPolytope` (bounded intersection of halfspaces),
 polytope kind builds its other description once, at construction: an
 H-polytope lists its vertices by solving every nonsingular d-row subset
 (C(m, d) solves for m rows, refused above ``MAX_VERTEX_CANDIDATES``), a
-V-polytope gets the facet rows of its hull from Quickhull (Barber, Dobkin
-& Huhdanpaa, ACM TOMS 1996).  So both kinds answer containment from the
+V-polytope gets the facet rows of its hull from the edges of the planar
+hull (:func:`~hollowkit.geometry.planar_hull`) when the hull is 2-D, and
+from Quickhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 1996) when it spans
+3 or more dimensions.  So both kinds answer containment from the
 same row slacks, and support, bounds and projection from the same point
 list, exact ties going to the lexicographically least point; no LP runs.
 Each body kind has one contains rule, its ``contains_batch``; the scalar
@@ -24,7 +26,7 @@ active-set method (Math. Programming 27, 1983) with the active rows kept
 orthogonally factored; rows that share no point are decided by a
 contradicting combination of them, not by a residual's sign.  The solver
 is numpy and Python alone: scipy is imported only where Quickhull builds
-a V-polytope's facets.
+the facets of a V-polytope of dimension 3 or more.
 Families run on one cutting-plane engine (Kelley, J. SIAM 1960): the
 members' projections supply cuts.  :func:`project_intersection` projects
 onto the cuts by the same least-distance solver, resumed pass after pass
@@ -47,6 +49,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul, sub
 
 import numpy as np
@@ -59,7 +62,7 @@ from .errors import (
     ToleranceAmbiguityError,
     UnboundedBodyError,
 )
-from .geometry import affine_hull, as_point, as_points
+from .geometry import affine_hull, as_point, as_points, planar_hull
 
 logger = logging.getLogger(__name__)
 
@@ -185,7 +188,7 @@ def _cut_pass(bodies, x, stop, normals, offsets):
 _NO_CUTS = ((), ())
 
 
-def _pooled_projection(bodies, p, pool):
+def _pooled_projection(bodies, p, pool, reach=math.inf):
     """Nearest point to ``p`` of the nonempty intersection of ``bodies``,
     starting from the cuts ``pool``; returns it with the pool's cuts and
     this call's that are tight there, as a pair (A, h) of arrays.
@@ -203,13 +206,19 @@ def _pooled_projection(bodies, p, pool):
     from the solver's error, when the cuts share no point (a stall).  A
     stall carries the smallest residual of its passes instead: the solve
     of nearly parallel contradicting cuts can throw the last iterate far
-    from every member.
+    from every member.  A stop above ``reach`` raises
+    :class:`ProjectionError` before any pass: an answer that close to
+    every member may still lie that far from the intersection.
     """
     p = as_point(p, bodies[0].dim)
     if _norm(p) == math.inf:
         # the solver's own check would come after the first pass, as a stall
         raise ProjectionError(_FAR, last_iterate=p)
     stop = CUT_RTOL * (1.0 + float(np.abs(p).max()))
+    if stop > reach:
+        raise ProjectionError(
+            f"point too far for the intersection: its cut stop {stop:.3e} "
+            f"exceeds the body's extent {reach:.3e}", last_iterate=p)
     normals, offsets = list(pool[0]), list(pool[1])
     solver = _LeastDistance(p)
     x = p
@@ -815,16 +824,18 @@ class VPolytope(_FacetPolytope):
     """Convex hull of a finite generator set, screened through its facets.
 
     The facet rows are built once, in the frame of the generators'
-    :func:`~hollowkit.geometry.affine_hull`: Quickhull
-    (``scipy.spatial.ConvexHull``) when the hull has dimension 2 or more,
-    the two end rows of a segment, none for a point, plus both signs of
-    the flat's orthonormal complement.  So ``contains_batch`` is the
-    H-polytope slack screen in every dimension, and ``support``,
-    ``bounding_box`` and ``project`` read the generators, which are its
-    ``vertices``; a hull of its generators is nonempty and bounded, so
-    nothing is screened.  A hull thinner than the rank cutoff
-    of ``affine_hull`` is flat to the rows: a generator that far off the
-    flat violates them by as much.
+    :func:`~hollowkit.geometry.affine_hull`, as ``[normal, offset]`` rows
+    with ``normal . x + offset <= 0`` inside, the layout of Quickhull's
+    ``equations``: one outward unit row per edge of the counterclockwise
+    :func:`~hollowkit.geometry.planar_hull` ring when the hull is 2-D,
+    Quickhull's own when it spans 3 or more dimensions, the two end rows
+    of a segment, none for a point, plus both signs of the flat's
+    orthonormal complement.  So ``contains_batch`` is the H-polytope slack
+    screen in every dimension, and ``support``, ``bounding_box`` and
+    ``project`` read the generators, which are its ``vertices``; a hull of
+    its generators is nonempty and bounded, so nothing is screened.  A
+    hull thinner than the rank cutoff of ``affine_hull`` is flat to the
+    rows: a generator that far off the flat violates them by as much.
 
     Parameters
     ----------
@@ -838,9 +849,15 @@ class VPolytope(_FacetPolytope):
         flat = affine_hull(self._V)
         coords = (self._V - flat.base) @ flat.basis.T
         # rows [normal, -offset] in frame coordinates
-        if flat.dim >= 2:
+        if flat.dim == 2:
+            ring = coords[planar_hull(coords)]
+            edge = np.roll(ring, -1, axis=0) - ring
+            normal = np.column_stack([edge[:, 1], -edge[:, 0]])
+            normal /= np.linalg.norm(normal, axis=1)[:, None]
+            facets = np.column_stack([normal, -(normal * ring).sum(axis=1)])
+        elif flat.dim >= 3:
             # scipy.spatial costs more than the rest of the package import,
-            # and only hulls need it
+            # and only hulls of dimension 3 or more need it
             from scipy.spatial import ConvexHull
 
             facets = ConvexHull(coords).equations
@@ -1008,8 +1025,10 @@ class IntersectionBody(ConvexBody):
     members that meet in a single point or miss by less than ``tol``, and
     raise :class:`ToleranceAmbiguityError`, as does a pass budget spent
     within ``tol`` of every member; one spent farther out raises
-    :class:`ProjectionError`.  ``distance``, ``membership`` and every
-    solver built on them pass these on.
+    :class:`ProjectionError`.  So does a point so far that the cut stop,
+    which grows with it, exceeds the body's extent (:meth:`_projection`).
+    ``distance``, ``membership`` and every solver built on them pass these
+    on.
 
     ``project`` starts from the body's pool of cuts (see
     :func:`_pooled_projection`); on success it leaves there only the cuts
@@ -1048,7 +1067,6 @@ class IntersectionBody(ConvexBody):
         self._witness = witness
         self._tol = tol
         self._cuts = _NO_CUTS
-        self._radius = None   # support's far-point distance, set on first use
 
     @property
     def dim(self):
@@ -1069,12 +1087,22 @@ class IntersectionBody(ConvexBody):
         hi = np.min(his, axis=0)
         return lo, np.maximum(hi, lo)
 
+    @cached_property
+    def _diagonal(self):
+        """Length of the diagonal of the bounding box; the members do not
+        change, so it is worked out once."""
+        lo, hi = self.bounding_box()
+        return float(np.linalg.norm(hi - lo))
+
     def _projection(self, p, pool):
         """:func:`_pooled_projection` under the stall rule.  A stall has a
         cause, the solver's error; a member's error has no residual, and a
-        cut that overflowed an infinite one: those propagate."""
+        cut that overflowed an infinite one: those propagate.  Its reach is
+        the bounding box's diagonal, or ``tol`` for a body thinner than
+        that: a point so far that the cut stop exceeds both is refused."""
         try:
-            return _pooled_projection(self._bodies, p, pool)
+            return _pooled_projection(self._bodies, p, pool,
+                                      max(self._diagonal, self._tol))
         except ProjectionError as exc:
             r, tol = exc.residual, self._tol
             if r is None or (r > tol and (exc.__cause__ is None or r == math.inf)):
@@ -1094,16 +1122,12 @@ class IntersectionBody(ConvexBody):
 
         With R = ``_SUPPORT_RADIUS * (1 + diam)`` the returned member's inner
         product with u falls short of the support value by at most
-        diam^2 / (2 R).  R is worked out at the first call and kept, since
-        the members do not change.  Fresh cuts leave the pool free of cuts
-        from R away.
+        diam^2 / (2 R), diam the diagonal of the bounding box.  Fresh cuts
+        leave the pool free of cuts from R away.
         """
         u, norm = _direction(direction, self._dim)
-        if self._radius is None:
-            lo, hi = self.bounding_box()
-            diam = float(np.linalg.norm(hi - lo))
-            self._radius = self._SUPPORT_RADIUS * (1.0 + diam)
-        return self._projection(self._witness + (self._radius / norm) * u,
+        radius = self._SUPPORT_RADIUS * (1.0 + self._diagonal)
+        return self._projection(self._witness + (radius / norm) * u,
                                 _NO_CUTS)[0]
 
     def contains_batch(self, points, tol=DEFAULT_TOL):

@@ -1,4 +1,5 @@
-"""Affine and simplicial primitives: hulls, subspaces, simplices, barycentrics.
+"""Affine and simplicial primitives: hulls, subspaces, simplices, barycentrics,
+and the package's one planar convex hull.
 
 Points are plain 1-D numpy arrays and point sets are (n, d) arrays; all
 objects here are immutable value types and all functions are pure.
@@ -172,6 +173,47 @@ def affine_hull(points):
         if basis[i, j] < 0:
             basis[i] = -basis[i]
     return AffineSubspace(base, basis)
+
+
+def planar_hull(points):
+    """Indices of the vertices of the convex hull of a planar point set,
+    counterclockwise from the lexicographically least point.
+
+    Andrew's monotone chain (Inf. Process. Lett. 9, 1979) over the
+    lexicographic order.  A point on a hull edge is not a vertex, a
+    repeated point counts once, by its first index, and a collinear set
+    gives its two end points.  The turn test is the cross product in
+    Python numbers, so it is exact on integer coordinates and the rounded
+    product on floats.
+
+    Parameters
+    ----------
+    points : array_like, shape (n, 2)
+        Integer or float coordinates, at least one point.
+    """
+    pts = np.asarray(points)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+        raise ValueError(f"need a nonempty (n, 2) point array, got shape {pts.shape}")
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    ranked = pts[order]
+    order = order[np.append(True, (ranked[1:] != ranked[:-1]).any(axis=1))]
+    n = order.size
+    if n < 3:
+        return order
+    xy = pts[order].tolist()
+    ring = []
+    for seq in (range(n), range(n - 1, -1, -1)):
+        chain = []
+        for i in seq:
+            x, y = xy[i]
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = xy[chain[-2]], xy[chain[-1]]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                chain.pop()
+            chain.append(i)
+        ring += chain[:-1]
+    return order[ring]
 
 
 @dataclass(frozen=True)

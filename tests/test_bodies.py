@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import linprog, nnls
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 import hollowkit.bodies
 from hollowkit import (AffineSubspace, Ball, EmptyBodyError, HPolytope,
@@ -17,7 +17,7 @@ from hollowkit import (AffineSubspace, Ball, EmptyBodyError, HPolytope,
                        klee_solve, min_distance, verify_stabbing)
 from hollowkit.bodies import (ConvexBody, _cut_lp, _offset, project_intersection,
                              support_centroid)
-from hollowkit.geometry import as_point
+from hollowkit.geometry import affine_hull, as_point
 from conftest import disk_centers, side_rectangle
 from helpers import grid_points
 
@@ -440,6 +440,51 @@ def test_vpolytope_interior_points_are_exact_members():
                 assert np.array_equal(poly.project(p), p)
                 assert poly.membership(p, tol=0.0)
             assert poly.contains_batch(P, tol=0.0).all()
+
+
+def quickhull_rows(V):
+    """``[A, b]`` of {x : A x <= b} for the hull of ``V``, as the
+    V-polytope's constructor built it from ``ConvexHull.equations`` in the
+    frame of the generators' affine hull: facet rows, then both signs of
+    the frame's complement."""
+    flat = affine_hull(V)
+    eq = ConvexHull((V - flat.base) @ flat.basis.T).equations
+    comp = flat.complement
+    A = np.vstack([eq[:, :-1] @ flat.basis, comp, -comp])
+    return np.column_stack([A, A @ flat.base - np.append(eq[:, -1],
+                                                          np.zeros(2 * len(comp)))])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_planar_v_polytope_has_quickhulls_halfspaces(seed):
+    """A V-polytope whose hull is 2-D builds its rows from the edges of
+    the planar hull, with Quickhull's halfspaces: every row lies within
+    1e-12 of one of ``ConvexHull``'s and back, so only duplicates differ.
+    A lattice rotated into the frame can keep a point on an edge within
+    rounding, which gives such a duplicate.  The cases are the planar
+    sample bodies (the coplanar hull in R^3 among them), random float
+    sets, and small lattices in the plane and on a plane in R^3."""
+    rng = np.random.default_rng(seed)
+    sets = [body.vertices for _, body in sample_bodies()
+            if isinstance(body, VPolytope)
+            and affine_hull(body.vertices).dim == 2]
+    for trial in range(60):
+        k = int(rng.integers(3, 20))
+        pts = (rng.normal(size=(k, 2)) if trial % 3 == 0
+               else rng.integers(0, 2 + trial % 4, (k, 2)).astype(float))
+        if trial % 3 == 2:
+            frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:2]
+            pts = pts @ frame + rng.normal(size=3)
+        if affine_hull(pts).dim == 2:
+            sets.append(pts)
+    assert len(sets) > 40
+    for V in sets:
+        poly = VPolytope(V)
+        ours = np.column_stack([poly._A, poly._b])
+        ref = quickhull_rows(V)
+        for R, S in ((ours, ref), (ref, ours)):
+            gaps = np.abs(R[:, None, :] - S[None, :, :]).max(axis=2)
+            assert gaps.min(axis=1).max() <= 1e-12
 
 
 def test_ball_closed_forms():
@@ -1059,6 +1104,25 @@ def test_a_v_polytope_projects_a_distant_point_to_a_member(kind, scale):
         x = body.project(p)
         assert body.membership(x, 1e-12)
         assert body.distance(p) == pytest.approx(np.linalg.norm(p), rel=1e-12)
+
+
+@pytest.mark.parametrize("far", [[1e16, 3e15], [1e100, 3e99]])
+def test_an_intersection_refuses_a_point_beyond_its_reach(far):
+    """The cut loop stops within CUT_RTOL (1 + |p|_inf) of every member, a
+    stop that grows with p.  Once it exceeds the lens's bounding-box
+    diagonal, an answer that close to both disks can lie that far off the
+    lens: (0, -1), 0.41 off, for the first point, and (-1.9e84, -4.9e83)
+    for the second.  Such a point is refused with one ProjectionError
+    that says so, and no cut joins the pool; a point at 1e13 still goes
+    to the lens, and support, whose far points lie within reach, is not
+    refused."""
+    lens = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
+    with pytest.raises(ProjectionError, match="point too far for the intersection"):
+        lens.project(far)
+    assert lens._cuts == ((), ())
+    for p in ([1e13, 3e12], lens.support(far)):
+        x = lens.project(p)
+        assert max(b.distance(x) for b in lens.bodies) <= 1e-12
 
 
 @pytest.mark.parametrize("angle", [1e-2, 1e-4, 1e-6, 1e-8])

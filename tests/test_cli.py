@@ -813,9 +813,9 @@ def test_timings_go_to_stderr_only(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    """Projections run on the package's own solver and scipy's hulls are
-    imported where they are used, so importing the CLI loads numpy and no
-    scipy module."""
+    """Projections run on the package's own solver and scipy's hulls in 3
+    or more dimensions are imported where they are used, so importing the
+    CLI loads numpy and no scipy module."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, hollowkit.cli; "
@@ -847,16 +847,21 @@ def scipy_loaded_by(command, scene, outdir, code=0):
     ("check", "disks.json"), ("hollow", "pair.json"),
     ("stab-verify", "stab.json"), ("solve-klee", "squares.json"),
     ("kkm", "goodkkm.json"), ("kkm", "gapkkm.json"),
-    ("render", "disks.json")])
+    ("render", "disks.json"), ("certify", "disks.json"),
+    ("certify", "vpoly.json"), ("check", "vpoly.json"),
+    ("render", "vpoly.json")])
 def test_scenes_without_hulls_load_no_scipy(command, scene, tmp_path):
+    """A hull in the plane, of the certified cells or of a V-polytope, is
+    the package's own monotone chain, so a 2-D scene loads no scipy."""
     # gapkkm's cover check fails, a rejected claim (exit code 2)
     code = 2 if scene == "gapkkm.json" else 0
     assert scipy_loaded_by(command, scene, tmp_path, code) == []
 
 
-def test_certify_loads_scipy_spatial_alone(tmp_path):
-    """A certified hull needs Quickhull, and nothing else from scipy."""
-    loaded = scipy_loaded_by("certify", "disks.json", tmp_path)
+def test_a_3d_hull_loads_scipy_spatial_alone(tmp_path):
+    """A certified hull in 3-D needs Quickhull, and nothing else from
+    scipy."""
+    loaded = scipy_loaded_by("certify", "balls3.json", tmp_path)
     assert "scipy.spatial" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.stats"))]
 

@@ -1,9 +1,11 @@
 """Exact-arithmetic-free geometry: hulls, subspaces, simplices."""
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from hollowkit import (AffineSubspace, DegenerateSimplexError, Hyperplane,
                        Simplex, affine_hull)
+from hollowkit.geometry import planar_hull
 
 
 def test_affine_hull_dimensions():
@@ -98,3 +100,35 @@ def test_barycentric_of_a_point_off_a_plane_through_the_origin():
         bary = Simplex(verts).barycentrics(w @ verts + heights * normal)
         assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert np.allclose(bary, w, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planar_hull_is_quickhulls_ring_from_the_least_vertex(seed):
+    """Against ``ConvexHull`` on random float sets and on small integer
+    lattices, where points tie, repeat and lie on hull edges: the same
+    vertices in Quickhull's counterclockwise order, started at the
+    lexicographically least, each by its first index.  A collinear set,
+    which Quickhull refuses, gives its two end points, and one point
+    itself."""
+    rng = np.random.default_rng(seed)
+    for trial in range(200):
+        k = int(rng.integers(1, 16))
+        pts = (rng.random((k, 2)) if trial % 3 == 0
+               else rng.integers(0, 2 + trial % 5, (k, 2)))
+        idx = planar_hull(pts)
+        ring = pts[idx].tolist()
+        assert all(pts[:i].tolist().count(pts[i].tolist()) == 0 for i in idx)
+        unique = np.unique(pts, axis=0).tolist()
+        try:
+            qhull = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            assert ring == unique[:1] + unique[1:][-1:]
+            continue
+        start = np.lexsort(qhull.T[::-1])[0]
+        assert ring == np.roll(qhull, -start, axis=0).tolist()
+
+
+def test_planar_hull_refuses_a_set_that_is_not_planar():
+    for bad in (np.zeros((0, 2)), np.zeros((3, 3)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            planar_hull(bad)

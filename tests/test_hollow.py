@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hollowkit import (AffineSubspace, Ball, CriticalFamily,
@@ -19,7 +19,7 @@ from hollowkit import (AffineSubspace, Ball, CriticalFamily,
 from hollowkit import hollow
 from hollowkit.geometry import Simplex
 from hollowkit.hollow import (BOX_EXPAND, MAX_GRID_CELLS, MIN_CELLS_PER_AXIS,
-                              Grid, _hollow_cells, _slabs)
+                              Grid, HollowCertificate, _hollow_cells, _slabs)
 from hollowkit.scenes import load_scene
 from conftest import disk_centers, side_rectangle
 from helpers import (bounded_component_cells, grid_hull_ratios, grid_mask,
@@ -205,13 +205,55 @@ def test_certify_asks_the_bodies_only_about_the_cage_rows(monkeypatch):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
 @given(st.floats(0.0, 1e6), st.floats(0.0, 2.0 * math.pi))
+@example(0.0, 0.3)
+@example(1e2, 2.0)
+@example(1e4, 4.0)
+@example(1e6, 0.3)
+@example(1e6, 2.0)
+@example(1e6, 4.0)
 def test_translated_disks_certify_the_same_cells(norm, angle):
     """A verdict does not move with the scene: the disks translated by any
-    vector of norm up to 1e6 certify 822 cells, as they do in place."""
+    vector of norm up to 1e6 certify 822 cells, as they do in place, and
+    the V-polytopes of vpoly.json 3952 cells with 8 hull vertices.  Counts
+    only: from a shift of 1e4 vpoly's grid can be a cell wider."""
     move = norm * np.array([math.cos(angle), math.sin(angle)])
     bodies = load_scene(os.path.join(DATA, "disks.json")).bodies
     family = check_critical([Ball(b.center + move, b.radius) for b in bodies])
     assert certify_hollow(family).cell_count == 822
+    bodies = load_scene(os.path.join(DATA, "vpoly.json")).bodies
+    cert = certify_hollow(check_critical([VPolytope(b.vertices + move)
+                                          for b in bodies]))
+    assert (cert.cell_count, cert.hull_vertices.shape[0]) == (3952, 8)
+
+
+@pytest.mark.parametrize("scene", ["disks.json", "vpoly.json"])
+def test_a_planar_grid_hull_is_quickhulls_on_every_center(scene):
+    """The 2-D hull reads only the end cells of each grid line, exactly on
+    their indices, and gives the centers that Quickhull gives on every
+    cell's center, in its counterclockwise order, started at the
+    lexicographically least."""
+    from scipy.spatial import ConvexHull
+
+    cert = certify_hollow(scene_family(scene))
+    pts = cert.centers
+    qhull = pts[ConvexHull(pts).vertices]
+    start = np.lexsort(qhull.T[::-1])[0]
+    assert np.array_equal(cert.hull_vertices, np.roll(qhull, -start, axis=0))
+
+
+def test_collinear_hollow_cells_give_their_two_end_points():
+    """Cells on one grid line, or on one diagonal, have a segment for their
+    hull, drawn by its two end centers, the lexicographically least
+    first; Quickhull refused such a set, and every center was kept."""
+    grid = Grid(np.array([1.0, -2.0]), 0.5, (10, 10), ())
+    for cells in ([[3, 2], [3, 3], [3, 4], [3, 5]],
+                  [[2, 7], [3, 7], [4, 7]],
+                  [[1, 1], [2, 2], [3, 3], [4, 4]],
+                  [[5, 5]]):
+        cells = np.array(cells)
+        cert = HollowCertificate(grid, cells, 0.25 * len(cells), 0.5)
+        ends = cells[[0, -1]] if len(cells) > 1 else cells
+        assert np.array_equal(cert.hull_vertices, grid.centers(ends))
 
 
 @pytest.mark.parametrize("scene", ["disks.json", "vpoly.json", "balls3.json"])
