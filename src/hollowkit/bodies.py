@@ -208,7 +208,7 @@ def _pooled_projection(bodies, p, pool, reach=math.inf):
     of nearly parallel contradicting cuts can throw the last iterate far
     from every member.  A stop above ``reach`` raises
     :class:`ProjectionError` before any pass: an answer that close to
-    every member may still lie that far from the intersection.
+    every member may still lie farther than that from the intersection.
     """
     p = as_point(p, bodies[0].dim)
     if _norm(p) == math.inf:
@@ -218,7 +218,7 @@ def _pooled_projection(bodies, p, pool, reach=math.inf):
     if stop > reach:
         raise ProjectionError(
             f"point too far for the intersection: its cut stop {stop:.3e} "
-            f"exceeds the body's extent {reach:.3e}", last_iterate=p)
+            f"exceeds the body's reach {reach:.3e}", last_iterate=p)
     normals, offsets = list(pool[0]), list(pool[1])
     solver = _LeastDistance(p)
     x = p
@@ -1025,8 +1025,9 @@ class IntersectionBody(ConvexBody):
     members that meet in a single point or miss by less than ``tol``, and
     raise :class:`ToleranceAmbiguityError`, as does a pass budget spent
     within ``tol`` of every member; one spent farther out raises
-    :class:`ProjectionError`.  So does a point so far that the cut stop,
-    which grows with it, exceeds the body's extent (:meth:`_projection`).
+    :class:`ProjectionError`.  So does a point for ``project`` so far that
+    the cut stop, which grows with it, outgrows the body's extent
+    (:attr:`_reach`).
     ``distance``, ``membership`` and every solver built on them pass these
     on.
 
@@ -1094,15 +1095,22 @@ class IntersectionBody(ConvexBody):
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
 
-    def _projection(self, p, pool):
+    @cached_property
+    def _reach(self):
+        """Largest cut stop of a query to :meth:`project`: the stop at the
+        witness, which the body's place alone sets, plus its extent, the
+        bounding box's diagonal or ``tol`` for a body thinner than that.
+        Only the part of a stop that grows with the point's distance is
+        held to the extent."""
+        w = float(np.abs(self._witness).max())
+        return CUT_RTOL * (1.0 + w) + max(self._diagonal, self._tol)
+
+    def _projection(self, p, pool, reach):
         """:func:`_pooled_projection` under the stall rule.  A stall has a
         cause, the solver's error; a member's error has no residual, and a
-        cut that overflowed an infinite one: those propagate.  Its reach is
-        the bounding box's diagonal, or ``tol`` for a body thinner than
-        that: a point so far that the cut stop exceeds both is refused."""
+        cut that overflowed an infinite one: those propagate."""
         try:
-            return _pooled_projection(self._bodies, p, pool,
-                                      max(self._diagonal, self._tol))
+            return _pooled_projection(self._bodies, p, pool, reach)
         except ProjectionError as exc:
             r, tol = exc.residual, self._tol
             if r is None or (r > tol and (exc.__cause__ is None or r == math.inf)):
@@ -1114,7 +1122,7 @@ class IntersectionBody(ConvexBody):
 
     def project(self, p):
         """Nearest point of the intersection, from the body's pool of cuts."""
-        x, self._cuts = self._projection(p, self._cuts)
+        x, self._cuts = self._projection(p, self._cuts, self._reach)
         return x
 
     def support(self, direction):
@@ -1123,12 +1131,14 @@ class IntersectionBody(ConvexBody):
         With R = ``_SUPPORT_RADIUS * (1 + diam)`` the returned member's inner
         product with u falls short of the support value by at most
         diam^2 / (2 R), diam the diagonal of the bounding box.  Fresh cuts
-        leave the pool free of cuts from R away.
+        leave the pool free of cuts from R away.  The far point's distance
+        is the body's own choice, so :meth:`project`'s reach does not
+        apply.
         """
         u, norm = _direction(direction, self._dim)
         radius = self._SUPPORT_RADIUS * (1.0 + self._diagonal)
         return self._projection(self._witness + (radius / norm) * u,
-                                _NO_CUTS)[0]
+                                _NO_CUTS, math.inf)[0]
 
     def contains_batch(self, points, tol=DEFAULT_TOL):
         """In when every member holds the point exactly, out when some

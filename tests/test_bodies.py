@@ -1109,13 +1109,13 @@ def test_a_v_polytope_projects_a_distant_point_to_a_member(kind, scale):
 @pytest.mark.parametrize("far", [[1e16, 3e15], [1e100, 3e99]])
 def test_an_intersection_refuses_a_point_beyond_its_reach(far):
     """The cut loop stops within CUT_RTOL (1 + |p|_inf) of every member, a
-    stop that grows with p.  Once it exceeds the lens's bounding-box
-    diagonal, an answer that close to both disks can lie that far off the
-    lens: (0, -1), 0.41 off, for the first point, and (-1.9e84, -4.9e83)
-    for the second.  Such a point is refused with one ProjectionError
-    that says so, and no cut joins the pool; a point at 1e13 still goes
-    to the lens, and support, whose far points lie within reach, is not
-    refused."""
+    stop that grows with p.  Once it outgrows the stop at the lens's
+    witness by more than the lens's bounding-box diagonal, an answer that
+    close to both disks can lie that far off the lens: (0, -1), 0.41 off,
+    for the first point, and (-1.9e84, -4.9e83) for the second.  Such a
+    point is refused with one ProjectionError that says so, and no cut
+    joins the pool; a point at 1e13 still goes to the lens, and so does
+    support's far point."""
     lens = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])
     with pytest.raises(ProjectionError, match="point too far for the intersection"):
         lens.project(far)
@@ -1123,6 +1123,24 @@ def test_an_intersection_refuses_a_point_beyond_its_reach(far):
     for p in ([1e13, 3e12], lens.support(far)):
         x = lens.project(p)
         assert max(b.distance(x) for b in lens.bodies) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6, 1e8])
+def test_a_single_point_intersection_projects_wherever_it_lies(shift):
+    """Two squares meeting at a corner have a point for their
+    intersection, so its extent is only ``tol``.  Moved by up to 1e8, where
+    the cut stop at the corner itself is 1e-5, nearby points and support
+    still go to the corner, within a unit in its last place: the reach
+    holds to the extent only the part of the stop that grows with the
+    point's distance."""
+    s = np.array([shift, shift])
+    body = IntersectionBody([HPolytope.box(s, s + 1.0),
+                             HPolytope.box(s + 1.0, s + 2.0)])
+    for x in (body.project(s + [0.3, 5.0]), body.project(s + [10.0, -3.0]),
+              body.support([1.0, 0.3])):
+        assert np.abs(x - (s + 1.0)).max() <= np.spacing(1.0 + shift)
+    with pytest.raises(ProjectionError, match="point too far for the intersection"):
+        body.project(s + 1e8 * (1.0 + abs(s).max()))
 
 
 @pytest.mark.parametrize("angle", [1e-2, 1e-4, 1e-6, 1e-8])
