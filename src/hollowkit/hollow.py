@@ -48,10 +48,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
-from .bodies import HPolytope, VPolytope, _hull_projection, check_tol
+from .bodies import _hull_projection, check_tol
 from .errors import (DegenerateSimplexError, GridDimensionError,
                      GridResolutionError, HollowNotFoundError, NoHollowError)
 from .geometry import (AffineSubspace, Simplex, as_point, as_points,
@@ -178,22 +179,30 @@ class HollowCertificate:
     """The hollow's cells on a grid.
 
     ``cells`` are the multi-indices, in C order, of the grid cells whose
-    centers are uncovered and strictly inside the witness simplex,
-    ``measure`` is their count times the cell volume, ``hull_vertices``
-    the vertices of the convex hull of their centers, computed on first
-    read.  The hollow is the one bounded complement component (see the
-    module docstring), so ``component_count`` is 1 and ``bounded`` is
-    true.  Both are constants, kept because ``certify`` writes them to
-    ``result.json`` and the benchmark's graders read them.
+    centers are uncovered and strictly inside the witness simplex.
+    ``resolution`` is the grid's cell size, ``measure`` the cells' count
+    times the cell volume, ``hull_vertices`` the vertices of the convex
+    hull of their centers, computed on first read.  The hollow is the one
+    bounded complement component (see the module docstring), so
+    ``component_count`` is 1 and ``bounded`` is true.  Both are constants,
+    kept because ``certify`` writes them to ``result.json`` and the
+    benchmark's graders read them.
     """
 
     grid: Grid
     cells: np.ndarray = field(repr=False)
-    measure: float
-    resolution: float
 
     component_count = property(lambda self: 1)
     bounded = property(lambda self: True)
+
+    @property
+    def resolution(self):
+        return self.grid.resolution
+
+    @property
+    def measure(self):
+        d = len(self.grid.shape)
+        return float(len(self.cells)) * self.grid.resolution ** d
 
     @property
     def cell_count(self):
@@ -299,12 +308,7 @@ def certify_hollow(family, resolution=None):
         raise HollowNotFoundError(
             f"no hollow cell at resolution {resolution:g} "
             f"or at half of it, {resolution / 2.0:g}")
-    return HollowCertificate(
-        grid=grid,
-        cells=cells,
-        measure=float(cells.shape[0]) * grid.resolution ** d,
-        resolution=grid.resolution,
-    )
+    return HollowCertificate(grid, cells)
 
 
 def boundary_attribution(certificate):
@@ -398,37 +402,25 @@ class StabbingReport:
         return bool(self.witness_ok) and bool(self.surround_ok)
 
 
-def _family_box(bodies, extra_points):
-    """Bounding box of the bodies and points, padded by a tenth of its span."""
-    los, his = map(list, zip(*(b.bounding_box() for b in bodies)))
-    pts = as_points(extra_points)
-    los.append(pts.min(axis=0))
-    his.append(pts.max(axis=0))
-    lo = np.min(los, axis=0)
-    hi = np.max(his, axis=0)
-    pad = 0.1 * max(float((hi - lo).max()), 1.0)
-    return lo - pad, hi + pad
-
-
 def verify_stabbing(pair, bodies, witnesses, tol=1e-6):
     """Check that a pair of flats stabs a family the way a hollow demands.
 
     Stage one: every witness must lie on ``pair.w`` (within ``tol``),
     witness j must pass ``membership(., tol)`` in every body but j, and
-    ``pair.v`` must keep a clearance above ``tol`` from every body.  The
-    clearances are measured to the part of ``pair.v`` inside the family's
-    padded bounding box, a polytope clipped in the flat's own frame (2d
-    rows in dimension d - n), or, when ``pair.v`` is a single
-    point (n = d), are each body's distance to that point.  Stage two, only
-    if stage one passes: with n the dimension of ``pair.w``, the n + 1
-    witnesses of n + 1 bodies must span an n-simplex on ``pair.w``, and
-    the crossing point must have positive barycentric coordinates in it.
-    That is exact in any n: the facet opposite witness j lies in body j,
-    so the union covers the simplex's boundary, and the crossing point, on
-    ``pair.v`` and so clear of every body, lies in a bounded component of
-    the complement on ``pair.w``.
-    A wrong count or a degenerate simplex is a stage-two reason.  A
-    ``tol`` that is not a positive finite number raises ``ValueError``.
+    ``pair.v`` must keep a clearance above ``tol`` from every body.  A
+    clearance is the distance from the whole flat ``pair.v``, a point when
+    n = d, to the body: :func:`~hollowkit.solvers.min_distance` from
+    ``pair.point``, with the flat's exact projection as its first body,
+    so the flat needs no clipping.  Stage two, only if stage one passes:
+    with n the dimension of ``pair.w``, the n + 1 witnesses of n + 1
+    bodies must span an n-simplex on ``pair.w``, and the crossing point
+    must have positive barycentric coordinates in it.  That is exact in
+    any n: the facet opposite witness j lies in body j, so the union
+    covers the simplex's boundary, and the crossing point, on ``pair.v``
+    and so clear of every body, lies in a bounded component of the
+    complement on ``pair.w``.  A wrong count or a degenerate simplex is a
+    stage-two reason.  A ``tol`` that is not a positive finite number
+    raises ``ValueError``.
     """
     tol = check_tol(tol)
     bodies = list(bodies)
@@ -449,20 +441,9 @@ def verify_stabbing(pair, bodies, witnesses, tol=1e-6):
     if reasons:
         return StabbingReport(False, None, tuple(reasons),
                               witness_offsets=offsets)
-    if pair.v.dim:
-        lo, hi = _family_box(bodies,
-                             np.vstack([witnesses, pair.point[None, :]]))
-        # The transversal inside the box, clipped in the flat's own frame:
-        # base + t B lies in the box iff B^T t <= hi - base and
-        # -B^T t <= base - lo, 2d rows in R^k.
-        base, B = pair.v.base, pair.v.basis
-        frame = HPolytope(np.vstack([B.T, -B.T]),
-                          np.concatenate([hi - base, base - lo]))
-        transversal = VPolytope(base + frame.vertices @ B)
-        clearances = np.array([min_distance(transversal, body).distance
-                               for body in bodies])
-    else:
-        clearances = np.array([body.distance(pair.point) for body in bodies])
+    flat = SimpleNamespace(dim=pair.v.ambient_dim, project=pair.v.project)
+    clearances = np.array([min_distance(flat, body, start=pair.point).distance
+                           for body in bodies])
     for i in np.flatnonzero(clearances <= tol):
         reasons.append(f"transversal flat meets body {i} "
                        f"(clearance {clearances[i]:.3e})")

@@ -89,6 +89,10 @@ def min_distance(body_a, body_b, start=None):
     not fall it takes the plain step T(b) instead and drops the history.  It stops once
     ``|T(b) - b| <= CUT_RTOL * (1 + |b|_inf)``, the cut loops' scale, and
     returns the pair (P_A(b), T(b)) with that fixed-point residual.
+    Given ``start``, A is asked only for ``dim`` and ``project``, so it
+    may be any closed convex set with an exact projection, such as an
+    affine flat: B compact still gives a nearest pair (Cheney &
+    Goldstein, Proc. AMS 10, 1959).
 
     Returns
     -------

@@ -354,10 +354,9 @@ def test_stab_verify_accepts(tmp_path, capsys):
 
 
 def test_stab_verify_accepts_a_transversal_near_tangent_to_a_disk(tmp_path, capsys):
-    """The transversal x = 1.01 passes 0.01 from each of two unit disks,
-    with its clipped segment's anchor far along the line from the contact
-    points; measuring such a clearance takes about 900 alternating
-    projections."""
+    """The transversal x = 1.01 passes 0.01 from each of two unit disks;
+    from the crossing point, which is each disk's nearest point on the
+    line, each clearance takes two rounds of alternating projections."""
     out = str(tmp_path)
     code = main(["stab-verify", scene_path("stab_near_tangent.json"), "--out", out])
     assert code == 0
@@ -402,13 +401,15 @@ def test_thincore_kkm_witness_lies_in_every_image(tmp_path):
     ("noncrit", "solve-klee", 0), ("goodkkm", "kkm", 0), ("gapkkm", "kkm", 2),
     ("disks", "certify", 0), ("vpoly", "certify", 0), ("balls3", "certify", 0),
     ("squares", "check", 2),
-    ("stab", "stab-verify", 0), ("stab3", "stab-verify", 0)])
+    ("stab", "stab-verify", 0), ("stab3", "stab-verify", 0),
+    ("stab4", "stab-verify", 0)])
 def test_deep_core_results_match_fixture(scene, command, code, tmp_path):
     """The Klee and cover results are pinned byte for byte; the coloring of
     the thin-core scene goes six levels deep.  The grid certificates, the
     full-intersection check and the stabbing checks pin the contains rules
     of balls, both polytope kinds and intersections; balls3 pins the 3-D
-    grid, and stab3 a stabbing pair whose first flat is a plane in 3-D."""
+    grid, stab3 a stabbing pair whose first flat is a plane in 3-D, and
+    stab4 one whose transversal is a 3-flat in 4-D."""
     assert main([command, scene_path(f"{scene}.json"), "--out", str(tmp_path)]) == code
     expected = scene_path(os.path.join("expected", f"{scene}.{command}.result.json"))
     assert read(os.path.join(tmp_path, "result.json"), "rb") == read(expected, "rb")
@@ -845,14 +846,17 @@ def scipy_loaded_by(command, scene, outdir, code=0):
 
 @pytest.mark.parametrize("command,scene", [
     ("check", "disks.json"), ("hollow", "pair.json"),
-    ("stab-verify", "stab.json"), ("solve-klee", "squares.json"),
+    ("stab-verify", "stab.json"), ("stab-verify", "stab4.json"),
+    ("solve-klee", "squares.json"),
     ("kkm", "goodkkm.json"), ("kkm", "gapkkm.json"),
     ("render", "disks.json"), ("certify", "disks.json"),
     ("certify", "vpoly.json"), ("check", "vpoly.json"),
     ("render", "vpoly.json")])
 def test_scenes_without_hulls_load_no_scipy(command, scene, tmp_path):
     """A hull in the plane, of the certified cells or of a V-polytope, is
-    the package's own monotone chain, so a 2-D scene loads no scipy."""
+    the package's own monotone chain, so a 2-D scene loads no scipy.  A
+    stabbing check builds no hull, so stab4, whose transversal is a
+    3-flat in 4-D, loads none either."""
     # gapkkm's cover check fails, a rejected claim (exit code 2)
     code = 2 if scene == "gapkkm.json" else 0
     assert scipy_loaded_by(command, scene, tmp_path, code) == []

@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -251,7 +252,7 @@ def test_collinear_hollow_cells_give_their_two_end_points():
                   [[1, 1], [2, 2], [3, 3], [4, 4]],
                   [[5, 5]]):
         cells = np.array(cells)
-        cert = HollowCertificate(grid, cells, 0.25 * len(cells), 0.5)
+        cert = HollowCertificate(grid, cells)
         ends = cells[[0, -1]] if len(cells) > 1 else cells
         assert np.array_equal(cert.hull_vertices, grid.centers(ends))
 
@@ -771,8 +772,7 @@ def test_stabbing_point_transversal_in_four_dimensions():
 
 def test_stabbing_point_transversal_in_six_dimensions():
     """n = d = 6: seven unit balls on a regular 6-simplex of edge 1.54, at
-    clearance 1.54 sqrt(3/7) - 1 ~ 0.00817.  A point transversal needs no
-    clipping polytope."""
+    clearance 1.54 sqrt(3/7) - 1 ~ 0.00817."""
     report = _point_transversal_report(6, 1.54)
     assert report.ok
     assert report.reasons == ()
@@ -782,9 +782,8 @@ def test_stabbing_point_transversal_in_six_dimensions():
 
 def test_stabbing_line_transversal_in_seven_dimensions():
     """n = 6 in R^7: the balls of the regular 6-simplex of edge 1.54 in
-    x7 = 0, the transversal the x7 axis.  The line is clipped in its own
-    frame, 14 rows on R^1; the box's 26 rows in R^7 would give 657800
-    vertex candidates.  Each clearance is 1.54 sqrt(3/7) - 1 ~ 0.00817."""
+    x7 = 0, the transversal the x7 axis.  Each clearance is the line's
+    distance to a ball, 1.54 sqrt(3/7) - 1 ~ 0.00817."""
     centers, _, family = _simplex_balls(6, 1.54)
     lift = np.zeros((7, 1))
     balls = [Ball(c, 1.0) for c in np.hstack([centers, lift])]
@@ -810,3 +809,64 @@ def test_stabbing_point_transversal_for_disks(three_disks, disks_family):
     # circumradius of the side-1.9 triangle minus the unit radius, ~0.0970
     expected = 1.9 / np.sqrt(3.0) - 1.0
     assert np.allclose(report.clearances, expected, atol=1e-7)
+
+
+def test_stabbing_clearance_is_the_distance_to_the_whole_flat():
+    """Two balls of radius 0.01 at (0, 0) and (3, 0), the transversal the
+    line through (1.5, 0) along (1, 1)/sqrt 2.  Its nearest points to the
+    balls lie 0.75 sqrt 2 from (1.5, 0), beyond a box padded by a tenth of
+    the family's span, so each clearance is the distance to the line,
+    1.5/sqrt 2 - 0.01, not to the part of it in that box (1.2182866)."""
+    bodies = [Ball([0.0, 0.0], 0.01), Ball([3.0, 0.0], 0.01)]
+    w = AffineSubspace([0.0, 0.0], [[1.0, 0.0]])
+    v = AffineSubspace([1.5, 0.0], [[np.sqrt(0.5), np.sqrt(0.5)]])
+    report = verify_stabbing(StabbingPair(w, v, [1.5, 0.0]), bodies,
+                             [[3.0, 0.0], [0.0, 0.0]])
+    assert report.ok
+    assert report.clearances == pytest.approx(
+        [1.5 / np.sqrt(2.0) - 0.01] * 2, rel=0.0, abs=1e-9)
+
+
+def moved_stabbing(scene, shift, reverse):
+    """The stabbing check of ``scene`` translated by ``shift`` along the
+    diagonal, its bodies and witnesses reversed together if ``reverse``."""
+    loaded = load_scene(os.path.join(DATA, scene))
+    pair, d = loaded.stabbing, loaded.dimension
+    t = np.full(d, shift)
+    bodies = [Ball(b.center + t, b.radius) if isinstance(b, Ball)
+              else HPolytope(b.A, b.b + b.A @ t) for b in loaded.bodies]
+    witnesses = loaded.stabbing_witnesses + t
+    if reverse:
+        bodies, witnesses = bodies[::-1], witnesses[::-1]
+    moved = StabbingPair(AffineSubspace(pair.w.base + t, pair.w.basis),
+                         AffineSubspace(pair.v.base + t, pair.v.basis),
+                         pair.point + t)
+    return verify_stabbing(moved, bodies, witnesses,
+                           tol=loaded.options.get("tol", 1e-6))
+
+
+@pytest.mark.parametrize("shift, reverse", [(1e3, False), (1e6, False),
+                                            (0.0, True)])
+@pytest.mark.parametrize("scene", ["stab.json", "stab3.json", "stab_bad.json",
+                                   "stab_near_tangent.json"])
+def test_moved_or_reversed_stabbing_scenes_keep_their_verdict(scene, shift,
+                                                              reverse):
+    """The translation and body-permutation cases of the metamorphic suite
+    for the stabbing check: moved 1e3 or 1e6 along the diagonal, or with
+    its bodies and witnesses reversed together, a scene keeps its verdict
+    and reasons, body and witness numbers reversed along, and its
+    clearances within 1e-9 (1.4e-10 at most when measured, on stab3 at
+    1e6)."""
+    base = moved_stabbing(scene, 0.0, False)
+    moved = moved_stabbing(scene, shift, reverse)
+    assert (moved.witness_ok, moved.surround_ok) == (base.witness_ok,
+                                                     base.surround_ok)
+    reasons, want = base.reasons, base.clearances
+    if reverse:
+        n = len(want)
+        reasons = [re.sub(r"(body|witness) (\d+)",
+                          lambda m: f"{m[1]} {n - 1 - int(m[2])}", r)
+                   for r in reasons]
+        want = want[::-1]
+    assert sorted(moved.reasons) == sorted(reasons)
+    assert np.abs(moved.clearances - want).max() <= 1e-9
