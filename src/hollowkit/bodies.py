@@ -31,9 +31,9 @@ Families run on one cutting-plane engine (Kelley, J. SIAM 1960): the
 members' projections supply cuts.  :func:`project_intersection` projects
 onto the cuts by the same least-distance solver, resumed pass after pass
 as cuts join, until the iterate lies in every member;
-:func:`feasibility_scan` decides emptiness by an LP lower bound over the
-cuts, solved by a dense-tableau primal simplex under Bland's rule
-(Math. Oper. Res. 1977).  Every cut holds its body, so a cut stays valid
+:func:`feasibility_scan` decides emptiness on the same solver: cuts
+relaxed by ``tol`` that share no point put every point farther than
+``tol`` from some member.  Every cut holds its body, so a cut stays valid
 for any later query: an :class:`IntersectionBody` starts each projection
 from the cuts tight at its last, so nearby queries, as in alternating
 projections, mostly end in two passes instead of four to six.  It keeps
@@ -92,11 +92,6 @@ _SPAN_RTOL = 1e-13
 # infinitely far from it: a Ball projects it along the offset, and the
 # projection onto any other kind raises ProjectionError with this message.
 _FAR = "point infinitely far: the squares of its offset overflow"
-
-# The cut LP's simplex treats tableau entries up to this as zero when it
-# picks the entering column and the rows of the ratio test; its rows are
-# unit and its right-hand side is scaled by the gap, so entries are O(1).
-_PIVOT_TOL = 1e-12
 
 # H-polytope vertices: d unit rows are a vertex candidate when their |det|
 # exceeds VERTEX_SINGULAR, and its solution a vertex when it satisfies every
@@ -203,16 +198,17 @@ def _pooled_projection(bodies, p, pool, reach=math.inf):
     resuming from the last.  A cut is tight when its slack at the answer is
     at most stop.  Raises :class:`ProjectionError`, carrying the last
     iterate and its residual, when ``CUT_MAX_PASSES`` passes run out, or,
-    from the solver's error, when the cuts share no point (a stall).  A
+    from the solver's refusal, when the cuts share no point (a stall).  A
     stall carries the smallest residual of its passes instead: the solve
     of nearly parallel contradicting cuts can throw the last iterate far
-    from every member.  A stop above ``reach`` raises
+    from every member.  Any other solver failure propagates as it is,
+    with no residual.  A stop above ``reach`` raises
     :class:`ProjectionError` before any pass: an answer that close to
     every member may still lie farther than that from the intersection.
     """
     p = as_point(p, bodies[0].dim)
     if _norm(p) == math.inf:
-        # the solver's own check would come after the first pass, as a stall
+        # the solver's own check would come only after the first pass
         raise ProjectionError(_FAR, last_iterate=p)
     stop = CUT_RTOL * (1.0 + float(np.abs(p).max()))
     if stop > reach:
@@ -233,8 +229,8 @@ def _pooled_projection(bodies, p, pool, reach=math.inf):
         best = min(best, residual)
         try:
             x = solver.solve(np.array(normals), np.array(offsets))
-        except ProjectionError as exc:
-            # a stall, raised from the solver's error (see IntersectionBody)
+        except _Infeasible as exc:
+            # a stall, raised from the solver's refusal (see IntersectionBody)
             raise ProjectionError(
                 f"intersection projection stalled: {exc} (residual "
                 f"{best:.3e})", last_iterate=x, residual=best) from exc
@@ -255,22 +251,28 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
 
     From p = :func:`support_centroid`, each pass measures the gap
     ``max_i dist(x, C_i)`` at the iterate x and cuts as
-    :func:`project_intersection` does.  The cuts hold their bodies, so the
-    optimum t* of the LP min t s.t. n_k.y - t <= h_k, t >= 0 is a certified
-    lower bound on ``min_x max_i dist(x, C_i)``.  It returns
+    :func:`project_intersection` does.  A cut n.y <= h of C_i holds C_i, so
+    dist(y, C_i) >= n.y - h: if the cuts relaxed by r, {y : n_k.y <= h_k +
+    r}, share no point, every y misses some member by more than r.  That
+    is the test t* > r on the optimum t* of the LP min t s.t. n_k.y - t <=
+    h_k, t >= 0, a lower bound on ``min_y max_i dist(y, C_i)``, and
+    :class:`_LeastDistance` decides it by refusing the relaxed rows with a
+    Farkas certificate.  It returns
 
     - ``("witness", x, gap, dists, passes)`` once the gap is below ``tol / 10``;
-    - ``("empty", ...)`` once t* > ``tol``;
-    - ``("ambiguous", ...)`` once t* >= ``tol / 10`` and gap <= ``tol``;
+    - ``("empty", ...)`` once the cuts relaxed by ``tol`` share no point;
+    - ``("ambiguous", ...)`` once those relaxed by ``tol / 10`` share none
+      and gap <= ``tol``;
     - ``("noconv", x, gap, None, passes)`` if ``CUT_MAX_PASSES`` passes run out.
 
-    The next x is the cuts' nearest point to p if it lies within ``tol / 10``
-    of every cut (so t* < ``tol / 10``; no LP is solved), else the LP
-    minimizer.  The LP has d + 1 variables and one row per cut, so it is
-    solved by :func:`_cut_lp`, a dense-tableau simplex under Bland's rule,
-    in y = x + gap z, t = gap tau, so that its pivot tolerance is relative
-    to the gap.  At DEBUG level the scan logs its pass count and the rule
-    that decided it, and each LP its pivot count.
+    While the cuts share a point, the next x is their nearest point to p.
+    Once they contradict, it is the nearest point to p of the cuts relaxed
+    by ``tol / 10``, or of those relaxed by ``tol`` once the former share
+    no point.  Each of the three systems has its own solver, resumed pass
+    after pass.  Any other solver failure (a spent step budget, a
+    non-finite row) decides nothing and raises :class:`ProjectionError`.
+    At DEBUG level the scan logs its pass count and the rule that decided
+    it.
     """
     tol = check_tol(tol)
     if len(bodies) == 0:
@@ -279,7 +281,7 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
     # <= tol / 10, so an undecided pass (gap >= tol / 10) cuts its farthest body
     stop = min(CUT_RTOL * (1.0 + float(np.abs(p).max())), tol / 10.0)
     normals, offsets = [], []
-    solver = _LeastDistance(p)
+    exact, fine, wide = _LeastDistance(p), _LeastDistance(p), _LeastDistance(p)
     x = p
     for passes in range(1, CUT_MAX_PASSES + 1):
         dists = _cut_pass(bodies, x, stop, normals, offsets)
@@ -289,79 +291,32 @@ def feasibility_scan(bodies, tol=DEFAULT_TOL):
                          passes, gap, tol)
             return "witness", x, gap, dists, passes
         A, h = np.array(normals), np.array(offsets)
-        try:
-            y = solver.solve(A, h)
-        except ProjectionError:
-            y = x  # the cuts share no point; x misses its own by the gap
-        if (A @ y - h).max() < tol / 10.0:
-            x = y
-            continue
-        z, t, _ = _cut_lp(A, (h - A @ x) / gap)
-        bound = gap * t
-        if bound > tol:
-            logger.debug("scan empty at pass %d: LP bound %.3e > tol %.1e",
-                         passes, bound, tol)
-            return "empty", x, gap, dists, passes
-        if bound >= tol / 10.0 and gap <= tol:
-            logger.debug("scan ambiguous at pass %d: LP bound %.3e and gap "
-                         "%.3e in [tol/10, tol], tol %.1e", passes, bound, gap, tol)
-            return "ambiguous", x, gap, dists, passes
-        x = x + gap * z
+        y = _nearest(exact, A, h)
+        if y is None:
+            y_wide = _nearest(wide, A, h + tol)
+            if y_wide is None:
+                logger.debug("scan empty at pass %d: the cuts relaxed by tol "
+                             "share no point, gap %.3e, tol %.1e", passes, gap, tol)
+                return "empty", x, gap, dists, passes
+            y = _nearest(fine, A, h + tol / 10.0)
+            if y is None:
+                if gap <= tol:
+                    logger.debug("scan ambiguous at pass %d: the cuts relaxed by "
+                                 "tol/10 share no point and gap %.3e <= tol, tol "
+                                 "%.1e", passes, gap, tol)
+                    return "ambiguous", x, gap, dists, passes
+                y = y_wide
+        x = y
     logger.debug("scan undecided after %d passes (gap %.3e)", passes, gap)
     return "noconv", x, gap, None, passes
 
 
-def _cut_lp(A, b):
-    """Solve min t s.t. A z - t <= b, t >= 0, z free; return (z, t*, lam).
-
-    A dense-tableau primal simplex over [z+, z-, t, s], z = z+ - z- and s
-    the row slacks.  Pivoting t into the row of the least b makes the first
-    tableau feasible; then Bland's rule (Math. Oper. Res. 1977) picks the
-    least improving column and, among rows tied in the ratio test, the one
-    whose basic column is least, so no basis repeats.  While t is basic the
-    reduced costs are minus its row, so the duals are lam_k = -T[t, s_k]:
-    lam >= 0, A^T lam = 0, sum lam = 1 and -b . lam = t*.  Once t leaves
-    the basis, t* = 0 and lam = 0.  Raises :class:`ProjectionError` if the
-    pivot budget, the tableau's entry count, runs out.
-    """
-    m, d = A.shape
-    lam = np.zeros(m)
-    if b.min() >= 0.0:
-        return np.zeros(d), 0.0, lam
-    T = np.zeros((m, 2 * d + 2 + m))
-    T[:, :d], T[:, d:2 * d], T[:, 2 * d] = A, -A, -1.0
-    T[:, 2 * d + 1:-1] = np.eye(m)
-    T[:, -1] = b
-    basis = np.arange(2 * d + 1, 2 * d + 1 + m)
-    # t stays in row tr until a pivot on that row takes it out
-    tr = r = int(np.argmin(b))
-    c = 2 * d
-    for pivots in range(1, T.size + 1):
-        T[r] /= T[r, c]
-        col = T[:, c].copy()
-        col[r] = 0.0
-        T -= np.outer(col, T[r])
-        basis[r] = c
-        if basis[tr] != 2 * d:
-            break  # t left at 0: the cuts share a point
-        t_row = T[tr, :-1]
-        entering = np.flatnonzero(t_row > _PIVOT_TOL)
-        entering = entering[entering != 2 * d]
-        if entering.size == 0:
-            lam = np.maximum(-t_row[2 * d + 1:], 0.0)
-            break
-        c = int(entering[0])
-        eligible = np.flatnonzero(T[:, c] > _PIVOT_TOL)
-        ratios = T[eligible, -1] / T[eligible, c]
-        ties = eligible[ratios == ratios.min()]
-        r = int(ties[np.argmin(basis[ties])])
-    else:
-        raise ProjectionError(f"cut LP undecided after its pivot budget of {T.size}")
-    logger.debug("cut LP: %d rows, %d pivots", m, pivots)
-    x = np.zeros(2 * d + 1)
-    held = basis < 2 * d + 1
-    x[basis[held]] = T[held, -1]
-    return x[:d] - x[d:2 * d], float(x[2 * d]), lam
+def _nearest(solver, A, b):
+    """``solver.solve(A, b)``, or None when the solver refuses the rows."""
+    try:
+        return solver.solve(A, b)
+    except _Infeasible:
+        return None
 
 
 def decided_scan(bodies, tol=DEFAULT_TOL):
@@ -387,6 +342,11 @@ def support_centroid(bodies):
     """Average of every body's support points along the +-axis directions."""
     axes = [sign * u for u in np.eye(bodies[0].dim) for sign in (1.0, -1.0)]
     return np.mean([body.support(u) for body in bodies for u in axes], axis=0)
+
+
+class _Infeasible(ProjectionError):
+    """The refusal of :class:`_LeastDistance`: a Farkas certificate that its
+    rows share no point.  Its other failures say nothing about the rows."""
 
 
 class _LeastDistance:
@@ -415,10 +375,11 @@ class _LeastDistance:
     tolerance times 1 + sum |r|.  Within that margin the row holds, to
     rounding, wherever the active rows do (more than d rows through one
     vertex), and the solve sets it aside.  A certificate raises
-    :class:`ProjectionError`, carrying p, and so do a NaN or infinity in
-    p, in a row or among the slacks at p, a p whose squares overflow
-    (infinitely far, ``_FAR``), and a spent budget of 10 (m + d) steps for
-    m rows in R^d.  A solver that raised stays spent.
+    :class:`_Infeasible`, carrying p.  A NaN or infinity in p, in a row or
+    among the slacks at p, a p whose squares overflow (infinitely far,
+    ``_FAR``), and a spent budget of 10 (m + d) steps for m rows in R^d
+    raise a plain :class:`ProjectionError`.  A solver that raised stays
+    spent, and raises the same type again.
 
     Rows only ever join: each solve passes the rows of the last one first,
     unchanged.  The last answer is still optimal for them, so the next
@@ -443,15 +404,16 @@ class _LeastDistance:
         """Ascending indices of the active rows with positive multipliers."""
         return sorted(k for k, uk in zip(self._active, self._u) if uk > 0.0)
 
-    def _fail(self, message):
-        self._spent = message
-        raise ProjectionError(message, last_iterate=self._p)
+    def _fail(self, message, kind=ProjectionError):
+        self._spent = kind, message
+        raise kind(message, last_iterate=self._p)
 
     def solve(self, A, b):
         """Nearest point to p of {x : A x <= b}; the first rows must be
         those of the last solve."""
         if self._spent is not None:
-            raise ProjectionError(self._spent, last_iterate=self._p)
+            kind, message = self._spent
+            raise kind(message, last_iterate=self._p)
         m, d = A.shape
         first, self._rows = self._rows, m
         xl = self._x
@@ -523,7 +485,8 @@ class _LeastDistance:
                             # a Farkas certificate, unless a met the active
                             # rows' combination within its rounding
                             if uk or viol > tol * (1.0 + sum(map(abs, r))):
-                                self._fail("the rows share no point")
+                                self._fail("the rows share no point",
+                                           _Infeasible)
                             aside.append(k)
                             break
                         joins = False
@@ -889,7 +852,8 @@ def _hull_projection(V, p):
     tolerance once p is about 1e15 away, and no row would join the face.
     Rows that share no point mean that no hyperplane separates p from the
     hull: p lies in it up to rounding and comes back as a copy, as it does
-    when it is a generator.
+    when it is a generator.  Any other solver failure raises
+    :class:`ProjectionError`.
     """
     W = p - V
     if np.vdot(W, W) == math.inf and any(np.vdot(w, w) == math.inf for w in W):
@@ -901,7 +865,7 @@ def _hull_projection(V, p):
     solver = _LeastDistance(np.zeros(p.size))
     try:
         solver.solve(W / norms[:, None], -nearest / norms)
-    except ProjectionError:
+    except _Infeasible:
         return p.copy()
     face = V[solver.face]
     if face.shape[0] == 1:
@@ -1107,8 +1071,9 @@ class IntersectionBody(ConvexBody):
 
     def _projection(self, p, pool, reach):
         """:func:`_pooled_projection` under the stall rule.  A stall has a
-        cause, the solver's error; a member's error has no residual, and a
-        cut that overflowed an infinite one: those propagate."""
+        cause, the solver's refusal; a member's error and any other solver
+        failure have no residual, and a cut that overflowed an infinite
+        one: those propagate."""
         try:
             return _pooled_projection(self._bodies, p, pool, reach)
         except ProjectionError as exc:

@@ -37,11 +37,12 @@ class ProjectionError(HollowkitError):
     """A projection or support oracle failed.
 
     Raised when the projection onto an intersection of bodies runs out of
-    passes (farther than its tol from a member, for an IntersectionBody),
-    when an H-polytope's rows share no point, when the simplex solving
-    the cut LP of a feasibility scan runs out of its pivot budget, or when
-    a point is infinitely far (the squares of its offset overflow) from a
-    body other than a ball, which projects such a point along its offset.
+    passes (farther than its tol from a member, for an IntersectionBody)
+    or its cuts share no point (a stall), when the least-distance solver
+    of a projection or of a feasibility scan spends its step budget or
+    meets a non-finite value, or when a point is infinitely far (the
+    squares of its offset overflow) from a body other than a ball, which
+    projects such a point along its offset.
 
     Attributes
     ----------

@@ -164,10 +164,10 @@ def _plane_through_gap(res, tol):
 def _empty_certificate(bodies, tol, rest_witness=None):
     """Separate body 0 from the intersection of the others.
 
-    Called once the scan's LP bound t* exceeds ``tol``.  As t* <=
-    max_i dist(x, C_i) for every x, the midpoint of a nearest pair of C_0
-    and the rest, delta apart, gives delta >= 2 t* > 2 tol (> 1.8 tol if
-    the rest's scan accepted it within tol / 10): ``_plane_through_gap``
+    Called once the scan's cuts, relaxed by ``tol``, share no point: then
+    max_i dist(x, C_i) > tol for every x, so the midpoint of a nearest
+    pair of C_0 and the rest, delta apart, gives delta > 2 tol (> 1.8 tol
+    if the rest's scan accepted it within tol / 10): ``_plane_through_gap``
     never refuses, so no other body need be tried.  The rest is scanned
     for a point unless ``rest_witness`` is one, checked by membership; an
     empty rest is certified in turn, and named as the ``subfamily``.
@@ -193,9 +193,10 @@ def intersect_witness(bodies, tol=DEFAULT_TOL):
     planes from the centroid of the bodies' support points.  A witness is
     returned once the measured gap (maximum distance from the iterate to
     any body) falls below ``tol / 10``; an emptiness verdict with a
-    separation certificate once the cuts' LP bound on the min-max distance
-    exceeds ``tol``.  The certificate scans bodies 1.. once more and
-    separates body 0 from their intersection by :func:`min_distance`.
+    separation certificate once the cuts, relaxed by ``tol``, share no
+    point, so the min-max distance exceeds ``tol``.  The certificate scans
+    bodies 1.. once more and separates body 0 from their intersection by
+    :func:`min_distance`.
 
     Raises
     ------

@@ -15,8 +15,8 @@ from hollowkit import (AffineSubspace, Ball, EmptyBodyError, HPolytope,
                        UnboundedBodyError, VPolytope, check_critical, dykstra,
                        feasibility_scan, intersect_witness, kkm_verify,
                        klee_solve, min_distance, verify_stabbing)
-from hollowkit.bodies import (ConvexBody, _cut_lp, _offset, project_intersection,
-                             support_centroid)
+from hollowkit.bodies import (ConvexBody, _Infeasible, _LeastDistance, _offset,
+                             project_intersection, support_centroid)
 from hollowkit.geometry import affine_hull, as_point
 from conftest import disk_centers, side_rectangle
 from helpers import grid_points
@@ -394,11 +394,7 @@ def test_supports_ignore_row_and_generator_order():
                 assert np.array_equal(one.support(u), other.support(u))
 
 
-def test_hpolytope_oracles_run_no_lp(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("cut LP solved")
-
-    monkeypatch.setattr(hollowkit.bodies, "_cut_lp", refuse)
+def test_hpolytope_oracles_run_no_lp():
     rng = np.random.default_rng(12)
     for poly in (HPolytope.box([0.0, 1.0, -2.0], [1.0, 3.0, 0.5]),
                  random_hpolytope(rng, 10.0, 1.0)):
@@ -580,10 +576,14 @@ def test_feasibility_scan_reports_witness_and_empty():
     assert gap >= 0.9
 
 
-# The scan's cut LP, min t s.t. A z - t <= b, t >= 0, on unit rows: its
-# optimum, feasibility and duals against scipy's HiGHS, absolutely.
+# The scan's emptiness rule on unit rows A z <= b: the rows relaxed by r
+# share no point exactly when r < t*, the optimum of the cut LP min t s.t.
+# A z - t <= b, t >= 0, taken from scipy's HiGHS.  Each relaxation stands
+# CUT_LP_DELTA off t*, far past HiGHS's error of under 1e-9 on these rows.
 CUT_LP_CASES = 600
-CUT_LP_TOL = 1e-9
+CUT_LP_DELTA = 1e-7
+# slack of a solved relaxation: the solver's stop, a few rounding units
+CUT_LP_SLACK = 1e-12
 
 
 def random_cut_lp(rng, case):
@@ -605,9 +605,18 @@ def random_cut_lp(rng, case):
     return A, b
 
 
-def test_cut_lp_matches_highs():
+def resumed_solve(A, b):
+    """Nearest point to the origin of {A z <= b} by one solver, resumed
+    as the scan's are: first on half the rows, then on all of them."""
+    solver = _LeastDistance(np.zeros(A.shape[1]))
+    half = A.shape[0] // 2
+    solver.solve(A[:half], b[:half])
+    return solver.solve(A, b)
+
+
+def test_relaxed_cuts_are_refused_exactly_below_the_highs_optimum():
     rng = np.random.default_rng(31)
-    decided = 0
+    refused = 0
     for case in range(CUT_LP_CASES):
         A, b = random_cut_lp(rng, case)
         m, d = A.shape
@@ -615,36 +624,62 @@ def test_cut_lp_matches_highs():
                       b_ub=b, bounds=[(None, None)] * d + [(0.0, None)],
                       method="highs")
         assert ref.status == 0
-        z, t, lam = _cut_lp(A, b)
-        assert abs(t - ref.fun) <= CUT_LP_TOL
-        assert t >= 0.0 and (A @ z - t - b).max() <= CUT_LP_TOL
-        # the dual max -b.lam s.t. A^T lam = 0, sum lam <= 1, lam >= 0
-        assert lam.min() >= 0.0 and np.abs(A.T @ lam).max() <= CUT_LP_TOL
-        if t > 0.0:
-            decided += 1
-            assert abs(lam.sum() - 1.0) <= CUT_LP_TOL
-            assert abs(-b @ lam - t) <= CUT_LP_TOL
+        if ref.fun > CUT_LP_DELTA:
+            refused += 1
+            with pytest.raises(_Infeasible, match="share no point"):
+                resumed_solve(A, b + (ref.fun - CUT_LP_DELTA))
+        relaxed = b + (ref.fun + CUT_LP_DELTA)
+        assert (A @ resumed_solve(A, relaxed) - relaxed).max() <= CUT_LP_SLACK
     # both optimum kinds are drawn: rows with and without a common point
-    assert 0 < decided < CUT_LP_CASES
-
-
-def test_cut_lp_at_a_feasible_origin_pivots_nowhere():
-    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    z, t, lam = _cut_lp(A, np.array([1.0, 0.0, 2.0]))
-    assert z.tolist() == [0.0, 0.0] and t == 0.0 and lam.tolist() == [0.0] * 3
+    assert 0 < refused < CUT_LP_CASES
 
 
 def test_feasibility_scan_explains_itself_at_debug_only(caplog):
-    """At DEBUG the scan names its passes, its deciding rule and each LP's
-    pivots; at the default level it is silent."""
-    bodies = [HPolytope.box([0.0], [1.0]), HPolytope.box([3.0], [4.0])]
-    feasibility_scan(bodies, tol=1e-7)
+    """At DEBUG the scan names its passes and its deciding rule; at the
+    default level it is silent.  Intervals 8e-8 apart at tol 1e-7 are
+    decided by the ambiguous rule (SCAN_CASES, ratio 0.4)."""
+    disjoint = [HPolytope.box([0.0], [1.0]), HPolytope.box([3.0], [4.0])]
+    near = [HPolytope.box([0.0], [1.0]), HPolytope.box([1.0 + 0.8e-7], [2.0])]
+    feasibility_scan(disjoint, tol=1e-7)
+    feasibility_scan(near, tol=1e-7)
     assert caplog.records == []
     with caplog.at_level(logging.DEBUG, logger="hollowkit.bodies"):
-        feasibility_scan(bodies, tol=1e-7)
+        feasibility_scan(disjoint, tol=1e-7)
+        feasibility_scan(near, tol=1e-7)
     assert [r.getMessage() for r in caplog.records] == [
-        "cut LP: 2 rows, 2 pivots",
-        "scan empty at pass 1: LP bound 1.000e+00 > tol 1.0e-07"]
+        "scan empty at pass 1: the cuts relaxed by tol share no point, "
+        "gap 1.000e+00, tol 1.0e-07",
+        "scan ambiguous at pass 1: the cuts relaxed by tol/10 share no "
+        "point and gap 6.000e-08 <= tol, tol 1.0e-07"]
+
+
+def spent_budget(self, A, b):
+    """A :class:`_LeastDistance` solve that spends its step budget."""
+    raise ProjectionError(
+        f"least-distance solve undecided after {10 * sum(A.shape)} steps")
+
+
+@pytest.mark.parametrize("kind", ["boxes", "disks"])
+def test_a_spent_solver_decides_no_scan(monkeypatch, kind):
+    """A solver that fails by its budget refuses no rows: the scan of two
+    disjoint bodies raises, and returns neither "empty" nor "ambiguous".
+    (Disks reach the scan's own solves; boxes fail in their projections.)"""
+    monkeypatch.setattr(_LeastDistance, "solve", spent_budget)
+    bodies = {"boxes": [HPolytope.box([0.0, 0.0], [1.0, 1.0]),
+                        HPolytope.box([3.0, 0.0], [4.0, 1.0])],
+              "disks": [Ball([0.0, 0.0], 1.0), Ball([3.0, 0.0], 1.0)]}[kind]
+    with pytest.raises(ProjectionError, match="undecided after") as info:
+        feasibility_scan(bodies, tol=1e-7)
+    assert not isinstance(info.value, _Infeasible)
+
+
+def test_a_spent_solver_projects_no_point_onto_a_polytope(monkeypatch):
+    """Only a refusal of the face rows means that p lies in the hull: a
+    budget failure is a ProjectionError, not p handed back as a member."""
+    monkeypatch.setattr(_LeastDistance, "solve", spent_budget)
+    square = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ProjectionError, match="undecided after"):
+        square.project([3.0, 0.5])
 
 
 SCAN_TOL = 1e-7
@@ -944,6 +979,16 @@ def test_a_spent_pass_budget_is_ambiguous_only_within_tol(monkeypatch):
     with pytest.raises(ToleranceAmbiguityError) as info:
         lens(0.5).project([0.75, 3.0])
     assert info.value.tol == 0.5 and 0.1 < info.value.gap < 0.5
+
+
+def test_a_spent_solver_budget_is_no_stall(monkeypatch):
+    """Only a refusal of the cuts is a stall: a cut solve that spends its
+    step budget raises ProjectionError, not the stall rule's verdict."""
+    lens = IntersectionBody([Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0)],
+                            witness=[0.75, 0.0])
+    monkeypatch.setattr(_LeastDistance, "solve", spent_budget)
+    with pytest.raises(ProjectionError, match="undecided after"):
+        lens.project([0.75, 3.0])
 
 
 def test_intersection_oracles_run_no_dykstra(monkeypatch, squares_union):

@@ -161,8 +161,8 @@ def uses_of(name):
 
 
 def test_no_module_imports_linprog():
-    """The scan's cut LP is the package's own simplex: scipy's LP solver
-    stays a test-side reference."""
+    """The scan decides emptiness on the package's own least-distance
+    solver: scipy's LP solver stays a test-side reference."""
     assert uses_of("linprog") == []
 
 

@@ -1,5 +1,5 @@
-"""The least-distance solver behind every cut projection and every polytope
-projection's choice of face."""
+"""The least-distance solver behind every cut projection, every polytope
+projection's choice of face and every emptiness verdict of a scan."""
 import json
 import os
 
@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linprog, nnls
 
 from hollowkit import HPolytope, ProjectionError, VPolytope, body_from_json
-from hollowkit.bodies import _LeastDistance
+from hollowkit.bodies import _Infeasible, _LeastDistance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -74,10 +74,13 @@ def infeasible_system(rng, d):
 
 @pytest.mark.parametrize("p", [0.0, 5.0])
 def test_contradicting_pair_raises(p):
-    """{y >= 1, y <= -1} has no point, from either side."""
+    """{y >= 1, y <= -1} has no point, from either side; the spent solver
+    refuses again, with the same type."""
     A, b = np.array([[-1.0], [1.0]]), np.array([-1.0, -1.0])
-    with pytest.raises(ProjectionError, match="share no point"):
-        _LeastDistance(np.array([p])).solve(A, b)
+    solver = _LeastDistance(np.array([p]))
+    for _ in range(2):
+        with pytest.raises(_Infeasible, match="share no point"):
+            solver.solve(A, b)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -89,7 +92,7 @@ def test_seeded_infeasible_systems_raise(d):
         assert lp.status == 2
         for _ in range(3):
             p = rng.uniform(-10.0, 10.0, size=d)
-            with pytest.raises(ProjectionError, match="share no point"):
+            with pytest.raises(_Infeasible, match="share no point"):
                 _LeastDistance(p).solve(A, b)
 
 
@@ -134,9 +137,10 @@ def test_non_finite_appended_row_is_a_projection_error():
     assert np.allclose(solver.solve(A, b), [1.0, 0.5])
     with pytest.raises(ProjectionError, match="not finite"):
         solver.solve(np.vstack([A, [np.nan, 1.0]]), np.append(b, 0.0))
-    # a raising solver is spent
-    with pytest.raises(ProjectionError):
+    # a raising solver is spent, and its failure is no refusal of the rows
+    with pytest.raises(ProjectionError, match="not finite") as info:
         solver.solve(A, b)
+    assert not isinstance(info.value, _Infeasible)
 
 
 def wedge_rows(angle):
